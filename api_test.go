@@ -400,8 +400,8 @@ func TestReportSetWriteAll(t *testing.T) {
 }
 
 // TestWriteReportsSkipsDisabledMemoryRows guards the junk-row fix: with the
-// memory model disabled, the memory CSV must contain the header only, not a
-// zero-valued row per layer.
+// memory model disabled no layer contributes a zero-valued memory row, so
+// the report set carries no memory report at all.
 func TestWriteReportsSkipsDisabledMemoryRows(t *testing.T) {
 	cfg := DefaultConfig()
 	topo, err := BuiltinTopology("alexnet")
@@ -412,30 +412,10 @@ func TestWriteReportsSkipsDisabledMemoryRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mem bytes.Buffer
-	if err := WriteReports(res, nil, nil, &mem, nil, nil); err != nil {
-		t.Fatal(err)
+	if _, _, mrows, _, _ := res.reportRows(); len(mrows) != 0 {
+		t.Errorf("%d memory rows although the memory model was disabled", len(mrows))
 	}
-	if n := bytes.Count(mem.Bytes(), []byte("\n")); n != 1 {
-		t.Fatalf("memory CSV has %d lines, want header only:\n%s", n, mem.String())
-	}
-}
-
-func TestRunTopologyShim(t *testing.T) {
-	cfg := DefaultConfig()
-	topo, err := BuiltinTopology("alexnet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := New(cfg).RunTopology(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := New(cfg).Run(context.Background(), topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old.Layers, cur.Layers) {
-		t.Error("deprecated RunTopology differs from Run")
+	if rs := res.Reports(); rs.Memory != nil {
+		t.Error("memory report present although the memory model was disabled")
 	}
 }

@@ -113,8 +113,8 @@ func newLayerCache(c *Cache, cfg *Config, o *options) *layerCache {
 	}
 	h := simcache.NewHasher()
 	// v2: the simulation fidelity joined the fingerprint — an Analytical
-	// result must never answer an EventDriven or CycleAccurate request
-	// (and vice versa), within a process or across the persistent store.
+	// result must never answer an EventDriven request (and vice versa),
+	// within a process or across the persistent store.
 	h.String("scalesim/layer/v2")
 	h.Value(fingerprintConfig(cfg))
 	h.Int(int64(o.fidelity))

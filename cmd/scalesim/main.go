@@ -22,7 +22,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 
 	"scalesim"
 	"scalesim/internal/config"
@@ -67,7 +66,7 @@ func run(args []string) error {
 		list     = fs.Bool("list", false, "list builtin topologies and exit")
 		traces   = fs.Bool("traces", false, "write cycle-accurate SRAM/DRAM trace CSVs")
 		traceDir = fs.String("trace", "", "write a Chrome trace-event JSON span trace to this directory (open at ui.perfetto.dev) and print the wall-time profile")
-		fidelity = fs.String("fidelity", "", "simulation fidelity: analytical, event (default) or cycle")
+		fidelity = fs.String("fidelity", "", "simulation fidelity: analytical or event (default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -157,18 +156,11 @@ func loadTopology(arg string) (*scalesim.Topology, error) {
 // a preset (overridden by an explicit -config file) plus the model-enable
 // flags, which OR into whatever the file selected.
 func baseConfig(preset, cfgPath string, memory, energy, layout bool) (scalesim.Config, error) {
-	cfg := scalesim.DefaultConfig()
-	switch strings.ToLower(preset) {
-	case "", "default":
-	case "tpu":
-		cfg = scalesim.TPUConfig()
-	case "eyeriss":
-		cfg = config.EyerissLike()
-	default:
-		return cfg, fmt.Errorf("unknown preset %q", preset)
+	cfg, err := config.Preset(preset)
+	if err != nil {
+		return cfg, err
 	}
 	if cfgPath != "" {
-		var err error
 		cfg, err = scalesim.LoadConfig(cfgPath)
 		if err != nil {
 			return cfg, err
@@ -195,7 +187,7 @@ func runExplore(args []string) error {
 		seed       = fs.Int64("seed", 1, "random seed for the stochastic strategies")
 		batch      = fs.Int("batch", 8, "candidates per evaluation batch (generation size)")
 		par        = fs.Int("parallelism", 0, "worker pool width per batch (0 = GOMAXPROCS)")
-		fidelity   = fs.String("fidelity", "", "accurate simulation fidelity: analytical, event (default) or cycle")
+		fidelity   = fs.String("fidelity", "", "accurate simulation fidelity: analytical or event (default)")
 		promote    = fs.Int("promote", 0, "screen the space analytically, then promote the front plus the top K candidates to the accurate tier")
 		promoteMg  = fs.Float64("promote-margin", 0, "with screening, also promote candidates within this relative margin of the analytical front (e.g. 0.1)")
 		outDir     = fs.String("outdir", ".", "directory for FRONTIER.csv and FRONTIER.json")

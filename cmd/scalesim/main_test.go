@@ -1,0 +1,39 @@
+package main
+
+import (
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestCLIRejectsUnknownValues drives the built binary: a fidelity or preset
+// name the simulator does not know — including the removed per-cycle tier —
+// must exit non-zero before any report is written, naming the valid values.
+func TestCLIRejectsUnknownValues(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildServeBinary(t, dir)
+	tests := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"run removed fidelity", []string{"run", "-topology", "alexnet", "-fidelity", "cycle"},
+			`unknown fidelity "cycle" (valid: analytical, event)`},
+		{"explore removed fidelity", []string{"explore", "-topology", "alexnet", "-space", "array=8..16:pow2", "-fidelity", "cycle-accurate"},
+			`unknown fidelity "cycle-accurate" (valid: analytical, event)`},
+		{"unknown preset", []string{"run", "-topology", "alexnet", "-preset", "gpu"},
+			`unknown preset "gpu" (valid: default, tpu, eyeriss)`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cmd := exec.Command(bin, append(tt.args, "-outdir", dir)...)
+			out, err := cmd.CombinedOutput()
+			if _, ok := err.(*exec.ExitError); !ok {
+				t.Fatalf("scalesim %v: err = %v, want a non-zero exit; output: %s", tt.args, err, out)
+			}
+			if !strings.Contains(string(out), tt.want) {
+				t.Errorf("scalesim %v output %q does not contain %q", tt.args, out, tt.want)
+			}
+		})
+	}
+}

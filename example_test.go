@@ -111,35 +111,6 @@ func ExampleExplore() {
 	// array=16,dataflow=os: 3224 cycles, 68.5% utilized
 }
 
-// ExampleExplore_deprecatedOptionAliases shows that the pre-audit
-// ExploreOption names (WithObjectives, WithSearchStrategy, WithEvalBudget,
-// WithBatchSize, WithSeed, WithSearcher) still work: each is a thin alias
-// for its uniformly-named WithExplore* replacement, so mixing old and new
-// spellings yields identical searches.
-func ExampleExplore_deprecatedOptionAliases() {
-	space, err := scalesim.ParseSpace("array=16..32:pow2; dataflow=os,ws")
-	if err != nil {
-		log.Fatal(err)
-	}
-	//lint:ignore SA1019 exercising the deprecated aliases on purpose
-	aliases := []scalesim.ExploreOption{
-		scalesim.WithObjectives(scalesim.CyclesObjective(), scalesim.UtilizationObjective()),
-		scalesim.WithSearchStrategy(scalesim.GridSearch),
-		scalesim.WithEvalBudget(16),
-		scalesim.WithBatchSize(4),
-		scalesim.WithSeed(1),
-	}
-	frontier, err := scalesim.Explore(context.Background(),
-		scalesim.DefaultConfig(), exampleTopology(), space, aliases...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("evaluated %d candidates, %d on the frontier\n",
-		frontier.Evaluated, len(frontier.Points))
-	// Output:
-	// evaluated 4 candidates, 2 on the frontier
-}
-
 // ExampleWithCache attaches a layer-result cache: a repeated-shape
 // topology simulates each distinct shape once, and a second run is served
 // entirely from the cache.

@@ -45,8 +45,8 @@ type (
 	// Candidate selects one setting per space axis, by value index.
 	Candidate = explore.Candidate
 	// Searcher generates candidates through an ask/tell loop. The
-	// built-in strategies are selected with WithSearchStrategy; a custom
-	// implementation can be injected with WithSearcher.
+	// built-in strategies are selected with WithExploreStrategy; a custom
+	// implementation can be injected with WithExploreSearcher.
 	Searcher = explore.Strategy
 )
 
@@ -282,40 +282,6 @@ func WithPromoteMargin(m float64) ExploreOption {
 		}
 	}
 }
-
-// Deprecated aliases for the uniformly-named ExploreOption constructors.
-// They forward verbatim and will keep working; new code should use the
-// WithExplore* forms.
-
-// WithObjectives sets the exploration objectives.
-//
-// Deprecated: use WithExploreObjectives.
-func WithObjectives(objs ...Objective) ExploreOption { return WithExploreObjectives(objs...) }
-
-// WithSearchStrategy selects a built-in search strategy.
-//
-// Deprecated: use WithExploreStrategy.
-func WithSearchStrategy(s SearchStrategy) ExploreOption { return WithExploreStrategy(s) }
-
-// WithSearcher injects a custom candidate-generation strategy.
-//
-// Deprecated: use WithExploreSearcher.
-func WithSearcher(s Searcher) ExploreOption { return WithExploreSearcher(s) }
-
-// WithEvalBudget bounds the search to at most n candidate evaluations.
-//
-// Deprecated: use WithExploreBudget.
-func WithEvalBudget(n int) ExploreOption { return WithExploreBudget(n) }
-
-// WithBatchSize sets how many candidates are evaluated per Sweep batch.
-//
-// Deprecated: use WithExploreBatchSize.
-func WithBatchSize(n int) ExploreOption { return WithExploreBatchSize(n) }
-
-// WithSeed seeds the stochastic strategies.
-//
-// Deprecated: use WithExploreSeed.
-func WithSeed(seed int64) ExploreOption { return WithExploreSeed(seed) }
 
 // WithExploreParallelism bounds the worker pool each evaluation batch runs
 // on (default GOMAXPROCS), like WithParallelism for Sweep.

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scalesim"
@@ -22,7 +23,6 @@ func TestFidelityStringAndValid(t *testing.T) {
 	}{
 		{scalesim.EventDriven, "event"},
 		{scalesim.Analytical, "analytical"},
-		{scalesim.CycleAccurate, "cycle"},
 	}
 	for _, c := range cases {
 		if got := c.f.String(); got != c.name {
@@ -37,28 +37,30 @@ func TestFidelityStringAndValid(t *testing.T) {
 			t.Errorf("ParseFidelity(%q) = %v, %v; want %v", c.name, back, err, c.f)
 		}
 	}
-	if scalesim.Fidelity(7).Valid() {
-		t.Error("Fidelity(7).Valid() = true")
+	// 2 was the removed per-cycle tier; it must not come back as valid.
+	for _, bad := range []scalesim.Fidelity{2, 7} {
+		if bad.Valid() {
+			t.Errorf("Fidelity(%d).Valid() = true", bad)
+		}
 	}
-	var zero scalesim.Fidelity
-	if zero != scalesim.EventDriven {
-		t.Error("zero Fidelity is not EventDriven")
+	// These integers are part of the layer-cache key (and so of every
+	// on-disk store entry): renumbering them would silently orphan — or,
+	// worse, cross-serve — existing cache entries.
+	if int(scalesim.EventDriven) != 0 || int(scalesim.Analytical) != 1 {
+		t.Errorf("EventDriven=%d Analytical=%d, want 0 and 1", scalesim.EventDriven, scalesim.Analytical)
 	}
 }
 
 func TestParseFidelityAliasesAndErrors(t *testing.T) {
 	aliases := map[string]scalesim.Fidelity{
-		"":               scalesim.EventDriven,
-		"event":          scalesim.EventDriven,
-		"event-driven":   scalesim.EventDriven,
-		"event_driven":   scalesim.EventDriven,
-		"  Event  ":      scalesim.EventDriven,
-		"analytical":     scalesim.Analytical,
-		"analytic":       scalesim.Analytical,
-		"ANALYTICAL":     scalesim.Analytical,
-		"cycle":          scalesim.CycleAccurate,
-		"cycle-accurate": scalesim.CycleAccurate,
-		"cycle_accurate": scalesim.CycleAccurate,
+		"":             scalesim.EventDriven,
+		"event":        scalesim.EventDriven,
+		"event-driven": scalesim.EventDriven,
+		"event_driven": scalesim.EventDriven,
+		"  Event  ":    scalesim.EventDriven,
+		"analytical":   scalesim.Analytical,
+		"analytic":     scalesim.Analytical,
+		"ANALYTICAL":   scalesim.Analytical,
 	}
 	for in, want := range aliases {
 		got, err := scalesim.ParseFidelity(in)
@@ -66,21 +68,28 @@ func TestParseFidelityAliasesAndErrors(t *testing.T) {
 			t.Errorf("ParseFidelity(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"exact", "rtl", "analytical-ish", "0"} {
-		if _, err := scalesim.ParseFidelity(bad); err == nil {
+	// The removed per-cycle tier's names are rejected like any other
+	// unknown value, and the error lists exactly the two remaining tiers.
+	for _, bad := range []string{"cycle", "cycle-accurate", "cycle_accurate", "exact", "rtl", "analytical-ish", "0"} {
+		_, err := scalesim.ParseFidelity(bad)
+		if err == nil {
 			t.Errorf("ParseFidelity(%q) succeeded, want error", bad)
+			continue
+		}
+		if !strings.HasSuffix(err.Error(), "(valid: analytical, event)") {
+			t.Errorf("ParseFidelity(%q) error %q does not list exactly the valid tiers", bad, err)
 		}
 	}
 }
 
 // TestStageFidelityLadders pins the ladder each built-in stage declares:
-// the memory pass distinguishes all three tiers, layout replay exists at
-// the event tiers only, and the closed-form passes are purely analytical.
+// the memory pass distinguishes both tiers, layout is the same at both,
+// and the closed-form passes are purely analytical.
 func TestStageFidelityLadders(t *testing.T) {
 	want := map[string][]scalesim.Fidelity{
 		"compute": {scalesim.Analytical},
-		"layout":  {scalesim.EventDriven, scalesim.CycleAccurate},
-		"memory":  {scalesim.Analytical, scalesim.EventDriven, scalesim.CycleAccurate},
+		"layout":  {scalesim.EventDriven},
+		"memory":  {scalesim.Analytical, scalesim.EventDriven},
 		"energy":  {scalesim.Analytical},
 	}
 	stages := map[string]scalesim.Stage{
@@ -121,7 +130,7 @@ func TestCacheFidelitySeparation(t *testing.T) {
 	ctx := context.Background()
 	cache := scalesim.NewCache(0, 0)
 
-	tiers := []scalesim.Fidelity{scalesim.Analytical, scalesim.EventDriven, scalesim.CycleAccurate}
+	tiers := []scalesim.Fidelity{scalesim.Analytical, scalesim.EventDriven}
 	for _, fid := range tiers {
 		cold, err := scalesim.New(cfg).Run(ctx, topo, scalesim.WithCache(cache), scalesim.WithFidelity(fid))
 		if err != nil {
@@ -144,8 +153,10 @@ func TestCacheFidelitySeparation(t *testing.T) {
 // TestDifferentialFidelityTiers is the facade-level tier differential:
 // for memory-enabled runs, Analytical must agree with EventDriven on
 // everything that is a property of the schedule (compute cycles, DRAM
-// words) and lower-bound the cycle counts; CycleAccurate (the reference
-// loops) must be cycle-for-cycle identical to EventDriven.
+// words) and lower-bound the cycle counts. (EventDriven's own exactness
+// against the per-cycle reference loops is pinned where those loops live:
+// TestEventEngineMatchesReference* in internal/sram and internal/dram, and
+// TestDifferentialLayoutStage in this package.)
 func TestDifferentialFidelityTiers(t *testing.T) {
 	cfg := memoryConfig()
 	ctx := context.Background()
@@ -165,11 +176,7 @@ func TestDifferentialFidelityTiers(t *testing.T) {
 				}
 				return r
 			}
-			ana, evt, cyc := run(scalesim.Analytical), run(scalesim.EventDriven), run(scalesim.CycleAccurate)
-
-			if !reflect.DeepEqual(evt.Layers, cyc.Layers) {
-				t.Error("CycleAccurate diverges from EventDriven — reference loop broke")
-			}
+			ana, evt := run(scalesim.Analytical), run(scalesim.EventDriven)
 			for i := range evt.Layers {
 				a, e := &ana.Layers[i], &evt.Layers[i]
 				name := a.Layer.Name

@@ -352,6 +352,21 @@ func EyerissLike() Config {
 	return c
 }
 
+// Preset resolves a preset name as the CLI's -preset flag and the job
+// server's "preset" field spell it: "default" (or empty), "tpu" or
+// "eyeriss", case-insensitive.
+func Preset(name string) (Config, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "", "default":
+		return Default(), nil
+	case "tpu":
+		return TPUv2Like(), nil
+	case "eyeriss":
+		return EyerissLike(), nil
+	}
+	return Config{}, fmt.Errorf("unknown preset %q (valid: default, tpu, eyeriss)", name)
+}
+
 // Validate reports a descriptive error for the first invalid field. Every
 // error names the offending field and the value it carried, so callers
 // that generate configurations programmatically (sweeps, the design-space

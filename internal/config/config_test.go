@@ -35,6 +35,24 @@ func TestDefaultValidates(t *testing.T) {
 	}
 }
 
+// TestPreset pins the one preset table behind the CLI's -preset flag and
+// the server's "preset" field: names are trimmed and case-folded, and an
+// unknown name lists the valid ones.
+func TestPreset(t *testing.T) {
+	for in, want := range map[string]Config{
+		"": Default(), "default": Default(), " TPU ": TPUv2Like(), "Eyeriss": EyerissLike(),
+	} {
+		got, err := Preset(in)
+		if err != nil || got.RunName != want.RunName || got.ArrayRows != want.ArrayRows {
+			t.Errorf("Preset(%q) = %s %dx%d, %v; want %s", in, got.RunName, got.ArrayRows, got.ArrayCols, err, want.RunName)
+		}
+	}
+	_, err := Preset("gpu")
+	if err == nil || !strings.Contains(err.Error(), `"gpu" (valid: default, tpu, eyeriss)`) {
+		t.Errorf("Preset(gpu) error = %v, want the valid names listed", err)
+	}
+}
+
 func TestParseDataflow(t *testing.T) {
 	for in, want := range map[string]Dataflow{
 		"os": OutputStationary, "WS": WeightStationary, "Is": InputStationary,

@@ -74,9 +74,7 @@ type Options struct {
 	// advance the clock one Tick per cycle instead of jumping between
 	// events. The two modes are cycle-for-cycle identical; the reference
 	// loop is retained as the oracle for the event engine's differential
-	// tests. No longer a public backdoor: callers select tiers with
-	// scalesim.WithFidelity, which reaches this flag only through the
-	// CycleAccurate tier.
+	// tests — only tests (and sram's ReferenceTickLoop) set it.
 	ReferenceTicks bool
 }
 

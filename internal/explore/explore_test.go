@@ -162,33 +162,8 @@ func bruteFrontier(vecs [][]float64) map[int]bool {
 	return out
 }
 
-func TestParetoIndicesAgainstOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(60)
-		dims := 1 + rng.Intn(3)
-		vecs := make([][]float64, n)
-		for i := range vecs {
-			v := make([]float64, dims)
-			for k := range v {
-				// A coarse value grid forces ties and duplicates.
-				v[k] = float64(rng.Intn(5))
-			}
-			vecs[i] = v
-		}
-		got := ParetoIndices(vecs)
-		want := bruteFrontier(vecs)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: frontier size %d, oracle %d (vecs %v)", trial, len(got), len(want), vecs)
-		}
-		for _, i := range got {
-			if !want[i] {
-				t.Fatalf("trial %d: index %d not in oracle frontier", trial, i)
-			}
-		}
-	}
-}
-
+// TestFrontMatchesParetoIndices pins Front, the one production Pareto
+// routine, to the brute-force oracle: same index set, in input order.
 func TestFrontMatchesParetoIndices(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 80; trial++ {
@@ -205,13 +180,16 @@ func TestFrontMatchesParetoIndices(t *testing.T) {
 			vecs[i] = v
 		}
 		got := Front(vecs)
-		want := ParetoIndices(vecs)
+		want := bruteFrontier(vecs)
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: Front size %d, ParetoIndices %d (vecs %v)", trial, len(got), len(want), vecs)
+			t.Fatalf("trial %d: Front size %d, oracle %d (vecs %v)", trial, len(got), len(want), vecs)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: Front %v != ParetoIndices %v", trial, got, want)
+		for k, i := range got {
+			if !want[i] {
+				t.Fatalf("trial %d: index %d not in oracle frontier %v", trial, i, want)
+			}
+			if k > 0 && got[k-1] >= i {
+				t.Fatalf("trial %d: Front %v not in input order", trial, got)
 			}
 		}
 	}
@@ -499,7 +477,7 @@ func TestLargeIntRangeRejected(t *testing.T) {
 	}
 }
 
-func BenchmarkParetoIndices(b *testing.B) {
+func BenchmarkFront(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	vecs := make([][]float64, 256)
 	for i := range vecs {
@@ -507,7 +485,7 @@ func BenchmarkParetoIndices(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := ParetoIndices(vecs); len(got) == 0 {
+		if got := Front(vecs); len(got) == 0 {
 			b.Fatal("empty frontier")
 		}
 	}

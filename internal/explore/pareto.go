@@ -22,35 +22,15 @@ func Dominates(a, b []float64) bool {
 	return better
 }
 
-// ParetoIndices returns the indices of the non-dominated vectors, in input
-// order. Duplicated vectors are all kept (none dominates its copies); an
-// index whose vector is dominated by any other vector is pruned. The
-// O(n²) pairwise scan is exact — no incremental approximation — which is
-// what the brute-force-oracle tests pin down.
-func ParetoIndices(vecs [][]float64) []int {
-	var out []int
-	for i := range vecs {
-		dominated := false
-		for j := range vecs {
-			if j != i && Dominates(vecs[j], vecs[i]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Front returns exactly the same index set as ParetoIndices — the oracle
-// tests pin the equivalence — but in O(n·|front|) instead of O(n²), which
-// is what makes exact extraction over a 10⁵-point analytical screen
-// feasible. If p dominates q then p is no larger in every component and
-// strictly smaller in one, so p sorts strictly before q lexicographically;
-// scanning in lex order therefore only ever needs to test a vector against
-// the archive of survivors found so far.
+// Front returns the indices of the non-dominated vectors, in input order.
+// Duplicated vectors are all kept (none dominates its copies); an index
+// whose vector is dominated by any other vector is pruned. The result is
+// exact — the tests pin it to a brute-force O(n²) pairwise scan — but
+// costs O(n·|front|), which is what makes extraction over a 10⁵-point
+// analytical screen feasible. If p dominates q then p is no larger in
+// every component and strictly smaller in one, so p sorts strictly before
+// q lexicographically; scanning in lex order therefore only ever needs to
+// test a vector against the archive of survivors found so far.
 func Front(vecs [][]float64) []int {
 	n := len(vecs)
 	if n == 0 {
@@ -82,6 +62,6 @@ func Front(vecs [][]float64) []int {
 			archive = append(archive, i)
 		}
 	}
-	sort.Ints(archive) // restore input order, matching ParetoIndices
+	sort.Ints(archive) // restore input order
 	return archive
 }

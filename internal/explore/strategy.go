@@ -257,7 +257,7 @@ func (e *Evolution) Tell(cands []Candidate, objs [][]float64) {
 		vecs[i] = e.archive[i].objs
 	}
 	e.front = e.front[:0]
-	for _, i := range ParetoIndices(vecs) {
+	for _, i := range Front(vecs) {
 		// Infeasible points (all +Inf) can survive domination when the
 		// whole archive is infeasible; they are useless parents.
 		if !math.IsInf(e.archive[i].objs[0], 1) {

@@ -171,7 +171,7 @@ type FrontierRow struct {
 	AxisValues []string
 	Objectives []float64
 	// Fidelity names the simulation tier that produced the objective
-	// values ("analytical", "event", "cycle").
+	// values ("analytical" or "event").
 	Fidelity string
 }
 

@@ -238,20 +238,6 @@ func (d *ConfigDTO) ToConfig() (scalesim.Config, error) {
 	return c, nil
 }
 
-// presetConfig resolves a preset name to its base configuration.
-func presetConfig(name string) (scalesim.Config, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "default":
-		return scalesim.DefaultConfig(), nil
-	case "tpu":
-		return scalesim.TPUConfig(), nil
-	case "eyeriss":
-		return config.EyerissLike(), nil
-	default:
-		return scalesim.Config{}, fmt.Errorf("unknown preset %q (valid: default, tpu, eyeriss)", name)
-	}
-}
-
 // DecodeConfig materializes a configuration from raw request JSON: the
 // preset (default configuration when absent) is the base, present fields
 // override it, unknown fields are rejected, and the result is validated
@@ -265,7 +251,7 @@ func DecodeConfig(raw json.RawMessage) (scalesim.Config, error) {
 			return scalesim.Config{}, fmt.Errorf("config: %w", err)
 		}
 	}
-	base, err := presetConfig(probe.Preset)
+	base, err := config.Preset(probe.Preset)
 	if err != nil {
 		return scalesim.Config{}, fmt.Errorf("config: %w", err)
 	}
@@ -416,8 +402,8 @@ type RunRequest struct {
 	Config      json.RawMessage `json:"config,omitempty"`
 	Topology    TopologyDTO     `json:"topology"`
 	Parallelism int             `json:"parallelism,omitempty"`
-	// Fidelity selects the simulation tier: "analytical", "event"
-	// (default) or "cycle".
+	// Fidelity selects the simulation tier: "analytical" or "event"
+	// (default).
 	Fidelity string  `json:"fidelity,omitempty"`
 	TimeoutS float64 `json:"timeout_s,omitempty"`
 }
@@ -434,8 +420,8 @@ type SweepPointDTO struct {
 type SweepRequest struct {
 	Points      []SweepPointDTO `json:"points"`
 	Parallelism int             `json:"parallelism,omitempty"`
-	// Fidelity selects the simulation tier for every point: "analytical",
-	// "event" (default) or "cycle".
+	// Fidelity selects the simulation tier for every point: "analytical"
+	// or "event" (default).
 	Fidelity string  `json:"fidelity,omitempty"`
 	TimeoutS float64 `json:"timeout_s,omitempty"`
 }
@@ -453,9 +439,9 @@ type ExploreRequest struct {
 	Seed        int64           `json:"seed,omitempty"`
 	Batch       int             `json:"batch,omitempty"`
 	Parallelism int             `json:"parallelism,omitempty"`
-	// Fidelity is the accurate simulation tier ("analytical", "event" —
-	// the default — or "cycle"); with screening enabled it is the tier
-	// promoted candidates reach.
+	// Fidelity is the accurate simulation tier ("analytical" or "event",
+	// the default); with screening enabled it is the tier promoted
+	// candidates reach.
 	Fidelity string `json:"fidelity,omitempty"`
 	// PromoteTopK > 0 or PromoteMargin > 0 enables two-phase
 	// screen-and-promote: the budget is screened analytically, then the
@@ -530,7 +516,7 @@ type CacheStatsDTO struct {
 // sweep points for sweep jobs and candidate evaluations for explore jobs.
 // For a screened exploration, Done/Total track the current phase and
 // EvalsByFidelity accumulates the per-tier evaluation counts ("analytical",
-// "event", "cycle") across phases.
+// "event") across phases.
 type ProgressDTO struct {
 	Done            int            `json:"done"`
 	Total           int            `json:"total"`

@@ -29,12 +29,14 @@ func (s JobState) Terminal() bool {
 }
 
 // Job is one queued unit of simulation work: a run, sweep or exploration.
-// All mutable fields are guarded by mu; the run closure and payload are set
-// once at construction/completion.
+// id, kind, shard, created and timeout are fixed before the job is handed
+// to a worker; run belongs to that worker; everything below mu is guarded
+// by it.
 type Job struct {
-	id    string
-	kind  string
-	shard int
+	id      string
+	kind    string
+	shard   int
+	created time.Time
 	// timeout is the job's execution deadline (0 = none), resolved at
 	// accept time from the request's timeout_s or the server default and
 	// enforced by the shard worker via context.
@@ -46,7 +48,6 @@ type Job struct {
 
 	mu         sync.Mutex
 	state      JobState
-	created    time.Time
 	started    time.Time
 	finished   time.Time
 	progress   ProgressDTO
@@ -74,16 +75,24 @@ func (j *Job) dto() JobDTO {
 	return j.dtoLocked()
 }
 
-func (j *Job) dtoLocked() JobDTO {
-	d := JobDTO{
-		ID:         j.id,
-		Kind:       j.kind,
-		State:      string(j.state),
-		Shard:      j.shard,
-		Created:    j.created.UTC().Format(time.RFC3339Nano),
-		Progress:   j.progress,
-		CacheStats: CacheStatsDTO{Hits: j.cacheStats.Hits, Misses: j.cacheStats.Misses},
+// acceptedDTO is the job as it was accepted: built only from the fields
+// fixed before the worker saw it, so it always reports "queued" and never
+// races the job's progress.
+func (j *Job) acceptedDTO() JobDTO {
+	return JobDTO{
+		ID:      j.id,
+		Kind:    j.kind,
+		State:   string(JobQueued),
+		Shard:   j.shard,
+		Created: j.created.UTC().Format(time.RFC3339Nano),
 	}
+}
+
+func (j *Job) dtoLocked() JobDTO {
+	d := j.acceptedDTO()
+	d.State = string(j.state)
+	d.Progress = j.progress
+	d.CacheStats = CacheStatsDTO{Hits: j.cacheStats.Hits, Misses: j.cacheStats.Misses}
 	if j.progress.EvalsByFidelity != nil {
 		// Snapshots are marshaled after the lock is released; hand out a
 		// copy so in-flight countEval calls cannot race the encoder.
@@ -200,7 +209,7 @@ func (j *Job) countEval(fidelity string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.progress.EvalsByFidelity == nil {
-		j.progress.EvalsByFidelity = make(map[string]int, 3)
+		j.progress.EvalsByFidelity = make(map[string]int, 2)
 	}
 	j.progress.EvalsByFidelity[fidelity]++
 }

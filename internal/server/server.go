@@ -334,29 +334,31 @@ func (s *Server) enqueue(kind string, body []byte, timeout time.Duration, run ru
 // placeLocked assigns the next job ID, probes for a shard with room and
 // registers the job. It does not journal; enqueue and resumeJournal layer
 // their own write-ahead records around it.
+//
+// Everything the 202 body reports (Job.acceptedDTO) is written before the
+// channel send hands the job to a worker. The send cannot block: s.mu is
+// held and this is the only sender, so a queue seen below capacity still
+// has room.
 func (s *Server) placeLocked(kind string, body []byte, timeout time.Duration, run runFn) (*Job, error) {
-	id := fmt.Sprintf("job-%06d", s.seq+1)
-	j := &Job{id: id, kind: kind, state: JobQueued, created: time.Now(), timeout: timeout, run: run}
-	placed := false
+	shardIdx := -1
 	for k := 0; k < len(s.shards); k++ {
-		shardIdx := (s.seq + k) % len(s.shards)
-		select {
-		case s.shards[shardIdx].queue <- j:
-			j.shard = shardIdx
-			placed = true
-		default:
-			continue
+		i := (s.seq + k) % len(s.shards)
+		if q := s.shards[i].queue; len(q) < cap(q) {
+			shardIdx = i
+			break
 		}
-		break
 	}
-	if !placed {
+	if shardIdx < 0 {
 		return nil, &admissionError{err: errQueueFull, retryAfter: s.retryAfterLocked()}
 	}
+	id := fmt.Sprintf("job-%06d", s.seq+1)
+	j := &Job{id: id, kind: kind, shard: shardIdx, created: time.Now(), state: JobQueued, timeout: timeout, run: run}
 	s.seq++
 	s.accepted++
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.evictOldJobsLocked()
+	s.shards[shardIdx].queue <- j
 	return j, nil
 }
 
@@ -523,7 +525,9 @@ func (s *Server) executorRun(kind string, body []byte) func(context.Context, *Jo
 }
 
 // handleEnqueue is the shared accept path of the three job endpoints:
-// validate the body, build the run closure, admit, journal, 202.
+// validate the body, build the run closure, admit, journal, 202. The 202
+// body is the accept-time snapshot — always state "queued", whatever the
+// worker has done with the job since; clients poll or stream for progress.
 func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request, kind string) {
 	body, err := readBody(w, r)
 	if err != nil {
@@ -540,7 +544,7 @@ func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request, kind stri
 		enqueueError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job.dto())
+	writeJSON(w, http.StatusAccepted, job.acceptedDTO())
 }
 
 // buildRun validates body for kind and returns the job's run closure plus

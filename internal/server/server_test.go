@@ -324,6 +324,34 @@ func TestServerRequestErrors(t *testing.T) {
 	}
 }
 
+// TestServerRejectsRemovedFidelity pins the removed per-cycle tier's name
+// to a field-named 400 on every job endpoint, listing the tiers that
+// remain.
+func TestServerRejectsRemovedFidelity(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	const want = `fidelity: scalesim: unknown fidelity "cycle" (valid: analytical, event)`
+	for path, body := range map[string]string{
+		"/v1/runs":    `{"topology": {"builtin": "alexnet"}, "fidelity": "cycle"}`,
+		"/v1/sweeps":  `{"points": [{"topology": {"builtin": "alexnet"}}], "fidelity": "cycle"}`,
+		"/v1/explore": `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "fidelity": "cycle"}`,
+	} {
+		code, b := postJSON(t, ts.URL+path, body)
+		if code != http.StatusBadRequest {
+			t.Errorf("POST %s = %d, want 400; body: %s", path, code, b)
+			continue
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(b, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Error != want {
+			t.Errorf("POST %s error %q, want %q", path, e.Error, want)
+		}
+	}
+}
+
 // TestServerOversizedBody proves a body past the request cap is a 413,
 // distinguishable from a malformed 400.
 func TestServerOversizedBody(t *testing.T) {

@@ -33,9 +33,7 @@ type Options struct {
 	// ReferenceTickLoop advances the replay — and the attached DRAM
 	// system — one cycle per iteration instead of jumping between
 	// events. Slow; retained as the oracle the event engine's
-	// differential tests compare against. No longer a public backdoor:
-	// callers select tiers with scalesim.WithFidelity, and the memory
-	// stage sets this flag only for CycleAccurate runs.
+	// differential tests compare against — only tests set it.
 	ReferenceTickLoop bool
 	// Trace is the parent telemetry span (typically the memory stage's);
 	// the replay opens "sram.stream" and "sram.drain" phase spans under

@@ -165,39 +165,3 @@ func (r *Result) reportRows() ([]report.ComputeRow, []report.BandwidthRow,
 	}
 	return crows, brows, mrows, srows, erows
 }
-
-// WriteReports emits the standard CSV reports for a result to the writers
-// that are non-nil.
-//
-// Deprecated: use Result.Reports, which names each report instead of
-// relying on positional writers: res.Reports().WriteAll(dir), or WriteTo
-// on the individual reports.
-func WriteReports(res *Result, compute, bandwidth, memory, sparseW, energyW io.Writer) error {
-	crows, brows, mrows, srows, erows := res.reportRows()
-	if compute != nil {
-		if err := report.WriteCompute(compute, crows); err != nil {
-			return err
-		}
-	}
-	if bandwidth != nil {
-		if err := report.WriteBandwidth(bandwidth, brows); err != nil {
-			return err
-		}
-	}
-	if memory != nil {
-		if err := report.WriteMemory(memory, mrows); err != nil {
-			return err
-		}
-	}
-	if sparseW != nil && len(srows) > 0 {
-		if err := report.WriteSparse(sparseW, srows); err != nil {
-			return err
-		}
-	}
-	if energyW != nil && len(erows) > 0 {
-		if err := report.WriteEnergy(energyW, erows); err != nil {
-			return err
-		}
-	}
-	return nil
-}

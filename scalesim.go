@@ -69,7 +69,6 @@
 package scalesim
 
 import (
-	"context"
 	"time"
 
 	"scalesim/internal/config"
@@ -268,19 +267,4 @@ func New(cfg Config, opts ...Option) *Simulator {
 		o(&s.opts)
 	}
 	return s
-}
-
-// SetERT overrides the energy reference table (user-customized component
-// descriptions, as Accelergy permits).
-//
-// Deprecated: pass WithERT to New or Run instead. SetERT must not be
-// called concurrently with Run.
-func (s *Simulator) SetERT(e *ERT) { s.opts.ert = e }
-
-// RunTopology simulates every layer of the topology sequentially with the
-// background context — the behavior of the pre-context Run(topo) API.
-//
-// Deprecated: use Run, which takes a context and options.
-func (s *Simulator) RunTopology(topo *Topology) (*Result, error) {
-	return s.Run(context.Background(), topo, WithParallelism(1))
 }

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"scalesim/internal/config"
+	"scalesim/internal/layout"
+	"scalesim/internal/report"
+	"scalesim/internal/simtest"
 )
 
 func TestRunDenseDefault(t *testing.T) {
@@ -156,6 +159,55 @@ func TestRunLayout(t *testing.T) {
 	}
 }
 
+// TestDifferentialLayoutStage pins the layout stage's production
+// path for dense layers (layoutSlowdown: fold schedule → AnalyzeSchedule)
+// to the per-cycle replay it replaced, over the shared differential grid.
+// The slowdown must be identical, not close: it is cached tier-blind.
+func TestDifferentialLayoutStage(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Layout.Enabled = true
+	cases := simtest.Cases()
+	// The default banking absorbs the grid's natural-order streams without
+	// a single conflict; these starved memories are what make them stall.
+	for _, lc := range []layout.Config{
+		{Banks: 1, PortsPerBank: 1, TotalBandwidth: 4},
+		{Banks: 3, PortsPerBank: 1, TotalBandwidth: 7},
+	} {
+		cfg.Layout.Banks, cfg.Layout.PortsPerBank, cfg.Layout.OnChipBandwidth = lc.Banks, lc.PortsPerBank, lc.TotalBandwidth
+		stalled := 0
+		for _, c := range cases {
+			got, err := layoutSlowdown(&StageContext{
+				Config: &cfg, Dataflow: c.Dataflow, Rows: c.R, Cols: c.C, M: c.G.M, N: c.G.N, K: c.G.K,
+			})
+			if err != nil {
+				t.Fatalf("%+v %s: closed form: %v", lc, c.Name, err)
+			}
+			var an [3]*layout.Analyzer
+			for i := range an {
+				if an[i], err = layout.NewAnalyzer(lc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := layoutReplay(c.Dataflow, c.R, c.C, c.G, an[0], an[1], an[2]); err != nil {
+				t.Fatalf("%+v %s: replay: %v", lc, c.Name, err)
+			}
+			want := layout.CombinedSlowdown(an[0], an[1], an[2])
+			if got != want {
+				t.Errorf("%+v %s: closed-form slowdown %v, replay %v", lc, c.Name, got, want)
+			}
+			if want > 0 {
+				stalled++
+			}
+		}
+		if stalled == 0 {
+			t.Errorf("%+v: no grid case stalls on bank conflicts — the comparison is vacuous", lc)
+		}
+	}
+}
+
+// TestWriteReports pins Result.Reports to the internal/report writers:
+// each report renders byte-for-byte what the writer emits for the run's
+// rows, and models that did not run contribute no report.
 func TestWriteReports(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Energy.Enabled = true
@@ -167,9 +219,35 @@ func TestWriteReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var comp, bw, mem, sp, en bytes.Buffer
-	if err := WriteReports(res, &comp, &bw, &mem, &sp, &en); err != nil {
+	rs := res.Reports()
+	if rs.Memory != nil || rs.Sparse != nil {
+		t.Error("memory/sparse report present although neither model ran")
+	}
+	crows, brows, _, _, erows := res.reportRows()
+	var comp, bw, en bytes.Buffer
+	if err := report.WriteCompute(&comp, crows); err != nil {
 		t.Fatal(err)
+	}
+	if err := report.WriteBandwidth(&bw, brows); err != nil {
+		t.Fatal(err)
+	}
+	if err := report.WriteEnergy(&en, erows); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		rep  *Report
+		want []byte
+	}{{rs.Compute, comp.Bytes()}, {rs.Bandwidth, bw.Bytes()}, {rs.Energy, en.Bytes()}} {
+		if c.rep == nil {
+			t.Fatal("compute, bandwidth or energy report missing")
+		}
+		var got bytes.Buffer
+		if _, err := c.rep.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), c.want) {
+			t.Errorf("%s differs from the report writer's output", c.rep.Filename())
+		}
 	}
 	if !strings.Contains(comp.String(), "Conv1") {
 		t.Error("compute report missing layer rows")

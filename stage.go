@@ -227,9 +227,8 @@ func (layoutStage) Name() string { return "layout" }
 func (layoutStage) CacheFingerprint() string { return "layout/v1" }
 
 // FidelityLadder: the closed-form conflict analysis is proven identical to
-// the replay for dense layers, so Analytical lowers to EventDriven;
-// CycleAccurate forces the per-cycle demand replay even for dense layers.
-func (layoutStage) FidelityLadder() []Fidelity { return []Fidelity{EventDriven, CycleAccurate} }
+// the replay for dense layers, so Analytical lowers to EventDriven.
+func (layoutStage) FidelityLadder() []Fidelity { return []Fidelity{EventDriven} }
 
 // Apply streams the layer's demand through the bank-conflict analyzer for
 // each operand SRAM and converts the aggregate slowdown into stall cycles.
@@ -309,9 +308,9 @@ func layoutSlowdown(sc *StageContext) (float64, error) {
 		return 0, err
 	}
 	g := systolic.Gemm{M: sc.M, N: sc.N, K: sc.K}
-	if sc.pattern != nil || sc.Fidelity == CycleAccurate {
+	if sc.pattern != nil {
 		// Irregular layers pay for the per-cycle replay; dense layers take
-		// the proven closed form unless CycleAccurate asks for the oracle.
+		// the proven closed form.
 		sc.Span.SetAttr("fidelity", "replay")
 		if err := layoutReplay(sc.Dataflow, sc.Rows, sc.Cols, g, ifa, fla, ofa); err != nil {
 			return 0, err
@@ -355,18 +354,15 @@ func (memoryStage) Name() string { return "memory" }
 // function of (Config, Layer) and the state left by the compute stage.
 func (memoryStage) CacheFingerprint() string { return "memory/v1" }
 
-// FidelityLadder: the memory pass distinguishes all three tiers —
-// closed-form traffic/stall bounds (sram.Estimate over the fold schedule),
-// the event-driven SRAM/DRAM replay, and the per-cycle reference loops.
-func (memoryStage) FidelityLadder() []Fidelity {
-	return []Fidelity{Analytical, EventDriven, CycleAccurate}
-}
+// FidelityLadder: the memory pass distinguishes both tiers — closed-form
+// traffic/stall bounds (sram.Estimate over the fold schedule) and the
+// event-driven SRAM/DRAM replay.
+func (memoryStage) FidelityLadder() []Fidelity { return []Fidelity{Analytical, EventDriven} }
 
 // Apply records the layer's minimum DRAM traffic and, when the memory
 // model is enabled, runs the memory workflow for the layer at the
 // requested fidelity: closed-form traffic/stall bounds at Analytical, the
-// event-driven replay at EventDriven (the default), and the per-cycle
-// reference loops at CycleAccurate.
+// event-driven replay at EventDriven (the default).
 func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) error {
 	cfg := sc.Config
 	lr.DRAMReadWords, lr.DRAMWriteWords = systolic.MinDRAMTraffic(sc.Layer)
@@ -430,11 +426,7 @@ func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 		WordBytes:           cfg.WordBytes,
 		MaxRequestsPerCycle: maxReq,
 		StreamWindowWords:   ifW / 2,
-		// CycleAccurate restores the per-cycle oracle loops (the old
-		// sram.Options.ReferenceTickLoop / dram ReferenceTicks booleans),
-		// which also tick the DRAM system cycle by cycle.
-		ReferenceTickLoop: sc.Fidelity == CycleAccurate,
-		Trace:             sc.Span,
+		Trace:               sc.Span,
 	})
 	if err != nil {
 		return err
