@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"scalesim/internal/energy"
 )
 
 // reportBytes renders every report of a result for byte-level comparison.
@@ -417,5 +419,46 @@ func TestWriteReportsSkipsDisabledMemoryRows(t *testing.T) {
 	}
 	if rs := res.Reports(); rs.Memory != nil {
 		t.Error("memory report present although the memory model was disabled")
+	}
+}
+
+// TestDefaultERTIsolatedFromCallers pins the shared default table as
+// unreachable: every table a caller can get hold of — DefaultERT() and the
+// PnR variant derived from the same constructor — is a private copy, so
+// scribbling over it changes nothing for runs that use the default.
+func TestDefaultERTIsolatedFromCallers(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ArrayRows, cfg.ArrayCols = 16, 16
+	cfg.Energy.Enabled = true
+	topo := repeatedShapeTopology(1)
+	defaultRun := func() *Result {
+		t.Helper()
+		res, err := New(cfg).Run(context.Background(), topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	before := reportBytes(t, defaultRun())
+	for _, ert := range []*ERT{DefaultERT(), energy.PnR65nm()} {
+		for c, acts := range ert.Entries {
+			for a := range acts {
+				ert.Set(c, a, 1e6)
+			}
+		}
+		ert.PELeakagePJPerCycle, ert.SRAMLeakagePJPerKBCycle = 1e6, 1e6
+	}
+	if after := reportBytes(t, defaultRun()); !bytes.Equal(before, after) {
+		t.Error("mutating the tables DefaultERT/PnR65nm returned changed a default run's reports")
+	}
+	// The copy is live, not inert: handed back through WithERT it takes effect.
+	hot := DefaultERT()
+	hot.PELeakagePJPerCycle *= 2
+	res, err := New(cfg, WithERT(hot)).Run(context.Background(), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base := defaultRun(); res.TotalEnergyMJ() <= base.TotalEnergyMJ() {
+		t.Errorf("doubled leakage via WithERT: %g mJ, default %g mJ", res.TotalEnergyMJ(), base.TotalEnergyMJ())
 	}
 }

@@ -548,6 +548,35 @@ func BenchmarkExploreScreened(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyticalMemoryEnergy is one screened candidate in isolation:
+// a single Analytical Run of the screen_gemm topology with the memory and
+// energy stages on — the per-point kernel of an Explore screen, at a small
+// array (4x4: 1024 + 512 folds) and a mid-sized one (53x53: 15 + 6 folds).
+// Time and allocations must not grow with the fold count beyond the
+// arithmetic itself.
+func BenchmarkAnalyticalMemoryEnergy(b *testing.B) {
+	topo := &scalesim.Topology{Name: "screen_gemm", Layers: []scalesim.Layer{
+		{Name: "fc1", Kind: scalesim.GEMM, M: 128, N: 128, K: 256},
+		{Name: "fc2", Kind: scalesim.GEMM, M: 128, N: 64, K: 128},
+	}}
+	ctx := context.Background()
+	for _, arr := range []int{4, 53} {
+		b.Run(fmt.Sprintf("%dx%d", arr, arr), func(b *testing.B) {
+			cfg := scalesim.DefaultConfig()
+			cfg.ArrayRows, cfg.ArrayCols = arr, arr
+			cfg.Memory.Enabled, cfg.Energy.Enabled = true, true
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := scalesim.New(cfg).Run(ctx, topo,
+					scalesim.WithFidelity(scalesim.Analytical), scalesim.WithParallelism(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSweep measures the sweep engine fanning one workload across
 // array-size variants.
 func BenchmarkSweep(b *testing.B) {

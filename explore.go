@@ -455,15 +455,15 @@ func (f *Frontier) WriteAll(dir string) error {
 	return nil
 }
 
-// evaluation records one feasible candidate's outcome during a search.
+// evaluation records one feasible candidate's outcome during a search. It
+// holds no Config and no axis values: both are re-derived from cand for the
+// few candidates that are promoted or reach the frontier.
 type evaluation struct {
 	label     string
-	cand      Candidate // copy of the candidate, for promotion re-apply
-	cfg       Config
-	values    []string  // per-axis settings, in axis order
+	cand      Candidate // copy of the candidate, to re-materialize it from
 	raw       []float64 // objective values as reported
 	keys      []float64 // minimization-sense keys for dominance
-	result    *Result
+	result    *Result   // nil for screened candidates: a screen keeps scores only
 	fidelity  Fidelity
 	screenErr map[string]float64 // analytical-vs-accurate error, promoted points only
 }
@@ -567,28 +567,29 @@ func Explore(ctx context.Context, base Config, topo *Topology, space Space, opts
 
 	if o.promoteTopK == 0 && o.promoteMargin == 0 {
 		// Single-tier search: every evaluation at the accurate fidelity.
-		out, err := e.search(ctx, strat, cache, o.fidelity, o.budget)
+		out, err := e.search(ctx, strat, cache, o.fidelity, o.budget, true)
 		f.Evaluated += out.evaluated
 		f.Infeasible += out.infeasible
-		finishFrontier(f, out.evals)
+		e.finishFrontier(out.evals)
 		return f, err
 	}
 
 	// Phase 1: screen the whole budget at the Analytical tier. Caching is
 	// skipped — distinct candidates never share whole-layer fingerprints,
 	// and at microseconds per closed-form evaluation the key hashing would
-	// dominate the work.
-	out, err := e.search(ctx, strat, nil, Analytical, o.budget)
+	// dominate the work. Results are scored and dropped: promotion
+	// re-simulates the few candidates it picks.
+	out, err := e.search(ctx, strat, nil, Analytical, o.budget, false)
 	f.Screened = out.evaluated
 	f.Infeasible += out.infeasible
 	if err != nil {
 		// Cancelled mid-screen: nothing reached the accurate tier.
-		finishFrontier(f, nil)
+		e.finishFrontier(nil)
 		return f, err
 	}
 	// Phase 2: promote the frontier-adjacent candidates.
 	accurate, err := e.promote(ctx, cache, out.evals, out.gens)
-	finishFrontier(f, accurate)
+	e.finishFrontier(accurate)
 	return f, err
 }
 
@@ -596,8 +597,10 @@ func Explore(ctx context.Context, base Config, topo *Topology, space Space, opts
 // fid via Sweep, until budget evaluations are spent or the space is
 // exhausted. Cache may be nil (uncached). Cache statistics accumulate into
 // the frontier; evaluation/infeasibility counts are returned for the
-// caller to attribute to the right phase.
-func (e *explorer) search(ctx context.Context, strat Searcher, cache *Cache, fid Fidelity, budget int) (searchOutcome, error) {
+// caller to attribute to the right phase. keepResults says whether each
+// evaluation retains its *Result (the frontier needs it) or only its
+// scores (all a screen needs, at a fraction of the memory).
+func (e *explorer) search(ctx context.Context, strat Searcher, cache *Cache, fid Fidelity, budget int, keepResults bool) (searchOutcome, error) {
 	o, f := e.o, e.f
 	var out searchOutcome
 	for gen := 1; out.evaluated < budget; gen++ {
@@ -620,13 +623,9 @@ func (e *explorer) search(ctx context.Context, strat Searcher, cache *Cache, fid
 		// without simulating.
 		pts := make([]SweepPoint, 0, len(cands))
 		ptCand := make([]int, 0, len(cands)) // sweep point -> candidate index
-		labels := make([]string, len(cands))
-		cfgs := make([]Config, len(cands))
 		preFailed := 0
 		for i, c := range cands {
-			labels[i] = e.space.Label(c)
-			cfgs[i] = e.space.Apply(e.base, c)
-			cfgs[i].RunName = labels[i]
+			label := e.space.Label(c)
 			pt, err := e.space.ApplyTopology(e.topo, c)
 			if err != nil {
 				keys[i] = e.infKeys
@@ -634,11 +633,11 @@ func (e *explorer) search(ctx context.Context, strat Searcher, cache *Cache, fid
 				preFailed++
 				if o.progress != nil {
 					o.progress(ExploreProgress{Generation: gen, Evaluated: batchBase + preFailed,
-						Budget: budget, Point: labels[i], Fidelity: fid, Err: err})
+						Budget: budget, Point: label, Fidelity: fid, Err: err})
 				}
 				continue
 			}
-			pts = append(pts, SweepPoint{Name: labels[i], Config: cfgs[i], Topology: pt})
+			pts = append(pts, SweepPoint{Name: label, Config: e.config(c, label), Topology: pt})
 			ptCand = append(ptCand, i)
 		}
 
@@ -675,16 +674,26 @@ func (e *explorer) search(ctx context.Context, strat Searcher, cache *Cache, fid
 				continue
 			}
 			keys[ci] = k
-			out.evals = append(out.evals, evaluation{
+			ev := evaluation{
 				label: sr.Point.Name, cand: append(Candidate(nil), cands[ci]...),
-				cfg: cfgs[ci], values: e.space.Values(cands[ci]),
-				raw: raw, keys: k, result: sr.Result, fidelity: fid,
-			})
+				raw: raw, keys: k, fidelity: fid,
+			}
+			if keepResults {
+				ev.result = sr.Result
+			}
+			out.evals = append(out.evals, ev)
 		}
 		strat.Tell(cands, keys)
 		out.evaluated += len(cands)
 	}
 	return out, nil
+}
+
+// config materializes a candidate's configuration; label names the run.
+func (e *explorer) config(c Candidate, label string) Config {
+	cfg := e.space.Apply(e.base, c)
+	cfg.RunName = label
+	return cfg
 }
 
 // score extracts the raw objective values and minimization-sense keys from
@@ -786,7 +795,7 @@ func (e *explorer) promote(ctx context.Context, cache *Cache, screened []evaluat
 			// here means the topology axis is nondeterministic.
 			return nil, fmt.Errorf("scalesim: promotion re-apply of %q failed: %w", sc.label, err)
 		}
-		pts[pi] = SweepPoint{Name: sc.label, Config: sc.cfg, Topology: pt}
+		pts[pi] = SweepPoint{Name: sc.label, Config: e.config(sc.cand, sc.label), Topology: pt}
 	}
 	sweepOpts := []Option{WithParallelism(o.parallelism), WithCache(cache), WithFidelity(o.fidelity)}
 	if o.traceOn {
@@ -823,7 +832,7 @@ func (e *explorer) promote(ctx context.Context, cache *Cache, screened []evaluat
 			screenErr[obj.Name] = relError(raw[oi], sc.raw[oi])
 		}
 		evals = append(evals, evaluation{
-			label: sc.label, cand: sc.cand, cfg: sc.cfg, values: sc.values,
+			label: sc.label, cand: sc.cand,
 			raw: raw, keys: k, result: sr.Result,
 			fidelity: o.fidelity, screenErr: screenErr,
 		})
@@ -859,7 +868,9 @@ func lessEval(a, b *evaluation) bool {
 // finishFrontier extracts the exact Pareto set from the feasible
 // evaluations, prunes dominated points and sorts the survivors (by
 // minimization-sense objective keys, then name) for deterministic output.
-func finishFrontier(f *Frontier, evals []evaluation) {
+// Every evaluation it is given carries its Result.
+func (e *explorer) finishFrontier(evals []evaluation) {
+	f := e.f
 	vecs := make([][]float64, len(evals))
 	for i := range evals {
 		vecs[i] = evals[i].keys
@@ -870,15 +881,15 @@ func finishFrontier(f *Frontier, evals []evaluation) {
 	})
 	f.Points = f.Points[:0]
 	for _, i := range front {
-		e := &evals[i]
+		ev := &evals[i]
 		f.Points = append(f.Points, FrontierPoint{
-			Name:        e.label,
-			Config:      e.cfg,
-			AxisValues:  e.values,
-			Objectives:  e.raw,
-			Result:      e.result,
-			Fidelity:    e.fidelity,
-			ScreenError: e.screenErr,
+			Name:        ev.label,
+			Config:      ev.result.Config, // the candidate's configuration, as run
+			AxisValues:  e.space.Values(ev.cand),
+			Objectives:  ev.raw,
+			Result:      ev.result,
+			Fidelity:    ev.fidelity,
+			ScreenError: ev.screenErr,
 		})
 	}
 }

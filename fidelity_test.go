@@ -324,3 +324,39 @@ func TestExploreScreeningPrunes(t *testing.T) {
 		t.Errorf("screened best %v worse than plain best %v", got, best)
 	}
 }
+
+// TestAnalyticalMemoryStageAllocsIndependentOfFolds pins the Analytical
+// memory pass as closed-form in memory too: it walks the folds without
+// storing them, so a 4×4 array (1024 folds on this GEMM) allocates exactly
+// what a 32×32 array (32 folds) does — a small constant.
+func TestAnalyticalMemoryStageAllocsIndependentOfFolds(t *testing.T) {
+	layer := scalesim.Layer{Name: "fc1", Kind: scalesim.GEMM, M: 128, N: 128, K: 256}
+	allocs := func(arr int) float64 {
+		cfg := memoryConfig()
+		cfg.ArrayRows, cfg.ArrayCols = arr, arr
+		// Enough bandwidth that neither array stalls: boxing a non-zero
+		// stall count into a span attribute costs an allocation of its
+		// own, which depends on the result, not on the fold count.
+		cfg.Memory.Technology, cfg.Memory.Channels = "HBM2", 8
+		sc := &scalesim.StageContext{
+			Config: &cfg, Layer: &layer, Fidelity: scalesim.Analytical, Dataflow: cfg.Dataflow,
+			Rows: arr, Cols: arr, M: layer.M, N: layer.N, K: layer.K, FilterRatio: 1,
+		}
+		lr := &scalesim.LayerResult{Layer: layer, M: layer.M, N: layer.N, K: layer.K}
+		stage := scalesim.MemoryStage()
+		return testing.AllocsPerRun(50, func() {
+			*lr = scalesim.LayerResult{Layer: layer, M: layer.M, N: layer.N, K: layer.K, ComputeCycles: 1}
+			if err := stage.Apply(context.Background(), sc, lr); err != nil {
+				t.Fatal(err)
+			}
+			if lr.Memory.Requests == 0 || lr.StallCycles != 0 {
+				t.Fatalf("memory stage reported %d requests, %d stall cycles; want traffic and no stalls",
+					lr.Memory.Requests, lr.StallCycles)
+			}
+		})
+	}
+	small, large := allocs(4), allocs(32)
+	if small != large || small > 4 {
+		t.Errorf("Analytical memory stage allocates %v per layer at 4x4 (1024 folds), %v at 32x32 (32 folds); want the same small constant", small, large)
+	}
+}

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -52,6 +53,66 @@ func TestCountsAddMerge(t *testing.T) {
 	}
 	if a.Get(CompDRAM, ActRead) != 3 {
 		t.Errorf("dram count %d", a.Get(CompDRAM, ActRead))
+	}
+}
+
+// TestCountsAgainstMapOracle drives Counts with random (component, action)
+// pairs — built-in names, user-defined ones, zero and negative increments,
+// more pairs than NewCounts reserves — in random insertion order: Get and
+// Merge must agree with a plain map, and Each must visit exactly the
+// non-zero entries in (component, action) order whatever the order they
+// were added in, because the float sums downstream depend on it.
+func TestCountsAgainstMapOracle(t *testing.T) {
+	type key struct {
+		c Component
+		a Action
+	}
+	comps := []Component{CompMAC, CompIfmapSpad, CompIfmapSRAM, CompDRAM, CompNoC, "tensor_core", "", "zz_custom"}
+	acts := []Action{ActRead, ActWrite, ActReadRandom, ActMACGated, ActOp, "fused_mac", "a"}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		ct, other := NewCounts(), NewCounts()
+		oracle := make(map[key]int64)
+		for i, n := 0, rng.Intn(80); i < n; i++ {
+			k := key{comps[rng.Intn(len(comps))], acts[rng.Intn(len(acts))]}
+			delta := int64(rng.Intn(7) - 2) // includes 0 and negatives
+			if rng.Intn(3) == 0 {
+				other.Add(k.c, k.a, delta)
+			} else {
+				ct.Add(k.c, k.a, delta)
+			}
+			oracle[k] += delta
+		}
+		ct.Merge(other)
+		for _, c := range comps {
+			for _, a := range acts {
+				if got, want := ct.Get(c, a), oracle[key{c, a}]; got != want {
+					t.Fatalf("trial %d: Get(%q, %q) = %d, oracle %d", trial, c, a, got, want)
+				}
+			}
+		}
+		var visited []key
+		ct.Each(func(c Component, a Action, n int64) {
+			if n == 0 || n != oracle[key{c, a}] {
+				t.Fatalf("trial %d: Each(%q, %q) = %d, oracle %d", trial, c, a, n, oracle[key{c, a}])
+			}
+			visited = append(visited, key{c, a})
+		})
+		for i := 1; i < len(visited); i++ {
+			prev, cur := visited[i-1], visited[i]
+			if !(prev.c < cur.c || (prev.c == cur.c && prev.a < cur.a)) {
+				t.Fatalf("trial %d: Each order %v is not strictly ascending by (component, action)", trial, visited)
+			}
+		}
+		nonZero := 0
+		for _, n := range oracle {
+			if n != 0 {
+				nonZero++
+			}
+		}
+		if len(visited) != nonZero {
+			t.Fatalf("trial %d: Each visited %d entries, oracle has %d non-zero", trial, len(visited), nonZero)
+		}
 	}
 }
 

@@ -5,10 +5,7 @@
 // energy-delay product derive from the cycle count and clock frequency.
 package energy
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Component identifies an energy-bearing hardware block.
 type Component string
@@ -158,14 +155,36 @@ func (e *ERT) Set(c Component, a Action, pj float64) {
 	e.Entries[c][a] = pj
 }
 
-// Counts holds simulated action counts per (component, action).
+// Counts holds simulated action counts per (component, action): a short
+// list (a layer produces about twenty entries) kept sorted by component,
+// then action, so Each needs no sorting.
 type Counts struct {
-	m map[Component]map[Action]int64
+	entries []actionCount
+}
+
+type actionCount struct {
+	c Component
+	a Action
+	n int64
 }
 
 // NewCounts returns an empty action-count table.
 func NewCounts() *Counts {
-	return &Counts{m: make(map[Component]map[Action]int64)}
+	// Room for every (component, action) CountActions can emit.
+	return &Counts{entries: make([]actionCount, 0, 24)}
+}
+
+// find returns the position of (c, a) in the sorted entries, or the
+// position it would be inserted at.
+func (ct *Counts) find(c Component, a Action) (int, bool) {
+	for i := range ct.entries {
+		e := &ct.entries[i]
+		if e.c < c || (e.c == c && e.a < a) {
+			continue
+		}
+		return i, e.c == c && e.a == a
+	}
+	return len(ct.entries), false
 }
 
 // Add increments (c, a) by n.
@@ -173,43 +192,37 @@ func (ct *Counts) Add(c Component, a Action, n int64) {
 	if n == 0 {
 		return
 	}
-	if ct.m[c] == nil {
-		ct.m[c] = make(map[Action]int64)
+	i, ok := ct.find(c, a)
+	if ok {
+		ct.entries[i].n += n
+		return
 	}
-	ct.m[c][a] += n
+	ct.entries = append(ct.entries, actionCount{})
+	copy(ct.entries[i+1:], ct.entries[i:])
+	ct.entries[i] = actionCount{c, a, n}
 }
 
 // Get returns the count for (c, a).
-func (ct *Counts) Get(c Component, a Action) int64 { return ct.m[c][a] }
+func (ct *Counts) Get(c Component, a Action) int64 {
+	if i, ok := ct.find(c, a); ok {
+		return ct.entries[i].n
+	}
+	return 0
+}
 
 // Merge adds all of other's counts into ct.
 func (ct *Counts) Merge(other *Counts) {
-	for c, acts := range other.m {
-		for a, n := range acts {
-			ct.Add(c, a, n)
-		}
+	for _, e := range other.entries {
+		ct.Add(e.c, e.a, e.n)
 	}
 }
 
 // Each visits every non-zero (component, action, count) in sorted order,
 // so float aggregation over the counts is deterministic run to run.
 func (ct *Counts) Each(fn func(Component, Action, int64)) {
-	comps := make([]Component, 0, len(ct.m))
-	for c := range ct.m {
-		comps = append(comps, c)
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i] < comps[j] })
-	for _, c := range comps {
-		acts := ct.m[c]
-		names := make([]Action, 0, len(acts))
-		for a := range acts {
-			names = append(names, a)
-		}
-		sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-		for _, a := range names {
-			if n := acts[a]; n != 0 {
-				fn(c, a, n)
-			}
+	for _, e := range ct.entries {
+		if e.n != 0 {
+			fn(e.c, e.a, e.n)
 		}
 	}
 }

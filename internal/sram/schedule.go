@@ -35,6 +35,9 @@ func (s Span) Lines(dst []int64, wordBytes, lineBytes int64) []int64 {
 	if lineBytes <= 0 {
 		lineBytes = 64
 	}
+	if s.RowWords <= 0 {
+		return dst // empty rows cover no line
+	}
 	var prev int64 = -1
 	for r := int64(0); r < s.Rows; r++ {
 		lo := (s.Base + r*s.RowStride) * wordBytes / lineBytes
@@ -148,10 +151,30 @@ type ScheduleOptions struct {
 }
 
 // BuildSchedule derives the fold-level memory schedule of a GEMM under the
-// dataflow.
+// dataflow: the fold walk, with every visited fold copied out.
 func BuildSchedule(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleOptions) (*Schedule, error) {
+	sched := &Schedule{Dataflow: df, R: r, C: c, G: g}
+	err := walkFolds(df, r, c, g, opts, func(f *Fold) {
+		cp := *f
+		cp.Stationary = append([]Span(nil), f.Stationary...)
+		cp.Stream = append([]Span(nil), f.Stream...)
+		cp.Writes = append([]Span(nil), f.Writes...)
+		sched.Folds = append(sched.Folds, cp)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sched, nil
+}
+
+// walkFolds is the one place the fold geometry lives. It calls visit for
+// every fold of the GEMM in schedule order (row folds outer, column folds
+// inner), handing it the same Fold each time: the fold and its span slices
+// are overwritten by the next step, so a visitor that keeps anything must
+// copy it (BuildSchedule does; the Analytical estimate only accumulates).
+func walkFolds(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleOptions, visit func(*Fold)) error {
 	if r <= 0 || c <= 0 || g.M <= 0 || g.N <= 0 || g.K <= 0 {
-		return nil, fmt.Errorf("sram: invalid schedule request r=%d c=%d g=%+v", r, c, g)
+		return fmt.Errorf("sram: invalid schedule request r=%d c=%d g=%+v", r, c, g)
 	}
 	filterRatio := opts.FilterRatio
 	if filterRatio <= 0 || filterRatio > 1 {
@@ -175,8 +198,6 @@ func BuildSchedule(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleO
 	fr := systolic.CeilDiv(srEff, r)
 	fc := systolic.CeilDiv(mp.Sc, c)
 	perFold := systolic.FoldCycles(r, c, tEff)
-
-	sched := &Schedule{Dataflow: df, R: r, C: c, G: g}
 	M, N, K := int64(g.M), int64(g.N), int64(g.K)
 
 	// Reuse analysis: decide which operand slices stay resident across
@@ -204,6 +225,16 @@ func BuildSchedule(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleO
 		ofmapResident = fits(M*N, opts.OfmapSRAMWords)
 	}
 
+	// The one fold handed to every visit, over fixed span storage: at most
+	// one stationary, two stream and one write span per fold.
+	var st struct {
+		fold  Fold
+		spans [4]Span
+	}
+	f := &st.fold
+	f.ComputeCycles = perFold
+	f.StreamCycles = int64(tEff)
+
 	// When the filter is compressed, the folds tile the compressed
 	// contraction dimension, but the dense ifmap words backing each fold
 	// must still be fetched: denseK words of ifmap per compressed fold row.
@@ -220,11 +251,9 @@ func BuildSchedule(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleO
 		for j := 0; j < fc; j++ {
 			tileC := int64(minInt(c, mp.Sc-j*c))
 			colOff := int64(j * c)
-			f := Fold{
-				ComputeCycles: perFold,
-				StreamCycles:  int64(tEff),
-				ConsumeRate:   tileR,
-			}
+			f.Stationary = st.spans[0:0:1]
+			f.Stream = st.spans[1:1:3]
+			f.Writes = st.spans[3:3:4]
 			switch df {
 			case config.OutputStationary:
 				// Streams A rows (dense) and B columns (compressed);
@@ -238,44 +267,42 @@ func BuildSchedule(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleO
 					f.Stream = append(f.Stream, Span{Base: systolic.FilterBase + colOff,
 						Rows: int64(kEff), RowWords: tileC, RowStride: N})
 				}
-				f.Writes = []Span{{Base: systolic.OfmapBase + rowOff*N + colOff,
-					Rows: tileR, RowWords: tileC, RowStride: N}}
+				f.Writes = append(f.Writes, Span{Base: systolic.OfmapBase + rowOff*N + colOff,
+					Rows: tileR, RowWords: tileC, RowStride: N})
 			case config.WeightStationary:
 				// Pins the (compressed) filter tile; streams the dense
 				// ifmap columns backing it; spills partial sums every
 				// contraction fold unless they stay resident.
-				f.Stationary = []Span{{Base: systolic.FilterBase + rowOff*N + colOff,
-					Rows: tileR, RowWords: tileC, RowStride: N}}
+				f.Stationary = append(f.Stationary, Span{Base: systolic.FilterBase + rowOff*N + colOff,
+					Rows: tileR, RowWords: tileC, RowStride: N})
 				if j == 0 || !ifmapResident {
-					f.Stream = []Span{{Base: systolic.IfmapBase + denseLo,
-						Rows: M, RowWords: denseTile, RowStride: K}}
+					f.Stream = append(f.Stream, Span{Base: systolic.IfmapBase + denseLo,
+						Rows: M, RowWords: denseTile, RowStride: K})
 				}
 				if i == fr-1 || !ofmapResident {
-					f.Writes = []Span{{Base: systolic.OfmapBase + colOff,
-						Rows: M, RowWords: tileC, RowStride: N}}
+					f.Writes = append(f.Writes, Span{Base: systolic.OfmapBase + colOff,
+						Rows: M, RowWords: tileC, RowStride: N})
 				}
 			case config.InputStationary:
 				// Pins the (transposed) input tile; streams filter rows.
-				f.Stationary = []Span{{Base: systolic.IfmapBase + colOff*K + denseLo,
-					Rows: tileC, RowWords: denseTile, RowStride: K}}
+				f.Stationary = append(f.Stationary, Span{Base: systolic.IfmapBase + colOff*K + denseLo,
+					Rows: tileC, RowWords: denseTile, RowStride: K})
 				if j == 0 || !filterResident {
-					f.Stream = []Span{{Base: systolic.FilterBase + rowOff*N,
-						Rows: tileR, RowWords: N, RowStride: N}}
+					f.Stream = append(f.Stream, Span{Base: systolic.FilterBase + rowOff*N,
+						Rows: tileR, RowWords: N, RowStride: N})
 				}
 				if i == fr-1 || !ofmapResident {
-					f.Writes = []Span{{Base: systolic.OfmapBase + colOff*N,
-						Rows: tileC, RowWords: N, RowStride: N}}
+					f.Writes = append(f.Writes, Span{Base: systolic.OfmapBase + colOff*N,
+						Rows: tileC, RowWords: N, RowStride: N})
 				}
-			default:
-				return nil, fmt.Errorf("sram: unknown dataflow %v", df)
 			}
 			// Pace consumption to the fetched volume over the
 			// streaming phase.
 			f.ConsumeRate = ceil64(f.StreamWords(), int64(tEff))
-			sched.Folds = append(sched.Folds, f)
+			visit(f)
 		}
 	}
-	return sched, nil
+	return nil
 }
 
 func minInt(a, b int) int {

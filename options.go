@@ -18,8 +18,13 @@ type options struct {
 	traceName     string
 }
 
+// sharedDefaultERT is the table every Simulator without WithERT reads. It
+// is built once and never written: nothing hands it out for mutation
+// (DefaultERT returns a fresh copy), and stages receive it read-only.
+var sharedDefaultERT = energy.Default65nm()
+
 func defaultOptions() options {
-	return options{ert: energy.Default65nm(), stages: DefaultStages()}
+	return options{ert: sharedDefaultERT, stages: DefaultStages()}
 }
 
 // Option configures a Simulator (when passed to New), one run (when passed
@@ -30,6 +35,9 @@ type Option func(*options)
 // WithERT overrides the energy reference table (user-customized component
 // descriptions, as Accelergy permits). The table is read concurrently by
 // the worker pool and must not be mutated while a run is in flight.
+// Without this option every Simulator in the process reads one shared,
+// read-only default table; to customize the default, modify the fresh
+// copy DefaultERT returns and pass it here.
 func WithERT(e *ERT) Option {
 	return func(o *options) {
 		if e != nil {

@@ -212,9 +212,18 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 }
 
 // forEachIndex runs fn(i) for every i in [0, n) on a pool of `workers`
-// goroutines and blocks until all dispatched calls return. Cancelling ctx
-// stops dispatching new indices; fn is never called for the rest.
+// goroutines (the caller's own when workers <= 1) and blocks until all
+// dispatched calls return. Cancelling ctx stops dispatching new indices; fn
+// is never called for the rest.
 func forEachIndex(ctx context.Context, n, workers int, fn func(int)) {
+	if workers <= 1 {
+		// One worker needs no pool: a channel hand-off per index costs a
+		// goroutine wake-up each, more than a closed-form point itself.
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
+		}
+		return
+	}
 	idx := make(chan int)
 	go func() {
 		defer close(idx)

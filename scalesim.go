@@ -123,8 +123,9 @@ func TPUConfig() Config { return config.TPUv2Like() }
 // LoadConfig parses a SCALE-Sim .cfg file.
 func LoadConfig(path string) (Config, error) { return config.LoadINI(path) }
 
-// DefaultERT returns the 65 nm energy reference table used when no
-// WithERT option is given.
+// DefaultERT returns a fresh, caller-owned copy of the 65 nm energy
+// reference table used when no WithERT option is given: modifying it does
+// not affect default runs until it is passed to WithERT.
 func DefaultERT() *ERT { return energy.Default65nm() }
 
 // BuiltinTopology returns a model from the built-in zoo ("alexnet",

@@ -23,7 +23,9 @@ import (
 type StageContext struct {
 	// Config is the run configuration (read-only; shared across layers).
 	Config *Config
-	// ERT is the energy reference table (read-only; shared across layers).
+	// ERT is the energy reference table (read-only; shared across layers
+	// and, unless WithERT replaced it, with every other Simulator in the
+	// process — a stage must never write to it).
 	ERT *ERT
 	// Layer is the layer being simulated.
 	Layer *Layer
@@ -355,7 +357,7 @@ func (memoryStage) Name() string { return "memory" }
 func (memoryStage) CacheFingerprint() string { return "memory/v1" }
 
 // FidelityLadder: the memory pass distinguishes both tiers — closed-form
-// traffic/stall bounds (sram.Estimate over the fold schedule) and the
+// traffic/stall bounds (sram.EstimateGemm over the fold walk) and the
 // event-driven SRAM/DRAM replay.
 func (memoryStage) FidelityLadder() []Fidelity { return []Fidelity{Analytical, EventDriven} }
 
@@ -373,26 +375,25 @@ func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 	if err != nil {
 		return err
 	}
-	df, m, n, k := sc.Dataflow, sc.M, sc.N, sc.K
+	g := systolic.Gemm{M: sc.M, N: sc.N, K: sc.K}
 	ifW, flW, ofW := cfg.SRAMWords()
-	build := sc.Span.Child("schedule.build", "phase")
-	sched, err := sram.BuildSchedule(df, sc.Rows, sc.Cols, systolic.Gemm{M: m, N: n, K: k}, sram.ScheduleOptions{
+	sopts := sram.ScheduleOptions{
 		FilterRatio:     sc.FilterRatio,
 		IfmapSRAMWords:  ifW,
 		FilterSRAMWords: flW,
 		OfmapSRAMWords:  ofW,
-	})
-	build.End()
-	if err != nil {
-		return err
 	}
-	sc.Span.SetAttr("folds", len(sched.Folds))
 	if sc.Fidelity == Analytical {
-		// Closed form: exact traffic, bounded stalls, no replay. The
+		// Closed form: exact traffic, bounded stalls, no replay — the folds
+		// are walked and summed, no schedule is built. The
 		// controller-detail columns of the memory row (row hits, queue
 		// pressure, latency) have no analytical meaning and stay zero.
 		sc.Span.SetAttr("engine", "analytical")
-		mres := sram.Estimate(sched, tech, cfg.Memory.Channels, sram.Options{WordBytes: cfg.WordBytes})
+		mres, err := sram.EstimateGemm(sc.Dataflow, sc.Rows, sc.Cols, g, sopts,
+			tech, cfg.Memory.Channels, sram.Options{WordBytes: cfg.WordBytes})
+		if err != nil {
+			return err
+		}
 		sc.Span.SetAttr("stall_cycles", mres.StallCycles)
 		lr.StallCycles += mres.StallCycles
 		lr.TotalCycles = lr.ComputeCycles + lr.StallCycles
@@ -406,6 +407,13 @@ func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 		}
 		return nil
 	}
+	build := sc.Span.Child("schedule.build", "phase")
+	sched, err := sram.BuildSchedule(sc.Dataflow, sc.Rows, sc.Cols, g, sopts)
+	build.End()
+	if err != nil {
+		return err
+	}
+	sc.Span.SetAttr("folds", len(sched.Folds))
 	qd := cfg.Memory.ReadQueueDepth
 	if cfg.Memory.WriteQueueDepth < qd {
 		qd = cfg.Memory.WriteQueueDepth
