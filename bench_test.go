@@ -577,6 +577,40 @@ func BenchmarkAnalyticalMemoryEnergy(b *testing.B) {
 	}
 }
 
+// BenchmarkSparseLayoutMemory is the sparse path end to end: one uncached
+// Run of 2:4 ResNet-18 (its 12 distinct layer shapes) with the layout and
+// event-driven memory stages on. The layout stage must cost closed-form
+// arithmetic here as it does for dense layers, and the bytes per run must
+// stay near what the replay's request arrays hold.
+func BenchmarkSparseLayoutMemory(b *testing.B) {
+	full, err := scalesim.BuiltinTopology("resnet18")
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo := &scalesim.Topology{Name: "resnet18_distinct"}
+	seen := map[scalesim.Layer]bool{}
+	for _, l := range full.WithSparsity(scalesim.Sparsity{N: 2, M: 4}).Layers {
+		key := l
+		key.Name = ""
+		if !seen[key] {
+			seen[key] = true
+			topo.Layers = append(topo.Layers, l)
+		}
+	}
+	cfg := scalesim.DefaultConfig()
+	cfg.Sparsity.Enabled = true
+	cfg.Layout.Enabled, cfg.Memory.Enabled = true, true
+	sim := scalesim.New(cfg)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(ctx, topo, scalesim.WithParallelism(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSweep measures the sweep engine fanning one workload across
 // array-size variants.
 func BenchmarkSweep(b *testing.B) {

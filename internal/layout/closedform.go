@@ -1,7 +1,7 @@
 package layout
 
-// Closed-form bank-conflict analysis. The per-cycle replay in stage.go fed
-// every demand group through Observe; the fold schedule describes the same
+// Closed-form bank-conflict analysis. A per-cycle replay feeds every
+// demand group through Observe; the fold schedule describes the same
 // groups as arithmetic runs (base + e·stride within a group, base advancing
 // by delta per step), and a group's cycle cost depends only on
 // (base mod lineWidth, stride, count) — shifting every address of a group by

@@ -26,7 +26,9 @@ type Pattern struct {
 	K         int
 	Filters   int
 	BlockSize int
-	// NNZ[f][b] is the non-zero count of block b of filter f.
+	// NNZ[f][b] is the non-zero count of block b of filter f. Rows are
+	// read-only once the pattern is built: identical rows may share one
+	// backing slice (Uniform aliases all of them).
 	NNZ [][]int
 }
 
@@ -106,7 +108,8 @@ func (p *Pattern) Validate() error {
 }
 
 // Uniform builds a layer-wise pattern with exactly N non-zeros in every
-// full M-block (partial trailing blocks scale proportionally).
+// full M-block (partial trailing blocks scale proportionally). Every filter
+// has the same counts, so all NNZ rows alias one slice.
 func Uniform(k, filters int, sp topology.Sparsity) (*Pattern, error) {
 	if sp.M == 0 {
 		sp = topology.Sparsity{N: 1, M: 1}
@@ -115,25 +118,16 @@ func Uniform(k, filters int, sp topology.Sparsity) (*Pattern, error) {
 		return nil, fmt.Errorf("sparse: invalid ratio %v", sp)
 	}
 	p := &Pattern{K: k, Filters: filters, BlockSize: sp.M}
-	blocks := p.Blocks()
+	row := make([]int, p.Blocks())
+	for b := range row {
+		row[b] = sp.N
+	}
+	if tail := k % sp.M; tail != 0 && len(row) > 0 {
+		// Partial blocks keep the N:M density.
+		row[len(row)-1] = ceilDiv(tail*sp.N, sp.M)
+	}
 	p.NNZ = make([][]int, filters)
 	for f := range p.NNZ {
-		row := make([]int, blocks)
-		for b := range row {
-			size := sp.M
-			if b == blocks-1 && k%sp.M != 0 {
-				size = k % sp.M
-			}
-			n := sp.N
-			if n > size {
-				n = size
-			}
-			// Partial blocks keep the N:M density.
-			if size < sp.M {
-				n = ceilDiv(size*sp.N, sp.M)
-			}
-			row[b] = n
-		}
 		p.NNZ[f] = row
 	}
 	return p, p.Validate()

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -39,6 +40,75 @@ func TestUniformPartialBlock(t *testing.T) {
 	}
 	if l := p.CompressedLen(0); l != 3 {
 		t.Errorf("compressed len %d, want 3", l)
+	}
+}
+
+// uniformPerRow is Uniform as it was before the rows were aliased: every
+// filter gets its own freshly computed row. Kept as the oracle.
+func uniformPerRow(k, filters int, sp topology.Sparsity) *Pattern {
+	p := &Pattern{K: k, Filters: filters, BlockSize: sp.M}
+	blocks := p.Blocks()
+	p.NNZ = make([][]int, filters)
+	for f := range p.NNZ {
+		row := make([]int, blocks)
+		for b := range row {
+			size := sp.M
+			if b == blocks-1 && k%sp.M != 0 {
+				size = k % sp.M
+			}
+			n := sp.N
+			if n > size {
+				n = size
+			}
+			if size < sp.M {
+				n = ceilDiv(size*sp.N, sp.M)
+			}
+			row[b] = n
+		}
+		p.NNZ[f] = row
+	}
+	return p
+}
+
+// TestUniformMatchesPerRowOracle compares the shared-row Uniform with the
+// per-row construction it replaced, value by value and through every
+// aggregate the estimator and the storage report read.
+func TestUniformMatchesPerRowOracle(t *testing.T) {
+	for _, m := range []int{1, 2, 4, 8} {
+		for _, rem := range []int{0, 1, m - 1} {
+			for _, n := range []int{1, m / 2, m} {
+				if n < 1 || rem < 0 || rem >= m {
+					continue
+				}
+				for _, filters := range []int{1, 7, 64} {
+					for _, full := range []int{0, 1, 5} {
+						k := full*m + rem
+						if k == 0 {
+							continue
+						}
+						sp := topology.Sparsity{N: n, M: m}
+						got, err := Uniform(k, filters, sp)
+						if err != nil {
+							t.Fatalf("Uniform(%d, %d, %v): %v", k, filters, sp, err)
+						}
+						want := uniformPerRow(k, filters, sp)
+						if err := want.Validate(); err != nil {
+							t.Fatalf("oracle (%d, %d, %v): %v", k, filters, sp, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("Uniform(%d, %d, %v) = %+v, per-row oracle %+v", k, filters, sp, got, want)
+						}
+						if got.Density() != want.Density() || got.TotalNNZ() != want.TotalNNZ() ||
+							got.MaxCompressedLen(0, filters) != want.MaxCompressedLen(0, filters) ||
+							got.MaxCompressedLen(filters/2, filters) != want.MaxCompressedLen(filters/2, filters) {
+							t.Errorf("Uniform(%d, %d, %v): density %v/%v nnz %d/%d maxlen %d/%d", k, filters, sp,
+								got.Density(), want.Density(), got.TotalNNZ(), want.TotalNNZ(),
+								got.MaxCompressedLen(0, filters), want.MaxCompressedLen(0, filters))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

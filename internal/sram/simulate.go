@@ -163,18 +163,42 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	var reqFree [][]dram.Request
 	var cumFree [][]int64
 	var retiredWrites [][]dram.Request
-	getReqs := func() []dram.Request {
-		if n := len(reqFree); n > 0 {
-			s := reqFree[n-1][:0]
-			reqFree = reqFree[:n-1]
-			return s
+	wordBytes, lineBytes := int64(opts.WordBytes), int64(opts.LineBytes)
+	// spanRequests returns one request per line of the spans, in span
+	// order. The array is sized once from the exact line count — the
+	// smallest pooled array that holds it, else a fresh one of exactly
+	// that capacity — so it never grows by append doubling.
+	spanRequests := func(spans []Span, write bool) []dram.Request {
+		var n int64
+		for _, sp := range spans {
+			n += sp.LineCount(wordBytes, lineBytes)
 		}
-		return nil
-	}
-	appendSpan := func(dst []dram.Request, sp Span, write bool) []dram.Request {
-		lineBuf = sp.Lines(lineBuf[:0], int64(opts.WordBytes), int64(opts.LineBytes))
-		for _, addr := range lineBuf {
-			dst = append(dst, dram.Request{Addr: addr, Write: write})
+		if n == 0 {
+			return nil
+		}
+		var dst []dram.Request
+		best := -1
+		for i, s := range reqFree {
+			if int64(cap(s)) >= n && (best < 0 || cap(s) < cap(reqFree[best])) {
+				best = i
+			}
+		}
+		if best >= 0 {
+			last := len(reqFree) - 1
+			dst = reqFree[best][:0]
+			reqFree[best] = reqFree[last]
+			reqFree = reqFree[:last]
+		} else {
+			dst = make([]dram.Request, 0, n)
+		}
+		if int64(cap(lineBuf)) < n {
+			lineBuf = make([]int64, 0, n) // holds any one span of the group
+		}
+		for _, sp := range spans {
+			lineBuf = sp.Lines(lineBuf[:0], wordBytes, lineBytes)
+			for _, addr := range lineBuf {
+				dst = append(dst, dram.Request{Addr: addr, Write: write})
+			}
 		}
 		return dst
 	}
@@ -184,13 +208,8 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 			return fr
 		}
 		f := &sched.Folds[i]
-		fr.stat, fr.stream, fr.writes = getReqs(), getReqs(), getReqs()
-		for _, sp := range f.Stationary {
-			fr.stat = appendSpan(fr.stat, sp, false)
-		}
-		for _, sp := range f.Stream {
-			fr.stream = appendSpan(fr.stream, sp, false)
-		}
+		fr.stat = spanRequests(f.Stationary, false)
+		fr.stream = spanRequests(f.Stream, false)
 		// Distribute the fold's stream words evenly over its lines
 		// (boundary-straddling lines mean lines × lineWords overcounts;
 		// the final line must land exactly on StreamWords so the fold
@@ -206,9 +225,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		for j := int64(0); j < n; j++ {
 			fr.streamCum[j] = total * (j + 1) / n
 		}
-		for _, sp := range f.Writes {
-			fr.writes = appendSpan(fr.writes, sp, true)
-		}
+		fr.writes = spanRequests(f.Writes, true)
 		fr.live = true
 		return fr
 	}

@@ -1,7 +1,9 @@
 package sram
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"scalesim/internal/config"
 	"scalesim/internal/dram"
@@ -123,5 +125,85 @@ func TestSimulateMoreChannelsMoreThroughput(t *testing.T) {
 			t.Errorf("channels %d: throughput %.1f < single-channel %.1f", ch, res.ThroughputMBps, prev)
 		}
 		prev = res.ThroughputMBps
+	}
+}
+
+// allocSchedule hand-builds a schedule of `folds` folds whose stationary,
+// stream and write request arrays each cover about `lines` DRAM lines
+// (contiguous, straddling and strided spans, so the line count is not just
+// words/16). It returns the exact bytes the replay's arrays must hold:
+// one dram.Request per line, one cumulative word count per stream line and
+// the line-address staging buffer of the largest span group.
+func allocSchedule(folds int, lines int64) (*Schedule, int64) {
+	sched := &Schedule{Dataflow: config.WeightStationary}
+	var total, streamLines, staging int64
+	count := func(spans []Span) int64 {
+		var n int64
+		for _, sp := range spans {
+			n += int64(len(sp.Lines(nil, 4, 64)))
+		}
+		staging = max(staging, n)
+		return n
+	}
+	for i := 0; i < folds; i++ {
+		base := int64(i) * lines * 64
+		f := Fold{
+			Stationary: []Span{{Base: base, Rows: 1, RowWords: lines * 16, RowStride: lines * 16}},
+			Stream: []Span{
+				{Base: 1<<32 + base, Rows: lines / 4, RowWords: 24, RowStride: 40},
+				{Base: 1<<33 + base + 5, Rows: lines / 4, RowWords: 24, RowStride: 24},
+			},
+			Writes:       []Span{{Base: 1<<34 + base + 3, Rows: lines / 2, RowWords: 20, RowStride: 100}},
+			StreamCycles: lines / 2,
+			ConsumeRate:  24,
+		}
+		f.ComputeCycles = f.StreamCycles + 64
+		s := count(f.Stream)
+		streamLines += s
+		total += count(f.Stationary) + s + count(f.Writes)
+		sched.Folds = append(sched.Folds, f)
+	}
+	return sched, total*int64(unsafe.Sizeof(dram.Request{})) + (streamLines+staging)*8
+}
+
+// TestSimulateRequestArraysSizedOnce pins the replay's allocation
+// behaviour: every per-fold array is allocated at its exact size (no
+// append doubling, which costs up to 2x the final size plus every
+// intermediate copy), and how many allocations a replay makes does not
+// depend on how many lines a fold has.
+func TestSimulateRequestArraysSizedOnce(t *testing.T) {
+	// What Simulate allocates besides its arrays: the fold table, the
+	// result, trace-free controller state.
+	const fixed = 64 << 10
+	measure := func(folds int, lines int64) (bytes, mallocs uint64, exact int64) {
+		sched, exact := allocSchedule(folds, lines)
+		sys := newDDR4(t, 2, 64)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Simulate(sched, sys, Options{MaxRequestsPerCycle: 4})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ReadRequests+res.WriteRequests == 0 {
+			t.Fatal("replay issued no requests")
+		}
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, exact
+	}
+	for _, c := range []struct {
+		folds  int
+		scaled int64 // lines per array of the second, larger replay
+	}{{1, 80_000}, {8, 40_000}} {
+		bytes, mallocs, exact := measure(c.folds, 10_000)
+		if limit := uint64(exact+exact/10) + fixed; bytes > limit {
+			t.Errorf("%d folds: Simulate allocated %d bytes, exact array bytes %d (limit %d)", c.folds, bytes, exact, limit)
+		}
+		// Doubling adds one allocation per array per doubling (the parent
+		// of this test made 24 more for 4x the lines of one fold); the
+		// controller's own pending-entry pool moves the count by a few
+		// either way with queue timing.
+		if _, bigger, _ := measure(c.folds, c.scaled); bigger > mallocs+6 {
+			t.Errorf("%d folds: %d allocations at 10k lines per array, %d at %d", c.folds, mallocs, bigger, c.scaled)
+		}
 	}
 }

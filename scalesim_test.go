@@ -3,6 +3,8 @@ package scalesim
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -10,6 +12,9 @@ import (
 	"scalesim/internal/layout"
 	"scalesim/internal/report"
 	"scalesim/internal/simtest"
+	"scalesim/internal/sparse"
+	"scalesim/internal/systolic"
+	"scalesim/internal/topology"
 )
 
 func TestRunDenseDefault(t *testing.T) {
@@ -159,10 +164,30 @@ func TestRunLayout(t *testing.T) {
 	}
 }
 
-// TestDifferentialLayoutStage pins the layout stage's production
-// path for dense layers (layoutSlowdown: fold schedule → AnalyzeSchedule)
-// to the per-cycle replay it replaced, over the shared differential grid.
-// The slowdown must be identical, not close: it is cached tier-blind.
+// layoutReplay is the per-cycle oracle of the layout stage: it streams the
+// layer's dense demand through the analyzers cycle by cycle, exactly as
+// layoutSlowdown's closed form summarizes it.
+func layoutReplay(df config.Dataflow, r, c int, g systolic.Gemm, ifa, fla, ofa *layout.Analyzer) error {
+	ifmapT, filterT, ofmapT := layout.NaturalTransforms(df, g.M, g.N, g.K)
+	var ifBuf, flBuf, ofBuf []int64
+	return systolic.Stream(df, r, c, g, func(d *systolic.Demand) bool {
+		ifBuf = layout.ApplyTransform(ifBuf[:0], d.IfmapReads, systolic.IfmapBase, ifmapT)
+		flBuf = layout.ApplyTransform(flBuf[:0], d.FilterReads, systolic.FilterBase, filterT)
+		ofBuf = layout.ApplyTransform(ofBuf[:0], d.OfmapWrites, systolic.OfmapBase, ofmapT)
+		ifa.Observe(ifBuf)
+		fla.Observe(flBuf)
+		ofa.Observe(ofBuf)
+		return true
+	})
+}
+
+// TestDifferentialLayoutStage pins the layout stage's production path
+// (layoutSlowdown: fold schedule → AnalyzeSchedule) to the per-cycle replay
+// it replaced, over the shared differential grid — for dense layers under
+// every dataflow, and for sparse layers (a 2:4 uniform and a row-wise
+// pattern on the context, weight-stationary as the compute stage forces).
+// The slowdown must be identical, not close: it is cached tier-blind and
+// pattern-blind.
 func TestDifferentialLayoutStage(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Layout.Enabled = true
@@ -174,16 +199,10 @@ func TestDifferentialLayoutStage(t *testing.T) {
 		{Banks: 3, PortsPerBank: 1, TotalBandwidth: 7},
 	} {
 		cfg.Layout.Banks, cfg.Layout.PortsPerBank, cfg.Layout.OnChipBandwidth = lc.Banks, lc.PortsPerBank, lc.TotalBandwidth
-		stalled := 0
-		for _, c := range cases {
-			got, err := layoutSlowdown(&StageContext{
-				Config: &cfg, Dataflow: c.Dataflow, Rows: c.R, Cols: c.C, M: c.G.M, N: c.G.N, K: c.G.K,
-			})
-			if err != nil {
-				t.Fatalf("%+v %s: closed form: %v", lc, c.Name, err)
-			}
+		replay := func(c simtest.Case) float64 {
 			var an [3]*layout.Analyzer
 			for i := range an {
+				var err error
 				if an[i], err = layout.NewAnalyzer(lc); err != nil {
 					t.Fatal(err)
 				}
@@ -191,17 +210,88 @@ func TestDifferentialLayoutStage(t *testing.T) {
 			if err := layoutReplay(c.Dataflow, c.R, c.C, c.G, an[0], an[1], an[2]); err != nil {
 				t.Fatalf("%+v %s: replay: %v", lc, c.Name, err)
 			}
-			want := layout.CombinedSlowdown(an[0], an[1], an[2])
+			return layout.CombinedSlowdown(an[0], an[1], an[2])
+		}
+		stalled, sparseStalled := 0, 0
+		for _, c := range cases {
+			sc := StageContext{Config: &cfg, Dataflow: c.Dataflow, Rows: c.R, Cols: c.C, M: c.G.M, N: c.G.N, K: c.G.K}
+			got, err := layoutSlowdown(&sc)
+			if err != nil {
+				t.Fatalf("%+v %s: closed form: %v", lc, c.Name, err)
+			}
+			want := replay(c)
 			if got != want {
 				t.Errorf("%+v %s: closed-form slowdown %v, replay %v", lc, c.Name, got, want)
 			}
 			if want > 0 {
 				stalled++
 			}
+			if c.Dataflow != config.WeightStationary {
+				continue
+			}
+			uniform, err := sparse.Uniform(c.G.K, c.G.N, topology.Sparsity{N: 2, M: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowWise, err := sparse.RowWise(c.G.K, c.G.N, 4, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []*sparse.Pattern{uniform, rowWise} {
+				sc.pattern, sc.FilterRatio = p, p.Density()
+				got, err := layoutSlowdown(&sc)
+				if err != nil {
+					t.Fatalf("%+v %s: sparse closed form: %v", lc, c.Name, err)
+				}
+				if got != want {
+					t.Errorf("%+v %s: sparse closed-form slowdown %v, replay %v", lc, c.Name, got, want)
+				}
+			}
+			if want > 0 {
+				sparseStalled++
+			}
 		}
-		if stalled == 0 {
-			t.Errorf("%+v: no grid case stalls on bank conflicts — the comparison is vacuous", lc)
+		if stalled == 0 || sparseStalled == 0 {
+			t.Errorf("%+v: %d grid cases (%d weight-stationary) stall on bank conflicts — the comparison is vacuous",
+				lc, stalled, sparseStalled)
 		}
+	}
+}
+
+// TestSparseLayoutReportsDigest runs 2:4 ResNet-18 end to end with a
+// port-starved layout, memory and energy on, and pins every rendered report
+// byte. The digest was generated at the commit where sparse layers still
+// took the per-cycle layout replay, so it holds the closed form to that
+// path with a non-zero slowdown on every layer — which the benchmark's
+// golden (default banking, slowdown 0) does not cover.
+func TestSparseLayoutReportsDigest(t *testing.T) {
+	const want = "8f9f2b2bf9ed33273e3918b42a668f3c755e8bcfc8e3b69a1429bca84f657bc2"
+	cfg := DefaultConfig()
+	cfg.Sparsity.Enabled = true
+	cfg.Memory.Enabled, cfg.Energy.Enabled, cfg.Layout.Enabled = true, true, true
+	cfg.Layout.Banks, cfg.Layout.PortsPerBank, cfg.Layout.OnChipBandwidth = 3, 1, 7
+	topo, err := BuiltinTopology("resnet18")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := New(cfg).Run(context.Background(), topo.WithSparsity(Sparsity{N: 2, M: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Layers {
+		if l := &res.Layers[i]; l.LayoutSlowdown <= 0 || l.Sparse == nil {
+			t.Errorf("layer %s: slowdown %v, sparse row %v — the digest would not cover a stalled sparse layer",
+				l.Layer.Name, l.LayoutSlowdown, l.Sparse)
+		}
+	}
+	h := sha256.New()
+	for _, r := range res.Reports().All() {
+		if _, err := r.WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("reports digest %s, want %s", got, want)
 	}
 }
 

@@ -229,7 +229,8 @@ func (layoutStage) Name() string { return "layout" }
 func (layoutStage) CacheFingerprint() string { return "layout/v1" }
 
 // FidelityLadder: the closed-form conflict analysis is proven identical to
-// the replay for dense layers, so Analytical lowers to EventDriven.
+// the per-cycle replay (a test-only oracle), so the stage has one tier and
+// Analytical lowers to EventDriven.
 func (layoutStage) FidelityLadder() []Fidelity { return []Fidelity{EventDriven} }
 
 // Apply streams the layer's demand through the bank-conflict analyzer for
@@ -286,10 +287,11 @@ func applyLayoutSlowdown(lr *LayerResult, slow float64) {
 // layoutSlowdown runs the bank-conflict analysis and returns the relative
 // slowdown of the layer's demand stream versus the pure-bandwidth model.
 //
-// Dense layers take the closed-form path: the fold schedule's access-pattern
+// Every layer takes the closed form: the fold schedule's access-pattern
 // summaries feed AnalyzeSchedule in O(folds) work, proven byte-identical to
-// the per-cycle replay by the differential tests. Irregular (sparse/N:M)
-// layers fall back to the exact per-cycle stream.
+// the per-cycle replay by the differential tests. A sparse layer is
+// analysed on the dense operand stream of its (weight-stationary) GEMM —
+// the compressed stream is not modelled here.
 func layoutSlowdown(sc *StageContext) (float64, error) {
 	cfg := sc.Config
 	lc := layout.Config{
@@ -309,43 +311,15 @@ func layoutSlowdown(sc *StageContext) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	g := systolic.Gemm{M: sc.M, N: sc.N, K: sc.K}
-	if sc.pattern != nil {
-		// Irregular layers pay for the per-cycle replay; dense layers take
-		// the proven closed form.
-		sc.Span.SetAttr("fidelity", "replay")
-		if err := layoutReplay(sc.Dataflow, sc.Rows, sc.Cols, g, ifa, fla, ofa); err != nil {
-			return 0, err
-		}
-	} else {
-		sc.Span.SetAttr("fidelity", "closed-form")
-		fs, err := systolic.NewFoldSchedule(sc.Dataflow, sc.Rows, sc.Cols, g)
-		if err != nil {
-			return 0, err
-		}
-		// Operands are stored in their stream-natural order (the layout a
-		// layout-aware mapper picks); the remaining slowdown is the bank
-		// contention the paper's Figs. 12/13 quantify.
-		layout.AnalyzeSchedule(fs, ifa, fla, ofa, true)
+	fs, err := systolic.NewFoldSchedule(sc.Dataflow, sc.Rows, sc.Cols, systolic.Gemm{M: sc.M, N: sc.N, K: sc.K})
+	if err != nil {
+		return 0, err
 	}
+	// Operands are stored in their stream-natural order (the layout a
+	// layout-aware mapper picks); the remaining slowdown is the bank
+	// contention the paper's Figs. 12/13 quantify.
+	layout.AnalyzeSchedule(fs, ifa, fla, ofa, true)
 	return layout.CombinedSlowdown(ifa, fla, ofa), nil
-}
-
-// layoutReplay is the retained per-cycle fallback: it streams the layer's
-// demand through the analyzers cycle by cycle, exactly as the closed-form
-// path summarizes it.
-func layoutReplay(df config.Dataflow, r, c int, g systolic.Gemm, ifa, fla, ofa *layout.Analyzer) error {
-	ifmapT, filterT, ofmapT := layout.NaturalTransforms(df, g.M, g.N, g.K)
-	var ifBuf, flBuf, ofBuf []int64
-	return systolic.Stream(df, r, c, g, func(d *systolic.Demand) bool {
-		ifBuf = layout.ApplyTransform(ifBuf[:0], d.IfmapReads, systolic.IfmapBase, ifmapT)
-		flBuf = layout.ApplyTransform(flBuf[:0], d.FilterReads, systolic.FilterBase, filterT)
-		ofBuf = layout.ApplyTransform(ofBuf[:0], d.OfmapWrites, systolic.OfmapBase, ofmapT)
-		ifa.Observe(ifBuf)
-		fla.Observe(flBuf)
-		ofa.Observe(ofBuf)
-		return true
-	})
 }
 
 type memoryStage struct{}
@@ -482,8 +456,7 @@ func (energyStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 	acc := systolic.Access(df, r, c, m, n, k)
 	if sc.pattern != nil {
 		// Compressed filters shrink filter traffic proportionally.
-		d := sc.pattern.Density()
-		acc.Filter.Reads = int64(float64(acc.Filter.Reads) * d)
+		acc.Filter.Reads = int64(float64(acc.Filter.Reads) * sc.FilterRatio)
 	}
 	prof := &energy.RunProfile{
 		Dataflow:    df,
