@@ -210,6 +210,10 @@ func runExplore(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("explore: missing -topology or -space")
 	}
+	strat, err := scalesim.ParseSearchStrategy(*strategy)
+	if err != nil {
+		return err
+	}
 
 	cfg, err := baseConfig(*preset, *cfgPath, *memory, *energyF, *layoutF)
 	if err != nil {
@@ -248,7 +252,7 @@ func runExplore(args []string) error {
 
 	opts := []scalesim.ExploreOption{
 		scalesim.WithExploreObjectives(objs...),
-		scalesim.WithExploreStrategy(scalesim.SearchStrategy(*strategy)),
+		scalesim.WithExploreStrategy(strat),
 		scalesim.WithExploreBudget(*budget),
 		scalesim.WithExploreBatchSize(*batch),
 		scalesim.WithExploreSeed(*seed),

@@ -21,6 +21,10 @@ func TestCLIRejectsUnknownValues(t *testing.T) {
 			`unknown fidelity "cycle" (valid: analytical, event)`},
 		{"explore removed fidelity", []string{"explore", "-topology", "alexnet", "-space", "array=8..16:pow2", "-fidelity", "cycle-accurate"},
 			`unknown fidelity "cycle-accurate" (valid: analytical, event)`},
+		// The same text POST /v1/explore answers with (TestServerRequestErrors),
+		// and before the topology is even looked at.
+		{"explore unknown strategy", []string{"explore", "-topology", "no-such-model", "-space", "array=8..16:pow2", "-strategy", "nope"},
+			`unknown strategy "nope" (valid: grid, random, evolve, auto)`},
 		{"unknown preset", []string{"run", "-topology", "alexnet", "-preset", "gpu"},
 			`unknown preset "gpu" (valid: default, tpu, eyeriss)`},
 	}

@@ -162,6 +162,15 @@ const (
 	AutoSearch SearchStrategy = "auto"
 )
 
+// ParseSearchStrategy resolves a strategy name as the explore CLI's
+// -strategy flag and the job server's "strategy" field spell it: "grid",
+// "random", "evolve" (also "evolution", "evolutionary") or "auto" (also
+// empty), case-insensitive. The error lists the valid values.
+func ParseSearchStrategy(s string) (SearchStrategy, error) {
+	name, err := explore.CanonicalStrategy(s)
+	return SearchStrategy(name), err
+}
+
 // ExploreProgress reports one evaluated candidate to a WithExploreProgress
 // callback.
 type ExploreProgress struct {

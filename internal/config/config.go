@@ -6,6 +6,7 @@
 package config
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -49,6 +50,38 @@ func ParseDataflow(s string) (Dataflow, error) {
 		return InputStationary, nil
 	}
 	return 0, fmt.Errorf("config: Dataflow: unknown dataflow %q (valid: os, ws, is)", s)
+}
+
+// The three enums travel as JSON strings — their String() spelling out, any
+// spelling their Parse* accepts in — so Config's struct tags are the whole
+// wire schema. They implement json.Marshaler and nothing wider: encoding/gob
+// honours GobEncoder and BinaryMarshaler (and has reserved TextMarshaler,
+// golang.org/issue/6760), and multicore.Partition.Strategy sits inside the
+// gob-encoded store payloads as a plain integer.
+
+func (d Dataflow) MarshalJSON() ([]byte, error) { return json.Marshal(d.String()) }
+
+func (d *Dataflow) UnmarshalJSON(b []byte) error {
+	return unmarshalEnum(b, "Dataflow", ParseDataflow, d)
+}
+
+// unmarshalEnum decodes a JSON string through parse into dst. A JSON null
+// leaves dst alone, like any absent field; any other non-string is an error
+// naming field.
+func unmarshalEnum[T any](b []byte, field string, parse func(string) (T, error), dst *T) error {
+	if string(b) == "null" {
+		return nil
+	}
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return fmt.Errorf("config: %s: want a JSON string, got %s", field, b)
+	}
+	v, err := parse(s)
+	if err != nil {
+		return err
+	}
+	*dst = v
+	return nil
 }
 
 // Dataflows lists all three classic dataflows in a stable order.
@@ -96,19 +129,25 @@ func ParseSparseFormat(s string) (SparseFormat, error) {
 	return 0, fmt.Errorf("config: SparseRep: unknown sparse format %q (valid: ellpack_block, csr, csc)", s)
 }
 
+func (f SparseFormat) MarshalJSON() ([]byte, error) { return json.Marshal(f.String()) }
+
+func (f *SparseFormat) UnmarshalJSON(b []byte) error {
+	return unmarshalEnum(b, "SparseRep", ParseSparseFormat, f)
+}
+
 // SparsityConfig is the v3 "sparsity" configuration section.
 type SparsityConfig struct {
 	// Enabled turns sparse simulation on (SparsitySupport knob).
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// OptimizedMapping selects row-wise sparsity with per-row randomized
 	// N (true) instead of layer-wise uniform sparsity (false).
-	OptimizedMapping bool
+	OptimizedMapping bool `json:"optimized_mapping"`
 	// Format is the compressed representation (SparseRep knob).
-	Format SparseFormat
+	Format SparseFormat `json:"format"`
 	// BlockSize is M in the N:M ratio for row-wise sparsity.
-	BlockSize int
+	BlockSize int `json:"block_size"`
 	// Seed makes randomized row-wise sparsity deterministic.
-	Seed int64
+	Seed int64 `json:"seed"`
 }
 
 // DRAMTechnologies lists the canonical DRAM technology preset names the
@@ -136,48 +175,48 @@ func ParseDRAMTech(s string) (string, error) {
 type MemoryConfig struct {
 	// Enabled turns the cycle-accurate DRAM model on; when false the
 	// interface behaves like v2 (pure bandwidth, zero latency).
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// Technology is the DRAM preset name ("DDR4", "HBM2", "LPDDR4", ...).
-	Technology string
+	Technology string `json:"technology"`
 	// Channels is the number of independent DRAM channels.
-	Channels int
+	Channels int `json:"channels"`
 	// ReadQueueDepth and WriteQueueDepth bound in-flight transactions;
 	// a full queue stalls the accelerator.
-	ReadQueueDepth  int
-	WriteQueueDepth int
+	ReadQueueDepth  int `json:"read_queue_depth"`
+	WriteQueueDepth int `json:"write_queue_depth"`
 }
 
 // LayoutConfig is the v3 on-chip data layout section.
 type LayoutConfig struct {
 	// Enabled turns bank-conflict modeling on.
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// Banks is the number of SRAM banks sharing the global bandwidth.
-	Banks int
+	Banks int `json:"banks"`
 	// PortsPerBank is the number of concurrent line accesses per bank.
-	PortsPerBank int
+	PortsPerBank int `json:"ports_per_bank"`
 	// OnChipBandwidth is total words deliverable per cycle (the baseline
 	// pure-bandwidth model divides demand by this).
-	OnChipBandwidth int
+	OnChipBandwidth int `json:"on_chip_bandwidth"`
 }
 
 // EnergyConfig is the v3 energy/power section.
 type EnergyConfig struct {
 	// Enabled turns Accelergy-style estimation on.
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// Technology tags the ERT ("65nm" default).
-	Technology string
+	Technology string `json:"technology"`
 	// ClockGating models unused MACs as gated rather than constant.
-	ClockGating bool
+	ClockGating bool `json:"clock_gating"`
 	// RowSize is the words fetched per SRAM access (repeat-read window).
-	RowSize int
+	RowSize int `json:"row_size"`
 	// BankSize is the number of SRAM row buffers usable for reuse.
-	BankSize int
+	BankSize int `json:"bank_size"`
 	// FrequencyMHz converts cycles to time for power numbers.
-	FrequencyMHz float64
+	FrequencyMHz float64 `json:"frequency_mhz"`
 	// IncludeDRAM folds main-memory access energy into the totals.
 	// Off by default: the Accelergy scope is the accelerator chip (GLB,
 	// NoC, PE array); DRAM statistics come from the memory model.
-	IncludeDRAM bool
+	IncludeDRAM bool `json:"include_dram"`
 }
 
 // PartitionStrategy selects how a multi-core workload is split.
@@ -218,71 +257,79 @@ func ParsePartitionStrategy(s string) (PartitionStrategy, error) {
 	return 0, fmt.Errorf("config: MultiCore.Strategy: unknown partition strategy %q (valid: spatial, spatiotemporal1, spatiotemporal2)", s)
 }
 
+func (p PartitionStrategy) MarshalJSON() ([]byte, error) { return json.Marshal(p.String()) }
+
+func (p *PartitionStrategy) UnmarshalJSON(b []byte) error {
+	return unmarshalEnum(b, "MultiCore.Strategy", ParsePartitionStrategy, p)
+}
+
 // CoreSpec describes one tensor core: a systolic array plus a SIMD unit.
 // Heterogeneous multi-core configs list cores with differing shapes.
 type CoreSpec struct {
-	Rows int // systolic array rows
-	Cols int // systolic array columns
+	Rows int `json:"rows"` // systolic array rows
+	Cols int `json:"cols"` // systolic array columns
 	// SIMDLanes is the vector unit width (0 = no vector unit).
-	SIMDLanes int
+	SIMDLanes int `json:"simd_lanes,omitempty"`
 	// SIMDLatency is cycles per vector op batch (lookup/activation).
-	SIMDLatency int
+	SIMDLatency int `json:"simd_latency,omitempty"`
 	// NoPHops is the network-on-package distance from main memory,
 	// used for non-uniform workload partitioning.
-	NoPHops int
+	NoPHops int `json:"nop_hops,omitempty"`
 }
 
 // MultiCoreConfig is the v3 multi-core section.
 type MultiCoreConfig struct {
 	// Enabled turns multi-core simulation on.
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// PartitionRows (Pr) and PartitionCols (Pc) give the partition grid;
 	// cores = Pr × Pc. When zero the partition search picks them.
-	PartitionRows int
-	PartitionCols int
+	PartitionRows int `json:"partition_rows"`
+	PartitionCols int `json:"partition_cols"`
 	// Strategy selects spatial vs spatio-temporal partitioning.
-	Strategy PartitionStrategy
+	Strategy PartitionStrategy `json:"strategy"`
 	// L2SizeKB is the shared L2 scratchpad per core cluster (0 = no L2).
-	L2SizeKB int
+	L2SizeKB int `json:"l2_size_kb"`
 	// Cores describes each tensor core. Homogeneous configs may leave it
 	// empty and inherit the top-level array shape.
-	Cores []CoreSpec
+	Cores []CoreSpec `json:"cores,omitempty"`
 	// NonUniform enables NoP-latency-driven non-uniform partitioning.
-	NonUniform bool
+	NonUniform bool `json:"non_uniform"`
 	// HopLatency is cycles per NoP hop for non-uniform partitioning.
-	HopLatency int
+	HopLatency int `json:"hop_latency"`
 }
 
-// Config is the complete simulator configuration.
+// Config is the complete simulator configuration. The json tags on it and
+// its sections are the job server's request schema (see server.DecodeConfig);
+// a new field needs one.
 type Config struct {
 	// RunName labels reports and trace files.
-	RunName string
+	RunName string `json:"run_name,omitempty"`
 
 	// ArrayRows and ArrayCols are the systolic array dimensions (R, C).
-	ArrayRows int
-	ArrayCols int
+	ArrayRows int `json:"array_rows"`
+	ArrayCols int `json:"array_cols"`
 
 	// IfmapSRAMKB, FilterSRAMKB and OfmapSRAMKB are the double-buffered
 	// L1 scratchpad sizes in kilobytes.
-	IfmapSRAMKB  int
-	FilterSRAMKB int
-	OfmapSRAMKB  int
+	IfmapSRAMKB  int `json:"ifmap_sram_kb"`
+	FilterSRAMKB int `json:"filter_sram_kb"`
+	OfmapSRAMKB  int `json:"ofmap_sram_kb"`
 
 	// Dataflow is the mapping strategy.
-	Dataflow Dataflow
+	Dataflow Dataflow `json:"dataflow"`
 
 	// BandwidthWords is the interface bandwidth in words per cycle used
 	// by the v2-style bandwidth model.
-	BandwidthWords int
+	BandwidthWords int `json:"bandwidth_words"`
 
 	// WordBytes is the operand word size (default 4).
-	WordBytes int
+	WordBytes int `json:"word_bytes"`
 
-	Sparsity  SparsityConfig
-	Memory    MemoryConfig
-	Layout    LayoutConfig
-	Energy    EnergyConfig
-	MultiCore MultiCoreConfig
+	Sparsity  SparsityConfig  `json:"sparsity"`
+	Memory    MemoryConfig    `json:"memory"`
+	Layout    LayoutConfig    `json:"layout"`
+	Energy    EnergyConfig    `json:"energy"`
+	MultiCore MultiCoreConfig `json:"multi_core"`
 }
 
 // Default returns a small, valid single-core configuration (32×32, 512 kB

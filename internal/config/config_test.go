@@ -1,6 +1,9 @@
 package config
 
 import (
+	"encoding"
+	"encoding/gob"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -382,5 +385,53 @@ func TestPartitionStrategyParse(t *testing.T) {
 	}
 	if _, err := ParsePartitionStrategy("temporal"); err == nil {
 		t.Error("bad strategy accepted")
+	}
+}
+
+// TestJSONTagsCoverConfig is the nudge the job server's hand-written mirror
+// type used to give at compile time: Config's json tags are the request
+// schema, so every (nested) field needs one and no two in a struct may share
+// a name.
+func TestJSONTagsCoverConfig(t *testing.T) {
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		seen := map[string]string{}
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "" || name == "-" {
+				t.Errorf("%s.%s has no json tag", typ.Name(), f.Name)
+			}
+			if prev, dup := seen[name]; dup {
+				t.Errorf("%s.%s and %s.%s share the json name %q", typ.Name(), prev, typ.Name(), f.Name, name)
+			}
+			seen[name] = f.Name
+			ft := f.Type
+			if ft.Kind() == reflect.Slice {
+				ft = ft.Elem()
+			}
+			if ft.Kind() == reflect.Struct {
+				walk(ft)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Config{}))
+}
+
+// TestEnumsStayPlainToGob guards the disk store: multicore.Partition.Strategy
+// sits inside the gob-encoded layer results as an integer, and gob switches a
+// type to its own encoding when it implements GobEncoder or BinaryMarshaler
+// (TextMarshaler is reserved for the same, golang.org/issue/6760) — which
+// would change the payload format under stores already written. The enums'
+// string form is json.Marshaler only.
+func TestEnumsStayPlainToGob(t *testing.T) {
+	for _, v := range []any{new(Dataflow), new(SparseFormat), new(PartitionStrategy)} {
+		_, text := v.(encoding.TextMarshaler)
+		_, untext := v.(encoding.TextUnmarshaler)
+		_, binary := v.(encoding.BinaryMarshaler)
+		_, gobEnc := v.(gob.GobEncoder)
+		if text || untext || binary || gobEnc {
+			t.Errorf("%T implements a marshaler encoding/gob honours (text=%v/%v binary=%v gob=%v)", v, text, untext, binary, gobEnc)
+		}
 	}
 }

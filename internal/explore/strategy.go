@@ -27,24 +27,41 @@ type Strategy interface {
 	Tell(cands []Candidate, objs [][]float64)
 }
 
+// CanonicalStrategy resolves every accepted spelling of a built-in strategy
+// name (case-insensitive; empty selects "auto") to the canonical one
+// NewStrategy switches on.
+func CanonicalStrategy(kind string) (string, error) {
+	switch k := strings.ToLower(strings.TrimSpace(kind)); k {
+	case "grid", "random", "evolve", "auto":
+		return k, nil
+	case "evolution", "evolutionary":
+		return "evolve", nil
+	case "":
+		return "auto", nil
+	}
+	return "", fmt.Errorf("explore: unknown strategy %q (valid: grid, random, evolve, auto)", kind)
+}
+
 // NewStrategy builds a named strategy: "grid", "random" or "evolve"
 // ("auto" picks grid when the whole space fits within budget evaluations,
-// random otherwise).
+// random otherwise), under any spelling CanonicalStrategy accepts.
 func NewStrategy(kind string, space Space, seed int64, budget int) (Strategy, error) {
-	switch strings.ToLower(strings.TrimSpace(kind)) {
+	kind, err := CanonicalStrategy(kind)
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
 	case "grid":
 		return NewGrid(space), nil
-	case "random":
-		return NewRandom(space, seed), nil
-	case "evolve", "evolution", "evolutionary":
+	case "evolve":
 		return NewEvolution(space, seed), nil
-	case "", "auto":
+	case "auto":
 		if budget > 0 && space.Size() <= int64(budget) {
 			return NewGrid(space), nil
 		}
-		return NewRandom(space, seed), nil
 	}
-	return nil, fmt.Errorf("explore: unknown strategy %q (valid: grid, random, evolve, auto)", kind)
+	// "random", or "auto" over a space larger than the budget.
+	return NewRandom(space, seed), nil
 }
 
 // Grid enumerates the whole space in lexicographic order (last axis

@@ -15,258 +15,54 @@ import (
 	"scalesim/internal/topology"
 )
 
-// The DTO layer marshals the simulator's configuration and workload types
-// to and from stable JSON shapes. Requests decode on top of a preset (so
-// clients send only the knobs they change), reject unknown fields (a typoed
-// knob must not silently fall back to the default), and pass the internal
-// validators' field-named errors through verbatim.
+// The DTO layer decodes workloads and requests from stable JSON shapes.
+// The configuration has no mirror type: config.Config's json tags are the
+// request schema, its enums travel as strings ("os"/"ws"/"is",
+// "ellpack_block"/"csr"/"csc", "spatial"/...), and json.Marshal of a Config
+// is a valid "config" body.
 
-// ConfigDTO is the JSON shape of a simulator configuration. Enum fields are
-// strings ("os"/"ws"/"is", "ellpack_block"/"csr"/"csc", "spatial"/...), and
-// the optional Preset names the base configuration the remaining fields
-// override ("default", "tpu" or "eyeriss").
-type ConfigDTO struct {
-	Preset         string `json:"preset,omitempty"`
-	RunName        string `json:"run_name,omitempty"`
-	ArrayRows      int    `json:"array_rows"`
-	ArrayCols      int    `json:"array_cols"`
-	IfmapSRAMKB    int    `json:"ifmap_sram_kb"`
-	FilterSRAMKB   int    `json:"filter_sram_kb"`
-	OfmapSRAMKB    int    `json:"ofmap_sram_kb"`
-	Dataflow       string `json:"dataflow"`
-	BandwidthWords int    `json:"bandwidth_words"`
-	WordBytes      int    `json:"word_bytes"`
-
-	Sparsity  SparsityDTO  `json:"sparsity"`
-	Memory    MemoryDTO    `json:"memory"`
-	Layout    LayoutDTO    `json:"layout"`
-	Energy    EnergyDTO    `json:"energy"`
-	MultiCore MultiCoreDTO `json:"multi_core"`
-}
-
-// SparsityDTO mirrors config.SparsityConfig.
-type SparsityDTO struct {
-	Enabled          bool   `json:"enabled"`
-	OptimizedMapping bool   `json:"optimized_mapping"`
-	Format           string `json:"format"`
-	BlockSize        int    `json:"block_size"`
-	Seed             int64  `json:"seed"`
-}
-
-// MemoryDTO mirrors config.MemoryConfig.
-type MemoryDTO struct {
-	Enabled         bool   `json:"enabled"`
-	Technology      string `json:"technology"`
-	Channels        int    `json:"channels"`
-	ReadQueueDepth  int    `json:"read_queue_depth"`
-	WriteQueueDepth int    `json:"write_queue_depth"`
-}
-
-// LayoutDTO mirrors config.LayoutConfig.
-type LayoutDTO struct {
-	Enabled         bool `json:"enabled"`
-	Banks           int  `json:"banks"`
-	PortsPerBank    int  `json:"ports_per_bank"`
-	OnChipBandwidth int  `json:"on_chip_bandwidth"`
-}
-
-// EnergyDTO mirrors config.EnergyConfig.
-type EnergyDTO struct {
-	Enabled      bool    `json:"enabled"`
-	Technology   string  `json:"technology"`
-	ClockGating  bool    `json:"clock_gating"`
-	RowSize      int     `json:"row_size"`
-	BankSize     int     `json:"bank_size"`
-	FrequencyMHz float64 `json:"frequency_mhz"`
-	IncludeDRAM  bool    `json:"include_dram"`
-}
-
-// CoreSpecDTO mirrors config.CoreSpec.
-type CoreSpecDTO struct {
-	Rows        int `json:"rows"`
-	Cols        int `json:"cols"`
-	SIMDLanes   int `json:"simd_lanes,omitempty"`
-	SIMDLatency int `json:"simd_latency,omitempty"`
-	NoPHops     int `json:"nop_hops,omitempty"`
-}
-
-// MultiCoreDTO mirrors config.MultiCoreConfig.
-type MultiCoreDTO struct {
-	Enabled       bool          `json:"enabled"`
-	PartitionRows int           `json:"partition_rows"`
-	PartitionCols int           `json:"partition_cols"`
-	Strategy      string        `json:"strategy"`
-	L2SizeKB      int           `json:"l2_size_kb"`
-	Cores         []CoreSpecDTO `json:"cores,omitempty"`
-	NonUniform    bool          `json:"non_uniform"`
-	HopLatency    int           `json:"hop_latency"`
-}
-
-// ConfigToDTO converts an internal configuration to its JSON shape.
-func ConfigToDTO(c scalesim.Config) ConfigDTO {
-	d := ConfigDTO{
-		RunName:        c.RunName,
-		ArrayRows:      c.ArrayRows,
-		ArrayCols:      c.ArrayCols,
-		IfmapSRAMKB:    c.IfmapSRAMKB,
-		FilterSRAMKB:   c.FilterSRAMKB,
-		OfmapSRAMKB:    c.OfmapSRAMKB,
-		Dataflow:       c.Dataflow.String(),
-		BandwidthWords: c.BandwidthWords,
-		WordBytes:      c.WordBytes,
-		Sparsity: SparsityDTO{
-			Enabled:          c.Sparsity.Enabled,
-			OptimizedMapping: c.Sparsity.OptimizedMapping,
-			Format:           c.Sparsity.Format.String(),
-			BlockSize:        c.Sparsity.BlockSize,
-			Seed:             c.Sparsity.Seed,
-		},
-		Memory: MemoryDTO{
-			Enabled:         c.Memory.Enabled,
-			Technology:      c.Memory.Technology,
-			Channels:        c.Memory.Channels,
-			ReadQueueDepth:  c.Memory.ReadQueueDepth,
-			WriteQueueDepth: c.Memory.WriteQueueDepth,
-		},
-		Layout: LayoutDTO{
-			Enabled:         c.Layout.Enabled,
-			Banks:           c.Layout.Banks,
-			PortsPerBank:    c.Layout.PortsPerBank,
-			OnChipBandwidth: c.Layout.OnChipBandwidth,
-		},
-		Energy: EnergyDTO{
-			Enabled:      c.Energy.Enabled,
-			Technology:   c.Energy.Technology,
-			ClockGating:  c.Energy.ClockGating,
-			RowSize:      c.Energy.RowSize,
-			BankSize:     c.Energy.BankSize,
-			FrequencyMHz: c.Energy.FrequencyMHz,
-			IncludeDRAM:  c.Energy.IncludeDRAM,
-		},
-		MultiCore: MultiCoreDTO{
-			Enabled:       c.MultiCore.Enabled,
-			PartitionRows: c.MultiCore.PartitionRows,
-			PartitionCols: c.MultiCore.PartitionCols,
-			Strategy:      c.MultiCore.Strategy.String(),
-			L2SizeKB:      c.MultiCore.L2SizeKB,
-			NonUniform:    c.MultiCore.NonUniform,
-			HopLatency:    c.MultiCore.HopLatency,
-		},
-	}
-	for _, core := range c.MultiCore.Cores {
-		d.MultiCore.Cores = append(d.MultiCore.Cores, CoreSpecDTO{
-			Rows: core.Rows, Cols: core.Cols,
-			SIMDLanes: core.SIMDLanes, SIMDLatency: core.SIMDLatency,
-			NoPHops: core.NoPHops,
-		})
-	}
-	return d
-}
-
-// ToConfig converts the DTO back to an internal configuration. Enum parsing
-// reuses the config package parsers so errors name the field and list the
-// valid values; the result is not yet validated (call Config.Validate).
-func (d *ConfigDTO) ToConfig() (scalesim.Config, error) {
-	c := scalesim.Config{
-		RunName:        d.RunName,
-		ArrayRows:      d.ArrayRows,
-		ArrayCols:      d.ArrayCols,
-		IfmapSRAMKB:    d.IfmapSRAMKB,
-		FilterSRAMKB:   d.FilterSRAMKB,
-		OfmapSRAMKB:    d.OfmapSRAMKB,
-		BandwidthWords: d.BandwidthWords,
-		WordBytes:      d.WordBytes,
-	}
-	df, err := config.ParseDataflow(d.Dataflow)
-	if err != nil {
-		return c, err
-	}
-	c.Dataflow = df
-	format, err := config.ParseSparseFormat(d.Sparsity.Format)
-	if err != nil {
-		return c, err
-	}
-	c.Sparsity = config.SparsityConfig{
-		Enabled:          d.Sparsity.Enabled,
-		OptimizedMapping: d.Sparsity.OptimizedMapping,
-		Format:           format,
-		BlockSize:        d.Sparsity.BlockSize,
-		Seed:             d.Sparsity.Seed,
-	}
-	c.Memory = config.MemoryConfig{
-		Enabled:         d.Memory.Enabled,
-		Technology:      d.Memory.Technology,
-		Channels:        d.Memory.Channels,
-		ReadQueueDepth:  d.Memory.ReadQueueDepth,
-		WriteQueueDepth: d.Memory.WriteQueueDepth,
-	}
-	c.Layout = config.LayoutConfig{
-		Enabled:         d.Layout.Enabled,
-		Banks:           d.Layout.Banks,
-		PortsPerBank:    d.Layout.PortsPerBank,
-		OnChipBandwidth: d.Layout.OnChipBandwidth,
-	}
-	c.Energy = config.EnergyConfig{
-		Enabled:      d.Energy.Enabled,
-		Technology:   d.Energy.Technology,
-		ClockGating:  d.Energy.ClockGating,
-		RowSize:      d.Energy.RowSize,
-		BankSize:     d.Energy.BankSize,
-		FrequencyMHz: d.Energy.FrequencyMHz,
-		IncludeDRAM:  d.Energy.IncludeDRAM,
-	}
-	strategy, err := config.ParsePartitionStrategy(d.MultiCore.Strategy)
-	if err != nil {
-		return c, err
-	}
-	c.MultiCore = config.MultiCoreConfig{
-		Enabled:       d.MultiCore.Enabled,
-		PartitionRows: d.MultiCore.PartitionRows,
-		PartitionCols: d.MultiCore.PartitionCols,
-		Strategy:      strategy,
-		L2SizeKB:      d.MultiCore.L2SizeKB,
-		NonUniform:    d.MultiCore.NonUniform,
-		HopLatency:    d.MultiCore.HopLatency,
-	}
-	for _, core := range d.MultiCore.Cores {
-		c.MultiCore.Cores = append(c.MultiCore.Cores, config.CoreSpec{
-			Rows: core.Rows, Cols: core.Cols,
-			SIMDLanes: core.SIMDLanes, SIMDLatency: core.SIMDLatency,
-			NoPHops: core.NoPHops,
-		})
-	}
-	return c, nil
+// configRequest is the "config" object of a request: a Config plus the
+// optional preset naming the base the remaining fields override.
+type configRequest struct {
+	Preset string `json:"preset"`
+	scalesim.Config
 }
 
 // DecodeConfig materializes a configuration from raw request JSON: the
-// preset (default configuration when absent) is the base, present fields
-// override it, unknown fields are rejected, and the result is validated
-// with the config package's field-named errors.
+// preset ("default" when absent, "tpu" or "eyeriss") is the base, present
+// fields override it (so clients send only the knobs they change), unknown
+// fields are rejected (a typoed knob must not silently fall back to the
+// default), and the result is validated with the config package's
+// field-named errors.
 func DecodeConfig(raw json.RawMessage) (scalesim.Config, error) {
+	if len(raw) == 0 {
+		raw = json.RawMessage("{}")
+	}
+	// Two passes: a lenient one for the preset alone, which picks the base
+	// the strict one overlays.
 	var probe struct {
 		Preset string `json:"preset"`
 	}
-	if len(raw) > 0 {
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return scalesim.Config{}, fmt.Errorf("config: %w", err)
-		}
+	if err := json.Unmarshal(raw, &probe); err != nil {
+		return scalesim.Config{}, fmt.Errorf("config: %w", err)
 	}
 	base, err := config.Preset(probe.Preset)
 	if err != nil {
 		return scalesim.Config{}, fmt.Errorf("config: %w", err)
 	}
-	dto := ConfigToDTO(base)
-	dto.Preset = probe.Preset
-	if len(raw) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&dto); err != nil {
-			return scalesim.Config{}, fmt.Errorf("config: %w", err)
+	req := configRequest{Config: base}
+	if err := decodeRequest(raw, &req); err != nil {
+		// The enum decoders' errors already read "config: <Field>: ...".
+		if !strings.HasPrefix(err.Error(), "config: ") {
+			err = fmt.Errorf("config: %w", err)
 		}
-	}
-	cfg, err := dto.ToConfig()
-	if err != nil {
 		return scalesim.Config{}, err
+	}
+	cfg := req.Config
+	if len(cfg.MultiCore.Cores) == 0 {
+		// "cores":[] and an absent list are the same machine and must be the
+		// same cache fingerprint (the hasher tells nil from empty).
+		cfg.MultiCore.Cores = nil
 	}
 	if err := cfg.Validate(); err != nil {
 		return scalesim.Config{}, err
@@ -452,16 +248,13 @@ type ExploreRequest struct {
 	TimeoutS      float64 `json:"timeout_s,omitempty"`
 }
 
-// decodeRequest decodes an HTTP request body into dst, rejecting unknown
-// fields at the top level (nested config objects are re-decoded strictly by
-// DecodeConfig, which also applies presets).
+// decodeRequest decodes a request body (or its config object) into dst,
+// rejecting unknown fields. Config objects stay raw in the request types and
+// are decoded by DecodeConfig, which applies the preset first.
 func decodeRequest(r []byte, dst any) error {
 	dec := json.NewDecoder(bytes.NewReader(r))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return err
-	}
-	return nil
+	return dec.Decode(dst)
 }
 
 // ReportFileDTO is one rendered report in a job's reports payload.

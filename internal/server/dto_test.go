@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,21 +53,25 @@ func configVariants() map[string]scalesim.Config {
 	}
 }
 
-// TestDTOConfigRoundTrip proves Config → DTO → JSON → DTO → Config is the
-// identity for every configuration section.
+// TestDTOConfigRoundTrip pins the configuration wire format: the goldens
+// under testdata/ were rendered by the hand-written mirror type this
+// package used to carry, and config.Config's own json tags must reproduce
+// them byte for byte and decode them back to the identical configuration.
 func TestDTOConfigRoundTrip(t *testing.T) {
 	for name, cfg := range configVariants() {
 		t.Run(name, func(t *testing.T) {
-			dto := ConfigToDTO(cfg)
-			raw, err := json.Marshal(dto)
+			golden, err := os.ReadFile(filepath.Join("testdata", "config_"+name+".json"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var back ConfigDTO
-			if err := json.Unmarshal(raw, &back); err != nil {
+			raw, err := json.MarshalIndent(cfg, "", "  ")
+			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := back.ToConfig()
+			if raw = append(raw, '\n'); !bytes.Equal(raw, golden) {
+				t.Errorf("wire format drifted from the golden:\n got %s\nwant %s", raw, golden)
+			}
+			got, err := DecodeConfig(golden)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,6 +103,14 @@ func TestDTODecodeConfig(t *testing.T) {
 			name: "preset with override",
 			raw:  `{"preset":"tpu","array_rows":64}`,
 			want: func(c scalesim.Config) bool { return c.ArrayRows == 64 && c.ArrayCols == 128 },
+		},
+		{
+			name: "enum aliases, null enum and empty core list",
+			raw:  `{"dataflow":"Weight_Stationary","sparsity":{"format":null},"multi_core":{"strategy":"st2","cores":[]}}`,
+			want: func(c scalesim.Config) bool {
+				return c.Dataflow == config.WeightStationary && c.Sparsity.Format == config.BlockedELLPACK &&
+					c.MultiCore.Strategy == config.SpatioTemporal2 && c.MultiCore.Cores == nil
+			},
 		},
 		{
 			name: "nested section override keeps siblings",
@@ -136,6 +151,8 @@ func TestDTODecodeConfigErrors(t *testing.T) {
 		{"bad sparse format", `{"sparsity":{"format":"coo"}}`, "ellpack_block"},
 		{"bad partition strategy", `{"multi_core":{"strategy":"diagonal"}}`, "spatiotemporal1"},
 		{"bad dram tech at validate", `{"memory":{"enabled":true,"technology":"SRAM9000"}}`, "Memory.Technology"},
+		{"enum as number names field", `{"dataflow":1}`, "config: Dataflow:"},
+		{"wrong type names field", `{"array_rows":"8"}`, "array_rows"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

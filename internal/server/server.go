@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -424,9 +423,11 @@ func (s *Server) lookup(id string) (*Job, bool) {
 // Handler returns the server's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/runs", s.handleRun)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
-	mux.HandleFunc("POST /v1/explore", s.handleExplore)
+	for kind, k := range jobKinds {
+		mux.HandleFunc(k.route, func(w http.ResponseWriter, r *http.Request) {
+			s.handleEnqueue(w, r, kind)
+		})
+	}
 	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
@@ -476,17 +477,6 @@ func requestError(w http.ResponseWriter, err error) {
 	httpError(w, http.StatusBadRequest, err)
 }
 
-// enableForcedSparsity turns sparse modeling on for a topology-wide N:M
-// annotation and re-validates, since the sparsity section was validated
-// with the model off.
-func enableForcedSparsity(cfg *scalesim.Config, forced bool) error {
-	if !forced {
-		return nil
-	}
-	cfg.Sparsity.Enabled = true
-	return cfg.Validate()
-}
-
 // enqueueError maps queue-admission failures to HTTP status codes. Shed
 // load (full queues, exceeded wait bounds) carries Retry-After so clients
 // back off at the pace the server asks for rather than guessing.
@@ -509,19 +499,6 @@ func (s *Server) parallelism(req int) int {
 		return req
 	}
 	return s.opts.Parallelism
-}
-
-// executorRun wraps the configured Executor as a job run closure, or
-// returns nil when jobs execute in-process. Handlers call it only after
-// the request passed validation, so the Executor sees well-formed bodies.
-func (s *Server) executorRun(kind string, body []byte) func(context.Context, *Job) ([]byte, scalesim.RunCacheStats, error) {
-	ex := s.opts.Executor
-	if ex == nil {
-		return nil
-	}
-	return func(ctx context.Context, j *Job) ([]byte, scalesim.RunCacheStats, error) {
-		return ex.Execute(ctx, kind, body)
-	}
 }
 
 // handleEnqueue is the shared accept path of the three job endpoints:
@@ -547,28 +524,38 @@ func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request, kind stri
 	writeJSON(w, http.StatusAccepted, job.acceptedDTO())
 }
 
+// jobKinds is the job table: per kind, the route that accepts it and the
+// builder that validates a request body into the in-process run closure and
+// the request's timeout_s. Handler registers the routes from it and buildRun
+// looks the builder up in it.
+var jobKinds = map[string]struct {
+	route string
+	build func(s *Server, body []byte) (runFn, float64, error)
+}{
+	"run":     {"POST /v1/runs", (*Server).buildRunJob},
+	"sweep":   {"POST /v1/sweeps", (*Server).buildSweepJob},
+	"explore": {"POST /v1/explore", (*Server).buildExploreJob},
+}
+
 // buildRun validates body for kind and returns the job's run closure plus
 // its resolved execution deadline. It is the single constructor used by
 // both live requests and journal resume, so a restarted server re-checks
-// recovered specs under exactly the request path's rules.
+// recovered specs under exactly the request path's rules. With an Executor
+// configured the validated body is handed to it instead of the in-process
+// closure, so the Executor only ever sees well-formed bodies.
 func (s *Server) buildRun(kind string, body []byte) (runFn, time.Duration, error) {
-	var (
-		run      runFn
-		timeoutS float64
-		err      error
-	)
-	switch kind {
-	case "run":
-		run, timeoutS, err = s.buildRunJob(body)
-	case "sweep":
-		run, timeoutS, err = s.buildSweepJob(body)
-	case "explore":
-		run, timeoutS, err = s.buildExploreJob(body)
-	default:
+	k, ok := jobKinds[kind]
+	if !ok {
 		return nil, 0, fmt.Errorf("unknown job kind %q", kind)
 	}
+	run, timeoutS, err := k.build(s, body)
 	if err != nil {
 		return nil, 0, err
+	}
+	if ex := s.opts.Executor; ex != nil {
+		run = func(ctx context.Context, _ *Job) ([]byte, scalesim.RunCacheStats, error) {
+			return ex.Execute(ctx, kind, body)
+		}
 	}
 	timeout := s.opts.JobTimeout
 	if timeoutS > 0 {
@@ -577,38 +564,26 @@ func (s *Server) buildRun(kind string, body []byte) (runFn, time.Duration, error
 	return run, timeout, nil
 }
 
-// handleRun enqueues a run job: one topology simulated under one
-// configuration.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.handleEnqueue(w, r, "run")
-}
-
-// buildRunJob validates a run request body and builds its closure.
-func (s *Server) buildRunJob(body []byte) (runFn, float64, error) {
-	var req RunRequest
-	if err := decodeRequest(body, &req); err != nil {
-		return nil, 0, err
-	}
-	cfg, err := DecodeConfig(req.Config)
+// resolveWorkload is the (config, topology) half every job kind shares:
+// decode the configuration over its preset, materialize the topology and,
+// for a topology-wide N:M annotation, turn sparse modeling on and
+// re-validate — the sparsity section was validated with the model off.
+func resolveWorkload(rawCfg json.RawMessage, td *TopologyDTO) (scalesim.Config, *scalesim.Topology, error) {
+	cfg, err := DecodeConfig(rawCfg)
 	if err != nil {
-		return nil, 0, err
+		return cfg, nil, err
 	}
-	topo, forcedSparse, err := req.Topology.ToTopology()
+	topo, forcedSparse, err := td.ToTopology()
 	if err != nil {
-		return nil, 0, err
+		return cfg, nil, err
 	}
-	if err := enableForcedSparsity(&cfg, forcedSparse); err != nil {
-		return nil, 0, err
+	if forcedSparse {
+		cfg.Sparsity.Enabled = true
+		if err := cfg.Validate(); err != nil {
+			return cfg, nil, err
+		}
 	}
-	fid, err := parseFidelityField(req.Fidelity)
-	if err != nil {
-		return nil, 0, err
-	}
-	run := s.executorRun("run", body)
-	if run == nil {
-		run = s.localRun(cfg, topo, fid, s.parallelism(req.Parallelism))
-	}
-	return run, req.TimeoutS, nil
+	return cfg, topo, nil
 }
 
 // parseFidelityField resolves a request's optional fidelity string,
@@ -621,8 +596,22 @@ func parseFidelityField(v string) (scalesim.Fidelity, error) {
 	return fid, nil
 }
 
-// localRun builds the in-process run-job closure.
-func (s *Server) localRun(cfg scalesim.Config, topo *scalesim.Topology, fid scalesim.Fidelity, par int) func(context.Context, *Job) ([]byte, scalesim.RunCacheStats, error) {
+// buildRunJob validates a run request — one topology simulated under one
+// configuration — and builds its closure.
+func (s *Server) buildRunJob(body []byte) (runFn, float64, error) {
+	var req RunRequest
+	if err := decodeRequest(body, &req); err != nil {
+		return nil, 0, err
+	}
+	cfg, topo, err := resolveWorkload(req.Config, &req.Topology)
+	if err != nil {
+		return nil, 0, err
+	}
+	fid, err := parseFidelityField(req.Fidelity)
+	if err != nil {
+		return nil, 0, err
+	}
+	par := s.parallelism(req.Parallelism)
 	return func(ctx context.Context, j *Job) ([]byte, scalesim.RunCacheStats, error) {
 		res, err := scalesim.New(cfg).Run(ctx, topo,
 			scalesim.WithCache(s.cache),
@@ -640,16 +629,11 @@ func (s *Server) localRun(cfg scalesim.Config, topo *scalesim.Topology, fid scal
 		}
 		payload, err := marshalPayload(RunReportsDTO{Kind: "run", Reports: files})
 		return payload, res.CacheStats, err
-	}
+	}, req.TimeoutS, nil
 }
 
-// handleSweep enqueues a sweep job: many (config, topology) points on one
-// worker pool behind the shared cache.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.handleEnqueue(w, r, "sweep")
-}
-
-// buildSweepJob validates a sweep request body and builds its closure.
+// buildSweepJob validates a sweep request — many (config, topology) points
+// on one worker pool behind the shared cache — and builds its closure.
 func (s *Server) buildSweepJob(body []byte) (runFn, float64, error) {
 	var req SweepRequest
 	if err := decodeRequest(body, &req); err != nil {
@@ -661,15 +645,8 @@ func (s *Server) buildSweepJob(body []byte) (runFn, float64, error) {
 	pts := make([]scalesim.SweepPoint, len(req.Points))
 	for i := range req.Points {
 		p := &req.Points[i]
-		cfg, err := DecodeConfig(p.Config)
+		cfg, topo, err := resolveWorkload(p.Config, &p.Topology)
 		if err != nil {
-			return nil, 0, fmt.Errorf("points[%d]: %w", i, err)
-		}
-		topo, forcedSparse, err := p.Topology.ToTopology()
-		if err != nil {
-			return nil, 0, fmt.Errorf("points[%d]: %w", i, err)
-		}
-		if err := enableForcedSparsity(&cfg, forcedSparse); err != nil {
 			return nil, 0, fmt.Errorf("points[%d]: %w", i, err)
 		}
 		name := p.Name
@@ -682,15 +659,7 @@ func (s *Server) buildSweepJob(body []byte) (runFn, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	run := s.executorRun("sweep", body)
-	if run == nil {
-		run = s.localSweep(pts, fid, s.parallelism(req.Parallelism))
-	}
-	return run, req.TimeoutS, nil
-}
-
-// localSweep builds the in-process sweep-job closure.
-func (s *Server) localSweep(pts []scalesim.SweepPoint, fid scalesim.Fidelity, par int) func(context.Context, *Job) ([]byte, scalesim.RunCacheStats, error) {
+	par := s.parallelism(req.Parallelism)
 	return func(ctx context.Context, j *Job) ([]byte, scalesim.RunCacheStats, error) {
 		results, err := scalesim.Sweep(ctx, pts,
 			scalesim.WithCache(s.cache),
@@ -720,30 +689,19 @@ func (s *Server) localSweep(pts []scalesim.SweepPoint, fid scalesim.Fidelity, pa
 		}
 		payload, err := marshalPayload(out)
 		return payload, cache, err
-	}
+	}, req.TimeoutS, nil
 }
 
-// handleExplore enqueues a design-space exploration job. Space and
-// objective specs use the explore CLI's string grammar.
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	s.handleEnqueue(w, r, "explore")
-}
-
-// buildExploreJob validates an explore request body and builds its closure.
+// buildExploreJob validates a design-space exploration request (space and
+// objective specs use the explore CLI's string grammar) and builds its
+// closure.
 func (s *Server) buildExploreJob(body []byte) (runFn, float64, error) {
 	var req ExploreRequest
 	if err := decodeRequest(body, &req); err != nil {
 		return nil, 0, err
 	}
-	cfg, err := DecodeConfig(req.Config)
+	cfg, topo, err := resolveWorkload(req.Config, &req.Topology)
 	if err != nil {
-		return nil, 0, err
-	}
-	topo, forcedSparse, err := req.Topology.ToTopology()
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := enableForcedSparsity(&cfg, forcedSparse); err != nil {
 		return nil, 0, err
 	}
 	if req.Space == "" {
@@ -761,14 +719,9 @@ func (s *Server) buildExploreJob(body []byte) (runFn, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	strategy := scalesim.AutoSearch
-	if req.Strategy != "" {
-		strategy = scalesim.SearchStrategy(strings.ToLower(strings.TrimSpace(req.Strategy)))
-		switch strategy {
-		case scalesim.GridSearch, scalesim.RandomSearch, scalesim.EvolutionSearch, scalesim.AutoSearch:
-		default:
-			return nil, 0, fmt.Errorf("explore: unknown strategy %q (valid: grid, random, evolve, auto)", req.Strategy)
-		}
+	strategy, err := scalesim.ParseSearchStrategy(req.Strategy)
+	if err != nil {
+		return nil, 0, err
 	}
 	budget := req.Budget
 	if budget <= 0 {
@@ -792,47 +745,21 @@ func (s *Server) buildExploreJob(body []byte) (runFn, float64, error) {
 	if req.PromoteMargin < 0 {
 		return nil, 0, fmt.Errorf("promote_margin: must be >= 0, got %g", req.PromoteMargin)
 	}
-	run := s.executorRun("explore", body)
-	if run == nil {
-		run = s.localExplore(exploreJobSpec{
-			cfg: cfg, topo: topo, space: space, objs: objs, strategy: strategy,
-			budget: budget, seed: seed, batch: batch, par: s.parallelism(req.Parallelism),
-			fidelity: fid, promoteTopK: req.PromoteTopK, promoteMargin: req.PromoteMargin,
-		})
-	}
-	return run, req.TimeoutS, nil
-}
-
-// exploreJobSpec carries a validated explore request into its closure.
-type exploreJobSpec struct {
-	cfg           scalesim.Config
-	topo          *scalesim.Topology
-	space         scalesim.Space
-	objs          []scalesim.Objective
-	strategy      scalesim.SearchStrategy
-	budget        int
-	seed          int64
-	batch         int
-	par           int
-	fidelity      scalesim.Fidelity
-	promoteTopK   int
-	promoteMargin float64
-}
-
-// localExplore builds the in-process explore-job closure.
-func (s *Server) localExplore(spec exploreJobSpec) func(context.Context, *Job) ([]byte, scalesim.RunCacheStats, error) {
+	// The closure outlives the request (finished jobs are kept for MaxJobs):
+	// it captures the resolved values, not req and its raw bodies.
+	par, topK, margin := s.parallelism(req.Parallelism), req.PromoteTopK, req.PromoteMargin
 	return func(ctx context.Context, j *Job) ([]byte, scalesim.RunCacheStats, error) {
-		frontier, err := scalesim.Explore(ctx, spec.cfg, spec.topo, spec.space,
-			scalesim.WithExploreObjectives(spec.objs...),
-			scalesim.WithExploreStrategy(spec.strategy),
-			scalesim.WithExploreBudget(spec.budget),
-			scalesim.WithExploreSeed(spec.seed),
-			scalesim.WithExploreBatchSize(spec.batch),
-			scalesim.WithExploreParallelism(spec.par),
+		frontier, err := scalesim.Explore(ctx, cfg, topo, space,
+			scalesim.WithExploreObjectives(objs...),
+			scalesim.WithExploreStrategy(strategy),
+			scalesim.WithExploreBudget(budget),
+			scalesim.WithExploreSeed(seed),
+			scalesim.WithExploreBatchSize(batch),
+			scalesim.WithExploreParallelism(par),
 			scalesim.WithExploreCache(s.cache),
-			scalesim.WithExploreFidelity(spec.fidelity),
-			scalesim.WithPromoteTopK(spec.promoteTopK),
-			scalesim.WithPromoteMargin(spec.promoteMargin),
+			scalesim.WithExploreFidelity(fid),
+			scalesim.WithPromoteTopK(topK),
+			scalesim.WithPromoteMargin(margin),
 			scalesim.WithExploreProgress(func(p scalesim.ExploreProgress) {
 				j.countEval(p.Fidelity.String())
 				s.exploreEvals.With(p.Fidelity.String()).Inc()
@@ -861,7 +788,7 @@ func (s *Server) localExplore(spec exploreJobSpec) func(context.Context, *Job) (
 			Reports:    files,
 		})
 		return payload, frontier.CacheStats, err
-	}
+	}, req.TimeoutS, nil
 }
 
 // handleJobs lists all jobs in accept order.

@@ -281,6 +281,19 @@ func TestServerExploreJob(t *testing.T) {
 	if !names[scalesim.FrontierCSVFile] || !names[scalesim.FrontierJSONFile] {
 		t.Errorf("payload reports %v missing frontier files", names)
 	}
+
+	// Every spelling the explore CLI accepts is accepted here, and reported
+	// under its canonical name.
+	job = enqueueJob(t, ts.URL, "/v1/explore", strings.Replace(body, `"grid"`, `"Evolution"`, 1))
+	if done := waitJob(t, ts.URL, job.ID); done.State != string(JobDone) {
+		t.Fatalf("explore job %s (%s)", done.State, done.Error)
+	}
+	if err := json.Unmarshal(fetchReports(t, ts.URL, job.ID), &payload); err != nil {
+		t.Fatal(err)
+	}
+	if payload.Strategy != "evolve" {
+		t.Errorf(`strategy "Evolution" ran as %q, want "evolve"`, payload.Strategy)
+	}
 }
 
 // TestServerRequestErrors proves bad requests are rejected synchronously
@@ -304,6 +317,8 @@ func TestServerRequestErrors(t *testing.T) {
 		{"bad axis", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "warp=1..4"}`, "warp"},
 		{"bad objective", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "objectives": "happiness"}`, "happiness"},
 		{"bad strategy", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "strategy": "gird"}`, `"gird"`},
+		{"strategy lists valid values", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "strategy": "nope"}`,
+			`unknown strategy "nope" (valid: grid, random, evolve, auto)`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -90,16 +89,7 @@ func traceBaseName(o *options, cfg *Config) string {
 	if name == "" {
 		name = "run"
 	}
-	// File-system safety: point names are arbitrary user strings.
-	name = strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			return r
-		}
-		return '_'
-	}, name)
-	return name
+	return sanitize(name)
 }
 
 // writeTraceFile renders the tracer as Chrome trace-event JSON under dir.

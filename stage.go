@@ -322,6 +322,27 @@ func layoutSlowdown(sc *StageContext) (float64, error) {
 	return layout.CombinedSlowdown(ifa, fla, ofa), nil
 }
 
+// memoryEngine derives the three option sets of the memory workflow — SRAM
+// fold schedule, DRAM system, SRAM/DRAM replay — from the configuration. The
+// memory stage and the DRAM trace writer both build their machine from it,
+// so a trace is always of the machine the reports describe. Per-call fields
+// (FilterRatio, Trace, CollectTrace) are the caller's to set.
+func memoryEngine(cfg *Config) (sram.ScheduleOptions, dram.Options, sram.Options) {
+	ifW, flW, ofW := cfg.SRAMWords()
+	return sram.ScheduleOptions{IfmapSRAMWords: ifW, FilterSRAMWords: flW, OfmapSRAMWords: ofW},
+		dram.Options{
+			Channels: cfg.Memory.Channels,
+			// One controller queue holds reads and writes: the tighter of
+			// the two configured depths bounds it.
+			QueueDepth: min(cfg.Memory.ReadQueueDepth, cfg.Memory.WriteQueueDepth),
+		},
+		sram.Options{
+			WordBytes:           cfg.WordBytes,
+			MaxRequestsPerCycle: max(1, cfg.BandwidthWords*cfg.WordBytes/64),
+			StreamWindowWords:   ifW / 2,
+		}
+}
+
 type memoryStage struct{}
 
 func (memoryStage) Name() string { return "memory" }
@@ -350,13 +371,8 @@ func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 		return err
 	}
 	g := systolic.Gemm{M: sc.M, N: sc.N, K: sc.K}
-	ifW, flW, ofW := cfg.SRAMWords()
-	sopts := sram.ScheduleOptions{
-		FilterRatio:     sc.FilterRatio,
-		IfmapSRAMWords:  ifW,
-		FilterSRAMWords: flW,
-		OfmapSRAMWords:  ofW,
-	}
+	sopts, dopts, ropts := memoryEngine(cfg)
+	sopts.FilterRatio = sc.FilterRatio
 	if sc.Fidelity == Analytical {
 		// Closed form: exact traffic, bounded stalls, no replay — the folds
 		// are walked and summed, no schedule is built. The
@@ -364,7 +380,7 @@ func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 		// pressure, latency) have no analytical meaning and stay zero.
 		sc.Span.SetAttr("engine", "analytical")
 		mres, err := sram.EstimateGemm(sc.Dataflow, sc.Rows, sc.Cols, g, sopts,
-			tech, cfg.Memory.Channels, sram.Options{WordBytes: cfg.WordBytes})
+			tech, dopts.Channels, ropts)
 		if err != nil {
 			return err
 		}
@@ -388,28 +404,12 @@ func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 		return err
 	}
 	sc.Span.SetAttr("folds", len(sched.Folds))
-	qd := cfg.Memory.ReadQueueDepth
-	if cfg.Memory.WriteQueueDepth < qd {
-		qd = cfg.Memory.WriteQueueDepth
-	}
-	sys, err := dram.New(tech, dram.Options{
-		Channels:   cfg.Memory.Channels,
-		QueueDepth: qd,
-		Trace:      sc.Span,
-	})
+	dopts.Trace, ropts.Trace = sc.Span, sc.Span
+	sys, err := dram.New(tech, dopts)
 	if err != nil {
 		return err
 	}
-	maxReq := cfg.BandwidthWords * cfg.WordBytes / 64
-	if maxReq < 1 {
-		maxReq = 1
-	}
-	mres, err := sram.Simulate(sched, sys, sram.Options{
-		WordBytes:           cfg.WordBytes,
-		MaxRequestsPerCycle: maxReq,
-		StreamWindowWords:   ifW / 2,
-		Trace:               sc.Span,
-	})
+	mres, err := sram.Simulate(sched, sys, ropts)
 	if err != nil {
 		return err
 	}

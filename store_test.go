@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"scalesim/internal/config"
 )
 
 // TestStoreWarmStartsFreshCache is the tentpole's persistence bar: a fresh
@@ -139,5 +143,41 @@ func TestStoreCodecRoundTrips(t *testing.T) {
 	}
 	if _, _, ok := codec.Decode([]byte{codecLayerResult, 0xFF}); ok {
 		t.Fatal("Decode accepted a truncated gob payload")
+	}
+}
+
+// TestStoreDecodesPriorLayerResult keeps a store written before Config's
+// enums learned their JSON form answering: testdata/layer_result_multicore.gob
+// is a storeCodec payload of a multi-core LayerResult (Partition.Strategy =
+// SpatioTemporal1) encoded by the commit before them. It must decode to what
+// the same simulation yields today and re-encode to the same bytes — a
+// marshaler method on an enum that gob honours breaks both.
+func TestStoreDecodesPriorLayerResult(t *testing.T) {
+	payload, err := os.ReadFile(filepath.Join("testdata", "layer_result_multicore.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, ok := storeCodec{}.Decode(payload)
+	if !ok {
+		t.Fatal("payload no longer decodes")
+	}
+	cfg := DefaultConfig()
+	cfg.MultiCore.Enabled = true
+	cfg.MultiCore.PartitionRows, cfg.MultiCore.PartitionCols = 2, 2
+	cfg.MultiCore.Strategy = config.SpatioTemporal1
+	topo := &Topology{Name: "mc", Layers: []Layer{{Name: "fc", Kind: GEMM, M: 64, N: 48, K: 96}}}
+	res, err := New(cfg).Run(context.Background(), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := v.(*LayerResult), &res.Layers[0]
+	if got.Partition == nil || got.Partition.Strategy != config.SpatioTemporal1 {
+		t.Fatalf("decoded partition = %v, want spatiotemporal1", got.Partition)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded payload:\n got %+v\nwant %+v", got, want)
+	}
+	if again, _ := (storeCodec{}).Encode(want); !bytes.Equal(again, payload) {
+		t.Error("today's encoding of the same result differs from the stored payload")
 	}
 }

@@ -48,7 +48,7 @@ func (s *Simulator) WriteTraces(topo *Topology, dir string) error {
 	var dramBase simcache.Key
 	if s.traceCache() != nil {
 		h := simcache.NewHasher()
-		h.String("scalesim/trace-dram/v1")
+		h.String("scalesim/trace-dram/v2")
 		h.Value(fingerprintConfig(&s.cfg))
 		dramBase = h.Sum()
 	}
@@ -238,27 +238,18 @@ func (s *Simulator) writeDRAMTrace(base string, dramBase simcache.Key, m, n, k i
 	if err != nil {
 		return err
 	}
-	sys, err := dram.New(tech, dram.Options{
-		Channels:   s.cfg.Memory.Channels,
-		QueueDepth: s.cfg.Memory.ReadQueueDepth,
-	})
+	sopts, dopts, ropts := memoryEngine(&s.cfg)
+	sys, err := dram.New(tech, dopts)
 	if err != nil {
 		return err
 	}
-	ifW, flW, ofW := s.cfg.SRAMWords()
 	sched, err := sram.BuildSchedule(s.cfg.Dataflow, s.cfg.ArrayRows, s.cfg.ArrayCols,
-		systolic.Gemm{M: m, N: n, K: k}, sram.ScheduleOptions{
-			IfmapSRAMWords: ifW, FilterSRAMWords: flW, OfmapSRAMWords: ofW,
-		})
+		systolic.Gemm{M: m, N: n, K: k}, sopts)
 	if err != nil {
 		return err
 	}
-	res, err := sram.Simulate(sched, sys, sram.Options{
-		WordBytes:           s.cfg.WordBytes,
-		MaxRequestsPerCycle: maxi(1, s.cfg.BandwidthWords*s.cfg.WordBytes/64),
-		StreamWindowWords:   ifW / 2,
-		CollectTrace:        true,
-	})
+	ropts.CollectTrace = true
+	res, err := sram.Simulate(sched, sys, ropts)
 	if err != nil {
 		return err
 	}
@@ -290,6 +281,8 @@ func (s *Simulator) writeDRAMTrace(base string, dramBase simcache.Key, m, n, k i
 	return nil
 }
 
+// sanitize maps an arbitrary user string (layer, run or sweep-point name) to
+// a file-system-safe base name.
 func sanitize(name string) string {
 	return strings.Map(func(r rune) rune {
 		switch {
@@ -299,11 +292,4 @@ func sanitize(name string) string {
 		}
 		return '_'
 	}, name)
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -190,6 +190,36 @@ func TestWriteTracesOversizedNotCached(t *testing.T) {
 	}
 }
 
+// TestDRAMTraceQueueDepth proves the DRAM trace is of the machine the
+// reports describe: the memory stage bounds the controller queue by the
+// tighter of the read and write depths, and the trace must too.
+func TestDRAMTraceQueueDepth(t *testing.T) {
+	topo := &Topology{Name: "tiny", Layers: []Layer{{Name: "G0", Kind: GEMM, M: 24, N: 16, K: 32}}}
+	traceFor := func(read, write int) []byte {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.ArrayRows, cfg.ArrayCols = 8, 8
+		cfg.Memory.Enabled = true
+		cfg.Memory.ReadQueueDepth, cfg.Memory.WriteQueueDepth = read, write
+		dir := t.TempDir()
+		if err := New(cfg).WriteTraces(topo, dir); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "G0_dram_trace.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	shallowWrite := traceFor(128, 2)
+	if !bytes.Equal(shallowWrite, traceFor(2, 2)) {
+		t.Error("trace for {read:128, write:2} differs from {read:2, write:2}: the write depth is ignored")
+	}
+	if bytes.Equal(shallowWrite, traceFor(128, 128)) {
+		t.Error("trace for {read:128, write:2} equals {read:128, write:128}: the queue depth has no effect on this workload")
+	}
+}
+
 func TestSanitize(t *testing.T) {
 	if got := sanitize("Conv 1/2:ab"); got != "Conv_1_2_ab" {
 		t.Errorf("sanitize: %q", got)
