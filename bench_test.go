@@ -1,7 +1,9 @@
 package scalesim_test
 
 // One benchmark per paper table and figure (quick parameter grids), plus
-// ablation benches for the design choices DESIGN.md calls out. Run with
+// ablation benches for the design choices docs/ARCHITECTURE.md calls out.
+// They are a micro-profiling tool with no baseline file and no gate of their
+// own; end-to-end performance is judged by bash benchmarks/run.sh. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -10,7 +12,6 @@ package scalesim_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 
 	"scalesim"
@@ -20,7 +21,6 @@ import (
 	"scalesim/internal/layout"
 	"scalesim/internal/sram"
 	"scalesim/internal/systolic"
-	"scalesim/internal/telemetry"
 )
 
 func BenchmarkFig3PartitionTradeoff(b *testing.B) {
@@ -158,32 +158,24 @@ func BenchmarkDataflowDRAMStalls(b *testing.B) {
 // system; the ablation benches vary one knob at a time. It fails outright
 // if the event engine reports zero skipped cycles: on a memory-bound
 // config like this one, cycle-skipping is the engine's core perf contract
-// (mirroring the cache-hit assertion in BenchmarkExploreCached).
-//
-// With SCALESIM_BENCH_TELEMETRY set, each iteration runs with a live span
-// attached — exactly what WithTrace threads into these engines — so CI can
-// gate the attached-vs-detached overhead on the stall-heavy path.
+// (mirroring the cache-hit assertion in BenchmarkExploreCached). The cost
+// of attaching a span to this replay is pinned by count, not time, in
+// TestObserveAttachedMemoryReplayOverhead.
 func benchMemoryRun(b *testing.B, policy dram.RowPolicy, sched dram.Scheduler) {
 	b.Helper()
-	traced := os.Getenv("SCALESIM_BENCH_TELEMETRY") != ""
 	g := systolic.Gemm{M: 256, N: 128, K: 256}
 	for i := 0; i < b.N; i++ {
-		var span *telemetry.Span
-		if traced {
-			span = telemetry.NewTracer().Start("bench", "run")
-		}
 		s, err := sram.BuildSchedule(config.WeightStationary, 32, 32, g, sram.ScheduleOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		sys, err := dram.New(dram.DDR4_2400(), dram.Options{
-			Channels: 1, QueueDepth: 64, Policy: policy, Sched: sched, Trace: span,
+			Channels: 1, QueueDepth: 64, Policy: policy, Sched: sched,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sram.Simulate(s, sys, sram.Options{MaxRequestsPerCycle: 1, Trace: span})
-		span.End()
+		res, err := sram.Simulate(s, sys, sram.Options{MaxRequestsPerCycle: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,9 +10,10 @@
 //	    -space "array=16..128:pow2;dataflow=os,ws,is;channels=1..4:pow2" \
 //	    -objectives cycles,energy -strategy random -budget 48 -seed 1 \
 //	    -outdir ./out
-//	scalesim bench -bench 'DRAM|Fig9|Fig10' -tag post -outdir results
 //	scalesim serve -addr 127.0.0.1:8080 -shards 4 -store ./cache
 //	scalesim cache verify -store ./cache
+//
+// Performance is measured by bash benchmarks/run.sh (-compare for verdicts).
 package main
 
 import (
@@ -32,8 +33,6 @@ func main() {
 	switch {
 	case len(os.Args) > 1 && os.Args[1] == "explore":
 		err = runExplore(os.Args[2:])
-	case len(os.Args) > 1 && os.Args[1] == "bench":
-		err = runBench(os.Args[2:])
 	case len(os.Args) > 1 && os.Args[1] == "serve":
 		err = runServe(os.Args[2:])
 	case len(os.Args) > 1 && os.Args[1] == "cache":
@@ -70,6 +69,10 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// flag stops at the first non-flag word and drops every flag after it.
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 
 	if *list {
@@ -199,6 +202,9 @@ func runExplore(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	if *axes {
 		for _, n := range scalesim.KnownAxisNames() {

@@ -8,7 +8,8 @@ import (
 
 // TestCLIRejectsUnknownValues drives the built binary: a fidelity or preset
 // name the simulator does not know — including the removed per-cycle tier —
-// must exit non-zero before any report is written, naming the valid values.
+// must exit non-zero before any report is written, naming the valid values;
+// so must a leftover positional argument.
 func TestCLIRejectsUnknownValues(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildServeBinary(t, dir)
@@ -27,6 +28,13 @@ func TestCLIRejectsUnknownValues(t *testing.T) {
 			`unknown strategy "nope" (valid: grid, random, evolve, auto)`},
 		{"unknown preset", []string{"run", "-topology", "alexnet", "-preset", "gpu"},
 			`unknown preset "gpu" (valid: default, tpu, eyeriss)`},
+		// flag stops at the first non-flag word: the flags after it must not
+		// be dropped silently, and a removed subcommand is not a topology.
+		{"run stray argument", []string{"-topology", "alexnet", "stray", "-energy"},
+			`unexpected argument "stray"`},
+		{"removed bench subcommand", []string{"bench"}, `unexpected argument "bench"`},
+		{"explore stray argument", []string{"explore", "-topology", "alexnet", "-space", "array=8..16:pow2", "stray"},
+			`unexpected argument "stray"`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

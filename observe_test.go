@@ -5,8 +5,15 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
+
+	"scalesim/internal/config"
+	"scalesim/internal/dram"
+	"scalesim/internal/sram"
+	"scalesim/internal/systolic"
+	"scalesim/internal/telemetry"
 )
 
 // TestObserveRunTraceCoverage checks the tentpole trace contract: a traced
@@ -178,6 +185,65 @@ func TestObserveLayerCacheAttr(t *testing.T) {
 		if !l.Cached {
 			t.Errorf("layer %q not marked cached on the warm re-run", l.Name)
 		}
+	}
+}
+
+// TestObserveAttachedMemoryReplayOverhead is the telemetry budget of the
+// stall-heavy memory replay, stated as counts instead of wall time: a span
+// attached to it (what WithTrace threads into the engines) must leave every
+// simulated number unchanged and add O(phases) spans and allocations, not
+// O(cycles) or O(requests). Quadrupling the streamed dimension quadruples
+// the simulated work, so a per-fold, per-request or per-event span or
+// attribute breaks the equal span counts or the allocation bound.
+func TestObserveAttachedMemoryReplayOverhead(t *testing.T) {
+	// benchMemoryRun's machine: WS 32×32 against one DDR4-2400 channel with
+	// a 64-entry queue.
+	replay := func(g systolic.Gemm, span *telemetry.Span) *sram.Result {
+		s, err := sram.BuildSchedule(config.WeightStationary, 32, 32, g, sram.ScheduleOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := dram.New(dram.DDR4_2400(), dram.Options{
+			Channels: 1, QueueDepth: 64, Policy: dram.OpenRow, Sched: dram.FRFCFS, Trace: span,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sram.Simulate(s, sys, sram.Options{MaxRequestsPerCycle: 1, Trace: span})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	attached := func(g systolic.Gemm) (*sram.Result, int) {
+		tr := telemetry.NewTracer()
+		root := tr.Start("replay", "run")
+		res := replay(g, root)
+		root.End()
+		return res, len(tr.Records())
+	}
+
+	const maxExtraAllocs = 32
+	var spans []int
+	for _, m := range []int{256, 1024} {
+		g := systolic.Gemm{M: m, N: 128, K: 256}
+		want := replay(g, nil)
+		got, n := attached(g)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("M=%d: attached result differs from detached:\n got %+v\nwant %+v", m, got, want)
+		}
+		spans = append(spans, n)
+		detachedAllocs := testing.AllocsPerRun(2, func() { replay(g, nil) })
+		attachedAllocs := testing.AllocsPerRun(2, func() { attached(g) })
+		extra := attachedAllocs - detachedAllocs
+		t.Logf("M=%d: %d simulated cycles, %d spans, %.0f extra allocations", m, want.TotalCycles, n, extra)
+		if extra > maxExtraAllocs {
+			t.Errorf("M=%d: attaching a span costs %.0f allocations (%.0f vs %.0f), want ≤ %d",
+				m, extra, attachedAllocs, detachedAllocs, maxExtraAllocs)
+		}
+	}
+	if spans[0] != spans[1] {
+		t.Errorf("span count grows with the simulated work: %d spans at M=256, %d at M=1024", spans[0], spans[1])
 	}
 }
 
