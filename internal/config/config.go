@@ -2,7 +2,10 @@
 // (array shape, SRAM sizes, dataflow, bandwidth) plus the v3 sections for
 // sparsity, main-memory integration, data layout, energy and multi-core
 // simulation. Configurations can be built programmatically or parsed from
-// SCALE-Sim's INI-style .cfg files.
+// SCALE-Sim's INI-style .cfg files. Config's json tags name every knob once:
+// any json key of Config is also a .cfg key, an ini tag adds SCALE-Sim's own
+// spelling where it differs, and [general], [architecture_presets] and
+// [architecture] are one top-level section (see ParseINI).
 package config
 
 import (
@@ -138,12 +141,12 @@ func (f *SparseFormat) UnmarshalJSON(b []byte) error {
 // SparsityConfig is the v3 "sparsity" configuration section.
 type SparsityConfig struct {
 	// Enabled turns sparse simulation on (SparsitySupport knob).
-	Enabled bool `json:"enabled"`
+	Enabled bool `json:"enabled" ini:"SparsitySupport"`
 	// OptimizedMapping selects row-wise sparsity with per-row randomized
 	// N (true) instead of layer-wise uniform sparsity (false).
 	OptimizedMapping bool `json:"optimized_mapping"`
 	// Format is the compressed representation (SparseRep knob).
-	Format SparseFormat `json:"format"`
+	Format SparseFormat `json:"format" ini:"SparseRep"`
 	// BlockSize is M in the N:M ratio for row-wise sparsity.
 	BlockSize int `json:"block_size"`
 	// Seed makes randomized row-wise sparsity deterministic.
@@ -177,13 +180,13 @@ type MemoryConfig struct {
 	// interface behaves like v2 (pure bandwidth, zero latency).
 	Enabled bool `json:"enabled"`
 	// Technology is the DRAM preset name ("DDR4", "HBM2", "LPDDR4", ...).
-	Technology string `json:"technology"`
+	Technology string `json:"technology" ini:"dram_tech"`
 	// Channels is the number of independent DRAM channels.
 	Channels int `json:"channels"`
 	// ReadQueueDepth and WriteQueueDepth bound in-flight transactions;
 	// a full queue stalls the accelerator.
-	ReadQueueDepth  int `json:"read_queue_depth"`
-	WriteQueueDepth int `json:"write_queue_depth"`
+	ReadQueueDepth  int `json:"read_queue_depth" ini:"read_queue"`
+	WriteQueueDepth int `json:"write_queue_depth" ini:"write_queue"`
 }
 
 // LayoutConfig is the v3 on-chip data layout section.
@@ -191,9 +194,9 @@ type LayoutConfig struct {
 	// Enabled turns bank-conflict modeling on.
 	Enabled bool `json:"enabled"`
 	// Banks is the number of SRAM banks sharing the global bandwidth.
-	Banks int `json:"banks"`
+	Banks int `json:"banks" ini:"num_banks"`
 	// PortsPerBank is the number of concurrent line accesses per bank.
-	PortsPerBank int `json:"ports_per_bank"`
+	PortsPerBank int `json:"ports_per_bank" ini:"num_ports"`
 	// OnChipBandwidth is total words deliverable per cycle (the baseline
 	// pure-bandwidth model divides demand by this).
 	OnChipBandwidth int `json:"on_chip_bandwidth"`
@@ -283,8 +286,8 @@ type MultiCoreConfig struct {
 	Enabled bool `json:"enabled"`
 	// PartitionRows (Pr) and PartitionCols (Pc) give the partition grid;
 	// cores = Pr × Pc. When zero the partition search picks them.
-	PartitionRows int `json:"partition_rows"`
-	PartitionCols int `json:"partition_cols"`
+	PartitionRows int `json:"partition_rows" ini:"pr"`
+	PartitionCols int `json:"partition_cols" ini:"pc"`
 	// Strategy selects spatial vs spatio-temporal partitioning.
 	Strategy PartitionStrategy `json:"strategy"`
 	// L2SizeKB is the shared L2 scratchpad per core cluster (0 = no L2).
@@ -299,28 +302,28 @@ type MultiCoreConfig struct {
 }
 
 // Config is the complete simulator configuration. The json tags on it and
-// its sections are the job server's request schema (see server.DecodeConfig);
-// a new field needs one.
+// its sections are the job server's request schema (see server.DecodeConfig)
+// and the .cfg key table (see ParseINI); a new field needs one.
 type Config struct {
 	// RunName labels reports and trace files.
 	RunName string `json:"run_name,omitempty"`
 
 	// ArrayRows and ArrayCols are the systolic array dimensions (R, C).
-	ArrayRows int `json:"array_rows"`
-	ArrayCols int `json:"array_cols"`
+	ArrayRows int `json:"array_rows" ini:"ArrayHeight"`
+	ArrayCols int `json:"array_cols" ini:"ArrayWidth"`
 
 	// IfmapSRAMKB, FilterSRAMKB and OfmapSRAMKB are the double-buffered
 	// L1 scratchpad sizes in kilobytes.
-	IfmapSRAMKB  int `json:"ifmap_sram_kb"`
-	FilterSRAMKB int `json:"filter_sram_kb"`
-	OfmapSRAMKB  int `json:"ofmap_sram_kb"`
+	IfmapSRAMKB  int `json:"ifmap_sram_kb" ini:"IfmapSramSzkB"`
+	FilterSRAMKB int `json:"filter_sram_kb" ini:"FilterSramSzkB"`
+	OfmapSRAMKB  int `json:"ofmap_sram_kb" ini:"OfmapSramSzkB"`
 
 	// Dataflow is the mapping strategy.
 	Dataflow Dataflow `json:"dataflow"`
 
 	// BandwidthWords is the interface bandwidth in words per cycle used
 	// by the v2-style bandwidth model.
-	BandwidthWords int `json:"bandwidth_words"`
+	BandwidthWords int `json:"bandwidth_words" ini:"Bandwidth"`
 
 	// WordBytes is the operand word size (default 4).
 	WordBytes int `json:"word_bytes"`

@@ -3,6 +3,7 @@ package config
 import (
 	"encoding"
 	"encoding/gob"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -189,6 +190,28 @@ func TestParseINIRejectsUnknown(t *testing.T) {
 			t.Errorf("case %d accepted: %q", i, src)
 		}
 	}
+	// [general] and [architecture_presets] share the top-level keys.
+	if cfg, err := ParseINI(strings.NewReader("[general]\nArrayHeight: 8\n")); err != nil || cfg.ArrayRows != 8 {
+		t.Errorf("[general] ArrayHeight: 8 gave ArrayRows %d, %v", cfg.ArrayRows, err)
+	}
+}
+
+// FuzzParseINI feeds arbitrary bytes to the reflection-driven .cfg reader:
+// it must not panic, every error must carry the package prefix, and every
+// accepted input must yield a valid Config.
+func FuzzParseINI(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		cfg, err := ParseINI(strings.NewReader(src))
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "config:") {
+				t.Fatalf("error %q lacks the config: prefix", err)
+			}
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted an invalid config: %v", err)
+		}
+	})
 }
 
 func TestValidateCatchesBadConfigs(t *testing.T) {
@@ -416,6 +439,97 @@ func TestJSONTagsCoverConfig(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(Config{}))
+}
+
+// TestINIKeysCoverConfig does the same for the .cfg reader, whose key table
+// is those tags: every leaf of Config must round-trip through ParseINI keyed
+// by its json name and again by its ini spelling, and no two fields of one
+// section may share a canonical key.
+func TestINIKeysCoverConfig(t *testing.T) {
+	want := Config{
+		RunName: "cover", ArrayRows: 48, ArrayCols: 24,
+		IfmapSRAMKB: 100, FilterSRAMKB: 200, OfmapSRAMKB: 300,
+		Dataflow: InputStationary, BandwidthWords: 7, WordBytes: 2,
+		Sparsity: SparsityConfig{Enabled: true, OptimizedMapping: true, Format: CSC, BlockSize: 8, Seed: 1 << 40},
+		Memory:   MemoryConfig{Enabled: true, Technology: "HBM2", Channels: 4, ReadQueueDepth: 16, WriteQueueDepth: 8},
+		Layout:   LayoutConfig{Enabled: true, Banks: 16, PortsPerBank: 3, OnChipBandwidth: 64},
+		Energy: EnergyConfig{Enabled: true, Technology: "45nm", ClockGating: false,
+			RowSize: 8, BankSize: 2, FrequencyMHz: 940.5, IncludeDRAM: true},
+		MultiCore: MultiCoreConfig{Enabled: true, PartitionRows: 2, PartitionCols: 3, Strategy: SpatioTemporal2,
+			L2SizeKB: 1024, NonUniform: true, HopLatency: 5, Cores: []CoreSpec{
+				{Rows: 32, Cols: 16, SIMDLanes: 8, SIMDLatency: 2, NoPHops: 1},
+				{Rows: 8, Cols: 64, SIMDLanes: 4, SIMDLatency: 3, NoPHops: 2},
+			}},
+	}
+	// line renders one leaf, checking first that it differs from Default
+	// (a key that sets nothing would otherwise round-trip).
+	line := func(f reflect.StructField, v, def reflect.Value, ini bool) string {
+		if reflect.DeepEqual(v.Interface(), def.Interface()) {
+			t.Errorf("%s is left at its default; give it another value", f.Name)
+		}
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if spelling := f.Tag.Get("ini"); ini && spelling != "" {
+			key = spelling
+		}
+		val := fmt.Sprint(v.Interface())
+		if cores, ok := v.Interface().([]CoreSpec); ok {
+			items := make([]string, len(cores))
+			for i, c := range cores {
+				items[i] = fmt.Sprintf("%dx%d/simd=%d/simdlatency=%d/hops=%d", c.Rows, c.Cols, c.SIMDLanes, c.SIMDLatency, c.NoPHops)
+			}
+			val = strings.Join(items, ", ")
+		}
+		return key + " = " + val + "\n"
+	}
+	for _, ini := range []bool{false, true} {
+		// Sections first, top-level fields last under one of their
+		// equivalent headers.
+		var sections, top strings.Builder
+		v, def := reflect.ValueOf(want), reflect.ValueOf(Default())
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if f.Type.Kind() != reflect.Struct {
+				top.WriteString(line(f, v.Field(i), def.Field(i), ini))
+				continue
+			}
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			fmt.Fprintf(&sections, "[%s]\n", name)
+			for j := 0; j < f.Type.NumField(); j++ {
+				sections.WriteString(line(f.Type.Field(j), v.Field(i).Field(j), def.Field(i).Field(j), ini))
+			}
+		}
+		header := "[general]\n"
+		if ini {
+			header = "[architecture_presets]\n"
+		}
+		src := sections.String() + header + top.String()
+		got, err := ParseINI(strings.NewReader(src))
+		if err != nil {
+			t.Fatalf("ini=%v: %v\n%s", ini, err, src)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ini=%v: round trip differs\n got %+v\nwant %+v\n%s", ini, got, want, src)
+		}
+	}
+	structs := []reflect.Type{reflect.TypeOf(Config{})}
+	for i := 0; i < structs[0].NumField(); i++ {
+		if ft := structs[0].Field(i).Type; ft.Kind() == reflect.Struct {
+			structs = append(structs, ft)
+		}
+	}
+	for _, typ := range structs {
+		seen := map[string]string{}
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			for _, k := range []string{canonKey(name), canonKey(f.Tag.Get("ini"))} {
+				if prev, dup := seen[k]; k != "" && dup && prev != f.Name {
+					t.Errorf("%s.%s and %s.%s share the .cfg key %q", typ.Name(), prev, typ.Name(), f.Name, k)
+				}
+				seen[k] = f.Name
+			}
+		}
+	}
 }
 
 // TestEnumsStayPlainToGob guards the disk store: multicore.Partition.Strategy

@@ -2,17 +2,24 @@ package config
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 )
 
-// ParseINI reads a SCALE-Sim style .cfg file. Sections are bracketed
-// ([general], [architecture_presets], [sparsity], [memory], [layout],
-// [energy], [multicore]); keys are case-insensitive with spaces, dashes and
-// underscores interchangeable. Unknown keys are rejected so typos surface.
+// ParseINI reads a SCALE-Sim style .cfg file over Default(). Config's json
+// tags are the key table: any json key of Config is a .cfg key, and an ini
+// tag adds SCALE-Sim's spelling where it differs (ArrayHeight for
+// array_rows). Keys are case-insensitive with spaces, dashes and underscores
+// ignored. [general], [architecture_presets], [architecture] and lines
+// before any section are equivalent and set the top-level fields, so
+// "[general] ArrayHeight : 8" works; every other section is the json name of
+// a Config section ([sparsity], [memory], [layout], [energy], [multicore]).
+// Unknown sections and keys are rejected so typos surface.
 //
 // Example:
 //
@@ -52,12 +59,12 @@ func ParseINI(r io.Reader) (Config, error) {
 		if err != nil {
 			return cfg, fmt.Errorf("config: line %d: %w", lineNo, err)
 		}
-		if err := applyKV(&cfg, section, key, val); err != nil {
+		if err := setKey(&cfg, section, key, val); err != nil {
 			return cfg, fmt.Errorf("config: line %d: %w", lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return cfg, err
+		return cfg, fmt.Errorf("config: %w", err)
 	}
 	return cfg, cfg.Validate()
 }
@@ -108,191 +115,71 @@ func parseBool(val string) (bool, error) {
 	return false, fmt.Errorf("invalid boolean %q", val)
 }
 
-func applyKV(cfg *Config, section, key, val string) error {
-	atoi := func() (int, error) {
-		v, err := strconv.Atoi(val)
-		if err != nil {
-			return 0, fmt.Errorf("key %s: invalid integer %q", key, val)
-		}
-		return v, nil
-	}
+// setKey parses val into the field that the canonical section and key name.
+func setKey(cfg *Config, section, key, val string) error {
+	v := reflect.ValueOf(cfg).Elem()
 	switch section {
-	case "general", "":
-		switch key {
-		case "runname":
-			cfg.RunName = val
-			return nil
-		}
-	case "architecturepresets", "architecture":
-		switch key {
-		case "arrayheight", "arrayrows":
-			v, err := atoi()
-			cfg.ArrayRows = v
-			return err
-		case "arraywidth", "arraycols":
-			v, err := atoi()
-			cfg.ArrayCols = v
-			return err
-		case "ifmapsramszkb", "ifmapsramkb":
-			v, err := atoi()
-			cfg.IfmapSRAMKB = v
-			return err
-		case "filtersramszkb", "filtersramkb":
-			v, err := atoi()
-			cfg.FilterSRAMKB = v
-			return err
-		case "ofmapsramszkb", "ofmapsramkb":
-			v, err := atoi()
-			cfg.OfmapSRAMKB = v
-			return err
-		case "dataflow":
-			df, err := ParseDataflow(val)
-			cfg.Dataflow = df
-			return err
-		case "bandwidth", "bandwidthwords":
-			v, err := atoi()
-			cfg.BandwidthWords = v
-			return err
-		case "wordbytes":
-			v, err := atoi()
-			cfg.WordBytes = v
-			return err
-		}
-	case "sparsity":
-		switch key {
-		case "sparsitysupport", "enabled":
-			v, err := parseBool(val)
-			cfg.Sparsity.Enabled = v
-			return err
-		case "optimizedmapping":
-			v, err := parseBool(val)
-			cfg.Sparsity.OptimizedMapping = v
-			return err
-		case "sparserep", "format":
-			f, err := ParseSparseFormat(val)
-			cfg.Sparsity.Format = f
-			return err
-		case "blocksize":
-			v, err := atoi()
-			cfg.Sparsity.BlockSize = v
-			return err
-		case "seed":
-			v, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return fmt.Errorf("key %s: invalid integer %q", key, val)
-			}
-			cfg.Sparsity.Seed = v
-			return nil
-		}
-	case "memory":
-		switch key {
-		case "enabled":
-			v, err := parseBool(val)
-			cfg.Memory.Enabled = v
-			return err
-		case "technology", "dramtech":
-			cfg.Memory.Technology = val
-			return nil
-		case "channels":
-			v, err := atoi()
-			cfg.Memory.Channels = v
-			return err
-		case "readqueuedepth", "readqueue":
-			v, err := atoi()
-			cfg.Memory.ReadQueueDepth = v
-			return err
-		case "writequeuedepth", "writequeue":
-			v, err := atoi()
-			cfg.Memory.WriteQueueDepth = v
-			return err
-		}
-	case "layout":
-		switch key {
-		case "enabled":
-			v, err := parseBool(val)
-			cfg.Layout.Enabled = v
-			return err
-		case "banks", "numbanks":
-			v, err := atoi()
-			cfg.Layout.Banks = v
-			return err
-		case "portsperbank", "numports":
-			v, err := atoi()
-			cfg.Layout.PortsPerBank = v
-			return err
-		case "onchipbandwidth":
-			v, err := atoi()
-			cfg.Layout.OnChipBandwidth = v
-			return err
-		}
-	case "energy":
-		switch key {
-		case "enabled":
-			v, err := parseBool(val)
-			cfg.Energy.Enabled = v
-			return err
-		case "technology":
-			cfg.Energy.Technology = val
-			return nil
-		case "clockgating":
-			v, err := parseBool(val)
-			cfg.Energy.ClockGating = v
-			return err
-		case "rowsize":
-			v, err := atoi()
-			cfg.Energy.RowSize = v
-			return err
-		case "banksize":
-			v, err := atoi()
-			cfg.Energy.BankSize = v
-			return err
-		case "frequencymhz":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return fmt.Errorf("key %s: invalid float %q", key, val)
-			}
-			cfg.Energy.FrequencyMHz = v
-			return nil
-		}
-	case "multicore":
-		switch key {
-		case "enabled":
-			v, err := parseBool(val)
-			cfg.MultiCore.Enabled = v
-			return err
-		case "partitionrows", "pr":
-			v, err := atoi()
-			cfg.MultiCore.PartitionRows = v
-			return err
-		case "partitioncols", "pc":
-			v, err := atoi()
-			cfg.MultiCore.PartitionCols = v
-			return err
-		case "strategy":
-			st, err := ParsePartitionStrategy(val)
-			cfg.MultiCore.Strategy = st
-			return err
-		case "l2sizekb":
-			v, err := atoi()
-			cfg.MultiCore.L2SizeKB = v
-			return err
-		case "nonuniform":
-			v, err := parseBool(val)
-			cfg.MultiCore.NonUniform = v
-			return err
-		case "hoplatency":
-			v, err := atoi()
-			cfg.MultiCore.HopLatency = v
-			return err
-		case "cores":
-			cores, err := parseCoreList(val)
-			cfg.MultiCore.Cores = cores
-			return err
-		}
+	case "", "general", "architecturepresets", "architecture":
 	default:
-		return fmt.Errorf("unknown section %q", section)
+		sec, ok := fieldByKey(v, section)
+		if !ok || sec.Kind() != reflect.Struct {
+			return fmt.Errorf("unknown section %q", section)
+		}
+		v = sec
 	}
-	return fmt.Errorf("unknown key %q in section %q", key, section)
+	f, ok := fieldByKey(v, key)
+	if !ok || f.Kind() == reflect.Struct {
+		return fmt.Errorf("unknown key %q in section %q", key, section)
+	}
+	// The enums parse through their JSON form, which accepts exactly the
+	// spellings their Parse* functions do.
+	if u, ok := f.Addr().Interface().(json.Unmarshaler); ok {
+		quoted, _ := json.Marshal(val) // marshalling a string cannot fail
+		return u.UnmarshalJSON(quoted)
+	}
+	switch f.Kind() {
+	case reflect.String:
+		f.SetString(val)
+	case reflect.Bool:
+		b, err := parseBool(val)
+		if err != nil {
+			return err
+		}
+		f.SetBool(b)
+	case reflect.Int, reflect.Int64:
+		n, err := strconv.ParseInt(val, 10, f.Type().Bits())
+		if err != nil {
+			return fmt.Errorf("key %s: invalid integer %q", key, val)
+		}
+		f.SetInt(n)
+	case reflect.Float64:
+		x, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			return fmt.Errorf("key %s: invalid float %q", key, val)
+		}
+		f.SetFloat(x)
+	default: // MultiCore.Cores, the one list-valued field
+		cores, err := parseCoreList(val)
+		if err != nil {
+			return err
+		}
+		f.Set(reflect.ValueOf(cores))
+	}
+	return nil
+}
+
+// fieldByKey returns the field of struct v whose json name or ini tag
+// canonicalises to key. key must not be empty, which an absent ini tag
+// canonicalises to.
+func fieldByKey(v reflect.Value, key string) (reflect.Value, bool) {
+	for i := 0; i < v.NumField(); i++ {
+		tag := v.Type().Field(i).Tag
+		name, _, _ := strings.Cut(tag.Get("json"), ",")
+		if canonKey(name) == key || canonKey(tag.Get("ini")) == key {
+			return v.Field(i), true
+		}
+	}
+	return reflect.Value{}, false
 }
 
 // parseCoreList parses a heterogeneous core list such as

@@ -113,8 +113,7 @@ type Coordinator struct {
 
 	storeMu sync.Mutex
 	store   *diskstore.Store // nil without StoreDir
-	memMu   sync.Mutex
-	mem     map[simcache.Key][]byte // payload reuse when no store is configured
+	mem     *simcache.Cache  // bounded payload reuse when no store is configured
 
 	flightMu sync.Mutex
 	flight   map[simcache.Key]*flightCall
@@ -179,7 +178,7 @@ func New(opts Options) (*Coordinator, error) {
 		client: &http.Client{Transport: rt},
 		log:    log,
 		flight: make(map[simcache.Key]*flightCall),
-		mem:    make(map[simcache.Key][]byte),
+		mem:    simcache.New(0, 0),
 	}
 	for _, u := range opts.Workers {
 		w := &worker{url: u}
@@ -314,10 +313,11 @@ func (c *Coordinator) storeGet(key simcache.Key) ([]byte, bool) {
 	if s != nil {
 		return s.Get(key)
 	}
-	c.memMu.Lock()
-	defer c.memMu.Unlock()
-	payload, ok := c.mem[key]
-	return payload, ok
+	payload, ok := c.mem.Get(key)
+	if !ok {
+		return nil, false
+	}
+	return payload.([]byte), true
 }
 
 // storePut persists a rendered payload (best-effort).
@@ -329,9 +329,7 @@ func (c *Coordinator) storePut(key simcache.Key, payload []byte) {
 		_ = s.Put(key, payload)
 		return
 	}
-	c.memMu.Lock()
-	defer c.memMu.Unlock()
-	c.mem[key] = payload
+	c.mem.Put(key, payload, int64(len(payload)))
 }
 
 // errNonRetryable wraps dispatch failures that rerouting cannot fix: the

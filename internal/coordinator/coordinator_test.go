@@ -14,6 +14,7 @@ import (
 
 	"scalesim"
 	"scalesim/internal/server"
+	"scalesim/internal/simcache"
 )
 
 // runBody is an 8-layer workload with two distinct GEMM shapes — the same
@@ -308,6 +309,37 @@ func TestPersistentPayloadStore(t *testing.T) {
 	}
 	if h := c2.storeHits.Load(); h != 1 {
 		t.Errorf("store hits = %d, want 1", h)
+	}
+}
+
+// TestMemoryPayloadStoreBounded: without a store directory, payload reuse is
+// an LRU at simcache's default bounds, so a long-running coordinator does not
+// keep every payload it has relayed.
+func TestMemoryPayloadStoreBounded(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	c, err := New(Options{Workers: []string{dead.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	key := func(i int) simcache.Key {
+		h := simcache.NewHasher()
+		h.Int(int64(i))
+		return h.Sum()
+	}
+	for i := 0; i <= simcache.DefaultMaxEntries; i++ {
+		c.storePut(key(i), []byte(fmt.Sprint(i)))
+	}
+	if _, ok := c.storeGet(key(0)); ok {
+		t.Error("the first payload is still held after DefaultMaxEntries newer ones")
+	}
+	if n := c.mem.Stats().Entries; n != simcache.DefaultMaxEntries {
+		t.Errorf("%d payloads held, want the bound %d", n, simcache.DefaultMaxEntries)
+	}
+	last := simcache.DefaultMaxEntries
+	if p, ok := c.storeGet(key(last)); !ok || string(p) != fmt.Sprint(last) {
+		t.Errorf("newest payload = %q, %v; want %q", p, ok, fmt.Sprint(last))
 	}
 }
 

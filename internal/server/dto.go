@@ -191,17 +191,25 @@ func TopologyToDTO(t *scalesim.Topology) TopologyDTO {
 	return d
 }
 
-// RunRequest is the body of POST /v1/runs. TimeoutS, when positive, bounds
-// the job's execution wall time (overriding the server's -job-timeout
-// default); a job exceeding it finishes failed with a deadline error.
-type RunRequest struct {
-	Config      json.RawMessage `json:"config,omitempty"`
-	Topology    TopologyDTO     `json:"topology"`
-	Parallelism int             `json:"parallelism,omitempty"`
+// jobOptions are the per-job knobs every job request carries. Embedded, its
+// fields are promoted: they sit at the top level of the request body.
+type jobOptions struct {
+	// Parallelism is the job's worker-pool width (0: the server default).
+	Parallelism int `json:"parallelism,omitempty"`
 	// Fidelity selects the simulation tier: "analytical" or "event"
-	// (default).
-	Fidelity string  `json:"fidelity,omitempty"`
+	// (default). A screening explore job promotes candidates to it.
+	Fidelity string `json:"fidelity,omitempty"`
+	// TimeoutS, when positive, bounds the job's execution wall time — a
+	// sweep's as a whole, not per point — overriding the server's
+	// -job-timeout default; a job exceeding it fails with a deadline error.
 	TimeoutS float64 `json:"timeout_s,omitempty"`
+}
+
+// RunRequest is the body of POST /v1/runs.
+type RunRequest struct {
+	Config   json.RawMessage `json:"config,omitempty"`
+	Topology TopologyDTO     `json:"topology"`
+	jobOptions
 }
 
 // SweepPointDTO is one point of a SweepRequest.
@@ -211,41 +219,31 @@ type SweepPointDTO struct {
 	Topology TopologyDTO     `json:"topology"`
 }
 
-// SweepRequest is the body of POST /v1/sweeps. TimeoutS bounds the whole
-// sweep job, not each point.
+// SweepRequest is the body of POST /v1/sweeps.
 type SweepRequest struct {
-	Points      []SweepPointDTO `json:"points"`
-	Parallelism int             `json:"parallelism,omitempty"`
-	// Fidelity selects the simulation tier for every point: "analytical"
-	// or "event" (default).
-	Fidelity string  `json:"fidelity,omitempty"`
-	TimeoutS float64 `json:"timeout_s,omitempty"`
+	Points []SweepPointDTO `json:"points"`
+	jobOptions
 }
 
 // ExploreRequest is the body of POST /v1/explore. Space and Objectives use
 // the same string specs as the explore CLI ("array=16..128:pow2;..." and
 // "cycles,energy").
 type ExploreRequest struct {
-	Config      json.RawMessage `json:"config,omitempty"`
-	Topology    TopologyDTO     `json:"topology"`
-	Space       string          `json:"space"`
-	Objectives  string          `json:"objectives,omitempty"`
-	Strategy    string          `json:"strategy,omitempty"`
-	Budget      int             `json:"budget,omitempty"`
-	Seed        int64           `json:"seed,omitempty"`
-	Batch       int             `json:"batch,omitempty"`
-	Parallelism int             `json:"parallelism,omitempty"`
-	// Fidelity is the accurate simulation tier ("analytical" or "event",
-	// the default); with screening enabled it is the tier promoted
-	// candidates reach.
-	Fidelity string `json:"fidelity,omitempty"`
+	Config     json.RawMessage `json:"config,omitempty"`
+	Topology   TopologyDTO     `json:"topology"`
+	Space      string          `json:"space"`
+	Objectives string          `json:"objectives,omitempty"`
+	Strategy   string          `json:"strategy,omitempty"`
+	Budget     int             `json:"budget,omitempty"`
+	Seed       int64           `json:"seed,omitempty"`
+	Batch      int             `json:"batch,omitempty"`
 	// PromoteTopK > 0 or PromoteMargin > 0 enables two-phase
 	// screen-and-promote: the budget is screened analytically, then the
 	// analytical front plus the top-K / margin-qualified candidates are
 	// promoted to the accurate tier.
 	PromoteTopK   int     `json:"promote_top_k,omitempty"`
 	PromoteMargin float64 `json:"promote_margin,omitempty"`
-	TimeoutS      float64 `json:"timeout_s,omitempty"`
+	jobOptions
 }
 
 // decodeRequest decodes a request body (or its config object) into dst,

@@ -492,15 +492,6 @@ func enqueueError(w http.ResponseWriter, err error) {
 	httpError(w, http.StatusServiceUnavailable, err)
 }
 
-// parallelism resolves a request's per-job pool width against the server
-// default.
-func (s *Server) parallelism(req int) int {
-	if req > 0 {
-		return req
-	}
-	return s.opts.Parallelism
-}
-
 // handleEnqueue is the shared accept path of the three job endpoints:
 // validate the body, build the run closure, admit, journal, 202. The 202
 // body is the accept-time snapshot — always state "queued", whatever the
@@ -586,14 +577,17 @@ func resolveWorkload(rawCfg json.RawMessage, td *TopologyDTO) (scalesim.Config, 
 	return cfg, topo, nil
 }
 
-// parseFidelityField resolves a request's optional fidelity string,
-// naming the field in the validation error.
-func parseFidelityField(v string) (scalesim.Fidelity, error) {
-	fid, err := scalesim.ParseFidelity(v)
+// resolve validates the request's fidelity, naming the field in the error,
+// and resolves its pool width against the server default.
+func (o jobOptions) resolve(defaultPar int) (scalesim.Fidelity, int, error) {
+	fid, err := scalesim.ParseFidelity(o.Fidelity)
 	if err != nil {
-		return fid, fmt.Errorf("fidelity: %w", err)
+		return fid, 0, fmt.Errorf("fidelity: %w", err)
 	}
-	return fid, nil
+	if o.Parallelism > 0 {
+		return fid, o.Parallelism, nil
+	}
+	return fid, defaultPar, nil
 }
 
 // buildRunJob validates a run request — one topology simulated under one
@@ -607,11 +601,10 @@ func (s *Server) buildRunJob(body []byte) (runFn, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	fid, err := parseFidelityField(req.Fidelity)
+	fid, par, err := req.resolve(s.opts.Parallelism)
 	if err != nil {
 		return nil, 0, err
 	}
-	par := s.parallelism(req.Parallelism)
 	return func(ctx context.Context, j *Job) ([]byte, scalesim.RunCacheStats, error) {
 		res, err := scalesim.New(cfg).Run(ctx, topo,
 			scalesim.WithCache(s.cache),
@@ -655,11 +648,10 @@ func (s *Server) buildSweepJob(body []byte) (runFn, float64, error) {
 		}
 		pts[i] = scalesim.SweepPoint{Name: name, Config: cfg, Topology: topo}
 	}
-	fid, err := parseFidelityField(req.Fidelity)
+	fid, par, err := req.resolve(s.opts.Parallelism)
 	if err != nil {
 		return nil, 0, err
 	}
-	par := s.parallelism(req.Parallelism)
 	return func(ctx context.Context, j *Job) ([]byte, scalesim.RunCacheStats, error) {
 		results, err := scalesim.Sweep(ctx, pts,
 			scalesim.WithCache(s.cache),
@@ -735,7 +727,7 @@ func (s *Server) buildExploreJob(body []byte) (runFn, float64, error) {
 	if batch <= 0 {
 		batch = 8
 	}
-	fid, err := parseFidelityField(req.Fidelity)
+	fid, par, err := req.resolve(s.opts.Parallelism)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -747,7 +739,7 @@ func (s *Server) buildExploreJob(body []byte) (runFn, float64, error) {
 	}
 	// The closure outlives the request (finished jobs are kept for MaxJobs):
 	// it captures the resolved values, not req and its raw bodies.
-	par, topK, margin := s.parallelism(req.Parallelism), req.PromoteTopK, req.PromoteMargin
+	topK, margin := req.PromoteTopK, req.PromoteMargin
 	return func(ctx context.Context, j *Job) ([]byte, scalesim.RunCacheStats, error) {
 		frontier, err := scalesim.Explore(ctx, cfg, topo, space,
 			scalesim.WithExploreObjectives(objs...),

@@ -307,6 +307,9 @@ func TestServerRequestErrors(t *testing.T) {
 		wantSub string
 	}{
 		{"unknown request field", "/v1/runs", `{"topolgy": {}}`, `"topolgy"`},
+		{"unknown job option", "/v1/runs", `{"topology": {"builtin": "alexnet"}, "timeout": 1}`, `"timeout"`},
+		{"unknown sweep field", "/v1/sweeps", `{"points": [{"topology": {"builtin": "alexnet"}}], "paralelism": 2}`, `"paralelism"`},
+		{"unknown explore field", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "fidelty": "event"}`, `"fidelty"`},
 		{"unknown config field", "/v1/runs", `{"config": {"arry_rows": 8}, "topology": {"builtin": "alexnet"}}`, `"arry_rows"`},
 		{"validation passthrough", "/v1/runs", `{"config": {"array_rows": -1}, "topology": {"builtin": "alexnet"}}`, "ArrayRows"},
 		{"missing topology", "/v1/runs", `{"config": {}}`, "builtin or layers"},
