@@ -165,13 +165,30 @@ func TestRunFirstErrorCancels(t *testing.T) {
 	}
 	bad := topo.Layers[3].Name
 	stages := append(DefaultStages(), failStage{layer: bad})
-	_, err = New(cfg).Run(context.Background(), topo, WithParallelism(4), WithStages(stages...))
-	if err == nil {
-		t.Fatal("run succeeded despite failing stage")
-	}
-	want := fmt.Sprintf("layer %q", bad)
-	if got := err.Error(); !bytes.Contains([]byte(got), []byte(want)) {
-		t.Fatalf("error %q does not name failing layer %q", got, bad)
+	for _, par := range []int{1, 4} {
+		var seen []LayerProgress
+		_, err = New(cfg).Run(context.Background(), topo, WithParallelism(par), WithStages(stages...),
+			WithProgress(func(p LayerProgress) { seen = append(seen, p) }))
+		if err == nil {
+			t.Fatalf("parallelism %d: run succeeded despite failing stage", par)
+		}
+		want := fmt.Sprintf("layer %q", bad)
+		if got := err.Error(); !bytes.Contains([]byte(got), []byte(want)) {
+			t.Fatalf("parallelism %d: error %q does not name failing layer %q", par, got, bad)
+		}
+		if par != 1 {
+			continue
+		}
+		// One worker runs layers in order and stops at the failure: four
+		// callbacks, the last one carrying the error with Done = 4.
+		if len(seen) != 4 {
+			t.Fatalf("one worker: %d progress callbacks, want 4", len(seen))
+		}
+		for i, p := range seen {
+			if p.Index != i || p.Done != i+1 || (p.Err != nil) != (i == 3) {
+				t.Errorf("one worker: callback %d = {Index %d, Done %d, Err %v}", i, p.Index, p.Done, p.Err)
+			}
+		}
 	}
 }
 

@@ -103,6 +103,11 @@ type layerCache struct {
 	memRow bool
 }
 
+// defaultERTEncoding is sharedDefaultERT's key encoding. That table is
+// never written, so it is encoded once; a table passed with WithERT is
+// encoded on every Run, because its owner may change it between runs.
+var defaultERTEncoding = simcache.Encode(sharedDefaultERT)
+
 // newLayerCache builds the per-run handle, or returns nil when caching is
 // off or the stage pipeline contains a stage without a CacheFingerprint
 // (an unknown stage could depend on anything, so whole-layer reuse would
@@ -118,7 +123,11 @@ func newLayerCache(c *Cache, cfg *Config, o *options) *layerCache {
 	h.String("scalesim/layer/v2")
 	h.Value(fingerprintConfig(cfg))
 	h.Int(int64(o.fidelity))
-	h.Value(o.ert)
+	if o.ert == sharedDefaultERT {
+		h.Encoded(defaultERTEncoding)
+	} else {
+		h.Value(o.ert)
+	}
 	memRow := false
 	for _, st := range o.stages {
 		f, ok := st.(StageFingerprinter)

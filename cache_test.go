@@ -3,9 +3,13 @@ package scalesim
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"testing"
+
+	"scalesim/internal/energy"
+	"scalesim/internal/simcache"
 )
 
 // fullModelConfig enables every model pass so cached results exercise all
@@ -525,5 +529,100 @@ func TestSharedCacheOption(t *testing.T) {
 	}
 	if st := SharedCache().Stats(); st.Entries == 0 {
 		t.Error("shared cache empty after two runs")
+	}
+}
+
+// TestCacheKeysPinned pins the bytes of every key the root package derives
+// — layer keys at both fidelities and under a caller's ERT, the layout
+// memo key and the two trace keys — to the values the original unbuffered
+// reflection hasher produced. Persisted stores stay readable only while
+// these hold; a deliberate change must bump simcache.SchemaVersion and
+// re-pin.
+func TestCacheKeysPinned(t *testing.T) {
+	conv := Layer{Name: "conv", Kind: Conv, IfmapH: 56, IfmapW: 56, FilterH: 3, FilterW: 3,
+		Channels: 64, NumFilters: 64, Stride: 1}
+	gemm := Layer{Name: "fc", Kind: GEMM, M: 64, N: 48, K: 96}
+	cfg := DefaultConfig()
+	layerKey := func(ert *ERT, f Fidelity, l Layer) string {
+		o := defaultOptions()
+		o.fidelity = f
+		if ert != nil {
+			o.ert = ert
+		}
+		return fmt.Sprintf("%x", newLayerCache(NewCache(0, 0), &cfg, &o).key(&l))
+	}
+	for _, r := range []struct{ name, got, want string }{
+		{"conv/event", layerKey(nil, EventDriven, conv), "fa6da1498cbc7c9fa7f7c51d4bb012711b8af82393f9f7e0fd33463d2a5c289e"},
+		{"conv/analytical", layerKey(nil, Analytical, conv), "d7a4574cd90f990fb6d988bb52e0b5feeaee5a97c325bdbd71f22ad623b5ddc7"},
+		{"gemm/event", layerKey(nil, EventDriven, gemm), "b6fb1ab0f1afd1108ba8cbecf54fcdf87d7c22fb5efc83f3756962eb916ab95e"},
+		{"gemm/analytical", layerKey(nil, Analytical, gemm), "7a41ce30cf154926c39a8b1b124dba8be300dd60c01d959bbb2c84038c5e4314"},
+		{"conv/pnr-ert", layerKey(energy.PnR65nm(), EventDriven, conv), "6cc432e0025906a9fc107314c70bbb99d1982c55df00a2b3e18017e54c8511f7"},
+	} {
+		if r.got != r.want {
+			t.Errorf("layer key %s = %s, want %s", r.name, r.got, r.want)
+		}
+	}
+
+	// The memo and trace keys are computed inside Apply / WriteTraces;
+	// they are pinned by what those calls leave in the cache.
+	ctx := context.Background()
+	cached := func(c *Cache, name, hexKey string) any {
+		var k simcache.Key
+		if _, err := hex.Decode(k[:], []byte(hexKey)); err != nil {
+			t.Fatal(err)
+		}
+		v, ok := c.c.Get(k)
+		if !ok {
+			t.Errorf("%s key %s: no cache entry", name, hexKey)
+		}
+		return v
+	}
+	lcfg := DefaultConfig()
+	lcfg.Layout.Enabled = true
+	lc := NewCache(0, 0)
+	if _, err := New(lcfg, WithCache(lc)).Run(ctx, &Topology{Name: "t", Layers: []Layer{conv}}); err != nil {
+		t.Fatal(err)
+	}
+	if v := cached(lc, "layout memo", "faeedce43fa4f19bc657b30b36b3f4752e602274ed7fa17903caac55b03e755d"); v != nil {
+		if _, ok := v.(float64); !ok {
+			t.Errorf("layout memo entry is %T, want float64", v)
+		}
+	}
+
+	tcfg := DefaultConfig()
+	tcfg.Memory.Enabled = true
+	tc := NewCache(0, 0)
+	if err := New(tcfg, WithCache(tc)).WriteTraces(&Topology{Name: "t", Layers: []Layer{gemm}}, t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if v := cached(tc, "sram trace", "3beeaef2a14199ef2df856c2ea6ca99c42d59781068307033d64708477d8c8ad"); v != nil {
+		if _, ok := v.(*sramTraceBlobs); !ok {
+			t.Errorf("sram trace entry is %T, want *sramTraceBlobs", v)
+		}
+	}
+	if v := cached(tc, "dram trace", "322ac7e4b13bee28c8c32c73a8db8a006694795450fd660a3aa556bd956374a0"); v != nil {
+		if _, ok := v.([]byte); !ok {
+			t.Errorf("dram trace entry is %T, want []byte", v)
+		}
+	}
+}
+
+// TestLayerKeyAllocs bounds the allocations of the warm path's
+// fingerprints (counts, not time): a layer key allocates its Hasher and
+// nothing per field, and a run's base key with the default ERT re-encodes
+// only the Config. The hasher that fed every field to SHA-256 as it went
+// made 36 and 338.
+func TestLayerKeyAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	o := defaultOptions()
+	cache := NewCache(0, 0)
+	l := Layer{Name: "conv", Kind: Conv, IfmapH: 56, IfmapW: 56, FilterH: 3, FilterW: 3,
+		Channels: 64, NumFilters: 64, Stride: 1}
+	lc := newLayerCache(cache, &cfg, &o)
+	if n := testing.AllocsPerRun(100, func() { lc.key(&l) }); n > 2 {
+		t.Errorf("layerCache.key: %v allocations, want ≤ 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { newLayerCache(cache, &cfg, &o) }); n > 6 {
+		t.Errorf("newLayerCache with the default ERT: %v allocations, want ≤ 6", n)
 	}
 }

@@ -378,3 +378,16 @@ func TestFingerprintCanonicalization(t *testing.T) {
 		t.Error("Fingerprint accepted malformed JSON")
 	}
 }
+
+// TestCacheKeysPinned pins Fingerprint's bytes for runBody to the value the
+// original unbuffered hasher produced: payload stores on disk are keyed by
+// it, so a change here must bump simcache.SchemaVersion.
+func TestCacheKeysPinned(t *testing.T) {
+	k, err := Fingerprint("run", []byte(runBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", k), "e80e888bd53ba53fd949a6e775d334886caaba8089a9626e3d5e9647cef8f1be"; got != want {
+		t.Errorf("Fingerprint(run, runBody) = %s, want %s", got, want)
+	}
+}

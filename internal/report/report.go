@@ -7,6 +7,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -209,7 +210,31 @@ func WriteFrontier(w io.Writer, axisNames, objectiveNames []string, rows []Front
 	return cw.Error()
 }
 
+// fmtF renders v with six decimals, byte-identical to
+// strconv.FormatFloat(v, 'f', 6, 64), which always takes strconv's
+// arbitrary-precision path. Fast path: when |v| < 2^53/1e6 and |v|·1e6
+// lies less than 0.4999 from the integer r (measured by a single-rounding
+// FMA), r is the correctly rounded count of millionths and cannot be a
+// tie, so its digits are printed directly. Near-ties, NaN, ±Inf and huge
+// values keep strconv.
 func fmtF(v float64) string {
+	a := math.Abs(v)
+	if a < (1<<53)/1e6 {
+		r := math.Round(a * 1e6)
+		if math.Abs(math.FMA(a, 1e6, -r)) < 0.4999 {
+			var buf [32]byte
+			b := buf[:0]
+			if math.Signbit(v) {
+				b = append(b, '-')
+			}
+			micros := uint64(r)
+			b = append(strconv.AppendUint(b, micros/1e6, 10), ".000000"...)
+			for i, f := len(b)-1, micros%1e6; f > 0; i, f = i-1, f/10 {
+				b[i] = byte('0' + f%10)
+			}
+			return string(b)
+		}
+	}
 	return strconv.FormatFloat(v, 'f', 6, 64)
 }
 

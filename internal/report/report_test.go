@@ -3,6 +3,9 @@ package report
 import (
 	"bytes"
 	"encoding/csv"
+	"math"
+	"math/rand/v2"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -170,4 +173,58 @@ func TestWriteFrontierShapeMismatch(t *testing.T) {
 	if err == nil {
 		t.Error("mismatched axis values: want error")
 	}
+}
+
+// fmtFLimit is the magnitude below which fmtF may take its fast path.
+const fmtFLimit = (1 << 53) / 1e6
+
+func checkFmtF(t testing.TB, v float64) {
+	if got, want := fmtF(v), strconv.FormatFloat(v, 'f', 6, 64); got != want {
+		t.Fatalf("fmtF(%v) [bits %#x] = %q, strconv says %q", v, math.Float64bits(v), got, want)
+	}
+}
+
+// TestFmtFMatchesStrconv holds fmtF's fast path to strconv's output on the
+// values where it could go wrong: ties and near-ties at the sixth
+// decimal, signed zeros and sub-micro negatives, the 2^53/1e6 boundary,
+// and a seeded million values of four kinds.
+func TestFmtFMatchesStrconv(t *testing.T) {
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), -1e-9, 5e-7, -5e-7, 1.5e-6, 2.5e-6, 9.9999995, -9.9999995,
+		0.5, 1, 123.456789, 0.0000005000000000001,
+		math.Nextafter(fmtFLimit, 0), fmtFLimit, math.Nextafter(fmtFLimit, math.Inf(1)),
+		-math.Nextafter(fmtFLimit, 0), -fmtFLimit,
+		1e300, -1e300, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		checkFmtF(t, v)
+	}
+
+	rng := rand.New(rand.NewPCG(20, 1))
+	const perKind = 250_000
+	for i := 0; i < perKind; i++ {
+		// Random bit patterns: every exponent, NaN payloads, subnormals.
+		checkFmtF(t, math.Float64frombits(rng.Uint64()))
+		// Report-sized magnitudes, 1e-9 to 1e11.
+		checkFmtF(t, (rng.Float64()-0.5)*math.Pow(10, float64(rng.IntN(21)-9)))
+		// Ties k.5e-6 and their neighbours, where the fast path must yield.
+		tie := (float64(rng.Int64N(1<<40)) + 0.5) / 1e6
+		switch i % 3 {
+		case 0:
+			tie = math.Nextafter(tie, 0)
+		case 1:
+			tie = math.Nextafter(tie, math.Inf(1))
+		}
+		checkFmtF(t, tie)
+		// Around the fast path's upper bound.
+		checkFmtF(t, fmtFLimit*(1+(rng.Float64()-0.5)*1e-9))
+	}
+}
+
+// FuzzFmtF explores fmtF against strconv over arbitrary bit patterns.
+func FuzzFmtF(f *testing.F) {
+	f.Add(math.Float64bits(9.9999995))
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		checkFmtF(t, math.Float64frombits(bits))
+	})
 }

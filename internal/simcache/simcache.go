@@ -8,7 +8,9 @@
 //     acyclic Go value (structs, maps, slices, pointers, primitives)
 //     deterministically — struct fields in declaration order, map entries
 //     in sorted key order — so that equal inputs always produce equal
-//     keys, independent of map iteration order or process.
+//     keys, independent of map iteration order or process. The encoding
+//     is appended to one buffer and hashed once by Sum; struct field
+//     names are encoded once per type, not once per value.
 //   - Cache is a thread-safe LRU bounded by both entry count and total
 //     byte size, with hit/miss/eviction statistics.
 //
@@ -24,7 +26,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"math"
 	"reflect"
 	"sort"
@@ -48,11 +49,14 @@ type Key [sha256.Size]byte
 // cannot be told apart by tier, so they all retire.
 const SchemaVersion = 2
 
-// Hasher accumulates simulation inputs into a Key. The zero value is not
-// usable; call NewHasher.
+// Hasher accumulates simulation inputs into a Key. It appends their
+// encoding to a buffer and hashes the buffer once, in Sum: SHA-256 of one
+// byte stream does not depend on how the writes were chunked, so keys are
+// the same as if every input were fed to the digest as it arrived. The
+// zero value is not usable; call NewHasher.
 type Hasher struct {
-	h   hash.Hash
-	buf [10]byte
+	buf   []byte
+	small [256]byte // buf's first backing array: a layer key fits in it
 }
 
 // NewHasher returns a Hasher seeded with SchemaVersion.
@@ -61,30 +65,27 @@ func NewHasher() *Hasher { return newHasher(SchemaVersion) }
 // newHasher seeds a Hasher with an explicit schema version; tests use it to
 // prove a version bump changes every derived key.
 func newHasher(version uint64) *Hasher {
-	h := &Hasher{h: sha256.New()}
+	h := &Hasher{}
+	h.buf = h.small[:0]
 	h.String("scalesim/schema")
 	h.Uint(version)
 	return h
 }
 
-// Sum finalizes the accumulated input into a Key. The Hasher must not be
+// Sum hashes the accumulated encoding into a Key. The Hasher must not be
 // reused afterwards.
-func (h *Hasher) Sum() Key {
-	var k Key
-	h.h.Sum(k[:0])
-	return k
-}
+func (h *Hasher) Sum() Key { return sha256.Sum256(h.buf) }
 
 // Bytes mixes a length-prefixed byte slice into the key.
 func (h *Hasher) Bytes(b []byte) {
 	h.varint(uint64(len(b)))
-	h.h.Write(b)
+	h.buf = append(h.buf, b...)
 }
 
 // String mixes a length-prefixed string into the key.
 func (h *Hasher) String(s string) {
 	h.varint(uint64(len(s)))
-	h.h.Write([]byte(s))
+	h.buf = append(h.buf, s...)
 }
 
 // Int mixes a signed integer into the key.
@@ -105,10 +106,7 @@ func (h *Hasher) Bool(v bool) {
 // Float mixes a float64 into the key by its IEEE-754 bit pattern.
 func (h *Hasher) Float(v float64) { h.varint(math.Float64bits(v)) }
 
-func (h *Hasher) varint(v uint64) {
-	n := binary.PutUvarint(h.buf[:], v)
-	h.h.Write(h.buf[:n])
-}
+func (h *Hasher) varint(v uint64) { h.buf = binary.AppendUvarint(h.buf, v) }
 
 // kind tags prefix every encoded value so that values of different shapes
 // can never collide (e.g. the string "1" vs the integer 1).
@@ -126,7 +124,7 @@ const (
 	tagPtr
 )
 
-func (h *Hasher) tag(t byte) { h.h.Write([]byte{t}) }
+func (h *Hasher) tag(t byte) { h.buf = append(h.buf, t) }
 
 // Value mixes an arbitrary acyclic Go value into the key using a canonical
 // deterministic encoding: struct fields in declaration order (prefixed with
@@ -135,6 +133,18 @@ func (h *Hasher) tag(t byte) { h.h.Write([]byte{t}) }
 // supported and panic; cyclic values hang. Interface-typed fields must hold
 // one of the supported kinds.
 func (h *Hasher) Value(v any) { h.value(reflect.ValueOf(v)) }
+
+// Encode returns the bytes Value(v) mixes into a key, for a value that
+// enters many keys unchanged: h.Encoded(Encode(v)) and h.Value(v) derive
+// the same key.
+func Encode(v any) []byte {
+	var h Hasher
+	h.value(reflect.ValueOf(v))
+	return h.buf
+}
+
+// Encoded mixes an encoding returned by Encode into the key.
+func (h *Hasher) Encoded(enc []byte) { h.buf = append(h.buf, enc...) }
 
 func (h *Hasher) value(v reflect.Value) {
 	if !v.IsValid() {
@@ -187,10 +197,10 @@ func (h *Hasher) value(v reflect.Value) {
 		}
 	case reflect.Struct:
 		h.tag(tagStruct)
-		t := v.Type()
-		h.varint(uint64(t.NumField()))
-		for i := 0; i < t.NumField(); i++ {
-			h.String(t.Field(i).Name)
+		names := fieldNames(v.Type())
+		h.varint(uint64(len(names)))
+		for i, name := range names {
+			h.buf = append(h.buf, name...)
 			h.value(v.Field(i))
 		}
 	case reflect.Ptr, reflect.Interface:
@@ -203,6 +213,24 @@ func (h *Hasher) value(v reflect.Value) {
 	default:
 		panic(fmt.Sprintf("simcache: cannot hash value of kind %v", v.Kind()))
 	}
+}
+
+// structNames caches fieldNames per struct type.
+var structNames sync.Map // reflect.Type → [][]byte
+
+// fieldNames returns t's field names each encoded as String encodes it, so
+// Value appends a name instead of re-encoding it on every struct visit.
+func fieldNames(t reflect.Type) [][]byte {
+	if names, ok := structNames.Load(t); ok {
+		return names.([][]byte)
+	}
+	names := make([][]byte, t.NumField())
+	for i := range names {
+		name := t.Field(i).Name
+		names[i] = append(binary.AppendUvarint(nil, uint64(len(name))), name...)
+	}
+	structNames.Store(t, names)
+	return names
 }
 
 // mapKeyLess orders map keys of any comparable primitive kind; mixed-kind

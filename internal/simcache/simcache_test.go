@@ -2,7 +2,13 @@ package simcache
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/rand/v2"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -565,5 +571,155 @@ func TestTierSurvivesPurge(t *testing.T) {
 	}
 	if st := c.Stats(); st.StoreHits != 1 {
 		t.Errorf("stats after post-purge tier hit: %+v", st)
+	}
+}
+
+// streamKey is the original Hasher kept as an oracle: it fed every tag,
+// varint and name to SHA-256 as it went and read struct field names from
+// reflect on every visit. Value must derive the same keys.
+func streamKey(v any) Key {
+	d := sha256.New()
+	varint := func(u uint64) { d.Write(binary.AppendUvarint(nil, u)) }
+	str := func(s string) { varint(uint64(len(s))); d.Write([]byte(s)) }
+	str("scalesim/schema")
+	varint(SchemaVersion)
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		tag := func(t byte) { d.Write([]byte{t}) }
+		if !v.IsValid() {
+			tag(tagNil)
+			return
+		}
+		switch v.Kind() {
+		case reflect.Bool:
+			tag(tagBool)
+			if v.Bool() {
+				varint(1)
+			} else {
+				varint(0)
+			}
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			tag(tagInt)
+			varint(uint64(v.Int()))
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+			tag(tagUint)
+			varint(v.Uint())
+		case reflect.Float32, reflect.Float64:
+			tag(tagFloat)
+			varint(math.Float64bits(v.Float()))
+		case reflect.String:
+			tag(tagString)
+			str(v.String())
+		case reflect.Slice, reflect.Array:
+			if v.Kind() == reflect.Slice && v.IsNil() {
+				tag(tagNil)
+				return
+			}
+			if v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8 {
+				tag(tagBytes)
+				varint(uint64(v.Len()))
+				d.Write(v.Bytes())
+				return
+			}
+			tag(tagSlice)
+			varint(uint64(v.Len()))
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			if v.IsNil() {
+				tag(tagNil)
+				return
+			}
+			tag(tagMap)
+			varint(uint64(v.Len()))
+			keys := v.MapKeys()
+			sort.Slice(keys, func(i, j int) bool { return mapKeyLess(keys[i], keys[j]) })
+			for _, k := range keys {
+				walk(k)
+				walk(v.MapIndex(k))
+			}
+		case reflect.Struct:
+			tag(tagStruct)
+			varint(uint64(v.NumField()))
+			for i := 0; i < v.NumField(); i++ {
+				str(v.Type().Field(i).Name)
+				walk(v.Field(i))
+			}
+		case reflect.Ptr, reflect.Interface:
+			if v.IsNil() {
+				tag(tagNil)
+				return
+			}
+			tag(tagPtr)
+			walk(v.Elem())
+		}
+	}
+	walk(reflect.ValueOf(v))
+	var k Key
+	d.Sum(k[:0])
+	return k
+}
+
+// TestValueMatchesStreamingOracle: buffering the encoding and caching
+// field names per type must not change a single key, over every kind
+// Value accepts and over seeded random values of a nested struct.
+func TestValueMatchesStreamingOracle(t *testing.T) {
+	type inner struct {
+		F  float64
+		B  []byte
+		P  *int
+		Ok bool
+	}
+	type outer struct {
+		Name  string
+		In    inner
+		List  []inner
+		Arr   [3]int8
+		M     map[string]map[string]float64
+		Any   any
+		U     uint16
+		Ptr   *inner
+		Empty struct{}
+	}
+	one := -1
+	fixed := []any{
+		nil, true, -7, uint8(3), 2.5, float32(1.5), "s", []byte{1, 2}, []byte(nil), []int(nil),
+		map[int]string{2: "b", 1: "a"}, sampleERT(), &one, (*int)(nil),
+		outer{Name: "x", List: []inner{{F: 1}, {P: &one}}, Any: "iface", Ptr: &inner{Ok: true}},
+	}
+	for i, v := range fixed {
+		h := NewHasher()
+		h.Value(v)
+		if got, want := h.Sum(), streamKey(v); got != want {
+			t.Errorf("fixed value %d (%T): key %x, oracle %x", i, v, got, want)
+		}
+	}
+	rng := rand.New(rand.NewPCG(7, 7))
+	for i := 0; i < 400; i++ {
+		v := outer{
+			Name: fmt.Sprint(rng.Uint64()),
+			In:   inner{F: rng.NormFloat64(), B: make([]byte, rng.IntN(300)), Ok: rng.IntN(2) == 0},
+			Arr:  [3]int8{int8(rng.Int()), int8(rng.Int()), int8(rng.Int())},
+			U:    uint16(rng.Uint32()),
+			M:    map[string]map[string]float64{},
+		}
+		for j := rng.IntN(5); j > 0; j-- {
+			v.List = append(v.List, inner{F: rng.Float64(), P: &one})
+			v.M[fmt.Sprint(j)] = map[string]float64{"r": rng.Float64(), "w": rng.Float64()}
+		}
+		if rng.IntN(2) == 0 {
+			v.Any, v.Ptr = rng.Int64(), &v.In
+		}
+		h := NewHasher()
+		h.Value(v)
+		if got, want := h.Sum(), streamKey(v); got != want {
+			t.Fatalf("random value %d: key %x, oracle %x", i, got, want)
+		}
+		pre := NewHasher()
+		pre.Encoded(Encode(v))
+		if pre.Sum() != h.Sum() {
+			t.Fatalf("random value %d: Encoded(Encode(v)) differs from Value(v)", i)
+		}
 	}
 }

@@ -138,36 +138,13 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 		workers = n
 	}
 
-	if workers == 1 {
-		for i := range topo.Layers {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			lr, err := runLayer(ctx, cfg, o, &topo.Layers[i], lc, layerSpan(root, topo, i))
-			if err == nil {
-				out[i] = *lr
-			}
-			if o.progress != nil {
-				o.progress(LayerProgress{
-					Index: i, Total: n, Layer: topo.Layers[i].Name, Done: i + 1, Err: err,
-				})
-			}
-			if err != nil {
-				if isCtxSentinel(err) {
-					return err
-				}
-				return layerError(&topo.Layers[i], err)
-			}
-		}
-		return nil
-	}
-
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		mu   sync.Mutex
-		done int
-		errs = make([]error, n)
+		mu     sync.Mutex
+		done   int
+		failed = n // lowest index of a layer that failed on its own
+		cause  error
 	)
 	forEachIndex(runCtx, n, workers, func(i int) {
 		if runCtx.Err() != nil {
@@ -176,8 +153,11 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 		lr, err := runLayer(runCtx, cfg, o, &topo.Layers[i], lc, layerSpan(root, topo, i))
 		mu.Lock()
 		if err != nil {
-			errs[i] = err
 			cancel() // first error aborts the remaining layers
+			// A bare context error is a layer aborted by cancellation.
+			if !isCtxSentinel(err) && i < failed {
+				failed, cause = i, err
+			}
 		} else {
 			out[i] = *lr
 		}
@@ -189,13 +169,8 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 		mu.Unlock()
 	})
 
-	for i, err := range errs {
-		if err == nil || isCtxSentinel(err) {
-			// nil, or a layer aborted by cancellation — not a failure of
-			// its own.
-			continue
-		}
-		return layerError(&topo.Layers[i], err)
+	if failed < n {
+		return layerError(&topo.Layers[failed], cause)
 	}
 	// No layer failed outright; surface external cancellation, if any.
 	return ctx.Err()
