@@ -573,7 +573,7 @@ func BenchmarkAnalyticalMemoryEnergy(b *testing.B) {
 // Run of 2:4 ResNet-18 (its 12 distinct layer shapes) with the layout and
 // event-driven memory stages on. The layout stage must cost closed-form
 // arithmetic here as it does for dense layers, and the bytes per run must
-// stay near what the replay's request arrays hold.
+// stay near what the replay holds in flight.
 func BenchmarkSparseLayoutMemory(b *testing.B) {
 	full, err := scalesim.BuiltinTopology("resnet18")
 	if err != nil {

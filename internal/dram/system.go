@@ -125,6 +125,8 @@ type bank struct {
 	nextWR  int64
 	nextPRE int64
 	lastACT int64
+	// hits counts the reorder-window entries that target openRow.
+	hits int
 }
 
 // pending is a queued request plus its decoded coordinates.
@@ -201,6 +203,14 @@ type channel struct {
 	// every state change: enqueue, command issue, refresh.
 	quiet      int64
 	quietValid bool
+	// hits counts the reorder-window entries (the queue's first
+	// reorderWindow) whose row is open in their bank, so a FR-FCFS pick
+	// with none is the head in O(1). Enqueue, remove, ACT, PRE and refresh
+	// keep it, and each bank's share, exact.
+	hits int
+	// future records that a request was enqueued with Arrive beyond the
+	// clock; such a queue picks by the full window scan.
+	future bool
 }
 
 // System is a multi-channel DRAM memory system.
@@ -319,35 +329,36 @@ func (s *System) decode(addr int64) (ch, rank, bk int, row int64) {
 	return ch, rank, bk, row
 }
 
-// CanEnqueue reports whether the target channel queue has room for addr.
-func (s *System) CanEnqueue(addr int64) bool {
-	ch, _, _, _ := s.decode(addr)
-	return s.channels[ch].queue.n < s.Opts.QueueDepth
-}
-
-// QueueOccupancy returns the number of pending requests on addr's channel.
-func (s *System) QueueOccupancy(addr int64) int {
-	ch, _, _, _ := s.decode(addr)
-	return s.channels[ch].queue.n
+// channelOf returns addr's channel: decode's lowest field, so a full queue
+// rejects a request before the rest of the address is split.
+func (s *System) channelOf(addr int64) int {
+	if s.pow2 {
+		return int(addr >> s.lineShift & s.chMask)
+	}
+	return int(addr / s.lineBytes % s.nch)
 }
 
 // Enqueue admits a request. It returns false (and leaves the request
 // untouched) when the channel queue is full. The request's Arrive field is
 // clamped forward to the current cycle.
 func (s *System) Enqueue(req *Request) bool {
-	chIdx, rank, bk, row := s.decode(req.Addr)
-	ch := s.channels[chIdx]
+	ch := s.channels[s.channelOf(req.Addr)]
 	if ch.queue.n >= s.Opts.QueueDepth {
 		return false
 	}
+	_, rank, bk, row := s.decode(req.Addr)
 	if req.Arrive < s.now {
 		req.Arrive = s.now
 	}
+	ch.future = ch.future || req.Arrive > s.now
 	ch.seq++
 	p := ch.getPending()
 	p.req, p.rank, p.bank, p.row, p.seq = req, rank, bk, row, ch.seq
 	p.bk = &ch.banks[rank][bk]
 	ch.queue.push(p)
+	if ch.queue.n <= reorderWindow {
+		ch.count(p, 1)
+	}
 	ch.quietValid = false
 	return true
 }
@@ -443,6 +454,18 @@ func (s *System) AdvanceTo(target int64) {
 	}
 }
 
+// AdvanceUntilDequeue advances event by event until a request leaves a
+// queue or the clock reaches limit, and returns the new clock. Between two
+// dequeues no queue gains room and no request gains a Done, so a producer
+// blocked on either can sleep here instead of waking at every event. It is
+// the event engine's: a per-cycle reference caller ticks instead.
+func (s *System) AdvanceUntilDequeue(limit int64) int64 {
+	for n := s.Pending(); s.now < limit && s.Pending() == n; {
+		s.stepTo(min(s.NextEventCycle(), limit))
+	}
+	return s.now
+}
+
 // RunUntilDrained advances until no requests are pending or maxCycles
 // elapses. It returns the number of cycles advanced.
 func (s *System) RunUntilDrained(maxCycles int64) (int64, error) {
@@ -497,13 +520,6 @@ func (s *System) Stats() Stats {
 	return total
 }
 
-// ChannelStats returns a copy of one channel's statistics.
-func (s *System) ChannelStats(i int) Stats {
-	st := s.channels[i].stats
-	st.Cycles = s.now
-	return st
-}
-
 // BandwidthBytesPerSec converts the observed data-bus traffic into bytes
 // per second over the simulated interval.
 func (s *System) BandwidthBytesPerSec() float64 {
@@ -528,10 +544,11 @@ func (ch *channel) tick(now int64) {
 		ch.refreshBusyUntil = now + int64(t.TRFC)
 		ch.stats.Refreshes++
 		ch.quietValid = false
+		ch.hits = 0
 		for r := range ch.banks {
 			for b := range ch.banks[r] {
 				bk := &ch.banks[r][b]
-				bk.openRow = -1
+				bk.openRow, bk.hits = -1, 0
 				if bk.nextACT < ch.refreshBusyUntil {
 					bk.nextACT = ch.refreshBusyUntil
 				}
@@ -706,7 +723,9 @@ func (ch *channel) nextEvent(now int64) int64 {
 // window, else the oldest). The queue is kept in arrival (seq) order, so
 // index 0 is always the oldest. It also returns the earliest Arrive > t
 // among the scanned requests (farFuture if none): the pick is only
-// guaranteed stable until that arrival.
+// guaranteed stable until that arrival. Unless a future arrival was ever
+// enqueued, the hit count settles a hitless window without a scan, and a
+// scan stops at the first hit.
 func (ch *channel) pickAt(t int64) (int, int64) {
 	n := ch.queue.n
 	futureArrive := farFuture
@@ -718,6 +737,9 @@ func (ch *channel) pickAt(t int64) (int, int64) {
 			return -1, a
 		}
 		return 0, futureArrive
+	}
+	if ch.hits == 0 && !ch.future {
+		return 0, futureArrive // no row hit: the oldest request
 	}
 	limit := n
 	if limit > reorderWindow {
@@ -750,11 +772,31 @@ func (ch *channel) pickAt(t int64) (int, int64) {
 // (and keeping scheduling O(window) per cycle).
 const reorderWindow = 64
 
-// remove deletes the queue entry at idx and recycles its pending slot.
+// remove deletes the queue entry at idx (inside the reorder window) and
+// recycles its pending slot. The entry behind the window slides into it.
 func (ch *channel) remove(idx int) {
 	p := ch.queue.at(idx)
+	ch.count(p, -1)
 	ch.queue.removeAt(idx)
+	if ch.queue.n >= reorderWindow {
+		ch.count(ch.queue.at(reorderWindow-1), 1)
+	}
 	ch.free = append(ch.free, p)
+}
+
+// count adds d to the hit counts when p targets its bank's open row.
+func (ch *channel) count(p *pending, d int) {
+	if p.bk.openRow == p.row {
+		p.bk.hits += d
+		ch.hits += d
+	}
+}
+
+// closeRow precharges bk's row, dropping its window hits.
+func (ch *channel) closeRow(bk *bank) {
+	bk.openRow = -1
+	ch.hits -= bk.hits
+	bk.hits = 0
 }
 
 // issueACT activates p.row in bank bk if all constraints allow.
@@ -765,6 +807,11 @@ func (ch *channel) issueACT(now int64, p *pending, bk *bank) bool {
 	}
 	hist := &ch.actHist[p.rank]
 	bk.openRow = p.row
+	for i := range min(ch.queue.n, reorderWindow) {
+		if q := ch.queue.at(i); q.bk == bk {
+			ch.count(q, 1)
+		}
+	}
 	bk.lastACT = now
 	bk.nextRD = now + int64(t.TRCD)
 	bk.nextWR = now + int64(t.TRCD)
@@ -786,7 +833,7 @@ func (ch *channel) issuePRE(now int64, bk *bank) bool {
 	if now < bk.nextPRE {
 		return false
 	}
-	bk.openRow = -1
+	ch.closeRow(bk)
 	if next := now + int64(ch.tech.TRP); next > bk.nextACT {
 		bk.nextACT = next
 	}
@@ -843,7 +890,7 @@ func (ch *channel) issueColumn(now int64, p *pending, bk *bank) bool {
 		// Auto-precharge once timing allows; model as a pending state
 		// change at nextPRE by closing immediately and pushing nextACT.
 		closeAt := bk.nextPRE
-		bk.openRow = -1
+		ch.closeRow(bk)
 		if next := closeAt + int64(t.TRP); next > bk.nextACT {
 			bk.nextACT = next
 		}

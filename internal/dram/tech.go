@@ -3,6 +3,11 @@
 // per-technology timing parameters, an FR-FCFS open-row memory controller,
 // finite request queues, periodic refresh and row-buffer hit/miss/conflict
 // accounting, and reports the round-trip latency of every transaction.
+//
+// Time advances event by event (System.AdvanceTo, System.AdvanceUntilDequeue)
+// or, for the reference oracle, one Tick per cycle; both are cycle-exact.
+// The FR-FCFS pick is O(1) when its reorder window holds no row hit: each
+// channel counts the window entries whose row is open in their bank.
 package dram
 
 import (

@@ -14,8 +14,8 @@ import (
 // in estimate_test.go and the facade's fidelity suite).
 
 // LineCount returns the number of line-sized transactions covering the
-// span — len(Span.Lines(...)) without materializing the addresses, in
-// O(min(Rows, period)) instead of O(lines).
+// span — the lines the replay's lineCursor walks (and the tests'
+// Span.Lines lists), counted in O(min(Rows, period)) instead of O(lines).
 //
 // What a row adds (its own lines, minus the boundary line it shares with
 // the row before) depends only on where the row starts within a line, and

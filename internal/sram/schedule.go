@@ -4,6 +4,10 @@
 // fold structure of a layer, (2) feed it through the cycle-accurate DRAM
 // model, and (3) replay execution with finite request queues and real
 // round-trip latencies to obtain stall cycles.
+//
+// The replay (Simulate) streams: it walks each fold's spans with a line
+// cursor as requests issue and holds only the requests in flight, in
+// recycled slots, so its memory does not grow with a layer's line count.
 package sram
 
 import (
@@ -24,34 +28,6 @@ type Span struct {
 
 // Words returns the span's total word count.
 func (s Span) Words() int64 { return s.Rows * s.RowWords }
-
-// Lines appends the 64-byte-line addresses covering the span (byte
-// addresses, line-aligned) to dst and returns it. wordBytes is the operand
-// word size; lineBytes the request granularity.
-func (s Span) Lines(dst []int64, wordBytes, lineBytes int64) []int64 {
-	if wordBytes <= 0 {
-		wordBytes = 4
-	}
-	if lineBytes <= 0 {
-		lineBytes = 64
-	}
-	if s.RowWords <= 0 {
-		return dst // empty rows cover no line
-	}
-	var prev int64 = -1
-	for r := int64(0); r < s.Rows; r++ {
-		lo := (s.Base + r*s.RowStride) * wordBytes / lineBytes
-		hi := ((s.Base+r*s.RowStride+s.RowWords)*wordBytes - 1) / lineBytes
-		for l := lo; l <= hi; l++ {
-			if l == prev { // adjacent rows may share a boundary line
-				continue
-			}
-			dst = append(dst, l*lineBytes)
-			prev = l
-		}
-	}
-	return dst
-}
 
 // Fold is the memory view of one systolic fold: what must be resident
 // before compute starts (stationary), what streams in during compute, what

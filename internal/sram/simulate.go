@@ -87,7 +87,11 @@ type Result struct {
 	// Purely diagnostic: it does not affect any simulated statistic.
 	SkippedCycles int64
 	// Trace holds every transaction when Options.CollectTrace was set,
-	// in issue order.
+	// fold by fold and, within a fold, its stationary, then stream, then
+	// write lines in span order — not issue order, since the producer
+	// prefetches fold f+1's reads before fold f's writes drain. A stream
+	// line the replay never issued (the fold finished without it) keeps
+	// zero Arrive and Done.
 	Trace []TraceEntry
 }
 
@@ -106,11 +110,16 @@ func (r *Result) StallFraction() float64 {
 //
 // The replay is event-driven: whenever a cycle can make no progress —
 // waiting on stationary fills, stalled on stream data, counting down a
-// drain phase, or blocked on a full request queue — the clock jumps
-// straight to the next cycle anything can change (the DRAM controller's
-// event horizon, the next known data-return time, or the end of the drain)
-// instead of ticking through the dead cycles. Options.ReferenceTickLoop
-// restores the per-cycle loop; both modes produce identical Results.
+// drain phase, or blocked on a full request queue — the clock runs to the
+// next cycle anything can change (the first request to leave a DRAM queue,
+// the next known data-return time, or the end of the drain) instead of
+// ticking through the dead cycles. Options.ReferenceTickLoop restores the
+// per-cycle loop; both modes produce identical Results.
+//
+// Requests stream: each is built from a cursor over its fold's spans when
+// it issues, in a slot recycled once the consumer has passed it (reads) or
+// the controller has served it (writes), so memory follows the requests in
+// flight, not the schedule's line count.
 func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) {
 	opts.defaults()
 	if opts.ReferenceTickLoop {
@@ -138,150 +147,66 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	}
 	res := &Result{ComputeCycles: sched.ComputeCycles()}
 
-	// Per-fold request lists, materialized lazily: only the folds between
-	// the write drain cursor and the prefetch horizon (cf+1) are live, so
-	// schedules with hundreds of thousands of folds stay cheap.
-	type foldReqs struct {
-		stat   []dram.Request
-		stream []dram.Request
-		// streamCum[i] is cumulative stream words after line i.
-		streamCum []int64
-		writes    []dram.Request
-		live      bool
-	}
-	folds := make([]foldReqs, len(sched.Folds))
-	var lineBuf []int64
-
-	// Backing-array pools: released folds donate their request and
-	// cumulative-word arrays to the next materialize, so the replay's
-	// steady state allocates nothing per fold. Read-request arrays are
-	// safe to recycle as soon as the fold retires (a read leaves the
-	// controller queue when its column command issues, which fold
-	// completion implies); write arrays may still be referenced by queued
-	// posted writes, so they sit in retiredWrites until every entry has
-	// issued (Done > 0).
-	var reqFree [][]dram.Request
-	var cumFree [][]int64
-	var retiredWrites [][]dram.Request
+	// Each fold's line count per request group, and its offset in the
+	// trace, which lists folds in order: stationary, stream, then writes.
 	wordBytes, lineBytes := int64(opts.WordBytes), int64(opts.LineBytes)
-	// spanRequests returns one request per line of the spans, in span
-	// order. The array is sized once from the exact line count — the
-	// smallest pooled array that holds it, else a fresh one of exactly
-	// that capacity — so it never grows by append doubling.
-	spanRequests := func(spans []Span, write bool) []dram.Request {
-		var n int64
-		for _, sp := range spans {
-			n += sp.LineCount(wordBytes, lineBytes)
-		}
-		if n == 0 {
-			return nil
-		}
-		var dst []dram.Request
-		best := -1
-		for i, s := range reqFree {
-			if int64(cap(s)) >= n && (best < 0 || cap(s) < cap(reqFree[best])) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			last := len(reqFree) - 1
-			dst = reqFree[best][:0]
-			reqFree[best] = reqFree[last]
-			reqFree = reqFree[:last]
-		} else {
-			dst = make([]dram.Request, 0, n)
-		}
-		if int64(cap(lineBuf)) < n {
-			lineBuf = make([]int64, 0, n) // holds any one span of the group
-		}
-		for _, sp := range spans {
-			lineBuf = sp.Lines(lineBuf[:0], wordBytes, lineBytes)
-			for _, addr := range lineBuf {
-				dst = append(dst, dram.Request{Addr: addr, Write: write})
-			}
-		}
-		return dst
-	}
-	materialize := func(i int) *foldReqs {
-		fr := &folds[i]
-		if fr.live {
-			return fr
-		}
-		f := &sched.Folds[i]
-		fr.stat = spanRequests(f.Stationary, false)
-		fr.stream = spanRequests(f.Stream, false)
-		// Distribute the fold's stream words evenly over its lines
-		// (boundary-straddling lines mean lines × lineWords overcounts;
-		// the final line must land exactly on StreamWords so the fold
-		// cannot complete before every line has been issued and served).
-		total := f.StreamWords()
-		n := int64(len(fr.stream))
-		if m := len(cumFree); m > 0 && int64(cap(cumFree[m-1])) >= n {
-			fr.streamCum = cumFree[m-1][:n]
-			cumFree = cumFree[:m-1]
-		} else {
-			fr.streamCum = make([]int64, n)
-		}
-		for j := int64(0); j < n; j++ {
-			fr.streamCum[j] = total * (j + 1) / n
-		}
-		fr.writes = spanRequests(f.Writes, true)
-		fr.live = true
-		return fr
-	}
-	release := func(i int) {
-		if opts.CollectTrace {
-			return // keep everything for the trace
-		}
-		fr := &folds[i]
-		if fr.stat != nil {
-			reqFree = append(reqFree, fr.stat)
-		}
-		if fr.stream != nil {
-			reqFree = append(reqFree, fr.stream)
-		}
-		if fr.streamCum != nil {
-			cumFree = append(cumFree, fr.streamCum)
-		}
-		if fr.writes != nil {
-			retiredWrites = append(retiredWrites, fr.writes)
-		}
-		// Reclaim retired write arrays oldest-first once fully issued.
-		for len(retiredWrites) > 0 {
-			ws := retiredWrites[0]
-			done := true
-			for j := range ws {
-				if ws[j].Done == 0 {
-					done = false
-					break
-				}
-			}
-			if !done {
-				break
-			}
-			reqFree = append(reqFree, ws)
-			retiredWrites = retiredWrites[1:]
-		}
-		*fr = foldReqs{}
-	}
+	nf := len(sched.Folds)
+	lines := make([]foldLines, nf)
+	var traceLen int64
 	for i := range sched.Folds {
-		f := &sched.Folds[i]
-		res.ReadWords += f.StationaryWords() + f.StreamWords()
+		f, fl := &sched.Folds[i], &lines[i]
+		fl.streamWords = f.StreamWords()
+		res.ReadWords += f.StationaryWords() + fl.streamWords
 		res.WriteWords += f.WriteWords()
+		fl.stat = spanLines(f.Stationary, wordBytes, lineBytes)
+		fl.stream = spanLines(f.Stream, wordBytes, lineBytes)
+		fl.writes = spanLines(f.Writes, wordBytes, lineBytes)
+		fl.base = traceLen
+		traceLen += fl.stat + fl.stream + fl.writes
 	}
+	pool := slotPool{}
+	if opts.CollectTrace {
+		res.Trace = make([]TraceEntry, traceLen)
+		pool.trace = res.Trace
+	}
+	// reads holds the issued reads the consumer has not passed, in issue
+	// order, which is also consumption order: fold cf's stationary lines,
+	// its stream lines, then fold cf+1's.
+	var reads slotList
 
 	// Producer state: in-order issue across folds, stationary→stream,
 	// with writes of completed folds interleaved ahead of future reads.
-	issueFold, statIdx, streamIdx := 0, 0, 0
-	writeFold, writeIdx := 0, 0
+	// Each cursor yields its group's line addresses as they issue.
+	issueFold, writeFold := 0, 0
+	var stat, strm, wr lineCursor
+	var strmWords int64 // stream words strm's issued lines account for
+	cursor := func(spans []Span, n, base int64) lineCursor {
+		return lineCursor{spans: spans, wb: wordBytes, lb: lineBytes, hi: -1, n: n, base: base}
+	}
+	openReads := func(i int) {
+		if i < nf {
+			f, fl := &sched.Folds[i], &lines[i]
+			stat = cursor(f.Stationary, fl.stat, fl.base)
+			strm = cursor(f.Stream, fl.stream, fl.base+fl.stat)
+			strmWords = 0
+		}
+	}
+	openWrites := func(i int) {
+		if i < nf {
+			fl := &lines[i]
+			wr = cursor(sched.Folds[i].Writes, fl.writes, fl.base+fl.stat+fl.stream)
+		}
+	}
+	openReads(0)
+	openWrites(0)
 
 	// Consumer (compute) state.
-	cf := 0                    // fold being computed
-	started := false           // fold cf started?
-	statDone := 0              // completed stationary requests of fold cf
-	streamAvail := 0           // stream lines of cf whose data has returned
-	consumedWords := int64(0)  // stream words consumed by the array in cf
-	curStreamTotal := int64(0) // fold cf's stream words, cached while started
+	cf := 0                   // fold being computed
+	started := false          // fold cf started?
+	statDone := int64(0)      // completed stationary requests of fold cf
+	streamAvail := int64(0)   // stream lines of cf whose data has returned
+	availWords := int64(0)    // stream words of cf whose data has returned
+	consumedWords := int64(0) // stream words consumed by the array in cf
 	streamPhaseLeft := int64(0)
 	drainLeft := int64(0)
 	// Window tracking: unconsumed issued stream words of the current and
@@ -298,7 +223,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	}
 	stream := opts.Trace.Child("sram.stream", "phase")
 	stream.SetAttr("engine", engine)
-	stream.SetAttr("folds", len(sched.Folds))
+	stream.SetAttr("folds", nf)
 
 	now := int64(0)
 	// advanceTo moves the accelerator clock and the DRAM system — clocked
@@ -308,32 +233,69 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		sys.AdvanceTo(t)
 		now = t
 	}
-	// jumpTarget clamps a stall horizon: never past the abort budget (so
-	// the MaxCycles check still fires), always at least one cycle
-	// forward, and exactly one cycle under the reference loop.
-	jumpTarget := func(t int64) int64 {
-		if opts.ReferenceTickLoop {
-			return now + 1
+	// issue enqueues c's next line in a pooled slot; false when the
+	// target queue is full.
+	var issuedAny, enqFailed bool
+	issue := func(c *lineCursor, write bool) bool {
+		s := pool.spare()
+		s.Request = dram.Request{Arrive: now, Addr: c.addr(), Write: write}
+		if !sys.Enqueue(&s.Request) {
+			enqFailed = true
+			return false
 		}
-		if lim := opts.MaxCycles + 1; t > lim {
-			t = lim
+		pool.free, s.idx = s.next, c.base+c.i
+		c.next()
+		issuedAny = true
+		if write {
+			res.WriteRequests++
+			pool.retiring.push(s)
+		} else {
+			res.ReadRequests++
+			reads.push(s)
 		}
-		if t < now+1 {
-			t = now + 1
-		}
-		return t
+		return true
 	}
+	// sleep advances time across a no-progress stretch. If the producer
+	// issued something this cycle it may issue again next cycle, so only
+	// a single cycle passes (always, under the reference loop). Otherwise
+	// nothing the producer or the consumer waits on can change before a
+	// request leaves a queue, so the clock runs event by event to the
+	// first dequeue, or to limit. A producer parked on a full queue would
+	// have retried (and failed) on every skipped cycle, so QueueFullCyc
+	// counts them to match the reference loop's per-cycle accounting.
+	sleep := func(limit int64) {
+		from := now
+		if issuedAny || opts.ReferenceTickLoop {
+			advanceTo(now + 1)
+		} else {
+			now = sys.AdvanceUntilDequeue(max(limit, now+1))
+		}
+		if enqFailed {
+			res.QueueFullCyc += now - from - 1
+		}
+	}
+	// stall sleeps until the awaited data returns (waitDone, when known).
+	stall := func(waitDone int64) {
+		limit := opts.MaxCycles + 1
+		if waitDone > now && waitDone < limit {
+			limit = waitDone
+		}
+		sleep(limit)
+	}
+	// passed reports whether the consumer may pass a read: its data is in.
+	passed := func(s *slot) bool { return s != nil && s.Done > 0 && s.Done <= now }
 
-	for cf < len(sched.Folds) {
+	for cf < nf {
 		if now > opts.MaxCycles {
 			return nil, fmt.Errorf("sram: simulation exceeded %d cycles", opts.MaxCycles)
 		}
 		if opts.DebugEvery > 0 && now%opts.DebugEvery == 0 && now > 0 {
 			fmt.Printf("sram-debug: now=%d cf=%d/%d started=%v phase=%d consumed=%d issued=%d streamAvail=%d issueFold=%d statIdx=%d streamIdx=%d writeFold=%d writeIdx=%d pending=%d\n",
-				now, cf, len(sched.Folds), started, streamPhaseLeft, consumedWords,
+				now, cf, nf, started, streamPhaseLeft, consumedWords,
 				issuedStreamWords, streamAvail,
-				issueFold, statIdx, streamIdx, writeFold, writeIdx, sys.Pending())
+				issueFold, stat.i, strm.i, writeFold, wr.i, sys.Pending())
 		}
+		fl, f := &lines[cf], &sched.Folds[cf]
 
 		// 1) Issue requests. Writes of finished folds go first (they
 		// must leave the staging buffers); for WS/IS the current fold's
@@ -341,179 +303,103 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		// write queue backs the array up (writeBlocked).
 		budget := opts.MaxRequestsPerCycle
 		writeBlocked := false
-		issuedAny := false
-		enqFailed := false
+		issuedAny, enqFailed = false, false
 		for budget > 0 {
 			if writeFold < cf {
-				wr := materialize(writeFold)
-				if writeIdx >= len(wr.writes) {
-					release(writeFold)
+				if wr.i >= wr.n {
 					writeFold++
-					writeIdx = 0
+					openWrites(writeFold)
 					continue
 				}
-				rq := &wr.writes[writeIdx]
-				rq.Arrive = now
-				if !sys.Enqueue(rq) {
-					res.QueueFullCyc++
-					enqFailed = true
-					budget = 0
+				if !issue(&wr, true) {
 					break
 				}
-				res.WriteRequests++
-				issuedAny = true
-				writeIdx++
 				budget--
 				continue
 			}
-			if pacedWrites && writeFold == cf && started {
-				fw := materialize(cf)
-				target := pacedTarget(len(fw.writes), consumedWords, curStreamTotal)
-				if writeIdx < target {
-					rq := &fw.writes[writeIdx]
-					rq.Arrive = now
-					if !sys.Enqueue(rq) {
-						res.QueueFullCyc++
-						enqFailed = true
-						writeBlocked = true
-						budget = 0
-						break
-					}
-					res.WriteRequests++
-					issuedAny = true
-					writeIdx++
-					budget--
-					continue
+			if pacedWrites && writeFold == cf && started &&
+				wr.i < pacedTarget(wr.n, consumedWords, fl.streamWords) {
+				if !issue(&wr, true) {
+					writeBlocked = true
+					break
 				}
+				budget--
+				continue
 			}
 			break
 		}
-		for budget > 0 && issueFold < len(sched.Folds) && issueFold <= cf+1 {
-			fr := materialize(issueFold)
-			if statIdx < len(fr.stat) {
-				rq := &fr.stat[statIdx]
-				rq.Arrive = now
-				if !sys.Enqueue(rq) {
-					res.QueueFullCyc++
-					enqFailed = true
-					budget = 0
+		for budget > 0 && !enqFailed && issueFold < nf && issueFold <= cf+1 {
+			if stat.i < stat.n {
+				if !issue(&stat, false) {
 					break
 				}
-				res.ReadRequests++
-				issuedAny = true
-				statIdx++
 				budget--
 				continue
 			}
-			if streamIdx < len(fr.stream) {
+			if strm.i < strm.n {
 				if issuedStreamWords-consumedWordsIfCurrent(issueFold, cf, consumedWords) >= opts.StreamWindowWords {
 					break // staging window full
-				}
-				rq := &fr.stream[streamIdx]
-				rq.Arrive = now
-				if !sys.Enqueue(rq) {
-					res.QueueFullCyc++
-					enqFailed = true
-					budget = 0
-					break
 				}
 				// Account issued words with the same per-line
 				// distribution the consumer uses, so the window
 				// comparison stays exact.
-				inc := fr.streamCum[streamIdx]
-				if streamIdx > 0 {
-					inc -= fr.streamCum[streamIdx-1]
+				il := &lines[issueFold]
+				cum := cumWords(il.streamWords, il.stream, strm.i)
+				if !issue(&strm, false) {
+					break
 				}
-				issuedStreamWords += inc
-				res.ReadRequests++
-				issuedAny = true
-				streamIdx++
+				issuedStreamWords += cum - strmWords
+				strmWords = cum
 				budget--
 				continue
 			}
 			// Fold fully issued; move to the next.
 			issueFold++
-			statIdx, streamIdx = 0, 0
+			openReads(issueFold)
+		}
+		if enqFailed {
+			res.QueueFullCyc++
 		}
 
-		// stall advances time across a no-progress stretch. If the
-		// producer issued something this cycle it may issue again next
-		// cycle, so only a single cycle passes; otherwise nothing can
-		// change before the DRAM controller's next event or the given
-		// data-return cycle, and the clock jumps straight there. The
-		// producer would have retried (and failed) a blocked enqueue on
-		// every skipped cycle, so QueueFullCyc counts them to match the
-		// reference loop's per-cycle accounting.
-		stall := func(waitDone int64) {
-			next := now + 1
-			if !issuedAny {
-				next = sys.NextEventCycle()
-				if waitDone > now && waitDone < next {
-					next = waitDone
-				}
-			}
-			next = jumpTarget(next)
-			if enqFailed {
-				res.QueueFullCyc += next - now - 1
-			}
-			advanceTo(next)
-		}
-
-		// 2) Advance compute.
-		fr := materialize(cf)
+		// 2) Advance compute. The consumer passes fold cf's reads in
+		// order; each is the head of reads once issued.
 		if !started {
 			// All stationary data must have returned.
-			for statDone < len(fr.stat) && fr.stat[statDone].Done > 0 &&
-				fr.stat[statDone].Done <= now {
+			for statDone < fl.stat && passed(reads.head) {
+				pool.put(reads.pop())
 				statDone++
 			}
-			ready := statDone == len(fr.stat) && issueFoldBeyondStationary(issueFold, cf, statIdx, len(fr.stat))
-			if ready {
-				started = true
-				f := &sched.Folds[cf]
-				streamPhaseLeft = f.StreamCycles
-				// Non-stream portion of the pipeline (fill + drain).
-				drainLeft = f.ComputeCycles - f.StreamCycles
-				if drainLeft < 0 {
-					drainLeft = 0
-				}
-				consumedWords = 0
-				curStreamTotal = f.StreamWords()
-				streamAvail = 0
-			} else {
+			if statDone < fl.stat {
 				var waitDone int64
-				if statDone < len(fr.stat) {
-					waitDone = fr.stat[statDone].Done
+				if reads.head != nil {
+					waitDone = reads.head.Done
 				}
 				stall(waitDone)
 				continue
 			}
+			started = true
+			streamPhaseLeft = f.StreamCycles
+			// Non-stream portion of the pipeline (fill + drain).
+			drainLeft = max(f.ComputeCycles-f.StreamCycles, 0)
+			consumedWords = 0
+			streamAvail, availWords = 0, 0
 		}
 		// Stream phase: consume ConsumeRate words/cycle if the data is
 		// here and the write path keeps up; otherwise stall until it is.
 		if streamPhaseLeft > 0 {
-			for streamAvail < len(fr.stream) && fr.stream[streamAvail].Done > 0 &&
-				fr.stream[streamAvail].Done <= now {
-				streamAvail++
+			if streamAvail < fl.stream && passed(reads.head) {
+				for streamAvail < fl.stream && passed(reads.head) {
+					pool.put(reads.pop())
+					streamAvail++
+				}
+				availWords = cumWords(fl.streamWords, fl.stream, streamAvail-1)
 			}
-			var availWords int64
-			if streamAvail > 0 {
-				availWords = fr.streamCum[streamAvail-1]
-			}
-			f := &sched.Folds[cf]
-			need := consumedWords + f.ConsumeRate
-			total := curStreamTotal
-			if need > total {
-				need = total
-			}
+			need := min(consumedWords+f.ConsumeRate, fl.streamWords)
 			// Write back-pressure: the array can run only a bounded
 			// number of un-retired output lines ahead.
-			backlogged := false
-			if pacedWrites && writeFold == cf {
-				target := pacedTarget(len(fr.writes), consumedWords, total)
-				backlogged = writeBlocked && target-writeIdx > writeBacklogLines
-			}
-			if !backlogged && (availWords >= need || streamAvail == len(fr.stream)) {
+			backlogged := pacedWrites && writeFold == cf && writeBlocked &&
+				pacedTarget(wr.n, consumedWords, fl.streamWords)-wr.i > writeBacklogLines
+			if !backlogged && (availWords >= need || streamAvail == fl.stream) {
 				consumedWords = need
 				streamPhaseLeft--
 				advanceTo(now + 1)
@@ -522,47 +408,46 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 			// Stall: waiting on the next stream line's data return (or,
 			// when backlogged, on the controller freeing write slots).
 			var waitDone int64
-			if !backlogged && streamAvail < len(fr.stream) {
-				waitDone = fr.stream[streamAvail].Done
+			if !backlogged && streamAvail < fl.stream && reads.head != nil {
+				waitDone = reads.head.Done
 			}
 			stall(waitDone)
 			continue
 		}
 		if drainLeft > 0 {
-			if issuedAny {
-				drainLeft--
-				advanceTo(now + 1)
-				continue
-			}
-			// Dead stretch: jump to the drain's end or the controller's
-			// next event (which could unblock the producer), whichever
-			// comes first.
-			next := jumpTarget(min(now+drainLeft, sys.NextEventCycle()))
-			if enqFailed {
-				res.QueueFullCyc += next - now - 1
-			}
-			drainLeft -= next - now
-			advanceTo(next)
+			from := now
+			sleep(min(now+drainLeft, opts.MaxCycles+1))
+			drainLeft -= now - from
 			continue
 		}
-		// Fold complete: release its stream words from the window. If the
-		// producer somehow still points into this fold, skip the rest of
-		// its requests — the data is no longer needed (defensive; with
-		// exact cum accounting completion implies full issue).
+		// Fold complete. Issued stream lines the consumer never passed
+		// (the phase outran them) return to the pool once served. If the
+		// producer still points into this fold, skip the rest of its
+		// requests — the data is no longer needed (defensive; with exact
+		// cum accounting completion implies full issue); a skipped line
+		// keeps its trace entry, with zero Arrive and Done.
+		issued := fl.stream
 		if issueFold == cf {
-			if n := len(fr.stream); streamIdx < n {
-				already := int64(0)
-				if streamIdx > 0 {
-					already = fr.streamCum[streamIdx-1]
+			issued = strm.i
+		}
+		for ; streamAvail < issued; streamAvail++ {
+			pool.retiring.push(reads.pop())
+		}
+		if issueFold == cf {
+			if strm.i < strm.n {
+				issuedStreamWords += fl.streamWords - strmWords
+			}
+			for ; strm.i < strm.n; strm.next() {
+				if res.Trace != nil {
+					res.Trace[strm.base+strm.i] = TraceEntry{Addr: strm.addr()}
 				}
-				issuedStreamWords += fr.streamCum[n-1] - already
-				streamIdx = n
 			}
 			issueFold++
-			statIdx, streamIdx = 0, 0
+			openReads(issueFold)
 		}
-		if n := len(fr.stream); n > 0 {
-			issuedStreamWords -= fr.streamCum[n-1]
+		// Release the fold's stream words from the window.
+		if fl.stream > 0 {
+			issuedStreamWords -= fl.streamWords
 		}
 		if issuedStreamWords < 0 {
 			issuedStreamWords = 0
@@ -574,25 +459,20 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	stream.SetAttr("queue_full_cycles", res.QueueFullCyc)
 	stream.End()
 
-	// Flush remaining writes, jumping between controller events while the
-	// queue stays full (the reference loop retries every cycle; neither
+	// Flush remaining writes; a full queue parks the producer until a
+	// request leaves it (the reference loop retries every cycle; neither
 	// counts these toward QueueFullCyc).
 	drain := opts.Trace.Child("sram.drain", "phase")
-	for writeFold < len(folds) {
-		wr := materialize(writeFold)
-		if writeIdx >= len(wr.writes) {
-			release(writeFold)
+	for writeFold < nf {
+		switch {
+		case wr.i >= wr.n:
 			writeFold++
-			writeIdx = 0
-			continue
-		}
-		rq := &wr.writes[writeIdx]
-		rq.Arrive = now
-		if sys.Enqueue(rq) {
-			res.WriteRequests++
-			writeIdx++
-		} else {
-			advanceTo(jumpTarget(sys.NextEventCycle()))
+			openWrites(writeFold)
+		case issue(&wr, true):
+		case opts.ReferenceTickLoop:
+			advanceTo(now + 1)
+		default:
+			now = sys.AdvanceUntilDequeue(max(opts.MaxCycles+1, now+1))
 		}
 	}
 	if _, err := sys.RunUntilDrained(opts.MaxCycles); err != nil {
@@ -600,33 +480,18 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		return nil, err
 	}
 	drain.End()
+	for pool.retiring.head != nil {
+		pool.put(pool.retiring.pop()) // records the last trace entries
+	}
 
 	res.TotalCycles = now
 	res.StallCycles = res.TotalCycles - res.ComputeCycles
 	if res.StallCycles < 0 {
 		res.StallCycles = 0
 	}
-	if opts.CollectTrace {
-		for i := range folds {
-			for _, group := range [][]dram.Request{folds[i].stat, folds[i].stream, folds[i].writes} {
-				for j := range group {
-					rq := &group[j]
-					res.Trace = append(res.Trace, TraceEntry{
-						Arrive: rq.Arrive,
-						Done:   rq.Done,
-						Addr:   rq.Addr,
-						Write:  rq.Write,
-					})
-				}
-			}
-		}
-	}
 	res.DRAM = sys.Stats()
 	res.SkippedCycles = sys.SkippedCycles() - skippedBase
-	bytes := float64(res.DRAM.Reads+res.DRAM.Writes) * float64(sys.Tech.BurstBytes())
-	if secs := float64(res.DRAM.Cycles) / (sys.Tech.ClockMHz * 1e6); secs > 0 {
-		res.ThroughputMBps = bytes / secs / 1e6
-	}
+	res.ThroughputMBps = sys.BandwidthBytesPerSec() / 1e6
 	return res, nil
 }
 
@@ -637,11 +502,11 @@ const writeBacklogLines = 32
 
 // pacedTarget returns how many of the fold's write lines should have been
 // issued once `consumed` of `total` stream words are processed.
-func pacedTarget(writes int, consumed, total int64) int {
+func pacedTarget(writes, consumed, total int64) int64 {
 	if total <= 0 {
 		return writes
 	}
-	return int(int64(writes) * consumed / total)
+	return writes * consumed / total
 }
 
 // consumedWordsIfCurrent returns the consumed stream words when the issuing
@@ -654,14 +519,130 @@ func consumedWordsIfCurrent(issueFold, cf int, consumed int64) int64 {
 	return 0
 }
 
-// issueFoldBeyondStationary reports whether fold cf's stationary requests
-// have all been issued.
-func issueFoldBeyondStationary(issueFold, cf, statIdx, statLen int) bool {
-	if issueFold > cf {
-		return true
+// foldLines is a fold's line count per request group, its stream words and
+// its first entry in Result.Trace.
+type foldLines struct {
+	stat, stream, writes int64
+	streamWords          int64
+	base                 int64
+}
+
+// spanLines counts the lines covering spans.
+func spanLines(spans []Span, wordBytes, lineBytes int64) int64 {
+	var n int64
+	for _, sp := range spans {
+		n += sp.LineCount(wordBytes, lineBytes)
 	}
-	if issueFold == cf {
-		return statIdx >= statLen
+	return n
+}
+
+// cumWords is the stream words consumed once line i (of n) has returned:
+// the fold's total words spread evenly over its lines, so the last line
+// lands exactly on total.
+func cumWords(total, n, i int64) int64 { return total * (i + 1) / n }
+
+// lineCursor walks the n line addresses of a span list in Span.Lines order
+// without materializing them; i counts the lines passed and base is the
+// group's first entry in Result.Trace.
+type lineCursor struct {
+	spans  []Span
+	wb, lb int64
+	row    int64 // next row of spans[0] to open
+	lo, hi int64 // lines left in the open row
+	i, n   int64
+	base   int64
+}
+
+// addr returns the current line's byte address; valid while i < n.
+func (c *lineCursor) addr() int64 {
+	for c.lo > c.hi {
+		sp := &c.spans[0]
+		if c.row >= sp.Rows || sp.RowWords <= 0 {
+			c.spans, c.row = c.spans[1:], 0
+			continue
+		}
+		start := sp.Base + c.row*sp.RowStride
+		lo := start * c.wb / c.lb
+		if c.row > 0 && lo == c.hi {
+			lo++ // adjacent rows may share a boundary line
+		}
+		c.lo, c.hi = lo, ((start+sp.RowWords)*c.wb-1)/c.lb
+		c.row++
 	}
-	return false
+	return c.lo * c.lb
+}
+
+// next passes the current line.
+func (c *lineCursor) next() {
+	c.lo++
+	c.i++
+}
+
+// slot is one in-flight request of the replay and its Result.Trace index.
+type slot struct {
+	dram.Request
+	idx  int64
+	next *slot
+}
+
+// slotList is an intrusive FIFO of slots.
+type slotList struct{ head, tail *slot }
+
+func (l *slotList) push(s *slot) {
+	s.next = nil
+	if l.tail == nil {
+		l.head = s
+	} else {
+		l.tail.next = s
+	}
+	l.tail = s
+}
+
+func (l *slotList) pop() *slot {
+	s := l.head
+	l.head = s.next
+	if l.head == nil {
+		l.tail = nil
+	}
+	return s
+}
+
+// slotPool recycles request slots, so a replay holds its peak in-flight
+// requests rather than its line count. Slots live in chunks that never
+// move, because the controller queue holds pointers to them; each chunk
+// doubles the last, so the allocation count grows with log(peak).
+type slotPool struct {
+	free  *slot
+	chunk int // size of the last chunk
+	// retiring holds issued slots that may still sit in a controller
+	// queue (writes, and reads the consumer skipped); each returns once
+	// its Done is set.
+	retiring slotList
+	trace    []TraceEntry
+}
+
+// spare returns the free slot the next request is built in; the caller
+// claims it (free = spare.next) once the request is enqueued.
+func (p *slotPool) spare() *slot {
+	for p.retiring.head != nil && p.retiring.head.Done > 0 {
+		p.put(p.retiring.pop())
+	}
+	if p.free == nil {
+		p.chunk = max(2*p.chunk, 256)
+		chunk := make([]slot, p.chunk)
+		for i := range chunk[1:] {
+			chunk[i].next = &chunk[i+1]
+		}
+		p.free = &chunk[0]
+	}
+	return p.free
+}
+
+// put retires a served slot: its trace entry is final, so it is recorded.
+func (p *slotPool) put(s *slot) {
+	if p.trace != nil {
+		p.trace[s.idx] = TraceEntry{Arrive: s.Arrive, Done: s.Done, Addr: s.Addr, Write: s.Write}
+	}
+	s.next = p.free
+	p.free = s
 }
