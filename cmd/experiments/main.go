@@ -3,6 +3,7 @@
 // Usage:
 //
 //	experiments -exp fig3 -outdir results/
+//	experiments -exp fig9,fig10 -quick
 //	experiments -exp all -quick
 //	experiments -list
 //
@@ -10,11 +11,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -157,6 +160,11 @@ func allRunners() []runner {
 			if err != nil {
 				return err
 			}
+			for _, name := range p.Workloads {
+				latency, energy := experiments.Table5Scaling(rows, name)
+				fmt.Printf("table5: %s from %d² to %d²: latency ÷%.3f, energy ×%.3f (abstract, vit_base: ÷6.53, ×2.86)\n",
+					name, p.Arrays[0], p.Arrays[len(p.Arrays)-1], latency, energy)
+			}
 			return experiments.WriteTable5CSV(w, rows)
 		}},
 		{"table6", "single 128² vs 16×32² cores, ws/is ratios", func(w io.Writer, quick bool) error {
@@ -187,13 +195,24 @@ func allRunners() []runner {
 }
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	var (
-		exp    = flag.String("exp", "", "experiment to run (or 'all')")
+		exp    = flag.String("exp", "", "comma-separated experiments to run (or 'all')")
 		outDir = flag.String("outdir", "results", "output directory")
 		quick  = flag.Bool("quick", false, "run reduced parameter grids")
 		list   = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
+	// flag stops at the first non-flag word and drops every flag after it.
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", flag.Arg(0))
+	}
 
 	rs := allRunners()
 	if *list || *exp == "" {
@@ -202,50 +221,46 @@ func main() {
 			fmt.Printf("%-14s %s\n", r.name, r.desc)
 		}
 		if *exp == "" && !*list {
-			fmt.Fprintln(os.Stderr, "experiments: missing -exp")
-			os.Exit(1)
+			return errors.New("missing -exp")
 		}
-		return
+		return nil
 	}
 
 	want := strings.Split(*exp, ",")
 	runAll := *exp == "all"
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+	if !runAll {
+		for _, name := range want {
+			if !slices.ContainsFunc(rs, func(r runner) bool { return r.name == name }) {
+				return fmt.Errorf("unknown experiment %q (see -list)", name)
+			}
+		}
 	}
-	ran := 0
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		return err
+	}
 	for _, r := range rs {
-		if !runAll && !contains(want, r.name) {
+		if !runAll && !slices.Contains(want, r.name) {
 			continue
 		}
 		path := filepath.Join(*outDir, r.name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
 		fmt.Printf("running %s ...\n", r.name)
-		if err := r.run(f, *quick); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", r.name, err)
-			os.Exit(1)
+		if err := writeExperiment(path, r, *quick); err != nil {
+			return fmt.Errorf("%s: %w", r.name, err)
 		}
-		f.Close()
 		fmt.Printf("wrote %s\n", path)
-		ran++
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: no experiment matched %q\n", *exp)
-		os.Exit(1)
-	}
+	return nil
 }
 
-func contains(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
+// writeExperiment runs r into the CSV file at path.
+func writeExperiment(path string, r runner, quick bool) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return false
+	if err := r.run(f, quick); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

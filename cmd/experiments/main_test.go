@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -53,4 +54,61 @@ func timingFreeColumns(t *testing.T, data []byte) string {
 		b.WriteString(strings.Join(rec, ",") + "\n")
 	}
 	return b.String()
+}
+
+// TestCLIRejectsBadArguments drives the built binary: an unknown experiment
+// name or a leftover positional argument must exit non-zero before any
+// output directory is created, while a valid selection writes its CSV.
+func TestCLIRejectsBadArguments(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	tests := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown experiment", []string{"-exp", "fig7,bogus", "-outdir", "out"}, `unknown experiment "bogus"`},
+		// flag stops at the first non-flag word: the flags after it must
+		// not be dropped silently.
+		{"stray argument", []string{"-exp", "fig7", "-quick", "extra", "-outdir", "out"}, `unexpected argument "extra"`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			work := t.TempDir()
+			cmd := exec.Command(bin, tt.args...)
+			cmd.Dir = work
+			out, err := cmd.CombinedOutput()
+			if _, ok := err.(*exec.ExitError); !ok {
+				t.Fatalf("experiments %v: err = %v, want a non-zero exit; output: %s", tt.args, err, out)
+			}
+			if !strings.Contains(string(out), tt.want) {
+				t.Errorf("experiments %v output %q does not contain %q", tt.args, out, tt.want)
+			}
+			if entries, _ := os.ReadDir(work); len(entries) > 0 {
+				t.Errorf("experiments %v created %s", tt.args, entries[0].Name())
+			}
+		})
+	}
+
+	t.Run("valid selection", func(t *testing.T) {
+		cmd := exec.Command(bin, "-exp", "fig7", "-outdir", "out")
+		cmd.Dir = t.TempDir()
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("experiments -exp fig7: %v\n%s", err, out)
+		}
+		got, err := os.ReadFile(filepath.Join(cmd.Dir, "out", "fig7.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "quick", "fig7.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Error("fig7.csv differs from the golden")
+		}
+	})
 }

@@ -1,31 +1,24 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"scalesim"
-
 	"scalesim/internal/config"
 	"scalesim/internal/energy"
 	"scalesim/internal/multicore"
 	"scalesim/internal/systolic"
-	"scalesim/internal/topology"
 )
 
-// energyForRun estimates a single layer's energy from its closed-form run.
-func energyForRun(ert *energy.ERT, ecfg *config.EnergyConfig,
-	df config.Dataflow, r, c, m, n, k int, sramKB int64) (*energy.Report, systolic.RunEstimate, error) {
-	est := systolic.Estimate(df, r, c, m, n, k)
-	prof := energy.ProfileFromEstimate(df, est, m, n, k)
-	counts := energy.CountActions(prof, ecfg)
-	e := energy.Estimator{
-		ERT: ert, PEs: int64(r) * int64(c), SRAMKB: sramKB,
-		FrequencyMHz: ecfg.FrequencyMHz,
-	}
-	rep, err := e.Estimate(counts, est.ComputeCycles)
-	return rep, est, err
+// energyConfig is the default machine on an arr×arr array under df with the
+// energy model on.
+func energyConfig(df config.Dataflow, arr int) scalesim.Config {
+	cfg := scalesim.DefaultConfig()
+	cfg.ArrayRows, cfg.ArrayCols = arr, arr
+	cfg.Dataflow = df
+	cfg.Energy.Enabled = true
+	return cfg
 }
 
 // Fig15Params configures the dataflow/array-size energy study (paper
@@ -34,7 +27,6 @@ type Fig15Params struct {
 	Workloads []string
 	Arrays    []int
 	Layers    int // per-workload cap (0 = all)
-	SRAMKB    int64
 }
 
 // DefaultFig15 matches the paper.
@@ -42,7 +34,6 @@ func DefaultFig15() Fig15Params {
 	return Fig15Params{
 		Workloads: []string{"rcnn", "resnet50", "vit_base"},
 		Arrays:    []int{128, 64, 32, 16, 8},
-		SRAMKB:    1280,
 	}
 }
 
@@ -52,7 +43,6 @@ func QuickFig15() Fig15Params {
 		Workloads: []string{"resnet50"},
 		Arrays:    []int{32, 8},
 		Layers:    4,
-		SRAMKB:    1280,
 	}
 }
 
@@ -65,40 +55,33 @@ type Fig15Point struct {
 	Cycles   int64
 }
 
-// RunFig15 executes the sweep.
+// RunFig15 executes the sweep: one point per workload × dataflow × array.
 func RunFig15(p Fig15Params) ([]Fig15Point, error) {
-	ert := energy.Default65nm()
-	ecfg := config.Default().Energy
-	var out []Fig15Point
+	var points []scalesim.SweepPoint
+	var keys []Fig15Point
 	for _, name := range p.Workloads {
-		topo, err := topology.Builtin(name)
+		topo, err := workload(name, p.Layers)
 		if err != nil {
 			return nil, err
-		}
-		if p.Layers > 0 {
-			topo = topo.Sub(0, p.Layers)
 		}
 		for _, df := range []config.Dataflow{
 			config.OutputStationary, config.WeightStationary, config.InputStationary,
 		} {
 			for _, arr := range p.Arrays {
-				var totalMJ float64
-				var cycles int64
-				for li := range topo.Layers {
-					m, n, k := topo.Layers[li].GEMMDims()
-					rep, est, err := energyForRun(ert, &ecfg, df, arr, arr, m, n, k, p.SRAMKB)
-					if err != nil {
-						return nil, err
-					}
-					totalMJ += rep.TotalMJ()
-					cycles += est.ComputeCycles
-				}
-				out = append(out, Fig15Point{Workload: name, Dataflow: df,
-					Array: arr, EnergyMJ: totalMJ, Cycles: cycles})
+				points = append(points, scalesim.SweepPoint{Name: fmt.Sprintf("fig15/%s/%s/%d", name, df, arr),
+					Config: energyConfig(df, arr), Topology: topo})
+				keys = append(keys, Fig15Point{Workload: name, Dataflow: df, Array: arr})
 			}
 		}
 	}
-	return out, nil
+	results, err := sweep(points)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		keys[i].EnergyMJ, keys[i].Cycles = res.TotalEnergyMJ(), res.TotalCycles()
+	}
+	return keys, nil
 }
 
 // WriteFig15CSV renders the energy bars.
@@ -156,7 +139,6 @@ type Table5Params struct {
 	Arrays    []int
 	Dataflow  config.Dataflow
 	Layers    int
-	SRAMKB    int64
 	// WithMemory runs the cycle-accurate DRAM model so latency is
 	// end-to-end (the paper's Table V includes memory effects; without
 	// them large arrays look too good and the EdP crossover vanishes).
@@ -169,7 +151,6 @@ func DefaultTable5() Table5Params {
 		Workloads:  []string{"resnet50", "rcnn", "vit_base"},
 		Arrays:     []int{32, 64, 128},
 		Dataflow:   config.OutputStationary,
-		SRAMKB:     1280,
 		WithMemory: true,
 	}
 }
@@ -192,96 +173,56 @@ type Table5Row struct {
 	EdP            float64 // cycles × mJ per layer
 }
 
-// RunTable5 executes the comparison. The memory-inclusive variant fans the
-// workload × array grid through the public sweep engine, so the config
-// points run concurrently on the worker pool.
+// RunTable5 executes the comparison: one sweep point per workload × array
+// size.
 func RunTable5(p Table5Params) ([]Table5Row, error) {
-	if p.WithMemory {
-		return runTable5Sweep(p)
-	}
-	ert := energy.Default65nm()
-	ecfg := config.Default().Energy
-	var out []Table5Row
-	for _, name := range p.Workloads {
-		topo, err := topology.Builtin(name)
-		if err != nil {
-			return nil, err
-		}
-		if p.Layers > 0 {
-			topo = topo.Sub(0, p.Layers)
-		}
-		layers := int64(len(topo.Layers))
-		for _, arr := range p.Arrays {
-			var cycles int64
-			var mj float64
-			for li := range topo.Layers {
-				m, n, k := topo.Layers[li].GEMMDims()
-				rep, est, err := energyForRun(ert, &ecfg, p.Dataflow, arr, arr, m, n, k, p.SRAMKB)
-				if err != nil {
-					return nil, err
-				}
-				cycles += est.ComputeCycles
-				mj += rep.TotalMJ()
-			}
-			row := Table5Row{Workload: name, Array: arr,
-				CyclesPerLayer: cycles / layers, EnergyMJ: mj}
-			row.EdP = float64(row.CyclesPerLayer) * mj
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-// runTable5Sweep is the end-to-end (DRAM-inclusive) variant on the sweep
-// engine: one sweep point per workload × array size.
-func runTable5Sweep(p Table5Params) ([]Table5Row, error) {
-	type key struct {
-		workload string
-		array    int
-	}
 	var points []scalesim.SweepPoint
-	var keys []key
-	layersPer := map[string]int64{}
+	var keys []Table5Row
 	for _, name := range p.Workloads {
-		topo, err := topology.Builtin(name)
+		topo, err := workload(name, p.Layers)
 		if err != nil {
 			return nil, err
 		}
-		if p.Layers > 0 {
-			topo = topo.Sub(0, p.Layers)
-		}
-		layersPer[name] = int64(len(topo.Layers))
 		for _, arr := range p.Arrays {
-			cfg := scalesim.DefaultConfig()
-			cfg.ArrayRows, cfg.ArrayCols = arr, arr
-			cfg.Dataflow = p.Dataflow
-			cfg.Energy.Enabled = true
-			cfg.Memory.Enabled = true
-			points = append(points, scalesim.SweepPoint{
-				Name:     fmt.Sprintf("%s/%dx%d", name, arr, arr),
-				Config:   cfg,
-				Topology: topo,
-			})
-			keys = append(keys, key{workload: name, array: arr})
+			cfg := energyConfig(p.Dataflow, arr)
+			cfg.Memory.Enabled = p.WithMemory
+			points = append(points, scalesim.SweepPoint{Name: fmt.Sprintf("table5/%s/%d", name, arr),
+				Config: cfg, Topology: topo})
+			keys = append(keys, Table5Row{Workload: name, Array: arr})
 		}
 	}
-	results, err := scalesim.Sweep(context.Background(), points)
+	results, err := sweep(points)
 	if err != nil {
 		return nil, err
 	}
-	var out []Table5Row
-	for i, sr := range results {
-		if sr.Err != nil {
-			return nil, fmt.Errorf("table5 point %s: %w", sr.Point.Name, sr.Err)
-		}
-		k := keys[i]
-		mj := sr.Result.TotalEnergyMJ()
-		row := Table5Row{Workload: k.workload, Array: k.array,
-			CyclesPerLayer: sr.Result.TotalCycles() / layersPer[k.workload], EnergyMJ: mj}
-		row.EdP = float64(row.CyclesPerLayer) * mj
-		out = append(out, row)
+	for i, res := range results {
+		row := &keys[i]
+		row.CyclesPerLayer = res.TotalCycles() / int64(len(res.Layers))
+		row.EnergyMJ = res.TotalEnergyMJ()
+		row.EdP = float64(row.CyclesPerLayer) * row.EnergyMJ
 	}
-	return out, nil
+	return keys, nil
+}
+
+// Table5Scaling returns a workload's scaling from its first to its last
+// array size in the orientation of the paper's abstract: latency falls by
+// the factor cycles(first)/cycles(last) and energy rises by the factor
+// energy(last)/energy(first). Both are 0 when the workload has no rows.
+func Table5Scaling(rows []Table5Row, name string) (latency, energy float64) {
+	var first, last *Table5Row
+	for i := range rows {
+		if rows[i].Workload != name {
+			continue
+		}
+		if first == nil {
+			first = &rows[i]
+		}
+		last = &rows[i]
+	}
+	if first == nil || last.CyclesPerLayer == 0 || first.EnergyMJ == 0 {
+		return 0, 0
+	}
+	return float64(first.CyclesPerLayer) / float64(last.CyclesPerLayer), last.EnergyMJ / first.EnergyMJ
 }
 
 // WriteTable5CSV renders the comparison.
@@ -300,17 +241,16 @@ func WriteTable5CSV(w io.Writer, rows []Table5Row) error {
 type Table6Params struct {
 	Workload string
 	Layers   int
-	SRAMKB   int64
 }
 
 // DefaultTable6 matches the paper.
 func DefaultTable6() Table6Params {
-	return Table6Params{Workload: "vit_base", SRAMKB: 1280}
+	return Table6Params{Workload: "vit_base"}
 }
 
 // QuickTable6 trims for benchmarking.
 func QuickTable6() Table6Params {
-	return Table6Params{Workload: "vit_base", Layers: 6, SRAMKB: 1280}
+	return Table6Params{Workload: "vit_base", Layers: 6}
 }
 
 // Table6Result holds the four ws/is ratios in the paper's orientation.
@@ -333,31 +273,14 @@ type Table6Result struct {
 
 // RunTable6 executes the study.
 func RunTable6(p Table6Params) (*Table6Result, error) {
-	topo, err := topology.Builtin(p.Workload)
+	topo, err := workload(p.Workload, p.Layers)
 	if err != nil {
 		return nil, err
 	}
-	if p.Layers > 0 {
-		topo = topo.Sub(0, p.Layers)
-	}
-	ert := energy.Default65nm()
-	ecfg := config.Default().Energy
+	cfg := config.Default()
+	ert, ecfg := energy.Default65nm(), cfg.Energy
+	sramKB := int64(cfg.IfmapSRAMKB + cfg.FilterSRAMKB + cfg.OfmapSRAMKB)
 
-	// single(df): 128×128 closed-form totals.
-	single := func(df config.Dataflow) (int64, float64, error) {
-		var cycles int64
-		var mj float64
-		for li := range topo.Layers {
-			m, n, k := topo.Layers[li].GEMMDims()
-			rep, est, err := energyForRun(ert, &ecfg, df, 128, 128, m, n, k, p.SRAMKB)
-			if err != nil {
-				return 0, 0, err
-			}
-			cycles += est.ComputeCycles
-			mj += rep.TotalMJ()
-		}
-		return cycles, mj, nil
-	}
 	// multi(df): best 16-core 32×32 partition per layer.
 	multi := func(df config.Dataflow) (int64, float64, error) {
 		var cycles int64
@@ -381,7 +304,7 @@ func RunTable6(p Table6Params) (*Table6Result, error) {
 			}
 			prof.R, prof.C = 128, 128 // PE budget for MAC counting
 			counts := energy.CountActions(prof, &ecfg)
-			est := energy.Estimator{ERT: ert, PEs: pes, SRAMKB: p.SRAMKB,
+			est := energy.Estimator{ERT: ert, PEs: pes, SRAMKB: sramKB,
 				FrequencyMHz: ecfg.FrequencyMHz}
 			rep, err := est.Estimate(counts, ch.Cycles)
 			if err != nil {
@@ -392,14 +315,16 @@ func RunTable6(p Table6Params) (*Table6Result, error) {
 		return cycles, mj, nil
 	}
 
-	sWSc, sWSe, err := single(config.WeightStationary)
+	// The single 128×128 core is the default machine.
+	singles, err := sweep([]scalesim.SweepPoint{
+		{Name: "table6/single/ws", Config: energyConfig(config.WeightStationary, 128), Topology: topo},
+		{Name: "table6/single/is", Config: energyConfig(config.InputStationary, 128), Topology: topo},
+	})
 	if err != nil {
 		return nil, err
 	}
-	sISc, sISe, err := single(config.InputStationary)
-	if err != nil {
-		return nil, err
-	}
+	sWSc, sWSe := singles[0].TotalCycles(), singles[0].TotalEnergyMJ()
+	sISc, sISe := singles[1].TotalCycles(), singles[1].TotalEnergyMJ()
 	mWSc, mWSe, err := multi(config.WeightStationary)
 	if err != nil {
 		return nil, err

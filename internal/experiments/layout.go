@@ -6,7 +6,6 @@ import (
 	"scalesim/internal/config"
 	"scalesim/internal/layout"
 	"scalesim/internal/systolic"
-	"scalesim/internal/topology"
 )
 
 // LayoutParams configures the data-layout slowdown study (paper Figs. 12
@@ -72,12 +71,9 @@ type LayoutPoint struct {
 // its closed-form access patterns to every (bandwidth, banks) pair's
 // analyzers — no per-cycle demand replay.
 func RunLayout(p LayoutParams) ([]LayoutPoint, error) {
-	topo, err := topology.Builtin(p.Workload)
+	topo, err := workload(p.Workload, p.Layers)
 	if err != nil {
 		return nil, err
-	}
-	if p.Layers > 0 {
-		topo = topo.Sub(0, p.Layers)
 	}
 
 	type cfgKey struct{ bw, banks int }

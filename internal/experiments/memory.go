@@ -1,40 +1,29 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 
+	"scalesim"
 	"scalesim/internal/config"
-	"scalesim/internal/dram"
-	"scalesim/internal/sram"
-	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
 )
 
-// runLayerMemory replays one layer against a fresh DRAM system.
-func runLayerMemory(df config.Dataflow, r, c int, l *topology.Layer,
-	channels, queue, maxReq int, windowWords int64) (*sram.Result, error) {
-	m, n, k := l.GEMMDims()
-	// The stream window is half the ifmap scratchpad; size the reuse
-	// analysis consistently across the three scratchpads.
-	schedOpts := sram.ScheduleOptions{
-		IfmapSRAMWords:  windowWords * 2,
-		FilterSRAMWords: windowWords * 2,
-		OfmapSRAMWords:  windowWords * 2,
-	}
-	sched, err := sram.BuildSchedule(df, r, c, systolic.Gemm{M: m, N: n, K: k}, schedOpts)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := dram.New(dram.DDR4_2400(), dram.Options{
-		Channels: channels, QueueDepth: queue,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sram.Simulate(sched, sys, sram.Options{
-		MaxRequestsPerCycle: maxReq,
-		StreamWindowWords:   windowWords,
-	})
+// memoryConfig is the machine of the DRAM studies: an r×c array whose three
+// scratchpads each hold 2·windowWords words — so the memory stage's stream
+// window, half the ifmap scratchpad, is windowWords — in front of DDR4 with
+// the given channels and per-channel queue depth, issuing up to maxReq
+// 64-byte line requests per cycle.
+func memoryConfig(df config.Dataflow, r, c, channels, queue, maxReq int, windowWords int64) scalesim.Config {
+	cfg := scalesim.DefaultConfig()
+	cfg.ArrayRows, cfg.ArrayCols = r, c
+	cfg.Dataflow = df
+	kb := int(windowWords * 8 / 1024)
+	cfg.IfmapSRAMKB, cfg.FilterSRAMKB, cfg.OfmapSRAMKB = kb, kb, kb
+	cfg.BandwidthWords = maxReq * 64 / cfg.WordBytes
+	cfg.Memory = config.MemoryConfig{Enabled: true, Technology: "DDR4", Channels: channels,
+		ReadQueueDepth: queue, WriteQueueDepth: queue}
+	return cfg
 }
 
 // Fig9Params configures the DRAM-channel study (paper Fig. 9): per-layer
@@ -75,26 +64,31 @@ type Fig9Point struct {
 	TotalCycles    int64
 }
 
-// RunFig9 executes the sweep (weight-stationary, the TPU dataflow).
+// RunFig9 executes the sweep (weight-stationary, the TPU dataflow): one
+// point per channel count, each layer replayed against a fresh DRAM system.
 func RunFig9(p Fig9Params) ([]Fig9Point, error) {
 	topo := topology.ResNet18()
 	if p.Layers > 0 {
 		topo = topo.Sub(0, p.Layers)
 	}
-	var out []Fig9Point
+	var points []scalesim.SweepPoint
 	for _, ch := range p.Channels {
-		for li := range topo.Layers {
-			l := &topo.Layers[li]
-			res, err := runLayerMemory(config.WeightStationary,
-				p.ArrayRows, p.ArrayCols, l, ch, p.Queue, ch, 1<<18)
-			if err != nil {
-				return nil, err
-			}
+		points = append(points, scalesim.SweepPoint{Name: fmt.Sprintf("fig9/%dch", ch),
+			Config:   memoryConfig(config.WeightStationary, p.ArrayRows, p.ArrayCols, ch, p.Queue, ch, 1<<18),
+			Topology: topo})
+	}
+	results, err := sweep(points)
+	if err != nil {
+		return nil, err
+	}
+	var out []Fig9Point
+	for i, res := range results {
+		for _, l := range res.Layers {
 			out = append(out, Fig9Point{
-				LayerName:      l.Name,
-				Channels:       ch,
-				ThroughputMBps: res.ThroughputMBps,
-				TotalCycles:    res.TotalCycles,
+				LayerName:      l.Layer.Name,
+				Channels:       p.Channels[i],
+				ThroughputMBps: l.ThroughputMBps,
+				TotalCycles:    l.TotalCycles,
 			})
 		}
 	}
@@ -159,50 +153,37 @@ type Fig10Point struct {
 	StallFraction float64
 }
 
-// RunFig10 executes the sweep.
+// RunFig10 executes the sweep: one point per workload × queue depth.
 func RunFig10(p Fig10Params) ([]Fig10Point, error) {
-	var out []Fig10Point
+	channels, maxReq := max(1, p.Channels), max(1, p.MaxReq)
+	var points []scalesim.SweepPoint
+	var keys []Fig10Point
 	for _, name := range p.Workloads {
-		topo, err := topology.Builtin(name)
+		topo, err := workload(name, p.Layers)
 		if err != nil {
 			return nil, err
 		}
-		if p.Layers > 0 {
-			topo = topo.Sub(0, p.Layers)
-		}
 		for _, q := range p.Queues {
-			var compute, stalls int64
-			channels := p.Channels
-			if channels <= 0 {
-				channels = 1
-			}
-			maxReq := p.MaxReq
-			if maxReq <= 0 {
-				maxReq = 1
-			}
-			perChannel := q / channels
-			if perChannel < 1 {
-				perChannel = 1
-			}
-			for li := range topo.Layers {
-				res, err := runLayerMemory(config.WeightStationary,
-					p.ArrayRows, p.ArrayCols, &topo.Layers[li], channels, perChannel, maxReq, 1<<16)
-				if err != nil {
-					return nil, err
-				}
-				compute += res.ComputeCycles
-				stalls += res.StallCycles
-			}
-			total := compute + stalls
-			pt := Fig10Point{Workload: name, Queue: q,
-				ComputeCycles: compute, StallCycles: stalls, TotalCycles: total}
-			if total > 0 {
-				pt.StallFraction = float64(stalls) / float64(total)
-			}
-			out = append(out, pt)
+			points = append(points, scalesim.SweepPoint{Name: fmt.Sprintf("fig10/%s/q%d", name, q),
+				Config: memoryConfig(config.WeightStationary, p.ArrayRows, p.ArrayCols,
+					channels, max(1, q/channels), maxReq, 1<<16),
+				Topology: topo})
+			keys = append(keys, Fig10Point{Workload: name, Queue: q})
 		}
 	}
-	return out, nil
+	results, err := sweep(points)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		s := res.Summary()
+		pt := &keys[i]
+		pt.ComputeCycles, pt.StallCycles, pt.TotalCycles = s.TotalComputeCycles, s.TotalStallCycles, s.TotalCycles
+		if pt.TotalCycles > 0 {
+			pt.StallFraction = float64(pt.StallCycles) / float64(pt.TotalCycles)
+		}
+	}
+	return keys, nil
 }
 
 // WriteFig10CSV renders the stall study.
@@ -264,25 +245,21 @@ func (r *DataflowDRAMResult) TotalAdvantageOS() float64 {
 // RunDataflowDRAM executes the case study.
 func RunDataflowDRAM(p DataflowDRAMParams) (*DataflowDRAMResult, error) {
 	topo := topology.ResNet18().Sub(1, 1+p.Layers) // the residual 3×3 stack
-	res := &DataflowDRAMResult{}
-	for li := range topo.Layers {
-		l := &topo.Layers[li]
-		ws, err := runLayerMemory(config.WeightStationary, p.ArrayRows, p.ArrayCols,
-			l, p.Channels, p.Queue, 1, 1<<14)
-		if err != nil {
-			return nil, err
-		}
-		os, err := runLayerMemory(config.OutputStationary, p.ArrayRows, p.ArrayCols,
-			l, p.Channels, p.Queue, 1, 1<<14)
-		if err != nil {
-			return nil, err
-		}
-		res.WSCompute += ws.ComputeCycles
-		res.OSCompute += os.ComputeCycles
-		res.WSTotal += ws.TotalCycles
-		res.OSTotal += os.TotalCycles
+	var points []scalesim.SweepPoint
+	for _, df := range []config.Dataflow{config.WeightStationary, config.OutputStationary} {
+		points = append(points, scalesim.SweepPoint{Name: "dram-dataflow/" + df.String(),
+			Config:   memoryConfig(df, p.ArrayRows, p.ArrayCols, p.Channels, p.Queue, 1, 1<<14),
+			Topology: topo})
 	}
-	return res, nil
+	results, err := sweep(points)
+	if err != nil {
+		return nil, err
+	}
+	ws, os := results[0].Summary(), results[1].Summary()
+	return &DataflowDRAMResult{
+		WSCompute: ws.TotalComputeCycles, OSCompute: os.TotalComputeCycles,
+		WSTotal: ws.TotalCycles, OSTotal: os.TotalCycles,
+	}, nil
 }
 
 // WriteDataflowDRAMCSV renders the comparison.

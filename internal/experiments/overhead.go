@@ -48,12 +48,9 @@ type Table4Row struct {
 func RunTable4(p Table4Params) ([]Table4Row, error) {
 	var out []Table4Row
 	for _, name := range p.Workloads {
-		topo, err := topology.Builtin(name)
+		topo, err := workload(name, p.Layers)
 		if err != nil {
 			return nil, err
-		}
-		if p.Layers > 0 {
-			topo = topo.Sub(0, p.Layers)
 		}
 
 		base := scalesim.DefaultConfig()
@@ -93,50 +90,30 @@ func RunTable4(p Table4Params) ([]Table4Row, error) {
 		}
 		row := Table4Row{Workload: name, Baseline: baseT}
 
-		mc := base
+		mc, sp, en, mem, lay := base, base, base, base, base
 		mc.MultiCore.Enabled = true
 		mc.MultiCore.PartitionRows, mc.MultiCore.PartitionCols = 2, 2
-		if d, err := timeRun(mc, topo); err != nil {
-			return nil, err
-		} else {
-			row.MultiCore = float64(d) / float64(baseT)
-		}
-
-		sp := base
 		sp.Sparsity.Enabled = true
-		if d, err := timeRun(sp, topo.WithSparsity(topology.Sparsity{N: 2, M: 4})); err != nil {
-			return nil, err
-		} else {
-			row.Sparse24 = float64(d) / float64(baseT)
-		}
-		if d, err := timeRun(sp, topo.WithSparsity(topology.Sparsity{N: 1, M: 4})); err != nil {
-			return nil, err
-		} else {
-			row.Sparse14 = float64(d) / float64(baseT)
-		}
-
-		en := base
 		en.Energy.Enabled = true
-		if d, err := timeRun(en, topo); err != nil {
-			return nil, err
-		} else {
-			row.Energy = float64(d) / float64(baseT)
-		}
-
-		mem := base
 		mem.Memory.Enabled = true
-		if d, err := timeRun(mem, topo); err != nil {
-			return nil, err
-		} else {
-			row.Memory = float64(d) / float64(baseT)
-		}
-
-		lay := base
 		lay.Layout.Enabled = true
-		if d, err := timeRun(lay, topo); err != nil {
-			return nil, err
-		} else {
-			row.Layout = float64(d) / float64(baseT)
+		for _, f := range []struct {
+			ratio *float64
+			cfg   scalesim.Config
+			topo  *topology.Topology
+		}{
+			{&row.MultiCore, mc, topo},
+			{&row.Sparse24, sp, topo.WithSparsity(topology.Sparsity{N: 2, M: 4})},
+			{&row.Sparse14, sp, topo.WithSparsity(topology.Sparsity{N: 1, M: 4})},
+			{&row.Energy, en, topo},
+			{&row.Memory, mem, topo},
+			{&row.Layout, lay, topo},
+		} {
+			d, err := timeRun(f.cfg, f.topo)
+			if err != nil {
+				return nil, err
+			}
+			*f.ratio = float64(d) / float64(baseT)
 		}
 
 		out = append(out, row)

@@ -1,13 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 
+	"scalesim"
 	"scalesim/internal/config"
-	"scalesim/internal/dram"
 	"scalesim/internal/sparse"
-	"scalesim/internal/sram"
-	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
 )
 
@@ -16,7 +15,7 @@ import (
 // 1:4, 2:4 and 4:4 (dense) sparsity under weight-stationary dataflow.
 type Fig5Params struct {
 	Layers      int   // how many ResNet-18 layers to simulate (0 = all)
-	SRAMSizesKB []int // ifmap+filter SRAM sweep points
+	SRAMSizesKB []int // total SRAM sweep points, split 2:1:1 across ifmap, filter and ofmap
 	Ratios      []topology.Sparsity
 	ArrayRows   int
 	ArrayCols   int
@@ -53,61 +52,38 @@ type Fig5Point struct {
 	StallCycles int64
 }
 
-// RunFig5 executes the sweep.
+// RunFig5 executes the sweep: one point per ratio × SRAM size.
 func RunFig5(p Fig5Params) ([]Fig5Point, error) {
 	topo := topology.ResNet18()
 	if p.Layers > 0 {
 		topo = topo.Sub(0, p.Layers)
 	}
-	var out []Fig5Point
+	var points []scalesim.SweepPoint
+	var keys []Fig5Point
 	for _, ratio := range p.Ratios {
-		scfg := config.SparsityConfig{Enabled: true, Format: config.BlockedELLPACK}
+		annotated := topo.WithSparsity(ratio)
 		for _, kb := range p.SRAMSizesKB {
-			var total, stalls int64
-			for li := range topo.Layers {
-				l := topo.Layers[li]
-				l.Sparsity = ratio
-				m, n, k := l.GEMMDims()
-				pat, err := sparse.PatternFor(&l, &scfg)
-				if err != nil {
-					return nil, err
-				}
-				est := sparse.Estimate(p.ArrayRows, p.ArrayCols, m, pat)
-				words := int64(kb) * 1024 / 4
-				sched, err := sram.BuildSchedule(config.WeightStationary,
-					p.ArrayRows, p.ArrayCols,
-					systolic.Gemm{M: m, N: n, K: k}, sram.ScheduleOptions{
-						FilterRatio:     pat.Density(),
-						IfmapSRAMWords:  words / 2,
-						FilterSRAMWords: words / 4,
-						OfmapSRAMWords:  words / 4,
-					})
-				if err != nil {
-					return nil, err
-				}
-				sys, err := dram.New(dram.DDR4_2400(), dram.Options{
-					Channels: p.Channels, QueueDepth: p.QueueDepth,
-				})
-				if err != nil {
-					return nil, err
-				}
-				res, err := sram.Simulate(sched, sys, sram.Options{
-					MaxRequestsPerCycle: 1,
-					StreamWindowWords:   int64(kb) * 1024 / 4 / 2,
-				})
-				if err != nil {
-					return nil, err
-				}
-				// The sparse compute estimate replaces the schedule's
-				// dense-fold compute; keep the stall portion.
-				total += est.ComputeCycles + res.StallCycles
-				stalls += res.StallCycles
-			}
-			out = append(out, Fig5Point{Ratio: ratio, SRAMKB: kb,
-				TotalCycles: total, StallCycles: stalls})
+			// The compute stage forces weight-stationary only for sparse
+			// layers; the dense 4:4 point must ask for it. The scratchpads
+			// are sized below.
+			cfg := memoryConfig(config.WeightStationary, p.ArrayRows, p.ArrayCols,
+				p.Channels, p.QueueDepth, 1, 0)
+			cfg.IfmapSRAMKB, cfg.FilterSRAMKB, cfg.OfmapSRAMKB = kb/2, kb/4, kb/4
+			cfg.Sparsity = config.SparsityConfig{Enabled: true, Format: config.BlockedELLPACK}
+			points = append(points, scalesim.SweepPoint{Name: fmt.Sprintf("fig5/%s/%dkB", ratio, kb),
+				Config: cfg, Topology: annotated})
+			keys = append(keys, Fig5Point{Ratio: ratio, SRAMKB: kb})
 		}
 	}
-	return out, nil
+	results, err := sweep(points)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		s := res.Summary()
+		keys[i].TotalCycles, keys[i].StallCycles = s.TotalCycles, s.TotalStallCycles
+	}
+	return keys, nil
 }
 
 // WriteFig5CSV renders the Fig. 5 series.
