@@ -15,7 +15,7 @@ import (
 type CacheStats = simcache.Stats
 
 // Cache is a content-addressed, bounded LRU cache of layer simulation
-// results, shared across Run, Sweep and WriteTraces calls.
+// results, shared across Run and Sweep calls.
 //
 // Every (configuration, stage pipeline, layer shape) triple is
 // fingerprinted; when two layers agree on all three — whether within one
@@ -25,13 +25,11 @@ type CacheStats = simcache.Stats
 // fingerprint (they label reports, they do not change the simulation), so
 // repeated-shape topologies simulate each distinct shape once.
 //
-// Beyond whole layers, the cache also memoizes sub-results whose inputs
-// are a subset of the configuration: the data-layout (bank conflict)
-// analysis, which depends only on the layout section and the layer shape,
-// and trace blobs emitted by WriteTraces. A sweep that varies only DRAM or
-// energy knobs therefore still reuses the expensive systolic demand
-// analysis of unchanged layers even though the whole-layer fingerprints
-// differ.
+// Beyond whole layers, the cache also memoizes the data-layout (bank
+// conflict) slowdown, whose inputs are only the layout section, the array
+// and the layer shape. A sweep that varies only DRAM or energy knobs
+// therefore still reuses that analysis for unchanged layers even though
+// the whole-layer fingerprints differ. WriteTraces does not use the cache.
 //
 // A Cache is safe for concurrent use: one cache may back many simultaneous
 // Run and Sweep calls. Cached values are deep-copied on insertion and on
@@ -77,8 +75,7 @@ func SharedCache() *Cache {
 
 // RunCacheStats reports the layer cache's effectiveness for one Run: how
 // many layers were served from the cache and how many were simulated.
-// Sub-result hits (layout analysis, trace blobs) are not counted here;
-// they appear in Cache.Stats.
+// Layout-memo hits are not counted here; they appear in Cache.Stats.
 type RunCacheStats struct {
 	// Hits is the number of layers served from the cache.
 	Hits int64
@@ -95,12 +92,6 @@ type layerCache struct {
 	cache        *simcache.Cache
 	base         simcache.Key
 	hits, misses atomic.Int64
-	// memRow records whether this run's pipeline fills LayerResult.Memory
-	// (memory stage present and model enabled). Cached memory rows are
-	// relabeled with the hitting layer's name based on this, not on the
-	// cached row's own name, which is empty when the populating layer was
-	// anonymous.
-	memRow bool
 }
 
 // defaultERTEncoding is sharedDefaultERT's key encoding. That table is
@@ -128,18 +119,14 @@ func newLayerCache(c *Cache, cfg *Config, o *options) *layerCache {
 	} else {
 		h.Value(o.ert)
 	}
-	memRow := false
 	for _, st := range o.stages {
 		f, ok := st.(StageFingerprinter)
 		if !ok {
 			return nil
 		}
 		h.String(f.CacheFingerprint())
-		if _, ok := st.(memoryStage); ok && cfg.Memory.Enabled {
-			memRow = true
-		}
 	}
-	return &layerCache{cache: c.c, base: h.Sum(), memRow: memRow}
+	return &layerCache{cache: c.c, base: h.Sum()}
 }
 
 // fingerprintConfig returns the configuration as hashed into cache keys:
@@ -165,7 +152,7 @@ func (lc *layerCache) key(l *Layer) simcache.Key {
 	return h.Sum()
 }
 
-// lookup returns a hit (deep-copied and relabeled for l), a context error
+// lookup returns a hit (deep-copied, with l as its Layer), a context error
 // (the caller was cancelled while coalesced behind another computer), or
 // (nil, nil) after registering the caller as the key's single-flight
 // computer via Cache.Acquire. Concurrent same-shape layers — in this run
@@ -185,20 +172,7 @@ func (lc *layerCache) lookup(ctx context.Context, key simcache.Key, l *Layer) (*
 	}
 	lc.hits.Add(1)
 	lr := cloneLayerResult(v.(*LayerResult))
-	// The cached entry carries the name of whichever layer produced it;
-	// restore this layer's identity everywhere a name is recorded. The
-	// memory row is relabeled whenever the memory model ran — its cached
-	// name alone cannot distinguish "model off" from "populating layer
-	// was anonymous".
 	lr.Layer = *l
-	if lr.Sparse != nil {
-		lr.Sparse.LayerName = l.Name
-	}
-	if lc.memRow || lr.Memory.LayerName != "" {
-		// The second clause covers custom fingerprinted stages that fill
-		// the memory row themselves.
-		lr.Memory.LayerName = l.Name
-	}
 	return lr, nil
 }
 
@@ -249,9 +223,9 @@ func cloneLayerResult(lr *LayerResult) *LayerResult {
 // that the byte bound means something.
 func layerResultSize(lr *LayerResult) int64 {
 	size := int64(512) // flat struct, headers, map overhead
-	size += int64(len(lr.Layer.Name) + len(lr.Memory.LayerName))
+	size += int64(len(lr.Layer.Name))
 	if lr.Sparse != nil {
-		size += 128 + int64(len(lr.Sparse.LayerName)+len(lr.Sparse.Representation)+len(lr.Sparse.Ratio))
+		size += 128 + int64(len(lr.Sparse.Representation)+len(lr.Sparse.Ratio))
 	}
 	if lr.Partition != nil {
 		size += 32

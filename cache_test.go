@@ -3,6 +3,7 @@ package scalesim
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/hex"
 	"fmt"
 	"reflect"
@@ -90,8 +91,8 @@ func TestCachedMatchesUncachedByteIdentical(t *testing.T) {
 }
 
 // TestCacheSparseRunsByteIdentical covers the sparse compute path, whose
-// results carry the pointered SparseRow that must be deep-copied and
-// relabeled per layer.
+// results carry the pointered SparseRow that must be deep-copied per hit
+// and named after each hitting layer in SPARSE_REPORT.
 func TestCacheSparseRunsByteIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ArrayRows, cfg.ArrayCols = 16, 16
@@ -127,14 +128,37 @@ func TestCacheSparseRunsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var want []string
 	for i := range warm.Layers {
-		if warm.Layers[i].Sparse == nil {
-			continue
-		}
-		if got, want := warm.Layers[i].Sparse.LayerName, topo.Layers[i].Name; got != want {
-			t.Errorf("layer %d sparse row named %q, want %q", i, got, want)
+		if warm.Layers[i].Sparse != nil {
+			want = append(want, topo.Layers[i].Name)
 		}
 	}
+	rows := reportRecords(t, warm.Reports().Sparse)
+	var got []string
+	for _, row := range rows[1:] {
+		got = append(got, row[0])
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("SPARSE_REPORT rows named %q, want %q", got, want)
+	}
+}
+
+// reportRecords parses a rendered CSV report, header first.
+func reportRecords(t *testing.T, r *Report) [][]string {
+	t.Helper()
+	if r == nil {
+		t.Fatal("report missing")
+	}
+	var buf bytes.Buffer
+	if _, err := r.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 // TestCacheHitsAreIsolatedCopies: mutating one layer's result (including
@@ -404,9 +428,9 @@ func TestCacheConcurrentSweepSharedCache(t *testing.T) {
 	}
 }
 
-// TestCacheAnonymousLayerMemoryRow: a cache entry populated by a nameless
-// layer must still yield a MEMORY_REPORT row when a named same-shape layer
-// takes the hit (the row's presence sentinel is its non-empty name).
+// TestCacheAnonymousLayerMemoryRow: a nameless layer whose memory model
+// ran has a MEMORY_REPORT row, both when it populates the cache entry and
+// when a named same-shape layer takes the hit.
 func TestCacheAnonymousLayerMemoryRow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ArrayRows, cfg.ArrayCols = 8, 8
@@ -431,8 +455,15 @@ func TestCacheAnonymousLayerMemoryRow(t *testing.T) {
 	if !bytes.Equal(reportBytes(t, plain), reportBytes(t, cached)) {
 		t.Error("anonymous-layer reports not byte-identical")
 	}
-	if got := cached.Layers[1].Memory.LayerName; got != "named" {
-		t.Errorf("hit served to named layer carries memory row name %q, want %q", got, "named")
+	rows := reportRecords(t, cached.Reports().Memory)
+	if len(rows) != 3 {
+		t.Fatalf("MEMORY_REPORT has %d rows, want a header and one per layer: %q", len(rows), rows)
+	}
+	if rows[1][0] != "" || rows[1][1] != "160" {
+		t.Errorf("first row %q, want the nameless layer's (,160,...)", rows[1])
+	}
+	if rows[2][0] != "named" || !reflect.DeepEqual(rows[1][1:], rows[2][1:]) {
+		t.Errorf("second row %q, want named's, equal to the first but for the name", rows[2])
 	}
 }
 
@@ -533,8 +564,8 @@ func TestSharedCacheOption(t *testing.T) {
 }
 
 // TestCacheKeysPinned pins the bytes of every key the root package derives
-// — layer keys at both fidelities and under a caller's ERT, the layout
-// memo key and the two trace keys — to the values the original unbuffered
+// — layer keys at both fidelities and under a caller's ERT, and the layout
+// memo key — to the values the original unbuffered
 // reflection hasher produced. Persisted stores stay readable only while
 // these hold; a deliberate change must bump simcache.SchemaVersion and
 // re-pin.
@@ -563,47 +594,23 @@ func TestCacheKeysPinned(t *testing.T) {
 		}
 	}
 
-	// The memo and trace keys are computed inside Apply / WriteTraces;
-	// they are pinned by what those calls leave in the cache.
-	ctx := context.Background()
-	cached := func(c *Cache, name, hexKey string) any {
-		var k simcache.Key
-		if _, err := hex.Decode(k[:], []byte(hexKey)); err != nil {
-			t.Fatal(err)
-		}
-		v, ok := c.c.Get(k)
-		if !ok {
-			t.Errorf("%s key %s: no cache entry", name, hexKey)
-		}
-		return v
-	}
+	// The memo key is computed inside Apply; it is pinned by what a run
+	// leaves in the cache.
 	lcfg := DefaultConfig()
 	lcfg.Layout.Enabled = true
 	lc := NewCache(0, 0)
-	if _, err := New(lcfg, WithCache(lc)).Run(ctx, &Topology{Name: "t", Layers: []Layer{conv}}); err != nil {
+	if _, err := New(lcfg, WithCache(lc)).Run(context.Background(), &Topology{Name: "t", Layers: []Layer{conv}}); err != nil {
 		t.Fatal(err)
 	}
-	if v := cached(lc, "layout memo", "faeedce43fa4f19bc657b30b36b3f4752e602274ed7fa17903caac55b03e755d"); v != nil {
-		if _, ok := v.(float64); !ok {
-			t.Errorf("layout memo entry is %T, want float64", v)
-		}
-	}
-
-	tcfg := DefaultConfig()
-	tcfg.Memory.Enabled = true
-	tc := NewCache(0, 0)
-	if err := New(tcfg, WithCache(tc)).WriteTraces(&Topology{Name: "t", Layers: []Layer{gemm}}, t.TempDir()); err != nil {
+	const memoKey = "faeedce43fa4f19bc657b30b36b3f4752e602274ed7fa17903caac55b03e755d"
+	var k simcache.Key
+	if _, err := hex.Decode(k[:], []byte(memoKey)); err != nil {
 		t.Fatal(err)
 	}
-	if v := cached(tc, "sram trace", "3beeaef2a14199ef2df856c2ea6ca99c42d59781068307033d64708477d8c8ad"); v != nil {
-		if _, ok := v.(*sramTraceBlobs); !ok {
-			t.Errorf("sram trace entry is %T, want *sramTraceBlobs", v)
-		}
-	}
-	if v := cached(tc, "dram trace", "322ac7e4b13bee28c8c32c73a8db8a006694795450fd660a3aa556bd956374a0"); v != nil {
-		if _, ok := v.([]byte); !ok {
-			t.Errorf("dram trace entry is %T, want []byte", v)
-		}
+	if v, ok := lc.c.Get(k); !ok {
+		t.Errorf("layout memo key %s: no cache entry", memoKey)
+	} else if _, ok := v.(float64); !ok {
+		t.Errorf("layout memo entry is %T, want float64", v)
 	}
 }
 

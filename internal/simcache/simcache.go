@@ -1,5 +1,5 @@
-// Package simcache is the cross-run simulation cache shared by Run, Sweep
-// and WriteTraces: a content-addressed, bounded LRU mapping fingerprints of
+// Package simcache is the cross-run simulation cache shared by Run and
+// Sweep: a content-addressed, bounded LRU mapping fingerprints of
 // simulation inputs to their results.
 //
 // The package has two halves:
@@ -469,11 +469,6 @@ func (c *Cache) Release(k Key) {
 		close(ch)
 	}
 }
-
-// MaxEntryBytes returns the largest accounted size Put will accept (half
-// the byte budget). Callers that buffer data speculatively before caching
-// it can stop buffering once this bound is exceeded.
-func (c *Cache) MaxEntryBytes() int64 { return c.maxBytes / 2 }
 
 // Get returns the value stored under k and marks it most recently used.
 // The returned value is the cached instance itself: callers must copy it

@@ -234,7 +234,7 @@ func TestEllpackMetadataExact(t *testing.T) {
 
 func TestNewReport(t *testing.T) {
 	p, _ := Uniform(64, 8, topology.Sparsity{N: 1, M: 4})
-	rep, err := NewReport("L0", "1:4", p, config.BlockedELLPACK, 16)
+	rep, err := NewReport("1:4", p, config.BlockedELLPACK, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,11 +63,10 @@ func Footprint(p *Pattern, format config.SparseFormat, wordBits int) (Storage, e
 	return st, nil
 }
 
-// Report is the SPARSE_REPORT row for one layer.
+// Report is the SPARSE_REPORT row for one layer, less the layer's name.
 type Report struct {
-	LayerName string
-	Format    config.SparseFormat
-	Ratio     string // the layer's N:M annotation
+	Format config.SparseFormat
+	Ratio  string // the layer's N:M annotation
 	// Word counts at the configured element width.
 	OriginalFilterWords   int64
 	CompressedFilterWords int64 // values + metadata
@@ -76,7 +75,7 @@ type Report struct {
 }
 
 // NewReport builds the report row for a pattern.
-func NewReport(layerName, ratio string, p *Pattern, format config.SparseFormat, wordBits int) (Report, error) {
+func NewReport(ratio string, p *Pattern, format config.SparseFormat, wordBits int) (Report, error) {
 	if wordBits <= 0 {
 		wordBits = 32
 	}
@@ -87,7 +86,6 @@ func NewReport(layerName, ratio string, p *Pattern, format config.SparseFormat, 
 	orig := DenseBits(p, wordBits) / int64(wordBits)
 	comp := st.TotalWords(wordBits)
 	r := Report{
-		LayerName:             layerName,
 		Format:                format,
 		Ratio:                 ratio,
 		OriginalFilterWords:   orig,

@@ -240,3 +240,33 @@ func TestOperandWordsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzParseCSV feeds arbitrary bytes to the topology CSV reader, whose
+// layer names go on to name trace files: it must not panic, every error
+// must carry the package prefix, and every accepted topology must pass
+// Validate.
+func FuzzParseCSV(f *testing.F) {
+	var conv, gemm bytes.Buffer
+	if err := AlexNet().WriteCSV(&conv); err != nil {
+		f.Fatal(err)
+	}
+	if err := GEMMSweep([]int{64}, []int{48}, []int{96}).WriteCSV(&gemm); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(conv.String())
+	f.Add(gemm.String())
+	f.Add("Layer name, IFMAP Height, IFMAP Width, Filter Height, Filter Width, Channels, Num Filter, Strides,\nConv1, 224, 224, 11, 11, 3, 96, 4, 2:4,\n")
+	f.Add("Layer, M, N, K,\n.., 8, 8, 8,\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		topo, err := ParseCSV(strings.NewReader(src))
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "topology:") {
+				t.Fatalf("error %q lacks the topology: prefix", err)
+			}
+			return
+		}
+		if err := topo.Validate(); err != nil {
+			t.Fatalf("accepted an invalid topology: %v", err)
+		}
+	})
+}

@@ -12,7 +12,6 @@ type options struct {
 	stages        []Stage
 	cache         *Cache
 	storeDir      string
-	storeBytes    int64
 	traceEnabled  bool
 	traceDir      string
 	traceName     string

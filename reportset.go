@@ -118,9 +118,9 @@ func (r *Result) Reports() *ReportSet {
 	return rs
 }
 
-// reportRows flattens the per-layer results into report rows. Layers whose
-// memory model did not run contribute no memory row (a zero-valued row
-// would be junk in the CSV).
+// reportRows flattens the per-layer results into report rows, each named
+// after its Layer. Layers whose memory model did not run contribute no
+// memory row: LayerResult.Memory is zero-valued exactly then.
 func (r *Result) reportRows() ([]report.ComputeRow, []report.BandwidthRow,
 	[]report.MemoryRow, []report.SparseRow, []report.EnergyRow) {
 	var crows []report.ComputeRow
@@ -147,11 +147,15 @@ func (r *Result) reportRows() ([]report.ComputeRow, []report.BandwidthRow,
 			DRAMWriteWords: l.DRAMWriteWords, AvgReadBWWords: rbw,
 			AvgWriteBW: wbw, ThroughputMBps: l.ThroughputMBps,
 		})
-		if l.Memory.LayerName != "" {
-			mrows = append(mrows, l.Memory)
+		if l.Memory != (report.MemoryRow{}) {
+			row := l.Memory
+			row.LayerName = l.Layer.Name
+			mrows = append(mrows, row)
 		}
 		if l.Sparse != nil {
-			srows = append(srows, *l.Sparse)
+			row := *l.Sparse
+			row.LayerName = l.Layer.Name
+			srows = append(srows, row)
 		}
 		if l.Energy != nil {
 			erows = append(erows, report.EnergyRow{

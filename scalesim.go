@@ -143,6 +143,10 @@ func LoadTopology(path string) (*Topology, error) { return topology.LoadCSV(path
 func ParseSparsity(s string) (Sparsity, error) { return topology.ParseSparsity(s) }
 
 // LayerResult is the full per-layer output of a run.
+//
+// Layer.Name is the one place a result records its layer's name: the
+// LayerName fields of the Sparse and Memory rows are left empty, and the
+// reports fill them from Layer.Name when they render.
 type LayerResult struct {
 	Layer topology.Layer
 	// GEMM dimensions after lowering.
@@ -261,7 +265,7 @@ type Simulator struct {
 
 // New builds a Simulator. The configuration is validated lazily at Run so
 // construction never fails. Options given here are the defaults for every
-// Run/WriteTraces call; Run-level options override them per call.
+// Run call; Run-level options override them per call.
 func New(cfg Config, opts ...Option) *Simulator {
 	s := &Simulator{cfg: cfg, opts: defaultOptions()}
 	for _, o := range opts {

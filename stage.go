@@ -144,12 +144,11 @@ func (computeStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) 
 		lr.ComputeCycles = est.ComputeCycles
 		lr.Utilization = est.Utilization
 		lr.MappingEff = est.MappingEfficiency
-		sr, err := sparse.NewReport(l.Name, l.Sparsity.String(), p, cfg.Sparsity.Format, cfg.WordBytes*8)
+		sr, err := sparse.NewReport(l.Sparsity.String(), p, cfg.Sparsity.Format, cfg.WordBytes*8)
 		if err != nil {
 			return err
 		}
 		row := report.SparseRow{
-			LayerName:             sr.LayerName,
 			Representation:        cfg.Sparsity.Format.String(),
 			Ratio:                 sr.Ratio,
 			OriginalFilterWords:   sr.OriginalFilterWords,
@@ -391,7 +390,6 @@ func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 		lr.DRAMWriteWords = mres.WriteWords
 		lr.ThroughputMBps = mres.ThroughputMBps
 		lr.Memory = report.MemoryRow{
-			LayerName:   lr.Layer.Name,
 			Requests:    mres.ReadRequests + mres.WriteRequests,
 			StallCycles: mres.StallCycles,
 		}
@@ -422,7 +420,6 @@ func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 	lr.DRAMWriteWords = mres.WriteWords
 	lr.ThroughputMBps = mres.ThroughputMBps
 	lr.Memory = report.MemoryRow{
-		LayerName:      lr.Layer.Name,
 		Requests:       mres.ReadRequests + mres.WriteRequests,
 		RowHits:        mres.DRAM.RowHits,
 		RowMisses:      mres.DRAM.RowMisses,

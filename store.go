@@ -146,7 +146,7 @@ func (c *Cache) degradeStore(s *diskstore.Store) {
 
 // resolveStore applies a WithStore directory after all options are parsed:
 // a store implies caching, so a run without an explicit cache gets the
-// process-wide shared one.
+// process-wide shared one. The store gets AttachStore's default size bound.
 func (o *options) resolveStore() error {
 	if o.storeDir == "" {
 		return nil
@@ -154,7 +154,7 @@ func (o *options) resolveStore() error {
 	if o.cache == nil {
 		o.cache = SharedCache()
 	}
-	return o.cache.AttachStore(o.storeDir, o.storeBytes)
+	return o.cache.AttachStore(o.storeDir, 0)
 }
 
 // storeFailThreshold is the degradation ladder's trip point: this many
@@ -215,13 +215,12 @@ func (t *storeTier) observe() {
 const (
 	codecLayerResult byte = 1 // gob-encoded *LayerResult
 	codecFloat64     byte = 2 // 8 bytes, IEEE-754 bits little-endian
-	codecBytes       byte = 3 // raw blob
 )
 
-// storeCodec translates the three persistable cache value kinds — layer
-// results, layout slowdown factors, rendered trace blobs — to kind-tagged
-// payloads. Other kinds (SRAM trace builders hold unexported state) return
-// ok=false and stay memory-only.
+// storeCodec translates the two cache value kinds — gob-encoded layer
+// results and the layout memo's float64 slowdown factors — to kind-tagged
+// payloads. Any other value returns ok=false and stays memory-only; a
+// payload with an unknown tag decodes as a miss.
 type storeCodec struct{}
 
 func (storeCodec) Encode(v any) ([]byte, bool) {
@@ -237,11 +236,6 @@ func (storeCodec) Encode(v any) ([]byte, bool) {
 		p := make([]byte, 9)
 		p[0] = codecFloat64
 		binary.LittleEndian.PutUint64(p[1:], math.Float64bits(x))
-		return p, true
-	case []byte:
-		p := make([]byte, 1+len(x))
-		p[0] = codecBytes
-		copy(p[1:], x)
 		return p, true
 	}
 	return nil, false
@@ -264,10 +258,6 @@ func (storeCodec) Decode(payload []byte) (any, int64, bool) {
 			return nil, 0, false
 		}
 		return math.Float64frombits(binary.LittleEndian.Uint64(body)), 8, true
-	case codecBytes:
-		b := make([]byte, len(body))
-		copy(b, body)
-		return b, int64(len(b)), true
 	}
 	return nil, 0, false
 }

@@ -24,7 +24,7 @@ func TestStoreDegradesAfterRepeatedIOErrors(t *testing.T) {
 		if c.StoreDegraded() {
 			t.Fatalf("store degraded after %d failing ops, want %d", i, storeFailThreshold)
 		}
-		tier.PutBlob(simcache.Key{byte(i)}, []byte{codecBytes, 'x'})
+		tier.PutBlob(simcache.Key{byte(i)}, []byte{codecFloat64, 'x'})
 	}
 	if !c.StoreDegraded() {
 		t.Fatal("store not degraded after repeated I/O errors")
@@ -65,8 +65,8 @@ func TestStoreDegradationLadderResetsOnCleanOp(t *testing.T) {
 
 	tier := &storeTier{s: c.store, c: c}
 	for i := 0; i < 3*storeFailThreshold; i++ {
-		tier.PutBlob(simcache.Key{0xFF, byte(i)}, []byte{codecBytes, 'x'}) // fails
-		tier.GetBlob(simcache.Key{0xEE, byte(i)})                          // clean miss, resets
+		tier.PutBlob(simcache.Key{0xFF, byte(i)}, []byte{codecFloat64, 'x'}) // fails
+		tier.GetBlob(simcache.Key{0xEE, byte(i)})                            // clean miss, resets
 	}
 	if c.StoreDegraded() {
 		t.Fatal("alternating fail/clean operations tripped the ladder")

@@ -125,16 +125,6 @@ func TestStoreCodecRoundTrips(t *testing.T) {
 		t.Fatalf("NaN round trip = %v", v)
 	}
 
-	blob := []byte("trace,bytes\n1,2\n")
-	p, ok = codec.Encode(blob)
-	if !ok {
-		t.Fatal("Encode([]byte) not ok")
-	}
-	v, size, ok = codec.Decode(p)
-	if !ok || size != int64(len(blob)) || !bytes.Equal(v.([]byte), blob) {
-		t.Fatalf("blob round trip = %q, %d, %v", v, size, ok)
-	}
-
 	if _, ok := codec.Encode(struct{ X int }{1}); ok {
 		t.Fatal("Encode accepted an unknown type")
 	}

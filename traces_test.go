@@ -3,7 +3,6 @@ package scalesim
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -78,115 +77,29 @@ func TestWriteTraces(t *testing.T) {
 	}
 }
 
-// TestWriteTracesCached: with a cache attached, repeated-shape layers and
-// repeated WriteTraces calls serve the rendered trace bytes from the cache
-// — and the files are byte-identical to the uncached ones.
-func TestWriteTracesCached(t *testing.T) {
+// TestWriteTracesRejectsUnsafeNames: a layer name that maps to no file
+// name of its own ("", ".", "..") would put trace files beside or above
+// the output directory, and names that sanitize alike would overwrite each
+// other. Both are errors, and nothing is written.
+func TestWriteTracesRejectsUnsafeNames(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ArrayRows, cfg.ArrayCols = 8, 8
-	cfg.Memory.Enabled = true
-	topo := &Topology{Name: "tiny", Layers: []Layer{
-		{Name: "G0", Kind: 1, M: 24, N: 16, K: 32},
-		{Name: "G1", Kind: 1, M: 24, N: 16, K: 32}, // same shape as G0
-		{Name: "G2", Kind: 1, M: 16, N: 16, K: 16},
-	}}
-
-	plainDir := t.TempDir()
-	if err := New(cfg).WriteTraces(topo, plainDir); err != nil {
-		t.Fatal(err)
-	}
-	cache := NewCache(0, 0)
-	sim := New(cfg, WithCache(cache))
-	cachedDir := t.TempDir()
-	if err := sim.WriteTraces(topo, cachedDir); err != nil {
-		t.Fatal(err)
-	}
-	// G1 shares G0's shape: its four files must come from the cache, so
-	// the cache saw strictly fewer misses than layers×files.
-	st := cache.Stats()
-	if st.Hits == 0 {
-		t.Errorf("repeated-shape trace emission produced no cache hits: %+v", st)
-	}
-
-	suffixes := []string{
-		"_sram_ifmap_read.csv", "_sram_filter_read.csv",
-		"_sram_ofmap_write.csv", "_dram_trace.csv",
-	}
-	compare := func(dir string) {
-		t.Helper()
-		for _, l := range topo.Layers {
-			for _, suffix := range suffixes {
-				want, err := os.ReadFile(filepath.Join(plainDir, l.Name+suffix))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := os.ReadFile(filepath.Join(dir, l.Name+suffix))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(want, got) {
-					t.Errorf("%s%s: cached trace differs from uncached", l.Name, suffix)
-				}
+	for _, names := range [][]string{{""}, {"."}, {".."}, {"a/b", "a_b"}} {
+		topo := &Topology{Name: "unsafe", Layers: []Layer{{Name: "ok", Kind: GEMM, M: 8, N: 8, K: 8}}}
+		for _, n := range names {
+			topo.Layers = append(topo.Layers, Layer{Name: n, Kind: GEMM, M: 8, N: 8, K: 8})
+		}
+		root := t.TempDir()
+		err := New(cfg).WriteTraces(topo, filepath.Join(root, "x", "out"))
+		if err == nil {
+			t.Errorf("names %q: WriteTraces succeeded", names)
+		}
+		filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				t.Errorf("names %q: wrote %s", names, path)
 			}
-		}
-	}
-	compare(cachedDir)
-
-	// Second emission (the after-a-Run scenario): everything is a hit and
-	// the files still match.
-	if _, err := sim.Run(context.Background(), topo); err != nil {
-		t.Fatal(err)
-	}
-	before := cache.Stats()
-	againDir := t.TempDir()
-	if err := sim.WriteTraces(topo, againDir); err != nil {
-		t.Fatal(err)
-	}
-	after := cache.Stats()
-	if after.Misses != before.Misses {
-		t.Errorf("second WriteTraces re-simulated: misses %d -> %d", before.Misses, after.Misses)
-	}
-	compare(againDir)
-}
-
-// TestWriteTracesOversizedNotCached: traces too large for the cache's
-// byte budget are still written correctly, just not retained (and the
-// capped tee must not have corrupted them).
-func TestWriteTracesOversizedNotCached(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ArrayRows, cfg.ArrayCols = 8, 8
-	cfg.Memory.Enabled = true
-	topo := &Topology{Name: "tiny", Layers: []Layer{
-		{Name: "G0", Kind: 1, M: 24, N: 16, K: 32},
-	}}
-
-	plainDir := t.TempDir()
-	if err := New(cfg).WriteTraces(topo, plainDir); err != nil {
-		t.Fatal(err)
-	}
-	cache := NewCache(0, 64) // MaxEntryBytes = 32: every blob is oversized
-	cachedDir := t.TempDir()
-	if err := New(cfg, WithCache(cache)).WriteTraces(topo, cachedDir); err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.Stats(); st.Entries != 0 {
-		t.Errorf("oversized trace blobs were cached: %+v", st)
-	}
-	for _, suffix := range []string{
-		"_sram_ifmap_read.csv", "_sram_filter_read.csv",
-		"_sram_ofmap_write.csv", "_dram_trace.csv",
-	} {
-		want, err := os.ReadFile(filepath.Join(plainDir, "G0"+suffix))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(cachedDir, "G0"+suffix))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("%s: file written through capped tee differs", suffix)
-		}
+			return err
+		})
 	}
 }
 
