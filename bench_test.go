@@ -154,14 +154,14 @@ func BenchmarkDataflowDRAMStalls(b *testing.B) {
 
 // --- Ablations ---
 
-// benchMemoryRun replays one mid-size GEMM against a configurable DRAM
-// system; the ablation benches vary one knob at a time. It fails outright
-// if the event engine reports zero skipped cycles: on a memory-bound
-// config like this one, cycle-skipping is the engine's core perf contract
-// (mirroring the cache-hit assertion in BenchmarkExploreCached). The cost
-// of attaching a span to this replay is pinned by count, not time, in
+// benchMemoryRun replays one mid-size GEMM against one DDR4-2400 channel
+// with a 64-entry queue. It fails outright if the event engine reports
+// zero skipped cycles: on a memory-bound config like this one,
+// cycle-skipping is the engine's core perf contract (mirroring the
+// cache-hit assertion in BenchmarkExploreCached). The cost of attaching a
+// span to this replay is pinned by count, not time, in
 // TestObserveAttachedMemoryReplayOverhead.
-func benchMemoryRun(b *testing.B, policy dram.RowPolicy, sched dram.Scheduler) {
+func benchMemoryRun(b *testing.B) {
 	b.Helper()
 	g := systolic.Gemm{M: 256, N: 128, K: 256}
 	for i := 0; i < b.N; i++ {
@@ -169,9 +169,7 @@ func benchMemoryRun(b *testing.B, policy dram.RowPolicy, sched dram.Scheduler) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys, err := dram.New(dram.DDR4_2400(), dram.Options{
-			Channels: 1, QueueDepth: 64, Policy: policy, Sched: sched,
-		})
+		sys, err := dram.New(dram.DDR4_2400(), dram.Options{Channels: 1, QueueDepth: 64})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,15 +186,7 @@ func benchMemoryRun(b *testing.B, policy dram.RowPolicy, sched dram.Scheduler) {
 	}
 }
 
-func BenchmarkDRAMRowPolicy(b *testing.B) {
-	b.Run("open-row", func(b *testing.B) { benchMemoryRun(b, dram.OpenRow, dram.FRFCFS) })
-	b.Run("close-row", func(b *testing.B) { benchMemoryRun(b, dram.CloseRow, dram.FRFCFS) })
-}
-
-func BenchmarkDRAMScheduler(b *testing.B) {
-	b.Run("fr-fcfs", func(b *testing.B) { benchMemoryRun(b, dram.OpenRow, dram.FRFCFS) })
-	b.Run("fcfs", func(b *testing.B) { benchMemoryRun(b, dram.OpenRow, dram.FCFS) })
-}
+func BenchmarkDRAMReplay(b *testing.B) { benchMemoryRun(b) }
 
 // BenchmarkLayoutNaiveVsOptimized is the layout-choice ablation: the same
 // demand stream analyzed under a naive row-major layout and under the

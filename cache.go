@@ -65,9 +65,9 @@ var (
 	sharedCache     *Cache
 )
 
-// SharedCache returns the process-wide cache used by WithSharedCache,
-// created with default bounds on first use. Independent subsystems that
-// simulate overlapping configurations share hits through it.
+// SharedCache returns the process-wide cache, created with default bounds
+// on first use. Independent subsystems that simulate overlapping
+// configurations share hits through it: pass WithCache(SharedCache()).
 func SharedCache() *Cache {
 	sharedCacheOnce.Do(func() { sharedCache = NewCache(0, 0) })
 	return sharedCache

@@ -540,7 +540,8 @@ func TestCacheCustomFingerprintedStage(t *testing.T) {
 	}
 }
 
-// TestSharedCacheOption: WithSharedCache wires the process-wide cache.
+// TestSharedCacheOption: WithCache(SharedCache()) wires the process-wide
+// cache.
 func TestSharedCacheOption(t *testing.T) {
 	SharedCache().Purge()
 	defer SharedCache().Purge() // leave no cross-test state
@@ -548,10 +549,10 @@ func TestSharedCacheOption(t *testing.T) {
 	cfg := DefaultConfig()
 	topo := repeatedShapeTopology(1)
 	ctx := context.Background()
-	if _, err := New(cfg).Run(ctx, topo, WithSharedCache()); err != nil {
+	if _, err := New(cfg).Run(ctx, topo, WithCache(SharedCache())); err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(cfg).Run(ctx, topo, WithSharedCache())
+	res, err := New(cfg).Run(ctx, topo, WithCache(SharedCache()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // runCache implements `scalesim cache`: offline inspection and maintenance
-// of a persistent result store created with `scalesim serve -store` (or the
-// WithStore facade option).
+// of a persistent result store created with `scalesim serve -store` (or
+// Cache.AttachStore).
 //
 //	scalesim cache stats  -store ./cache    occupancy and recovery counters
 //	scalesim cache verify -store ./cache    re-checksum every log entry

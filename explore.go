@@ -44,10 +44,6 @@ type (
 	Space = explore.Space
 	// Candidate selects one setting per space axis, by value index.
 	Candidate = explore.Candidate
-	// Searcher generates candidates through an ask/tell loop. The
-	// built-in strategies are selected with WithExploreStrategy; a custom
-	// implementation can be injected with WithExploreSearcher.
-	Searcher = explore.Strategy
 )
 
 // IntRangeAxis returns an integer axis enumerating lo, lo+step, ..., ≤ hi;
@@ -186,7 +182,6 @@ type ExploreProgress struct {
 type exploreOptions struct {
 	objectives    []Objective
 	strategy      SearchStrategy
-	searcher      Searcher
 	budget        int
 	batch         int
 	seed          int64
@@ -217,12 +212,6 @@ func WithExploreObjectives(objs ...Objective) ExploreOption {
 // AutoSearch).
 func WithExploreStrategy(s SearchStrategy) ExploreOption {
 	return func(o *exploreOptions) { o.strategy = s }
-}
-
-// WithExploreSearcher injects a custom candidate-generation strategy,
-// overriding WithExploreStrategy.
-func WithExploreSearcher(s Searcher) ExploreOption {
-	return func(o *exploreOptions) { o.searcher = s }
 }
 
 // WithExploreBudget bounds the search to at most n candidate evaluations
@@ -546,13 +535,9 @@ func Explore(ctx context.Context, base Config, topo *Topology, space Space, opts
 		}
 		seen[obj.Name] = true
 	}
-	strat := o.searcher
-	if strat == nil {
-		var err error
-		strat, err = explore.NewStrategy(string(o.strategy), space, o.seed, o.budget)
-		if err != nil {
-			return nil, err
-		}
+	strat, err := explore.NewStrategy(string(o.strategy), space, o.seed, o.budget)
+	if err != nil {
+		return nil, err
 	}
 	cache := o.cache
 	if cache == nil {
@@ -609,7 +594,7 @@ func Explore(ctx context.Context, base Config, topo *Topology, space Space, opts
 // caller to attribute to the right phase. keepResults says whether each
 // evaluation retains its *Result (the frontier needs it) or only its
 // scores (all a screen needs, at a fraction of the memory).
-func (e *explorer) search(ctx context.Context, strat Searcher, cache *Cache, fid Fidelity, budget int, keepResults bool) (searchOutcome, error) {
+func (e *explorer) search(ctx context.Context, strat explore.Strategy, cache *Cache, fid Fidelity, budget int, keepResults bool) (searchOutcome, error) {
 	o, f := e.o, e.f
 	var out searchOutcome
 	for gen := 1; out.evaluated < budget; gen++ {

@@ -206,7 +206,10 @@ type LayoutConfig struct {
 type EnergyConfig struct {
 	// Enabled turns Accelergy-style estimation on.
 	Enabled bool `json:"enabled"`
-	// Technology tags the ERT ("65nm" default).
+	// Technology is a label for the ERT ("65nm" default). It is parsed
+	// and part of the cache fingerprint, but not modelled: nothing
+	// validates or reads it, and the energy model always uses the ERT the
+	// run was given (WithERT, else the built-in 65 nm table).
 	Technology string `json:"technology"`
 	// ClockGating models unused MACs as gated rather than constant.
 	ClockGating bool `json:"clock_gating"`
@@ -291,6 +294,8 @@ type MultiCoreConfig struct {
 	// Strategy selects spatial vs spatio-temporal partitioning.
 	Strategy PartitionStrategy `json:"strategy"`
 	// L2SizeKB is the shared L2 scratchpad per core cluster (0 = no L2).
+	// It is parsed and part of the cache fingerprint, but not modelled:
+	// nothing validates or reads it, and multi-core cycles assume no L2.
 	L2SizeKB int `json:"l2_size_kb"`
 	// Cores describes each tensor core. Homogeneous configs may leave it
 	// empty and inherit the top-level array shape.

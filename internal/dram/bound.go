@@ -10,9 +10,9 @@ package dram
 // channels: by pigeonhole some channel carries at least
 // ceil(lines/channels) of them, and each occupies that channel's data bus
 // for BurstCycles command-clock cycles. Row activations, scheduling
-// conflicts, queue back-pressure and refresh can only add time, so every
-// discipline the simulator models (FR-FCFS/FCFS, open/close row) reports
-// at least this many cycles to serve the same lines.
+// conflicts, queue back-pressure and refresh can only add time, so the
+// FR-FCFS open-row controller, at any queue depth, reports at least this
+// many cycles to serve the same lines.
 func MinServiceCycles(t Tech, channels int, lines int64) int64 {
 	if lines <= 0 {
 		return 0

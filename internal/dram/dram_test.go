@@ -134,10 +134,11 @@ func TestDecodeRoundTripProperty(t *testing.T) {
 }
 
 func TestTimingInvariants(t *testing.T) {
-	// Ping-pong between two rows of one bank under FCFS (no reordering):
-	// every access conflicts, so tRC per pair lower-bounds the makespan.
+	// Ping-pong between two rows of one bank in arrival order: a one-entry
+	// queue leaves FR-FCFS nothing to reorder, so every access conflicts
+	// and tRC per pair lower-bounds the makespan.
 	tech := DDR4_2400()
-	s := mustNew(t, tech, Options{DisableRefresh: true, QueueDepth: 256, Sched: FCFS})
+	s := mustNew(t, tech, Options{DisableRefresh: true, QueueDepth: 1})
 	var reqs []*Request
 	// Alternate between two rows of the same bank to force ACT churn.
 	rowBytes := int64(tech.RowBytes())
@@ -146,15 +147,10 @@ func TestTimingInvariants(t *testing.T) {
 		addr := int64(i%2) * stride
 		reqs = append(reqs, &Request{Addr: addr})
 	}
-	for _, r := range reqs {
-		if !s.Enqueue(r) {
-			t.Fatal("enqueue failed")
-		}
-	}
-	if _, err := s.RunUntilDrained(1 << 20); err != nil {
+	st, _, err := s.SimulateTrace(reqs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
 	if st.Reads != 32 {
 		t.Fatalf("completed %d reads", st.Reads)
 	}
@@ -170,7 +166,8 @@ func TestTimingInvariants(t *testing.T) {
 func TestFRFCFSPrefersRowHits(t *testing.T) {
 	tech := DDR4_2400()
 	frfcfs := mustNew(t, tech, Options{DisableRefresh: true, QueueDepth: 64})
-	fcfs := mustNew(t, tech, Options{DisableRefresh: true, QueueDepth: 64, Sched: FCFS})
+	// A one-entry queue gives FR-FCFS nothing to reorder: arrival order.
+	inOrder := mustNew(t, tech, Options{DisableRefresh: true, QueueDepth: 1})
 	// Interleave two row streams: FR-FCFS should batch row hits.
 	build := func() []*Request {
 		var reqs []*Request
@@ -185,31 +182,15 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := fcfs.SimulateTrace(build())
+	r2, _, err := inOrder.SimulateTrace(build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.RowHits < r2.RowHits {
-		t.Errorf("FR-FCFS row hits %d below FCFS %d", r1.RowHits, r2.RowHits)
+		t.Errorf("FR-FCFS row hits %d below in-order %d", r1.RowHits, r2.RowHits)
 	}
 	if r1.Cycles > r2.Cycles {
-		t.Errorf("FR-FCFS makespan %d worse than FCFS %d", r1.Cycles, r2.Cycles)
-	}
-}
-
-func TestCloseRowPolicyNoHitsOnAlternatingRows(t *testing.T) {
-	tech := DDR4_2400()
-	s := mustNew(t, tech, Options{DisableRefresh: true, Policy: CloseRow, QueueDepth: 64})
-	var reqs []*Request
-	for i := 0; i < 16; i++ {
-		reqs = append(reqs, &Request{Addr: int64(i) * 64})
-	}
-	st, _, err := s.SimulateTrace(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.RowHits != 0 {
-		t.Errorf("close-row policy produced %d row hits", st.RowHits)
+		t.Errorf("FR-FCFS makespan %d worse than in-order %d", r1.Cycles, r2.Cycles)
 	}
 }
 

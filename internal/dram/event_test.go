@@ -32,68 +32,62 @@ func randomTrace(rng *rand.Rand, n int, tech *Tech, channels int) []*Request {
 
 // TestEventEngineSimulateTraceMatchesReference pins the event-driven
 // SimulateTrace against the retained per-cycle reference loop: identical
-// stats, stall counts and per-request completion times across schedulers,
-// row policies, channel counts and refresh settings.
+// stats, stall counts and per-request completion times across technologies,
+// channel counts and refresh settings.
 func TestEventEngineSimulateTraceMatchesReference(t *testing.T) {
 	techs := map[string]Tech{"ddr4": DDR4_2400(), "hbm2": HBM2_2000()}
 	for techName, tech := range techs {
-		for _, sched := range []Scheduler{FRFCFS, FCFS} {
-			for _, policy := range []RowPolicy{OpenRow, CloseRow} {
-				for _, channels := range []int{1, 2, 4} {
-					for _, refresh := range []bool{false, true} {
-						opts := Options{
-							Channels: channels, QueueDepth: 8,
-							Policy: policy, Sched: sched,
-							DisableRefresh: !refresh,
-						}
-						name := techName + "/" + sched.String() + "/" + policy.String() +
-							"/" + string(rune('0'+channels)) + "ch"
-						if refresh {
-							name += "/refresh"
-						}
-						t.Run(name, func(t *testing.T) {
-							rng := rand.New(rand.NewSource(42))
-							reqs1 := randomTrace(rng, 300, &tech, channels)
-							reqs2 := make([]*Request, len(reqs1))
-							for i, r := range reqs1 {
-								cp := *r
-								reqs2[i] = &cp
-							}
-
-							evOpts := opts
-							ev := mustNew(t, tech, evOpts)
-							refOpts := opts
-							refOpts.ReferenceTicks = true
-							ref := mustNew(t, tech, refOpts)
-
-							evStats, evStalls, err := ev.SimulateTrace(reqs1)
-							if err != nil {
-								t.Fatal(err)
-							}
-							refStats, refStalls, err := ref.SimulateTrace(reqs2)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(evStats, refStats) {
-								t.Errorf("stats diverge:\nevent: %+v\nref:   %+v", evStats, refStats)
-							}
-							if evStalls != refStalls {
-								t.Errorf("stalls diverge: event %d, ref %d", evStalls, refStalls)
-							}
-							for i := range reqs1 {
-								if reqs1[i].Done != reqs2[i].Done {
-									t.Fatalf("req %d: Done %d (event) != %d (ref)", i, reqs1[i].Done, reqs2[i].Done)
-								}
-							}
-							if ev.Now() != ref.Now() {
-								t.Errorf("clock diverges: event %d, ref %d", ev.Now(), ref.Now())
-							}
-							if ev.SkippedCycles() == 0 {
-								t.Error("event engine skipped zero cycles on a bursty trace")
-							}
-						})
-					}
+		for _, channels := range []int{1, 2, 4} {
+			for _, refresh := range []bool{false, true} {
+				opts := Options{
+					Channels: channels, QueueDepth: 8,
+					DisableRefresh: !refresh,
 				}
+				name := techName + "/fr-fcfs/open-row/" + string(rune('0'+channels)) + "ch"
+				if refresh {
+					name += "/refresh"
+				}
+				t.Run(name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(42))
+					reqs1 := randomTrace(rng, 300, &tech, channels)
+					reqs2 := make([]*Request, len(reqs1))
+					for i, r := range reqs1 {
+						cp := *r
+						reqs2[i] = &cp
+					}
+
+					evOpts := opts
+					ev := mustNew(t, tech, evOpts)
+					refOpts := opts
+					refOpts.ReferenceTicks = true
+					ref := mustNew(t, tech, refOpts)
+
+					evStats, evStalls, err := ev.SimulateTrace(reqs1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refStats, refStalls, err := ref.SimulateTrace(reqs2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(evStats, refStats) {
+						t.Errorf("stats diverge:\nevent: %+v\nref:   %+v", evStats, refStats)
+					}
+					if evStalls != refStalls {
+						t.Errorf("stalls diverge: event %d, ref %d", evStalls, refStalls)
+					}
+					for i := range reqs1 {
+						if reqs1[i].Done != reqs2[i].Done {
+							t.Fatalf("req %d: Done %d (event) != %d (ref)", i, reqs1[i].Done, reqs2[i].Done)
+						}
+					}
+					if ev.Now() != ref.Now() {
+						t.Errorf("clock diverges: event %d, ref %d", ev.Now(), ref.Now())
+					}
+					if ev.SkippedCycles() == 0 {
+						t.Error("event engine skipped zero cycles on a bursty trace")
+					}
+				})
 			}
 		}
 	}

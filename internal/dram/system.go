@@ -24,46 +24,10 @@ type Request struct {
 // Latency returns the round-trip latency in cycles.
 func (r *Request) Latency() int64 { return r.Done - r.Arrive }
 
-// RowPolicy selects the page policy of the controller.
-type RowPolicy int
-
-const (
-	// OpenRow keeps rows open until a conflict (default).
-	OpenRow RowPolicy = iota
-	// CloseRow precharges after every column command.
-	CloseRow
-)
-
-func (p RowPolicy) String() string {
-	if p == CloseRow {
-		return "close-row"
-	}
-	return "open-row"
-}
-
-// Scheduler selects the request scheduling discipline.
-type Scheduler int
-
-const (
-	// FRFCFS prefers row-hit requests, then oldest (default).
-	FRFCFS Scheduler = iota
-	// FCFS issues strictly in arrival order.
-	FCFS
-)
-
-func (s Scheduler) String() string {
-	if s == FCFS {
-		return "fcfs"
-	}
-	return "fr-fcfs"
-}
-
 // Options configures a System beyond its technology.
 type Options struct {
 	Channels   int
 	QueueDepth int // per-channel request queue entries
-	Policy     RowPolicy
-	Sched      Scheduler
 	// DisableRefresh turns periodic refresh off (useful in unit tests).
 	DisableRefresh bool
 	// Trace is the parent telemetry span; RunUntilDrained records its
@@ -718,25 +682,19 @@ func (ch *channel) nextEvent(now int64) int64 {
 	return next
 }
 
-// pickAt chooses the queue index the scheduler services at cycle t (FCFS:
-// the oldest request; FR-FCFS: the oldest row hit within the reorder
-// window, else the oldest). The queue is kept in arrival (seq) order, so
-// index 0 is always the oldest. It also returns the earliest Arrive > t
-// among the scanned requests (farFuture if none): the pick is only
-// guaranteed stable until that arrival. Unless a future arrival was ever
-// enqueued, the hit count settles a hitless window without a scan, and a
-// scan stops at the first hit.
+// pickAt chooses the queue index the FR-FCFS scheduler services at cycle
+// t: the oldest row hit within the reorder window, else the oldest. The
+// queue is kept in arrival (seq) order, so index 0 is always the oldest.
+// It also returns the earliest Arrive > t among the scanned requests
+// (farFuture if none): the pick is only guaranteed stable until that
+// arrival. Unless a future arrival was ever enqueued, the hit count
+// settles a hitless window without a scan, and a scan stops at the first
+// hit.
 func (ch *channel) pickAt(t int64) (int, int64) {
 	n := ch.queue.n
 	futureArrive := farFuture
 	if n == 0 {
 		return -1, futureArrive
-	}
-	if ch.opts.Sched == FCFS {
-		if a := ch.queue.at(0).req.Arrive; a > t {
-			return -1, a
-		}
-		return 0, futureArrive
 	}
 	if ch.hits == 0 && !ch.future {
 		return 0, futureArrive // no row hit: the oldest request
@@ -884,15 +842,6 @@ func (ch *channel) issueColumn(now int64, p *pending, bk *bank) bool {
 		ch.stats.SumReadLat += lat
 		if lat > ch.stats.MaxReadLat {
 			ch.stats.MaxReadLat = lat
-		}
-	}
-	if ch.opts.Policy == CloseRow {
-		// Auto-precharge once timing allows; model as a pending state
-		// change at nextPRE by closing immediately and pushing nextACT.
-		closeAt := bk.nextPRE
-		ch.closeRow(bk)
-		if next := closeAt + int64(t.TRP); next > bk.nextACT {
-			bk.nextACT = next
 		}
 	}
 	return true

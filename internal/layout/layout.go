@@ -1,130 +1,18 @@
 // Package layout models data organization inside a multi-bank on-chip
 // memory and the bank-conflict slowdown it induces, following the paper's
-// formulation: the memory is a 2-D array whose rows ("lines") aggregate the
-// same-indexed row of every bank, a data layout assigns each tensor element
-// a (line, column) position via nested inter-line and intra-line dimension
-// orders, and the latency of a parallel access group is
+// formulation. The memory is a 2-D array whose rows ("lines") aggregate the
+// same-indexed row of every bank, and the latency of a parallel access
+// group is
 //
 //	slowdown = max over banks ⌈lines touched in bank / ports per bank⌉
 //
 // compared against the pure-bandwidth baseline ⌈elements / total bandwidth⌉
 // used by SCALE-Sim v2.
+//
+// An Analyzer accumulates both costs over the access groups of a fold
+// schedule, in closed form (AnalyzeSchedule, ObserveRun) or one group at a
+// time (Observe). Where each operand word sits is a storage Transform of
+// its row-major address: row-major itself, or the natural transforms a
+// layout-aware mapper picks per dataflow (NaturalTransforms), which store
+// column-walked operands transposed.
 package layout
-
-import "fmt"
-
-// Dim is one tensor dimension in a layout's loop nest.
-type Dim struct {
-	// Name labels the dimension ("C", "H", "W", "row", "col").
-	Name string
-	// Size is the dimension's extent.
-	Size int
-	// Step is the intra-line tile extent of this dimension: the number
-	// of consecutive indices of the dimension stored within one line
-	// (c1_step/h1_step/w1_step in the paper).
-	Step int
-}
-
-// Layout is a nested-loop description of how a tensor is placed in the
-// multi-bank memory. Dims are listed outermost-first for the inter-line
-// order; the intra-line order is the reverse (innermost dimension
-// contiguous), matching the paper's Figure 11.
-type Layout struct {
-	Dims []Dim
-	// BandwidthPerBank is the words accessible from one bank line.
-	BandwidthPerBank int
-}
-
-// Validate reports a descriptive error for a malformed layout.
-func (l *Layout) Validate() error {
-	if len(l.Dims) == 0 {
-		return fmt.Errorf("layout: no dimensions")
-	}
-	if l.BandwidthPerBank <= 0 {
-		return fmt.Errorf("layout: non-positive bandwidth per bank")
-	}
-	for _, d := range l.Dims {
-		if d.Size <= 0 {
-			return fmt.Errorf("layout: dim %s has non-positive size %d", d.Name, d.Size)
-		}
-		if d.Step <= 0 || d.Step > d.Size {
-			return fmt.Errorf("layout: dim %s has invalid step %d (size %d)", d.Name, d.Step, d.Size)
-		}
-	}
-	return nil
-}
-
-// LineWidth is the number of elements stored per line (the product of all
-// steps).
-func (l *Layout) LineWidth() int {
-	w := 1
-	for _, d := range l.Dims {
-		w *= d.Step
-	}
-	return w
-}
-
-// Lines is the number of lines the tensor occupies.
-func (l *Layout) Lines() int {
-	n := 1
-	for _, d := range l.Dims {
-		n *= ceilDiv(d.Size, d.Step)
-	}
-	return n
-}
-
-// Locate maps a tensor coordinate (one index per Dim, same order) to its
-// (line, column, bank) position. This implements the paper's lineid /
-// colid / bankid equations generalized to any rank.
-func (l *Layout) Locate(idx []int) (line, col, bank int, err error) {
-	if len(idx) != len(l.Dims) {
-		return 0, 0, 0, fmt.Errorf("layout: got %d indices for %d dims", len(idx), len(l.Dims))
-	}
-	line = 0
-	for i, d := range l.Dims {
-		if idx[i] < 0 || idx[i] >= d.Size {
-			return 0, 0, 0, fmt.Errorf("layout: index %d out of range for dim %s (size %d)",
-				idx[i], d.Name, d.Size)
-		}
-		line = line*ceilDiv(d.Size, d.Step) + idx[i]/d.Step
-	}
-	// Intra-line: reversed dimension order, so the FIRST listed dim is
-	// contiguous within a line — the paper's
-	// colid = (w%w1)·h1·c1 + (h%h1)·c1 + (c%c1) for dims [C,H,W].
-	col = 0
-	for i := len(l.Dims) - 1; i >= 0; i-- {
-		col = col*l.Dims[i].Step + idx[i]%l.Dims[i].Step
-	}
-	bank = col / l.BandwidthPerBank
-	return line, col, bank, nil
-}
-
-// RowMajor2D builds the default layout for a rows×cols operand matrix:
-// row-major with `lineWidth` consecutive elements of a row per line, spread
-// across `banks` banks.
-func RowMajor2D(rows, cols, lineWidth, banks int) (*Layout, error) {
-	if lineWidth <= 0 || banks <= 0 || lineWidth%banks != 0 {
-		return nil, fmt.Errorf("layout: line width %d must be a positive multiple of banks %d",
-			lineWidth, banks)
-	}
-	if lineWidth > cols {
-		lineWidth = cols // narrow tensors cannot fill a line
-	}
-	l := &Layout{
-		Dims: []Dim{
-			{Name: "row", Size: rows, Step: 1},
-			{Name: "col", Size: cols, Step: lineWidth},
-		},
-		BandwidthPerBank: maxInt(1, lineWidth/banks),
-	}
-	return l, l.Validate()
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

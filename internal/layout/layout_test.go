@@ -5,127 +5,6 @@ import (
 	"testing/quick"
 )
 
-// paperLayout reproduces the C64 H8 W8 → _W2 H4 C16 example of Figure 11.
-func paperLayout() *Layout {
-	return &Layout{
-		Dims: []Dim{
-			{Name: "C", Size: 64, Step: 16},
-			{Name: "H", Size: 8, Step: 4},
-			{Name: "W", Size: 8, Step: 2},
-		},
-		BandwidthPerBank: 8, // 128-element line over 16 banks
-	}
-}
-
-func TestLocatePaperExample(t *testing.T) {
-	l := paperLayout()
-	if err := l.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if lw := l.LineWidth(); lw != 16*4*2 {
-		t.Fatalf("line width %d, want 128", lw)
-	}
-	if lines := l.Lines(); lines != 4*2*4 {
-		t.Fatalf("lines %d, want 32", lines)
-	}
-	// Element (c=0, h=0, w=0) is the first element of line 0, bank 0.
-	line, col, bank, err := l.Locate([]int{0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if line != 0 || col != 0 || bank != 0 {
-		t.Errorf("origin at line=%d col=%d bank=%d", line, col, bank)
-	}
-	// Element (c=16, h=0, w=0) starts the second C-block: next line
-	// group (inter-line index advances along C first).
-	line, _, _, err = l.Locate([]int{16, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if line != 8 { // c1=1 → 1×(8/4)×(8/2) = 8
-		t.Errorf("c=16 line %d, want 8", line)
-	}
-	// Intra-line order: w innermost-first per the paper's figure
-	// (colid = w%2·4·16 + h%4·16 + c%16): (c=1,h=0,w=0) → col 1.
-	_, col, bank, _ = l.Locate([]int{1, 0, 0})
-	if col != 1 || bank != 0 {
-		t.Errorf("(1,0,0) col=%d bank=%d", col, bank)
-	}
-	// (c=0,h=1,w=0) → col 16 → bank 2.
-	_, col, bank, _ = l.Locate([]int{0, 1, 0})
-	if col != 16 || bank != 2 {
-		t.Errorf("(0,1,0) col=%d bank=%d", col, bank)
-	}
-	// (c=0,h=0,w=1) → col 64 → bank 8.
-	_, col, bank, _ = l.Locate([]int{0, 0, 1})
-	if col != 64 || bank != 8 {
-		t.Errorf("(0,0,1) col=%d bank=%d", col, bank)
-	}
-}
-
-func TestLocateBijectiveProperty(t *testing.T) {
-	l := paperLayout()
-	seen := make(map[[2]int]bool)
-	for c := 0; c < 64; c++ {
-		for h := 0; h < 8; h++ {
-			for w := 0; w < 8; w++ {
-				line, col, bank, err := l.Locate([]int{c, h, w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if col/l.BandwidthPerBank != bank {
-					t.Fatalf("bank %d inconsistent with col %d", bank, col)
-				}
-				key := [2]int{line, col}
-				if seen[key] {
-					t.Fatalf("collision at line=%d col=%d for (%d,%d,%d)", line, col, c, h, w)
-				}
-				seen[key] = true
-			}
-		}
-	}
-	if len(seen) != 64*8*8 {
-		t.Fatalf("placed %d elements", len(seen))
-	}
-}
-
-func TestLocateErrors(t *testing.T) {
-	l := paperLayout()
-	if _, _, _, err := l.Locate([]int{0, 0}); err == nil {
-		t.Error("wrong rank accepted")
-	}
-	if _, _, _, err := l.Locate([]int{64, 0, 0}); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-}
-
-func TestValidateErrors(t *testing.T) {
-	bad := []*Layout{
-		{BandwidthPerBank: 8},
-		{Dims: []Dim{{Name: "x", Size: 0, Step: 1}}, BandwidthPerBank: 8},
-		{Dims: []Dim{{Name: "x", Size: 4, Step: 8}}, BandwidthPerBank: 8},
-		{Dims: []Dim{{Name: "x", Size: 4, Step: 2}}, BandwidthPerBank: 0},
-	}
-	for i, l := range bad {
-		if err := l.Validate(); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
-func TestRowMajor2D(t *testing.T) {
-	l, err := RowMajor2D(100, 200, 64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.BandwidthPerBank != 8 {
-		t.Errorf("bw/bank %d", l.BandwidthPerBank)
-	}
-	if _, err := RowMajor2D(10, 10, 7, 2); err == nil {
-		t.Error("non-multiple line width accepted")
-	}
-}
-
 func TestAnalyzerContiguousNoConflict(t *testing.T) {
 	a, err := NewAnalyzer(Config{Banks: 8, PortsPerBank: 1, TotalBandwidth: 64})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"scalesim"
@@ -247,12 +248,19 @@ type ExploreRequest struct {
 }
 
 // decodeRequest decodes a request body (or its config object) into dst,
-// rejecting unknown fields. Config objects stay raw in the request types and
-// are decoded by DecodeConfig, which applies the preset first.
+// rejecting unknown fields and anything but whitespace after the one JSON
+// value. Config objects stay raw in the request types and are decoded by
+// DecodeConfig, which applies the preset first.
 func decodeRequest(r []byte, dst any) error {
 	dec := json.NewDecoder(bytes.NewReader(r))
 	dec.DisallowUnknownFields()
-	return dec.Decode(dst)
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("unexpected data after the JSON value at offset %d", dec.InputOffset())
+	}
+	return nil
 }
 
 // ReportFileDTO is one rendered report in a job's reports payload.

@@ -247,3 +247,47 @@ func TestDTOTopologyForcedSparsity(t *testing.T) {
 		t.Errorf("layer sparsity = %v, want 2:4", topo.Layers[0].Sparsity)
 	}
 }
+
+// FuzzDecodeConfig feeds arbitrary bytes to the decoder every job
+// endpoint runs on its "config" object. It must not panic, every error
+// must carry the "config: " prefix, every accepted config must pass
+// Validate, and json.Marshal of an accepted config must decode back to
+// the same Config.
+func FuzzDecodeConfig(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "config_*.json"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no seed configs: %v", err)
+	}
+	for _, path := range seeds {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"preset":"tpu","memory":{"enabled":true,"channels":2}}`))
+	f.Add([]byte(`{"multi_core":{"cores":[]}}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		cfg, err := DecodeConfig(raw)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "config: ") {
+				t.Fatalf("error %q lacks the config: prefix", err)
+			}
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted config fails Validate: %v", err)
+		}
+		again, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("marshal accepted config: %v", err)
+		}
+		back, err := DecodeConfig(again)
+		if err != nil {
+			t.Fatalf("re-decode %s: %v", again, err)
+		}
+		if !reflect.DeepEqual(back, cfg) {
+			t.Fatalf("round trip changed the config:\n got %+v\nwant %+v", back, cfg)
+		}
+	})
+}

@@ -370,6 +370,36 @@ func TestServerRejectsRemovedFidelity(t *testing.T) {
 	}
 }
 
+// TestServerRejectsTrailingData: a body is exactly one JSON value. A second
+// value or stray bytes after it are a 400 on every job endpoint, not
+// silently ignored like unknown fields would be if they were accepted.
+func TestServerRejectsTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	const want = "unexpected data after the JSON value"
+	for path, body := range map[string]string{
+		"/v1/runs":    `{"topology": {"builtin": "alexnet"}}`,
+		"/v1/sweeps":  `{"points": [{"topology": {"builtin": "alexnet"}}]}`,
+		"/v1/explore": `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2"}`,
+	} {
+		for _, tail := range []string{`{"bogus":1}`, ` trailing`, `}`} {
+			code, b := postJSON(t, ts.URL+path, body+tail)
+			if code != http.StatusBadRequest {
+				t.Errorf("POST %s with tail %q = %d, want 400; body: %s", path, tail, code, b)
+				continue
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(b, &e); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(e.Error, want) {
+				t.Errorf("POST %s with tail %q: error %q does not contain %q", path, tail, e.Error, want)
+			}
+		}
+	}
+}
+
 // TestServerOversizedBody proves a body past the request cap is a 413,
 // distinguishable from a malformed 400.
 func TestServerOversizedBody(t *testing.T) {

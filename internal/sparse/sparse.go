@@ -1,8 +1,9 @@
 // Package sparse implements SCALE-Sim v3's structured-sparsity support:
-// N:M row patterns (layer-wise uniform or row-wise randomized), compressed
-// storage formats (CSR, CSC, Blocked ELLPACK) with metadata accounting, and
-// the compute-cycle model for sparse GEMMs on a weight-stationary systolic
-// array.
+// N:M row patterns (layer-wise uniform or row-wise randomized), the storage
+// footprint of a pattern in each compressed format (CSR, CSC, Blocked
+// ELLPACK: value and metadata bits, counted from the pattern, never from
+// encoded values), and the compute-cycle model for sparse GEMMs on a
+// weight-stationary systolic array.
 //
 // The filter operand of a layer is viewed as NumFilters rows of K elements
 // each; N:M sparsity constrains every aligned block of M elements within a

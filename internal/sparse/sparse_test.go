@@ -249,96 +249,6 @@ func TestNewReport(t *testing.T) {
 	}
 }
 
-func TestBlockedELLRoundTripProperty(t *testing.T) {
-	f := func(seed int64, rows8, cols8, n8 uint8) bool {
-		rows := int(rows8)%20 + 1
-		cols := int(cols8)%40 + 1
-		m := 4
-		n := int(n8)%2 + 1
-		dense, err := RandomNM(rows, cols, n, m, seed)
-		if err != nil {
-			return false
-		}
-		enc, err := EncodeBlockedELL(dense, m)
-		if err != nil {
-			return false
-		}
-		dec := enc.Decode()
-		for r := range dense {
-			for c := range dense[r] {
-				if dense[r][c] != dec[r][c] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCSRCSCRoundTrip(t *testing.T) {
-	dense, err := RandomNM(13, 29, 2, 4, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csr, err := EncodeCSR(dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csc, err := EncodeCSC(dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(csr.Values) != len(csc.Values) {
-		t.Fatalf("csr nnz %d != csc nnz %d", len(csr.Values), len(csc.Values))
-	}
-	a, b := csr.Decode(), csc.Decode()
-	for r := range dense {
-		for c := range dense[r] {
-			if a[r][c] != dense[r][c] || b[r][c] != dense[r][c] {
-				t.Fatalf("roundtrip mismatch at %d,%d", r, c)
-			}
-		}
-	}
-}
-
-func TestEncodePatternExtraction(t *testing.T) {
-	dense, _ := RandomNM(6, 16, 2, 4, 1)
-	enc, _ := EncodeBlockedELL(dense, 4)
-	p := enc.Pattern()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p.TotalNNZ() != int64(enc.NNZ()) {
-		t.Errorf("pattern nnz %d != encoding nnz %d", p.TotalNNZ(), enc.NNZ())
-	}
-	// Exact 2:4 structure.
-	for f := 0; f < p.Filters; f++ {
-		for _, n := range p.NNZ[f] {
-			if n != 2 {
-				t.Fatalf("block nnz %d, want 2", n)
-			}
-		}
-	}
-}
-
-func TestEncodeErrors(t *testing.T) {
-	if _, err := EncodeBlockedELL(nil, 4); err == nil {
-		t.Error("nil matrix accepted")
-	}
-	if _, err := EncodeBlockedELL([][]float64{{1, 2}, {1}}, 4); err == nil {
-		t.Error("ragged matrix accepted")
-	}
-	if _, err := EncodeCSR([][]float64{{1, 2}, {1}}); err == nil {
-		t.Error("ragged matrix accepted by CSR")
-	}
-	if _, err := RandomNM(2, 4, 5, 4, 0); err == nil {
-		t.Error("N > M accepted")
-	}
-}
-
 func TestPatternForLayerModes(t *testing.T) {
 	layer := topology.Layer{Kind: topology.GEMM, M: 10, N: 8, K: 32,
 		Sparsity: topology.Sparsity{N: 2, M: 4}}

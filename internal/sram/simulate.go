@@ -26,10 +26,6 @@ type Options struct {
 	// CollectTrace records every DRAM transaction (arrival cycle,
 	// address, type, round-trip) into Result.Trace.
 	CollectTrace bool
-	// DebugEvery, when positive, prints replay state every N cycles while
-	// diagnosing stalls or livelocks in new schedules (exact under
-	// ReferenceTickLoop; best-effort when the event engine skips cycles).
-	DebugEvery int64
 	// ReferenceTickLoop advances the replay — and the attached DRAM
 	// system — one cycle per iteration instead of jumping between
 	// events. Slow; retained as the oracle the event engine's
@@ -288,12 +284,6 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	for cf < nf {
 		if now > opts.MaxCycles {
 			return nil, fmt.Errorf("sram: simulation exceeded %d cycles", opts.MaxCycles)
-		}
-		if opts.DebugEvery > 0 && now%opts.DebugEvery == 0 && now > 0 {
-			fmt.Printf("sram-debug: now=%d cf=%d/%d started=%v phase=%d consumed=%d issued=%d streamAvail=%d issueFold=%d statIdx=%d streamIdx=%d writeFold=%d writeIdx=%d pending=%d\n",
-				now, cf, nf, started, streamPhaseLeft, consumedWords,
-				issuedStreamWords, streamAvail,
-				issueFold, stat.i, strm.i, writeFold, wr.i, sys.Pending())
 		}
 		fl, f := &lines[cf], &sched.Folds[cf]
 

@@ -181,28 +181,6 @@ func (l *Layer) GEMMDims() (m, n, k int) {
 	return m, n, k
 }
 
-// IfmapWords returns the number of words occupied by the layer's input
-// operand (the lowered M×K matrix for GEMMs, the raw feature map for convs).
-func (l *Layer) IfmapWords() int64 {
-	if l.Kind == GEMM {
-		return int64(l.M) * int64(l.K)
-	}
-	return int64(l.IfmapH) * int64(l.IfmapW) * int64(l.Channels)
-}
-
-// FilterWords returns the number of words occupied by the dense filter
-// operand (K×N).
-func (l *Layer) FilterWords() int64 {
-	_, n, k := l.GEMMDims()
-	return int64(k) * int64(n)
-}
-
-// OfmapWords returns the number of words occupied by the output operand (M×N).
-func (l *Layer) OfmapWords() int64 {
-	m, n, _ := l.GEMMDims()
-	return int64(m) * int64(n)
-}
-
 // MACs returns the number of multiply-accumulate operations in the dense
 // layer: M·N·K.
 func (l *Layer) MACs() int64 {

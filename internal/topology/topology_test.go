@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestParseSparsity(t *testing.T) {
@@ -224,20 +223,6 @@ func TestGEMMSweep(t *testing.T) {
 	topo := GEMMSweep([]int{1, 2}, []int{3}, []int{4, 5})
 	if len(topo.Layers) != 4 {
 		t.Fatalf("got %d layers", len(topo.Layers))
-	}
-}
-
-func TestOperandWordsProperty(t *testing.T) {
-	// Property: MACs = M·N·K and operand words consistent for GEMMs.
-	f := func(m, n, k uint8) bool {
-		l := Layer{Kind: GEMM, M: int(m) + 1, N: int(n) + 1, K: int(k) + 1}
-		mm, nn, kk := l.GEMMDims()
-		return l.IfmapWords() == int64(mm)*int64(kk) &&
-			l.FilterWords() == int64(kk)*int64(nn) &&
-			l.OfmapWords() == int64(mm)*int64(nn)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -203,9 +203,7 @@ func TestObserveAttachedMemoryReplayOverhead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := dram.New(dram.DDR4_2400(), dram.Options{
-			Channels: 1, QueueDepth: 64, Policy: dram.OpenRow, Sched: dram.FRFCFS, Trace: span,
-		})
+		sys, err := dram.New(dram.DDR4_2400(), dram.Options{Channels: 1, QueueDepth: 64, Trace: span})
 		if err != nil {
 			t.Fatal(err)
 		}

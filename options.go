@@ -11,7 +11,6 @@ type options struct {
 	sweepProgress func(SweepPointProgress)
 	stages        []Stage
 	cache         *Cache
-	storeDir      string
 	traceEnabled  bool
 	traceDir      string
 	traceName     string
@@ -118,22 +117,6 @@ func WithCache(c *Cache) Option {
 	return func(o *options) { o.cache = c }
 }
 
-// WithStore persists cached results to a content-addressed store in dir,
-// surviving process restarts: the run's cache (the shared cache unless
-// WithCache chose another) gains a disk tier via Cache.AttachStore, so a
-// fresh process pointed at the same directory answers previously-seen
-// layers from disk instead of re-simulating them. Results are keyed by the
-// same fingerprints as the in-memory cache; cached, stored and uncached
-// runs produce byte-identical reports.
-//
-// The directory is owned by one process at a time; Run/Sweep return an
-// error when another live process holds it, or when a different store is
-// already attached to the chosen cache. An empty dir disables the store
-// (the default).
-func WithStore(dir string) Option {
-	return func(o *options) { o.storeDir = dir }
-}
-
 // WithTrace enables span tracing for a run or sweep. Every run collects a
 // hierarchical span tree — run → layer → stage → memory-engine phase —
 // whose aggregation Result.Profile() reports; when dir is non-empty the
@@ -155,13 +138,4 @@ func WithTrace(dir string) Option {
 // point's trace with the point name).
 func withTraceName(name string) Option {
 	return func(o *options) { o.traceName = name }
-}
-
-// WithSharedCache attaches the process-wide cache returned by SharedCache.
-// It is the one-line way to let every Run and Sweep in a process share
-// simulation work:
-//
-//	results, err := scalesim.Sweep(ctx, points, scalesim.WithSharedCache())
-func WithSharedCache() Option {
-	return func(o *options) { o.cache = SharedCache() }
 }

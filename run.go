@@ -22,10 +22,10 @@ import (
 // cancels the run between layers (and between stages of a layer); the
 // first layer error cancels the remaining work and is returned.
 //
-// With a cache attached (WithCache, WithSharedCache), layers whose
-// fingerprint — configuration, stage pipeline and layer shape, but not
-// layer name — matches an earlier simulation are served as deep copies of
-// the cached result; Result.CacheStats reports how many were. Cached and
+// With a cache attached (WithCache), layers whose fingerprint —
+// configuration, stage pipeline and layer shape, but not layer name —
+// matches an earlier simulation are served as deep copies of the cached
+// result; Result.CacheStats reports how many were. Cached and
 // uncached runs produce byte-identical reports.
 func (s *Simulator) Run(ctx context.Context, topo *Topology, opts ...Option) (*Result, error) {
 	if ctx == nil {
@@ -40,9 +40,6 @@ func (s *Simulator) Run(ctx context.Context, topo *Topology, opts ...Option) (*R
 	o := s.opts
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if err := o.resolveStore(); err != nil {
-		return nil, err
 	}
 	lc := newLayerCache(o.cache, &s.cfg, &o)
 	res := &Result{Config: s.cfg, Layers: make([]LayerResult, len(topo.Layers))}
@@ -226,6 +223,25 @@ func layerSpan(root *telemetry.Span, topo *Topology, i int) *telemetry.Span {
 	return ls
 }
 
+// newStageContext is a layer's pipeline state before the first stage: the
+// configured dataflow and array, the lowered GEMM shape, dense filters.
+func newStageContext(cfg *Config, o *options, l *Layer) *StageContext {
+	m, n, k := l.GEMMDims()
+	return &StageContext{
+		Config:      cfg,
+		ERT:         o.ert,
+		Layer:       l,
+		Fidelity:    o.fidelity,
+		Dataflow:    cfg.Dataflow,
+		Rows:        cfg.ArrayRows,
+		Cols:        cfg.ArrayCols,
+		M:           m,
+		N:           n,
+		K:           k,
+		FilterRatio: 1,
+	}
+}
+
 // runLayer pushes one layer through the stage pipeline, consulting the
 // layer cache (when enabled) before doing any work and populating it
 // after.
@@ -250,21 +266,8 @@ func runLayer(ctx context.Context, cfg *Config, o *options, l *Layer, lc *layerC
 		// release it (after put on success, so coalesced workers hit).
 		defer lc.done(ckey)
 	}
-	m, n, k := l.GEMMDims()
-	lr := &LayerResult{Layer: *l, M: m, N: n, K: k}
-	sc := &StageContext{
-		Config:      cfg,
-		ERT:         o.ert,
-		Layer:       l,
-		Fidelity:    o.fidelity,
-		Dataflow:    cfg.Dataflow,
-		Rows:        cfg.ArrayRows,
-		Cols:        cfg.ArrayCols,
-		M:           m,
-		N:           n,
-		K:           k,
-		FilterRatio: 1,
-	}
+	sc := newStageContext(cfg, o, l)
+	lr := &LayerResult{Layer: *l, M: sc.M, N: sc.N, K: sc.K}
 	if o.cache != nil {
 		// Sub-result memoization (layout analysis) stays valid even when
 		// whole-layer caching is off because of a custom stage: the built-in

@@ -46,9 +46,10 @@
 // Layers whose (configuration, stage pipeline, shape) fingerprint was
 // simulated before — repeated blocks of a ResNet-style topology, or the
 // unchanged layers of a sweep — are served from the cache as deep copies;
-// cached and uncached runs produce byte-identical reports. WithSharedCache
-// selects a process-wide cache, and Result.CacheStats / Cache.Stats expose
-// hit rates and occupancy.
+// cached and uncached runs produce byte-identical reports. SharedCache
+// returns a process-wide cache, Cache.AttachStore adds a persistent disk
+// tier, and Result.CacheStats / Cache.Stats expose hit rates and
+// occupancy.
 //
 // Explore automates the what-if loop: declare a parameter Space over
 // configuration knobs, one or more Objectives, and a seeded search
@@ -187,7 +188,7 @@ type Result struct {
 	// Layers holds one result per topology layer, in topology order.
 	Layers []LayerResult
 	// CacheStats reports layer-cache effectiveness for this run. It is
-	// zero unless a cache was attached (WithCache, WithSharedCache) and
+	// zero unless a cache was attached (WithCache) and
 	// the stage pipeline was fingerprintable (see StageFingerprinter).
 	CacheStats RunCacheStats
 

@@ -94,19 +94,6 @@ func (c *Cache) StoreStats() (st StoreStats, ok bool) {
 	return StoreStats(c.store.Stats()), true
 }
 
-// SaveStoreSnapshot atomically persists the store's index so the next open
-// replays only the log appended afterwards. A no-op without a store.
-// CloseStore snapshots too; call this for long-lived processes that want
-// crash-time replay bounded between clean shutdowns.
-func (c *Cache) SaveStoreSnapshot() error {
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	if c.store == nil {
-		return nil
-	}
-	return c.store.SaveSnapshot()
-}
-
 // CloseStore detaches the store (lookups revert to memory-only), snapshots
 // its index and closes it, releasing the directory for other processes. A
 // no-op without a store.
@@ -142,19 +129,6 @@ func (c *Cache) degradeStore(s *diskstore.Store) {
 	c.storeDegraded.Store(true)
 	slog.Warn("scalesim: result store degraded: detaching after repeated I/O errors, continuing memory-only",
 		"dir", c.storeDir, "io_errors", s.IOErrors())
-}
-
-// resolveStore applies a WithStore directory after all options are parsed:
-// a store implies caching, so a run without an explicit cache gets the
-// process-wide shared one. The store gets AttachStore's default size bound.
-func (o *options) resolveStore() error {
-	if o.storeDir == "" {
-		return nil
-	}
-	if o.cache == nil {
-		o.cache = SharedCache()
-	}
-	return o.cache.AttachStore(o.storeDir, 0)
 }
 
 // storeFailThreshold is the degradation ladder's trip point: this many

@@ -29,7 +29,10 @@ func TestStoreWarmStartsFreshCache(t *testing.T) {
 
 	// "Process one": cold run against an empty store.
 	first := NewCache(0, 0)
-	cold, err := New(cfg).Run(ctx, topo, WithCache(first), WithStore(dir))
+	if err := first.AttachStore(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := New(cfg).Run(ctx, topo, WithCache(first))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +55,10 @@ func TestStoreWarmStartsFreshCache(t *testing.T) {
 
 	// "Process two": fresh in-memory cache, same directory.
 	second := NewCache(0, 0)
-	warm, err := New(cfg).Run(ctx, topo, WithCache(second), WithStore(dir))
+	if err := second.AttachStore(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := New(cfg).Run(ctx, topo, WithCache(second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ type SweepResult struct {
 // its error lands in SweepResult.Err and the sweep continues. Sweep itself
 // returns an error only when ctx is cancelled.
 //
-// A cache attached with WithCache or WithSharedCache is shared by every
+// A cache attached with WithCache is shared by every
 // point: sweep points that agree on the simulation-relevant configuration
 // and a layer's shape simulate that layer once, and points that vary only
 // DRAM or energy knobs still share the layout analysis of unchanged
@@ -47,9 +47,6 @@ func Sweep(ctx context.Context, points []SweepPoint, opts ...Option) ([]SweepRes
 	o := defaultOptions()
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if err := o.resolveStore(); err != nil {
-		return nil, err
 	}
 	n := len(points)
 	out := make([]SweepResult, n)

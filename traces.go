@@ -1,6 +1,7 @@
 package scalesim
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -74,22 +75,28 @@ func traceBases(topo *Topology) ([]string, error) {
 	return bases, nil
 }
 
+// writeLayerTraces traces the machine the reports describe: the compute
+// stage fixes the layer's effective dataflow (weight-stationary for sparse
+// layers) and the filter density the memory workflow streams.
 func (s *Simulator) writeLayerTraces(l *Layer, base string) error {
-	m, n, k := l.GEMMDims()
-	if err := s.writeSRAMTraces(base, m, n, k); err != nil {
+	sc := newStageContext(&s.cfg, &s.opts, l)
+	if err := (computeStage{}).Apply(context.TODO(), sc, &LayerResult{Layer: *l}); err != nil {
+		return err
+	}
+	if err := writeSRAMTraces(base, sc); err != nil {
 		return err
 	}
 	if !s.cfg.Memory.Enabled {
 		return nil
 	}
-	return s.writeDRAMTrace(base, m, n, k)
+	return s.writeDRAMTrace(base, sc)
 }
 
 var sramTraceSuffixes = [3]string{
 	"_sram_ifmap_read.csv", "_sram_filter_read.csv", "_sram_ofmap_write.csv",
 }
 
-func (s *Simulator) writeSRAMTraces(base string, m, n, k int) error {
+func writeSRAMTraces(base string, sc *StageContext) error {
 	var w [3]*trace.SRAMWriter
 	for i, suffix := range sramTraceSuffixes {
 		f, err := os.Create(base + suffix)
@@ -99,8 +106,8 @@ func (s *Simulator) writeSRAMTraces(base string, m, n, k int) error {
 		defer f.Close()
 		w[i] = trace.NewSRAMWriter(f)
 	}
-	err := systolic.Stream(s.cfg.Dataflow, s.cfg.ArrayRows, s.cfg.ArrayCols,
-		systolic.Gemm{M: m, N: n, K: k}, func(d *systolic.Demand) bool {
+	err := systolic.Stream(sc.Dataflow, sc.Rows, sc.Cols,
+		systolic.Gemm{M: sc.M, N: sc.N, K: sc.K}, func(d *systolic.Demand) bool {
 			w[0].Row(d.Cycle, d.IfmapReads)
 			w[1].Row(d.Cycle, d.FilterReads)
 			w[2].Row(d.Cycle, d.OfmapWrites)
@@ -119,18 +126,19 @@ func (s *Simulator) writeSRAMTraces(base string, m, n, k int) error {
 
 // writeDRAMTrace runs the cycle-accurate memory workflow for the layer
 // shape and emits the timestamped transaction trace.
-func (s *Simulator) writeDRAMTrace(base string, m, n, k int) error {
+func (s *Simulator) writeDRAMTrace(base string, sc *StageContext) error {
 	tech, err := dram.TechByName(s.cfg.Memory.Technology)
 	if err != nil {
 		return err
 	}
 	sopts, dopts, ropts := memoryEngine(&s.cfg)
+	sopts.FilterRatio = sc.FilterRatio
 	sys, err := dram.New(tech, dopts)
 	if err != nil {
 		return err
 	}
-	sched, err := sram.BuildSchedule(s.cfg.Dataflow, s.cfg.ArrayRows, s.cfg.ArrayCols,
-		systolic.Gemm{M: m, N: n, K: k}, sopts)
+	sched, err := sram.BuildSchedule(sc.Dataflow, sc.Rows, sc.Cols,
+		systolic.Gemm{M: sc.M, N: sc.N, K: sc.K}, sopts)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package scalesim
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -136,5 +137,43 @@ func TestDRAMTraceQueueDepth(t *testing.T) {
 func TestSanitize(t *testing.T) {
 	if got := sanitize("Conv 1/2:ab"); got != "Conv_1_2_ab" {
 		t.Errorf("sanitize: %q", got)
+	}
+}
+
+// TestDRAMTraceRowsMatchMemoryRequests: a layer's _dram_trace.csv has one
+// row per request the memory report counts, for dense and 2:4-sparse
+// layers under every dataflow. A sparse layer runs weight-stationary with
+// its filter traffic scaled by the pattern's density, whatever the
+// configured dataflow, and its trace must be of that machine too.
+func TestDRAMTraceRowsMatchMemoryRequests(t *testing.T) {
+	for _, df := range []Dataflow{OutputStationary, WeightStationary, InputStationary} {
+		cfg := DefaultConfig()
+		cfg.ArrayRows, cfg.ArrayCols = 16, 16
+		cfg.Dataflow = df
+		cfg.Memory.Enabled = true
+		cfg.Sparsity.Enabled = true
+		topo := &Topology{Name: "mix", Layers: []Layer{
+			{Name: "dense", Kind: GEMM, M: 96, N: 80, K: 200},
+			{Name: "sparse", Kind: GEMM, M: 96, N: 80, K: 200, Sparsity: Sparsity{N: 2, M: 4}},
+		}}
+		res, err := New(cfg).Run(context.Background(), topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := New(cfg).WriteTraces(topo, dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, lr := range res.Layers {
+			data, err := os.ReadFile(filepath.Join(dir, lr.Layer.Name+"_dram_trace.csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := int64(bytes.Count(data, []byte("\n"))) - 1 // header
+			if rows != lr.Memory.Requests {
+				t.Errorf("%v %s: %d trace rows, memory report counts %d requests",
+					df, lr.Layer.Name, rows, lr.Memory.Requests)
+			}
+		}
 	}
 }
