@@ -584,11 +584,11 @@ func TestCacheKeysPinned(t *testing.T) {
 		return fmt.Sprintf("%x", newLayerCache(NewCache(0, 0), &cfg, &o).key(&l))
 	}
 	for _, r := range []struct{ name, got, want string }{
-		{"conv/event", layerKey(nil, EventDriven, conv), "fa6da1498cbc7c9fa7f7c51d4bb012711b8af82393f9f7e0fd33463d2a5c289e"},
-		{"conv/analytical", layerKey(nil, Analytical, conv), "d7a4574cd90f990fb6d988bb52e0b5feeaee5a97c325bdbd71f22ad623b5ddc7"},
-		{"gemm/event", layerKey(nil, EventDriven, gemm), "b6fb1ab0f1afd1108ba8cbecf54fcdf87d7c22fb5efc83f3756962eb916ab95e"},
-		{"gemm/analytical", layerKey(nil, Analytical, gemm), "7a41ce30cf154926c39a8b1b124dba8be300dd60c01d959bbb2c84038c5e4314"},
-		{"conv/pnr-ert", layerKey(energy.PnR65nm(), EventDriven, conv), "6cc432e0025906a9fc107314c70bbb99d1982c55df00a2b3e18017e54c8511f7"},
+		{"conv/event", layerKey(nil, EventDriven, conv), "e7d26f8098bf2bc3bc7be7a66e6de846252a19c8a468caef18eda3fe3d450c1b"},
+		{"conv/analytical", layerKey(nil, Analytical, conv), "ca9a82f3ef80bfc4df9224cb32a2a5d98340a4235ee190018cce082836027762"},
+		{"gemm/event", layerKey(nil, EventDriven, gemm), "32c5d7d2526109635ba49e2600c387d3ed5e14bafbaabdbcd64e7aa4906245eb"},
+		{"gemm/analytical", layerKey(nil, Analytical, gemm), "1602b07bf89345b605e84c3e365662612d81ff4401b630cac6a0825ca079ceaa"},
+		{"conv/pnr-ert", layerKey(energy.PnR65nm(), EventDriven, conv), "d78424c5363768dc5daa5410ef8c5cf92d80f95c7f603617314148a4c2152439"},
 	} {
 		if r.got != r.want {
 			t.Errorf("layer key %s = %s, want %s", r.name, r.got, r.want)

@@ -37,21 +37,17 @@ func main() {
 	// partitioning.
 	fmt.Println("\n== heterogeneous cores, NoP-aware partitioning ==")
 	cores := []config.CoreSpec{
-		{Rows: 64, Cols: 64, SIMDLanes: 32, NoPHops: 0},
-		{Rows: 64, Cols: 64, SIMDLanes: 32, NoPHops: 0},
-		{Rows: 32, Cols: 32, SIMDLanes: 16, NoPHops: 3},
-		{Rows: 32, Cols: 32, SIMDLanes: 16, NoPHops: 3},
-		{Rows: 32, Cols: 32, SIMDLanes: 16, NoPHops: 4},
-		{Rows: 32, Cols: 32, SIMDLanes: 16, NoPHops: 4},
+		{Rows: 64, Cols: 64, NoPHops: 0},
+		{Rows: 64, Cols: 64, NoPHops: 0},
+		{Rows: 32, Cols: 32, NoPHops: 3},
+		{Rows: 32, Cols: 32, NoPHops: 3},
+		{Rows: 32, Cols: 32, NoPHops: 4},
+		{Rows: 32, Cols: 32, NoPHops: 4},
 	}
-	g := systolic.Gemm{M: m, N: n, K: k}
 	for _, nonUniform := range []bool{false, true} {
-		res, err := multicore.SimulateHetero(cores, g, multicore.HeteroOptions{
-			Dataflow:           config.OutputStationary,
-			HopLatency:         2000,
-			NonUniform:         nonUniform,
-			SIMDOp:             0, // ReLU epilogue
-			SIMDElementsPerCol: int64(m),
+		res, err := multicore.SimulateHetero(cores, mp, multicore.HeteroOptions{
+			HopLatency: 2000,
+			NonUniform: nonUniform,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -59,9 +55,9 @@ func main() {
 		fmt.Printf("non-uniform=%-5v makespan=%d cycles, imbalance=%.1f%%\n",
 			nonUniform, res.Cycles, 100*res.Imbalance)
 		for i, cr := range res.Cores {
-			fmt.Printf("  core %d (%dx%d, %d hops): cols=%d compute=%d simd=%d nop=%d\n",
+			fmt.Printf("  core %d (%dx%d, %d hops): cols=%d compute=%d nop=%d\n",
 				i, cr.Spec.Rows, cr.Spec.Cols, cr.Spec.NoPHops,
-				cr.ColsAssigned, cr.ComputeCycles, cr.SIMDCycles, cr.NoPCycles)
+				cr.ColsAssigned, cr.ComputeCycles, cr.NoPCycles)
 		}
 	}
 }

@@ -206,11 +206,6 @@ type LayoutConfig struct {
 type EnergyConfig struct {
 	// Enabled turns Accelergy-style estimation on.
 	Enabled bool `json:"enabled"`
-	// Technology is a label for the ERT ("65nm" default). It is parsed
-	// and part of the cache fingerprint, but not modelled: nothing
-	// validates or reads it, and the energy model always uses the ERT the
-	// run was given (WithERT, else the built-in 65 nm table).
-	Technology string `json:"technology"`
 	// ClockGating models unused MACs as gated rather than constant.
 	ClockGating bool `json:"clock_gating"`
 	// RowSize is the words fetched per SRAM access (repeat-read window).
@@ -269,15 +264,12 @@ func (p *PartitionStrategy) UnmarshalJSON(b []byte) error {
 	return unmarshalEnum(b, "MultiCore.Strategy", ParsePartitionStrategy, p)
 }
 
-// CoreSpec describes one tensor core: a systolic array plus a SIMD unit.
-// Heterogeneous multi-core configs list cores with differing shapes.
+// CoreSpec describes one tensor core: its systolic array shape and its
+// distance from main memory. Heterogeneous multi-core configs list cores
+// with differing shapes.
 type CoreSpec struct {
 	Rows int `json:"rows"` // systolic array rows
 	Cols int `json:"cols"` // systolic array columns
-	// SIMDLanes is the vector unit width (0 = no vector unit).
-	SIMDLanes int `json:"simd_lanes,omitempty"`
-	// SIMDLatency is cycles per vector op batch (lookup/activation).
-	SIMDLatency int `json:"simd_latency,omitempty"`
 	// NoPHops is the network-on-package distance from main memory,
 	// used for non-uniform workload partitioning.
 	NoPHops int `json:"nop_hops,omitempty"`
@@ -293,10 +285,6 @@ type MultiCoreConfig struct {
 	PartitionCols int `json:"partition_cols" ini:"pc"`
 	// Strategy selects spatial vs spatio-temporal partitioning.
 	Strategy PartitionStrategy `json:"strategy"`
-	// L2SizeKB is the shared L2 scratchpad per core cluster (0 = no L2).
-	// It is parsed and part of the cache fingerprint, but not modelled:
-	// nothing validates or reads it, and multi-core cycles assume no L2.
-	L2SizeKB int `json:"l2_size_kb"`
 	// Cores describes each tensor core. Homogeneous configs may leave it
 	// empty and inherit the top-level array shape.
 	Cores []CoreSpec `json:"cores,omitempty"`
@@ -354,7 +342,6 @@ func Default() Config {
 		BandwidthWords: 10,
 		WordBytes:      4,
 		Energy: EnergyConfig{
-			Technology:   "65nm",
 			ClockGating:  true,
 			RowSize:      16,
 			BankSize:     4,
@@ -487,7 +474,16 @@ func (c *Config) Validate() error {
 			return fieldErr("Layout.OnChipBandwidth", "must be positive, got %d", c.Layout.OnChipBandwidth)
 		}
 	}
+	if c.Energy.Enabled && !(c.Energy.FrequencyMHz > 0) {
+		return fieldErr("Energy.FrequencyMHz", "must be positive, got %g", c.Energy.FrequencyMHz)
+	}
 	if c.MultiCore.Enabled {
+		if s := c.MultiCore.Strategy; s != SpatialPartition && s != SpatioTemporal1 && s != SpatioTemporal2 {
+			return fieldErr("MultiCore.Strategy", "unknown partition strategy %d (valid: spatial, spatiotemporal1, spatiotemporal2)", int(s))
+		}
+		if c.MultiCore.HopLatency < 0 {
+			return fieldErr("MultiCore.HopLatency", "must not be negative, got %d", c.MultiCore.HopLatency)
+		}
 		if c.MultiCore.PartitionRows < 0 {
 			return fieldErr("MultiCore.PartitionRows", "must not be negative, got %d", c.MultiCore.PartitionRows)
 		}
@@ -498,6 +494,10 @@ func (c *Config) Validate() error {
 			if core.Rows <= 0 || core.Cols <= 0 {
 				return fieldErr(fmt.Sprintf("MultiCore.Cores[%d]", i),
 					"non-positive array %dx%d", core.Rows, core.Cols)
+			}
+			if core.NoPHops < 0 {
+				return fieldErr(fmt.Sprintf("MultiCore.Cores[%d].NoPHops", i),
+					"must not be negative, got %d", core.NoPHops)
 			}
 		}
 	}

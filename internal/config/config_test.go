@@ -118,7 +118,6 @@ enabled = true
 strategy = spatiotemporal1
 pr = 4
 pc = 2
-l2_size_kb = 2048
 `
 	cfg, err := ParseINI(strings.NewReader(src))
 	if err != nil {
@@ -156,7 +155,7 @@ func TestParseINIHeterogeneousCores(t *testing.T) {
 	src := `
 [multicore]
 enabled = true
-cores = 32x32/simd=8, 16x16/simd=4/hops=2, 64x64
+cores = 32x32, 16x16/hops=2, 64x64
 `
 	cfg, err := ParseINI(strings.NewReader(src))
 	if err != nil {
@@ -166,10 +165,10 @@ cores = 32x32/simd=8, 16x16/simd=4/hops=2, 64x64
 	if len(cores) != 3 {
 		t.Fatalf("got %d cores", len(cores))
 	}
-	if cores[0] != (CoreSpec{Rows: 32, Cols: 32, SIMDLanes: 8}) {
+	if cores[0] != (CoreSpec{Rows: 32, Cols: 32}) {
 		t.Errorf("core0 %+v", cores[0])
 	}
-	if cores[1].NoPHops != 2 || cores[1].SIMDLanes != 4 {
+	if cores[1] != (CoreSpec{Rows: 16, Cols: 16, NoPHops: 2}) {
 		t.Errorf("core1 %+v", cores[1])
 	}
 	if cfg.NumCores() != 3 {
@@ -184,6 +183,7 @@ func TestParseINIRejectsUnknown(t *testing.T) {
 		"[architecture_presets]\nArrayHeight : many\n",
 		"no_equals_here\n",
 		"[sparsity]\nSparsitySupport = maybe\n",
+		"[multicore]\ncores = 32x32/simd=8\n",
 	}
 	for i, src := range bad {
 		if _, err := ParseINI(strings.NewReader(src)); err == nil {
@@ -297,6 +297,22 @@ func TestValidateNamesFieldAndValue(t *testing.T) {
 			c.MultiCore.Enabled = true
 			c.MultiCore.Cores = []CoreSpec{{Rows: 16, Cols: 16}, {Rows: 0, Cols: 4}}
 		}, []string{"MultiCore.Cores[1]", "0x4"}},
+		{"energy frequency", func(c *Config) {
+			c.Energy.Enabled = true
+			c.Energy.FrequencyMHz = 0
+		}, []string{"Energy.FrequencyMHz", "0"}},
+		{"partition strategy", func(c *Config) {
+			c.MultiCore.Enabled = true
+			c.MultiCore.Strategy = PartitionStrategy(7)
+		}, []string{"MultiCore.Strategy", "7"}},
+		{"hop latency", func(c *Config) {
+			c.MultiCore.Enabled = true
+			c.MultiCore.HopLatency = -5
+		}, []string{"MultiCore.HopLatency", "-5"}},
+		{"core hops", func(c *Config) {
+			c.MultiCore.Enabled = true
+			c.MultiCore.Cores = []CoreSpec{{Rows: 16, Cols: 16, NoPHops: -2}}
+		}, []string{"MultiCore.Cores[0].NoPHops", "-2"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -453,12 +469,12 @@ func TestINIKeysCoverConfig(t *testing.T) {
 		Sparsity: SparsityConfig{Enabled: true, OptimizedMapping: true, Format: CSC, BlockSize: 8, Seed: 1 << 40},
 		Memory:   MemoryConfig{Enabled: true, Technology: "HBM2", Channels: 4, ReadQueueDepth: 16, WriteQueueDepth: 8},
 		Layout:   LayoutConfig{Enabled: true, Banks: 16, PortsPerBank: 3, OnChipBandwidth: 64},
-		Energy: EnergyConfig{Enabled: true, Technology: "45nm", ClockGating: false,
+		Energy: EnergyConfig{Enabled: true, ClockGating: false,
 			RowSize: 8, BankSize: 2, FrequencyMHz: 940.5, IncludeDRAM: true},
 		MultiCore: MultiCoreConfig{Enabled: true, PartitionRows: 2, PartitionCols: 3, Strategy: SpatioTemporal2,
-			L2SizeKB: 1024, NonUniform: true, HopLatency: 5, Cores: []CoreSpec{
-				{Rows: 32, Cols: 16, SIMDLanes: 8, SIMDLatency: 2, NoPHops: 1},
-				{Rows: 8, Cols: 64, SIMDLanes: 4, SIMDLatency: 3, NoPHops: 2},
+			NonUniform: true, HopLatency: 5, Cores: []CoreSpec{
+				{Rows: 32, Cols: 16, NoPHops: 1},
+				{Rows: 8, Cols: 64, NoPHops: 2},
 			}},
 	}
 	// line renders one leaf, checking first that it differs from Default
@@ -475,7 +491,7 @@ func TestINIKeysCoverConfig(t *testing.T) {
 		if cores, ok := v.Interface().([]CoreSpec); ok {
 			items := make([]string, len(cores))
 			for i, c := range cores {
-				items[i] = fmt.Sprintf("%dx%d/simd=%d/simdlatency=%d/hops=%d", c.Rows, c.Cols, c.SIMDLanes, c.SIMDLatency, c.NoPHops)
+				items[i] = fmt.Sprintf("%dx%d/hops=%d", c.Rows, c.Cols, c.NoPHops)
 			}
 			val = strings.Join(items, ", ")
 		}

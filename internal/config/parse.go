@@ -183,7 +183,7 @@ func fieldByKey(v reflect.Value, key string) (reflect.Value, bool) {
 }
 
 // parseCoreList parses a heterogeneous core list such as
-// "32x32/simd=8, 16x16/simd=4/hops=2, 64x64".
+// "32x32, 16x16/hops=2, 64x64".
 func parseCoreList(val string) ([]CoreSpec, error) {
 	var cores []CoreSpec
 	for _, item := range strings.Split(val, ",") {
@@ -210,20 +210,14 @@ func parseCoreList(val string) ([]CoreSpec, error) {
 			if len(kv) != 2 {
 				return nil, fmt.Errorf("invalid core option %q", opt)
 			}
+			if canonKey(kv[0]) != "hops" {
+				return nil, fmt.Errorf("unknown core option %q", kv[0])
+			}
 			v, err := strconv.Atoi(strings.TrimSpace(kv[1]))
 			if err != nil {
 				return nil, fmt.Errorf("invalid core option value %q", kv[1])
 			}
-			switch canonKey(kv[0]) {
-			case "simd":
-				spec.SIMDLanes = v
-			case "simdlatency":
-				spec.SIMDLatency = v
-			case "hops":
-				spec.NoPHops = v
-			default:
-				return nil, fmt.Errorf("unknown core option %q", kv[0])
-			}
+			spec.NoPHops = v
 		}
 		cores = append(cores, spec)
 	}

@@ -20,8 +20,6 @@ type RunProfile struct {
 	Access systolic.LayerAccess
 	// DRAMReads/DRAMWrites are main-memory words moved.
 	DRAMReads, DRAMWrites int64
-	// SIMDOps is the number of vector-lane operations executed.
-	SIMDOps int64
 	// NoPHopWords is Σ (words × hops) over the package network.
 	NoPHopWords int64
 }
@@ -124,7 +122,6 @@ func CountActions(p *RunProfile, ecfg *config.EnergyConfig) *Counts {
 		ct.Add(CompDRAM, ActRead, p.DRAMReads)
 		ct.Add(CompDRAM, ActWrite, p.DRAMWrites)
 	}
-	ct.Add(CompSIMD, ActOp, p.SIMDOps)
 	ct.Add(CompNoC, ActHop, p.NoPHopWords)
 	return ct
 }

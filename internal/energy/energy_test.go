@@ -68,7 +68,7 @@ func TestCountsAgainstMapOracle(t *testing.T) {
 		a Action
 	}
 	comps := []Component{CompMAC, CompIfmapSpad, CompIfmapSRAM, CompDRAM, CompNoC, "tensor_core", "", "zz_custom"}
-	acts := []Action{ActRead, ActWrite, ActReadRandom, ActMACGated, ActOp, "fused_mac", "a"}
+	acts := []Action{ActRead, ActWrite, ActReadRandom, ActMACGated, ActHop, "fused_mac", "a"}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		ct, other := NewCounts(), NewCounts()

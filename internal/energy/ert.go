@@ -21,7 +21,6 @@ const (
 	CompOfmapSRAM  Component = "ofmap_sram"
 	CompDRAM       Component = "dram"
 	CompNoC        Component = "noc"
-	CompSIMD       Component = "simd"
 )
 
 // Action identifies an action type within a component. Accelergy
@@ -43,7 +42,6 @@ const (
 	ActIdle        Action = "idle"
 	ActAccess      Action = "access"
 	ActHop         Action = "hop"
-	ActOp          Action = "op"
 )
 
 // ERT is the energy reference table: pJ per action instance.
@@ -97,7 +95,6 @@ func Default65nm() *ERT {
 			},
 			CompDRAM: {ActRead: 180.0, ActWrite: 180.0, ActAccess: 180.0},
 			CompNoC:  {ActHop: 0.8},
-			CompSIMD: {ActOp: 1.5},
 		},
 		// Per-PE static + clock-distribution energy per clocked cycle.
 		// Calibrated so that array-proportional energy dominates at low

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"scalesim/internal/config"
-	"scalesim/internal/simd"
 	"scalesim/internal/systolic"
 )
 
@@ -15,15 +14,13 @@ type CoreResult struct {
 	ColsAssigned int
 	// ComputeCycles includes the systolic GEMM only.
 	ComputeCycles int64
-	// SIMDCycles covers the core's post-GEMM vector work.
-	SIMDCycles int64
 	// NoPCycles is the network-on-package transfer latency serialized
 	// with compute (hops × hop latency).
 	NoPCycles int64
 }
 
 // Total returns the core's finish time contribution.
-func (c *CoreResult) Total() int64 { return c.ComputeCycles + c.SIMDCycles + c.NoPCycles }
+func (c *CoreResult) Total() int64 { return c.ComputeCycles + c.NoPCycles }
 
 // HeteroResult is the outcome of running one GEMM across heterogeneous
 // tensor cores.
@@ -37,48 +34,60 @@ type HeteroResult struct {
 
 // HeteroOptions configures SimulateHetero.
 type HeteroOptions struct {
-	Dataflow config.Dataflow
 	// HopLatency is cycles per NoP hop charged against a core's finish
 	// time (0 = uniform cores, ignore distance).
 	HopLatency int
-	// SIMDOp and SIMDElementsPerCol model the vector epilogue: each
-	// assigned output column owes SIMDElementsPerCol elements of SIMDOp.
-	SIMDOp             simd.Op
-	SIMDElementsPerCol int64
 	// NonUniform redistributes columns so cores with higher NoP latency
 	// receive proportionally less work (the paper's non-uniform
 	// partitioning for Simba-like MCM designs).
 	NonUniform bool
 }
 
-// SimulateHetero splits a GEMM's output columns (the Sc dimension) across
-// heterogeneous cores and returns per-core and makespan results. Columns
-// are assigned proportionally to each core's throughput (R×C), optionally
-// corrected for NoP distance.
-func SimulateHetero(cores []config.CoreSpec, g systolic.Gemm, opts HeteroOptions) (*HeteroResult, error) {
+// SimulateHetero splits a mapped GEMM's output columns (the Sc dimension)
+// across heterogeneous cores and returns per-core and makespan results.
+// Columns are assigned proportionally to each core's throughput (R×C),
+// optionally corrected for NoP distance.
+func SimulateHetero(cores []config.CoreSpec, mp systolic.Mapping, opts HeteroOptions) (*HeteroResult, error) {
 	if len(cores) == 0 {
 		return nil, fmt.Errorf("multicore: no cores")
 	}
-	mp := systolic.MappingFor(opts.Dataflow, g.M, g.N, g.K)
-
-	// Work shares: proportional to PE count; non-uniform mode discounts
-	// distant cores so finish times equalize despite NoP latency.
 	weights := make([]float64, len(cores))
-	var totalW float64
 	for i, c := range cores {
-		w := float64(c.Rows * c.Cols)
-		if opts.NonUniform && opts.HopLatency > 0 {
-			// A core `hops` away loses hops×hopLatency cycles to
-			// communication; discount its share by the fraction of
-			// the (estimated) makespan that overhead represents.
-			base := estimateCycles(opts.Dataflow, c.Rows, c.Cols, mp, mp.Sc)
-			overhead := float64(c.NoPHops * opts.HopLatency)
-			denom := float64(base)/float64(len(cores)) + overhead
-			if denom > 0 {
-				w = w * (float64(base) / float64(len(cores))) / denom
-			}
+		weights[i] = float64(c.Rows * c.Cols)
+	}
+	res, err := splitColumns(cores, mp, opts.HopLatency, weights)
+	if err != nil || !opts.NonUniform || opts.HopLatency <= 0 {
+		return res, err
+	}
+	// Non-uniform mode discounts distant cores so finish times equalize
+	// despite NoP latency: a core `hops` away loses hops×hopLatency
+	// cycles to communication, so its share shrinks by the fraction of
+	// its (estimated) makespan that overhead represents.
+	for i, c := range cores {
+		base := float64(estimateCycles(c.Rows, c.Cols, mp, mp.Sc)) / float64(len(cores))
+		if denom := base + float64(c.NoPHops*opts.HopLatency); denom > 0 {
+			weights[i] = weights[i] * base / denom
 		}
-		weights[i] = w
+	}
+	non, err := splitColumns(cores, mp, opts.HopLatency, weights)
+	if err != nil {
+		return nil, err
+	}
+	// Whole folds make the makespan a step function of the column
+	// counts, so the discounted split can come out slower (one column
+	// more on a near core can cost it a whole fold). Keep it only when
+	// it wins.
+	if non.Cycles < res.Cycles {
+		return non, nil
+	}
+	return res, nil
+}
+
+// splitColumns assigns mp.Sc columns to cores in proportion to weights
+// and evaluates each core's finish time.
+func splitColumns(cores []config.CoreSpec, mp systolic.Mapping, hopLatency int, weights []float64) (*HeteroResult, error) {
+	var totalW float64
+	for _, w := range weights {
 		totalW += w
 	}
 	if totalW <= 0 {
@@ -93,16 +102,8 @@ func SimulateHetero(cores []config.CoreSpec, g systolic.Gemm, opts HeteroOptions
 	for i, c := range cores {
 		cr := CoreResult{Spec: c, ColsAssigned: assigned[i]}
 		if assigned[i] > 0 {
-			cr.ComputeCycles = estimateCycles(opts.Dataflow, c.Rows, c.Cols, mp, assigned[i])
-			if c.SIMDLanes > 0 && opts.SIMDElementsPerCol > 0 {
-				unit := simd.New(c.SIMDLanes)
-				if c.SIMDLatency > 0 {
-					unit.DefaultLatency = c.SIMDLatency
-					unit.Latency = nil
-				}
-				cr.SIMDCycles = unit.Cycles(opts.SIMDOp, int64(assigned[i])*opts.SIMDElementsPerCol)
-			}
-			cr.NoPCycles = int64(c.NoPHops * opts.HopLatency)
+			cr.ComputeCycles = estimateCycles(c.Rows, c.Cols, mp, assigned[i])
+			cr.NoPCycles = int64(c.NoPHops * hopLatency)
 		}
 		res.Cores = append(res.Cores, cr)
 		t := cr.Total()
@@ -122,7 +123,7 @@ func SimulateHetero(cores []config.CoreSpec, g systolic.Gemm, opts HeteroOptions
 
 // estimateCycles runs the closed-form estimate for a core processing `cols`
 // of the Sc dimension (the full Sr and T).
-func estimateCycles(df config.Dataflow, r, c int, mp systolic.Mapping, cols int) int64 {
+func estimateCycles(r, c int, mp systolic.Mapping, cols int) int64 {
 	if cols <= 0 {
 		return 0
 	}

@@ -20,9 +20,8 @@ func configVariants() map[string]scalesim.Config {
 	multi.MultiCore.PartitionRows = 2
 	multi.MultiCore.PartitionCols = 2
 	multi.MultiCore.Strategy = config.SpatioTemporal1
-	multi.MultiCore.L2SizeKB = 1024
 	multi.MultiCore.Cores = []config.CoreSpec{
-		{Rows: 16, Cols: 16, SIMDLanes: 8, SIMDLatency: 2, NoPHops: 1},
+		{Rows: 16, Cols: 16, NoPHops: 1},
 		{Rows: 32, Cols: 32},
 	}
 	multi.MultiCore.NonUniform = true
@@ -153,6 +152,10 @@ func TestDTODecodeConfigErrors(t *testing.T) {
 		{"bad dram tech at validate", `{"memory":{"enabled":true,"technology":"SRAM9000"}}`, "Memory.Technology"},
 		{"enum as number names field", `{"dataflow":1}`, "config: Dataflow:"},
 		{"wrong type names field", `{"array_rows":"8"}`, "array_rows"},
+		{"removed l2 size", `{"multi_core":{"l2_size_kb":1}}`, `"l2_size_kb"`},
+		{"removed energy technology", `{"energy":{"technology":"45nm"}}`, `"technology"`},
+		{"removed core simd lanes", `{"multi_core":{"cores":[{"rows":8,"cols":8,"simd_lanes":4}]}}`, `"simd_lanes"`},
+		{"energy without a clock", `{"energy":{"enabled":true,"frequency_mhz":0}}`, "Energy.FrequencyMHz"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

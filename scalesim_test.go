@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -344,5 +345,134 @@ func TestWriteReports(t *testing.T) {
 	}
 	if !strings.Contains(en.String(), "TotalEnergyMJ") {
 		t.Error("energy report missing header")
+	}
+}
+
+// TestEveryConfigFieldIsModelled guards against knobs that are parsed,
+// fingerprinted and accepted on the wire but read by no model: every leaf
+// of Config (slice elements included) needs a case here whose perturbation
+// changes the rendered reports of a conv layer plus a 2:4 GEMM layer. A new
+// leaf without a case fails, as does a case whose leaf no longer exists.
+func TestEveryConfigFieldIsModelled(t *testing.T) {
+	exempt := map[string]string{
+		"RunName": "a label for trace files; excluded from the fingerprint",
+	}
+	sparse := func(c *Config) { c.Sparsity.Enabled = true }
+	rowWise := func(c *Config) {
+		c.Sparsity = config.SparsityConfig{Enabled: true, OptimizedMapping: true, BlockSize: 4, Seed: 1}
+	}
+	memory := func(c *Config) { c.Memory.Enabled = true }
+	// One single-ported bank whose lines the layers' misaligned operand
+	// rows straddle, so the layout slowdown is positive.
+	layout := func(c *Config) {
+		c.Dataflow, c.ArrayRows, c.ArrayCols = WeightStationary, 16, 16
+		c.Layout = config.LayoutConfig{Enabled: true, Banks: 1, PortsPerBank: 1, OnChipBandwidth: 16}
+	}
+	energy := func(c *Config) { c.Energy.Enabled = true }
+	grid := func(c *Config) {
+		c.MultiCore = config.MultiCoreConfig{Enabled: true, PartitionRows: 2, PartitionCols: 2}
+	}
+	hetero := func(c *Config) {
+		c.MultiCore = config.MultiCoreConfig{Enabled: true, HopLatency: 5000,
+			Cores: []config.CoreSpec{{Rows: 16, Cols: 16, NoPHops: 2}, {Rows: 16, Cols: 16}}}
+	}
+	cases := map[string]struct{ base, perturb func(*Config) }{
+		"ArrayRows":      {nil, func(c *Config) { c.ArrayRows = 16 }},
+		"ArrayCols":      {nil, func(c *Config) { c.ArrayCols = 16 }},
+		"IfmapSRAMKB":    {memory, func(c *Config) { c.IfmapSRAMKB = 1 }},
+		"FilterSRAMKB":   {memory, func(c *Config) { c.FilterSRAMKB = 1 }},
+		"OfmapSRAMKB":    {func(c *Config) { memory(c); c.Dataflow = WeightStationary }, func(c *Config) { c.OfmapSRAMKB = 4096 }},
+		"Dataflow":       {nil, func(c *Config) { c.Dataflow = WeightStationary }},
+		"BandwidthWords": {memory, func(c *Config) { c.BandwidthWords = 64 }},
+		"WordBytes":      {sparse, func(c *Config) { c.WordBytes = 2 }},
+
+		"Sparsity.Enabled":          {nil, sparse},
+		"Sparsity.OptimizedMapping": {func(c *Config) { sparse(c); c.Sparsity.BlockSize = 4 }, func(c *Config) { c.Sparsity.OptimizedMapping = true }},
+		"Sparsity.Format":           {sparse, func(c *Config) { c.Sparsity.Format = config.CSR }},
+		"Sparsity.BlockSize":        {rowWise, func(c *Config) { c.Sparsity.BlockSize = 8 }},
+		"Sparsity.Seed":             {rowWise, func(c *Config) { c.Sparsity.Seed = 2 }},
+
+		"Memory.Enabled":         {nil, memory},
+		"Memory.Technology":      {memory, func(c *Config) { c.Memory.Technology = "HBM2" }},
+		"Memory.Channels":        {memory, func(c *Config) { c.Memory.Channels = 4 }},
+		"Memory.ReadQueueDepth":  {memory, func(c *Config) { c.Memory.ReadQueueDepth = 1 }},
+		"Memory.WriteQueueDepth": {memory, func(c *Config) { c.Memory.WriteQueueDepth = 1 }},
+
+		"Layout.Enabled":         {func(c *Config) { layout(c); c.Layout.Enabled = false }, func(c *Config) { c.Layout.Enabled = true }},
+		"Layout.Banks":           {layout, func(c *Config) { c.Layout.Banks = 2 }},
+		"Layout.PortsPerBank":    {layout, func(c *Config) { c.Layout.PortsPerBank = 2 }},
+		"Layout.OnChipBandwidth": {layout, func(c *Config) { c.Layout.OnChipBandwidth = 32 }},
+
+		"Energy.Enabled":      {nil, energy},
+		"Energy.ClockGating":  {energy, func(c *Config) { c.Energy.ClockGating = false }},
+		"Energy.RowSize":      {energy, func(c *Config) { c.Energy.RowSize = 32 }},
+		"Energy.BankSize":     {energy, func(c *Config) { c.Energy.BankSize = 8 }},
+		"Energy.FrequencyMHz": {energy, func(c *Config) { c.Energy.FrequencyMHz = 500 }},
+		"Energy.IncludeDRAM":  {energy, func(c *Config) { c.Energy.IncludeDRAM = true }},
+
+		"MultiCore.Enabled":       {nil, grid},
+		"MultiCore.PartitionRows": {grid, func(c *Config) { c.MultiCore.PartitionRows = 4 }},
+		"MultiCore.PartitionCols": {grid, func(c *Config) { c.MultiCore.PartitionCols = 4 }},
+		"MultiCore.Strategy":      {grid, func(c *Config) { c.MultiCore.Strategy = config.SpatioTemporal1 }},
+		"MultiCore.Cores.Rows":    {hetero, func(c *Config) { c.MultiCore.Cores[1].Rows = 32 }},
+		"MultiCore.Cores.Cols":    {hetero, func(c *Config) { c.MultiCore.Cores[1].Cols = 32 }},
+		"MultiCore.Cores.NoPHops": {hetero, func(c *Config) { c.MultiCore.Cores[0].NoPHops = 50 }},
+		"MultiCore.NonUniform":    {hetero, func(c *Config) { c.MultiCore.NonUniform = true }},
+		"MultiCore.HopLatency":    {hetero, func(c *Config) { c.MultiCore.HopLatency = 1000 }},
+	}
+
+	var leaves []string
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			ft := f.Type
+			if ft.Kind() == reflect.Slice {
+				ft = ft.Elem()
+			}
+			if ft.Kind() == reflect.Struct {
+				walk(prefix+f.Name+".", ft)
+				continue
+			}
+			leaves = append(leaves, prefix+f.Name)
+		}
+	}
+	walk("", reflect.TypeOf(Config{}))
+
+	topo := &Topology{Name: "modelled", Layers: []Layer{
+		{Name: "conv", Kind: Conv, IfmapH: 30, IfmapW: 30, FilterH: 3, FilterW: 3,
+			Channels: 3, NumFilters: 48, Stride: 1},
+		{Name: "gemm", Kind: GEMM, M: 250, N: 250, K: 60, Sparsity: Sparsity{N: 2, M: 4}},
+	}}
+	render := func(leaf string, mut ...func(*Config)) []byte {
+		t.Helper()
+		cfg := DefaultConfig()
+		for _, m := range mut {
+			if m != nil {
+				m(&cfg)
+			}
+		}
+		res, err := New(cfg).Run(context.Background(), topo)
+		if err != nil {
+			t.Fatalf("%s: %v", leaf, err)
+		}
+		return reportBytes(t, res)
+	}
+	for _, leaf := range leaves {
+		if _, ok := exempt[leaf]; ok {
+			continue
+		}
+		c, ok := cases[leaf]
+		if !ok {
+			t.Errorf("Config.%s has no case: give it a base and a perturbation that changes the reports, or delete it", leaf)
+			continue
+		}
+		delete(cases, leaf)
+		if bytes.Equal(render(leaf, c.base), render(leaf, c.base, c.perturb)) {
+			t.Errorf("perturbing Config.%s leaves every report byte unchanged: no model reads it", leaf)
+		}
+	}
+	for leaf := range cases {
+		t.Errorf("case %q names no leaf of Config", leaf)
 	}
 }

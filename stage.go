@@ -193,14 +193,8 @@ func multiCoreCycles(cfg *Config, mp systolic.Mapping) (*multicore.Partition, in
 	r, c := cfg.ArrayRows, cfg.ArrayCols
 	if len(mc.Cores) > 0 {
 		// Heterogeneous cores: split the Sc dimension by throughput.
-		// The mapping is already applied, so pass (Sr, Sc, T) through
-		// the identity (output-stationary) assignment.
-		res, err := multicore.SimulateHetero(mc.Cores, systolic.Gemm{M: mp.Sr, N: mp.Sc, K: mp.T},
-			multicore.HeteroOptions{
-				Dataflow:   config.OutputStationary,
-				HopLatency: mc.HopLatency,
-				NonUniform: mc.NonUniform,
-			})
+		res, err := multicore.SimulateHetero(mc.Cores, mp,
+			multicore.HeteroOptions{HopLatency: mc.HopLatency, NonUniform: mc.NonUniform})
 		if err != nil {
 			return nil, 0, err
 		}
