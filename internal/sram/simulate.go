@@ -23,9 +23,12 @@ type Options struct {
 	StreamWindowWords int64
 	// MaxCycles aborts runaway simulations (default 2^40).
 	MaxCycles int64
-	// CollectTrace records every DRAM transaction (arrival cycle,
-	// address, type, round-trip) into Result.Trace.
-	CollectTrace bool
+	// Sink, when set, receives every DRAM transaction with its final
+	// Arrive and Done in trace order: fold by fold, each fold's
+	// stationary, stream, then write lines in span order, not issue order
+	// (fold f+1's reads are prefetched before fold f's writes drain). A
+	// stream line the fold finished without issuing has zero Arrive/Done.
+	Sink func(dram.Request)
 	// ReferenceTickLoop advances the replay — and the attached DRAM
 	// system — one cycle per iteration instead of jumping between
 	// events. Slow; retained as the oracle the event engine's
@@ -35,14 +38,6 @@ type Options struct {
 	// the replay opens "sram.stream" and "sram.drain" phase spans under
 	// it. Nil — the default — records nothing at zero cost.
 	Trace *telemetry.Span
-}
-
-// TraceEntry is one recorded DRAM transaction.
-type TraceEntry struct {
-	Arrive int64
-	Done   int64
-	Addr   int64
-	Write  bool
 }
 
 func (o *Options) defaults() {
@@ -82,13 +77,6 @@ type Result struct {
 	// instead of ticking one by one (zero under ReferenceTickLoop).
 	// Purely diagnostic: it does not affect any simulated statistic.
 	SkippedCycles int64
-	// Trace holds every transaction when Options.CollectTrace was set,
-	// fold by fold and, within a fold, its stationary, then stream, then
-	// write lines in span order — not issue order, since the producer
-	// prefetches fold f+1's reads before fold f's writes drain. A stream
-	// line the replay never issued (the fold finished without it) keeps
-	// zero Arrive and Done.
-	Trace []TraceEntry
 }
 
 // StallFraction is StallCycles / TotalCycles.
@@ -143,8 +131,9 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	}
 	res := &Result{ComputeCycles: sched.ComputeCycles()}
 
-	// Each fold's line count per request group, and its offset in the
-	// trace, which lists folds in order: stationary, stream, then writes.
+	// Each fold's line count per request group, and its first index in
+	// trace order, which lists folds in order: stationary, stream, then
+	// writes.
 	wordBytes, lineBytes := int64(opts.WordBytes), int64(opts.LineBytes)
 	nf := len(sched.Folds)
 	lines := make([]foldLines, nf)
@@ -160,11 +149,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		fl.base = traceLen
 		traceLen += fl.stat + fl.stream + fl.writes
 	}
-	pool := slotPool{}
-	if opts.CollectTrace {
-		res.Trace = make([]TraceEntry, traceLen)
-		pool.trace = res.Trace
-	}
+	pool := slotPool{sink: opts.Sink}
 	// reads holds the issued reads the consumer has not passed, in issue
 	// order, which is also consumption order: fold cf's stationary lines,
 	// its stream lines, then fold cf+1's.
@@ -231,7 +216,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	}
 	// issue enqueues c's next line in a pooled slot; false when the
 	// target queue is full.
-	var issuedAny, enqFailed bool
+	var retry, enqFailed bool
 	issue := func(c *lineCursor, write bool) bool {
 		s := pool.spare()
 		s.Request = dram.Request{Arrive: now, Addr: c.addr(), Write: write}
@@ -241,7 +226,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		}
 		pool.free, s.idx = s.next, c.base+c.i
 		c.next()
-		issuedAny = true
+		retry = true
 		if write {
 			res.WriteRequests++
 			pool.retiring.push(s)
@@ -252,16 +237,17 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		return true
 	}
 	// sleep advances time across a no-progress stretch. If the producer
-	// issued something this cycle it may issue again next cycle, so only
-	// a single cycle passes (always, under the reference loop). Otherwise
-	// nothing the producer or the consumer waits on can change before a
-	// request leaves a queue, so the clock runs event by event to the
-	// first dequeue, or to limit. A producer parked on a full queue would
-	// have retried (and failed) on every skipped cycle, so QueueFullCyc
-	// counts them to match the reference loop's per-cycle accounting.
+	// issued this cycle, or the consumer opened a fold (resetting the
+	// consumed words the staging window counts), the producer may act
+	// differently next cycle, so one cycle passes (always, under the
+	// reference loop). Otherwise nothing the producer or the consumer
+	// waits on changes before a request leaves a queue, so the clock runs
+	// event by event to the first dequeue, or to limit. A producer parked
+	// on a full queue would have retried (and failed) on every skipped
+	// cycle, so QueueFullCyc counts them as the reference loop does.
 	sleep := func(limit int64) {
 		from := now
-		if issuedAny || opts.ReferenceTickLoop {
+		if retry || opts.ReferenceTickLoop {
 			advanceTo(now + 1)
 		} else {
 			now = sys.AdvanceUntilDequeue(max(limit, now+1))
@@ -293,7 +279,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		// write queue backs the array up (writeBlocked).
 		budget := opts.MaxRequestsPerCycle
 		writeBlocked := false
-		issuedAny, enqFailed = false, false
+		retry, enqFailed = false, false
 		for budget > 0 {
 			if writeFold < cf {
 				if wr.i >= wr.n {
@@ -367,7 +353,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 				stall(waitDone)
 				continue
 			}
-			started = true
+			started, retry = true, true
 			streamPhaseLeft = f.StreamCycles
 			// Non-stream portion of the pipeline (fill + drain).
 			drainLeft = max(f.ComputeCycles-f.StreamCycles, 0)
@@ -415,7 +401,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		// producer still points into this fold, skip the rest of its
 		// requests — the data is no longer needed (defensive; with exact
 		// cum accounting completion implies full issue); a skipped line
-		// keeps its trace entry, with zero Arrive and Done.
+		// still reaches the sink, with zero Arrive and Done.
 		issued := fl.stream
 		if issueFold == cf {
 			issued = strm.i
@@ -428,8 +414,8 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 				issuedStreamWords += fl.streamWords - strmWords
 			}
 			for ; strm.i < strm.n; strm.next() {
-				if res.Trace != nil {
-					res.Trace[strm.base+strm.i] = TraceEntry{Addr: strm.addr()}
+				if pool.sink != nil {
+					pool.emit(strm.base+strm.i, dram.Request{Addr: strm.addr()})
 				}
 			}
 			issueFold++
@@ -471,7 +457,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	}
 	drain.End()
 	for pool.retiring.head != nil {
-		pool.put(pool.retiring.pop()) // records the last trace entries
+		pool.put(pool.retiring.pop()) // emits the last transactions
 	}
 
 	res.TotalCycles = now
@@ -510,7 +496,7 @@ func consumedWordsIfCurrent(issueFold, cf int, consumed int64) int64 {
 }
 
 // foldLines is a fold's line count per request group, its stream words and
-// its first entry in Result.Trace.
+// its first index in trace order.
 type foldLines struct {
 	stat, stream, writes int64
 	streamWords          int64
@@ -533,7 +519,7 @@ func cumWords(total, n, i int64) int64 { return total * (i + 1) / n }
 
 // lineCursor walks the n line addresses of a span list in Span.Lines order
 // without materializing them; i counts the lines passed and base is the
-// group's first entry in Result.Trace.
+// group's first index in trace order.
 type lineCursor struct {
 	spans  []Span
 	wb, lb int64
@@ -568,7 +554,7 @@ func (c *lineCursor) next() {
 	c.i++
 }
 
-// slot is one in-flight request of the replay and its Result.Trace index.
+// slot is one in-flight request of the replay and its index in trace order.
 type slot struct {
 	dram.Request
 	idx  int64
@@ -608,7 +594,17 @@ type slotPool struct {
 	// queue (writes, and reads the consumer skipped); each returns once
 	// its Done is set.
 	retiring slotList
-	trace    []TraceEntry
+	// sink, when set, receives retired requests in trace order: next is
+	// the index it expects next, held a ring of requests keyed by index
+	// modulo its length.
+	sink func(dram.Request)
+	next int64
+	held []heldRequest
+}
+
+type heldRequest struct {
+	dram.Request
+	ok bool // occupied
 }
 
 // spare returns the free slot the next request is built in; the caller
@@ -628,11 +624,32 @@ func (p *slotPool) spare() *slot {
 	return p.free
 }
 
-// put retires a served slot: its trace entry is final, so it is recorded.
+// put retires a served slot: its request is final, so it goes to the sink.
 func (p *slotPool) put(s *slot) {
-	if p.trace != nil {
-		p.trace[s.idx] = TraceEntry{Arrive: s.Arrive, Done: s.Done, Addr: s.Addr, Write: s.Write}
+	if p.sink != nil {
+		p.emit(s.idx, s.Request)
 	}
 	s.next = p.free
 	p.free = s
+}
+
+// emit passes request idx to the sink in trace order: a request that
+// retires ahead of its turn waits in the ring until those before it have
+// gone. The ring doubles to reach idx, so it spans the widest reorder
+// window, not the trace.
+func (p *slotPool) emit(idx int64, r dram.Request) {
+	for idx-p.next >= int64(len(p.held)) {
+		old := p.held
+		p.held = make([]heldRequest, max(2*len(old), 256))
+		for i := p.next; i < p.next+int64(len(old)); i++ {
+			p.held[i%int64(len(p.held))] = old[i%int64(len(old))]
+		}
+	}
+	n := int64(len(p.held))
+	p.held[idx%n] = heldRequest{r, true}
+	for h := &p.held[p.next%n]; h.ok; h = &p.held[p.next%n] {
+		h.ok = false
+		p.sink(h.Request)
+		p.next++
+	}
 }

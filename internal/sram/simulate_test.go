@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -183,14 +184,17 @@ func allocSchedule(folds int, lines int64) *Schedule {
 // TestSimulateAllocsIndependentOfLines pins the replay's streaming: it
 // holds the requests in flight, not the schedule's lines, so 8x the lines
 // per fold costs neither more bytes (beyond a fixed slack) nor more
-// allocations.
+// allocations. An attached sink adds the reorder ring, which holds the
+// requests that retire ahead of their turn in trace order: a fold's paced
+// writes wait for its last stream line, so the ring follows the lines of
+// one fold, and 8x the folds of a given size costs nothing more.
 func TestSimulateAllocsIndependentOfLines(t *testing.T) {
-	measure := func(folds int, lines int64) (bytes, mallocs uint64) {
+	measure := func(folds int, lines int64, sink func(dram.Request)) (bytes, mallocs uint64) {
 		sched := allocSchedule(folds, lines)
 		sys := newDDR4(t, 2, 64)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := Simulate(sched, sys, Options{MaxRequestsPerCycle: 4})
+		res, err := Simulate(sched, sys, Options{MaxRequestsPerCycle: 4, Sink: sink})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -200,18 +204,24 @@ func TestSimulateAllocsIndependentOfLines(t *testing.T) {
 		}
 		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
-	for _, folds := range []int{1, 8} {
-		bytes, mallocs := measure(folds, 10_000)
-		bigBytes, bigMallocs := measure(folds, 80_000)
-		t.Logf("%d folds: %d B in %d allocations at 10k lines per fold, %d B in %d at 80k",
-			folds, bytes, mallocs, bigBytes, bigMallocs)
+	check := func(name string, bytes, mallocs, bigBytes, bigMallocs uint64) {
+		t.Logf("%s: %d B in %d allocations, %d B in %d at 8x", name, bytes, mallocs, bigBytes, bigMallocs)
 		if bigBytes > bytes+64<<10 {
-			t.Errorf("%d folds: %d bytes at 10k lines per fold, %d at 80k", folds, bytes, bigBytes)
+			t.Errorf("%s: %d bytes, %d at 8x", name, bytes, bigBytes)
 		}
 		if bigMallocs > mallocs {
-			t.Errorf("%d folds: %d allocations at 10k lines per fold, %d at 80k", folds, mallocs, bigMallocs)
+			t.Errorf("%s: %d allocations, %d at 8x", name, mallocs, bigMallocs)
 		}
 	}
+	for _, folds := range []int{1, 8} {
+		bytes, mallocs := measure(folds, 10_000, nil)
+		bigBytes, bigMallocs := measure(folds, 80_000, nil)
+		check(fmt.Sprintf("%d folds, 10k lines per fold", folds), bytes, mallocs, bigBytes, bigMallocs)
+	}
+	sink := func(dram.Request) {}
+	bytes, mallocs := measure(8, 1_000, sink)
+	bigBytes, bigMallocs := measure(64, 1_000, sink)
+	check("sink, 8 folds of 1k lines", bytes, mallocs, bigBytes, bigMallocs)
 }
 
 // TestLineCursorMatchesLines checks the replay's line walk against the
@@ -242,8 +252,25 @@ func TestLineCursorMatchesLines(t *testing.T) {
 	}
 }
 
-// TestTraceOrderIsFoldOrder pins the order Result.Trace (and so every
-// _dram_trace.csv) lists transactions in: fold by fold, each fold's
+// traceOrder lists the schedule's transactions in trace order — fold by
+// fold, each fold's stationary, stream, then write lines — with zero
+// Arrive and Done.
+func traceOrder(sched *Schedule) []dram.Request {
+	var order []dram.Request
+	for _, f := range sched.Folds {
+		for gi, spans := range [][]Span{f.Stationary, f.Stream, f.Writes} {
+			for _, sp := range spans {
+				for _, a := range sp.Lines(nil, 4, 64) {
+					order = append(order, dram.Request{Addr: a, Write: gi == 2})
+				}
+			}
+		}
+	}
+	return order
+}
+
+// TestTraceOrderIsFoldOrder pins the order the Sink (and so every
+// _dram_trace.csv) receives transactions in: fold by fold, each fold's
 // stationary, stream, then write lines — not issue order. Fold 1's reads
 // are prefetched while fold 0 computes, so they issue before fold 0's
 // paced write, yet follow it in the trace.
@@ -257,38 +284,30 @@ func TestTraceOrderIsFoldOrder(t *testing.T) {
 		}
 	}
 	sched := &Schedule{Dataflow: config.WeightStationary, Folds: []Fold{fold(0), fold(1)}}
-	res, err := Simulate(sched, newDDR4(t, 1, 8), Options{MaxRequestsPerCycle: 1, CollectTrace: true})
-	if err != nil {
+	var got []dram.Request
+	sink := func(r dram.Request) { got = append(got, r) }
+	if _, err := Simulate(sched, newDDR4(t, 1, 8), Options{MaxRequestsPerCycle: 1, Sink: sink}); err != nil {
 		t.Fatal(err)
 	}
-	var want []TraceEntry
-	for _, f := range sched.Folds {
-		for gi, spans := range [][]Span{f.Stationary, f.Stream, f.Writes} {
-			for _, sp := range spans {
-				for _, a := range sp.Lines(nil, 4, 64) {
-					want = append(want, TraceEntry{Addr: a, Write: gi == 2})
-				}
-			}
-		}
-	}
+	want := traceOrder(sched)
 	// Arrive/Done of each entry, as the array-backed replay recorded them.
 	times := [][2]int64{
 		{0, 39}, {1, 45}, {2, 100}, {3, 106}, {4, 112}, {114, 152},
 		{5, 51}, {6, 57}, {7, 118}, {18, 124}, {24, 130}, {154, 158},
 	}
-	if len(res.Trace) != len(want) || len(times) != len(want) {
-		t.Fatalf("trace has %d entries, want %d", len(res.Trace), len(want))
+	if len(got) != len(want) || len(times) != len(want) {
+		t.Fatalf("trace has %d entries, want %d", len(got), len(want))
 	}
 	for i := range want {
 		want[i].Arrive, want[i].Done = times[i][0], times[i][1]
 	}
-	for i, e := range res.Trace {
+	for i, e := range got {
 		if e != want[i] {
 			t.Errorf("entry %d: %+v, want %+v", i, e, want[i])
 		}
 	}
 	// Fold 0's write (entry 5) issues after fold 1's first read (entry 6).
-	if w, r := res.Trace[5], res.Trace[6]; !w.Write || r.Write || r.Arrive >= w.Arrive {
+	if w, r := got[5], got[6]; !w.Write || r.Write || r.Arrive >= w.Arrive {
 		t.Errorf("fold 1's first read (%+v) does not issue before fold 0's write (%+v)", r, w)
 	}
 }

@@ -6,7 +6,6 @@ package trace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -78,7 +77,10 @@ func (t *DRAMWriter) Record(r DRAMRecord) {
 	if r.Write {
 		kind = 'W'
 	}
-	_, t.err = fmt.Fprintf(t.w, "%d, %d, %c, %d\n", r.Cycle, r.Addr, kind, r.Latency)
+	buf := strconv.AppendInt(t.w.AvailableBuffer(), r.Cycle, 10)
+	buf = strconv.AppendInt(append(buf, ',', ' '), r.Addr, 10)
+	buf = strconv.AppendInt(append(buf, ',', ' ', kind, ',', ' '), r.Latency, 10)
+	_, t.err = t.w.Write(append(buf, '\n'))
 }
 
 // Close flushes and returns the first error encountered.

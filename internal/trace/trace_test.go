@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -62,5 +65,38 @@ func TestSRAMWriterPropagatesErrors(t *testing.T) {
 	}
 	if err := w.Close(); err == nil {
 		t.Error("write error swallowed")
+	}
+}
+
+// TestDRAMWriterMatchesFormat: Record writes exactly the bytes of the
+// "%d, %d, %c, %d" row format, over edge values of every field.
+func TestDRAMWriterMatchesFormat(t *testing.T) {
+	var got, want bytes.Buffer
+	w := NewDRAMWriter(&got)
+	want.WriteString("cycle, address, type, latency\n")
+	for _, v := range []int64{0, 7, math.MaxInt64} {
+		for _, write := range []bool{false, true} {
+			r := DRAMRecord{Cycle: v, Addr: math.MaxInt64 - v, Write: write, Latency: v}
+			w.Record(r)
+			kind := 'R'
+			if write {
+				kind = 'W'
+			}
+			fmt.Fprintf(&want, "%d, %d, %c, %d\n", r.Cycle, r.Addr, kind, r.Latency)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("rows:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
+	}
+}
+
+func TestDRAMWriterRecordAllocs(t *testing.T) {
+	w := NewDRAMWriter(io.Discard)
+	r := DRAMRecord{Cycle: math.MaxInt64, Addr: math.MaxInt64, Write: true, Latency: math.MaxInt64}
+	if n := testing.AllocsPerRun(1000, func() { w.Record(r) }); n != 0 {
+		t.Errorf("Record allocates %v times per row", n)
 	}
 }

@@ -54,6 +54,9 @@ type StageContext struct {
 	// cache holds sub-result memoization (e.g. the layout analysis) when a
 	// simulation cache is attached to the run; nil otherwise.
 	cache *simcache.Cache
+	// dramSink, when set, receives every DRAM transaction of the memory
+	// stage's event-driven replay, in trace order (see sram.Options.Sink).
+	dramSink func(dram.Request)
 }
 
 // Stage is one pass of the per-layer model pipeline. Built-in stages cover
@@ -315,27 +318,6 @@ func layoutSlowdown(sc *StageContext) (float64, error) {
 	return layout.CombinedSlowdown(ifa, fla, ofa), nil
 }
 
-// memoryEngine derives the three option sets of the memory workflow — SRAM
-// fold schedule, DRAM system, SRAM/DRAM replay — from the configuration. The
-// memory stage and the DRAM trace writer both build their machine from it,
-// so a trace is always of the machine the reports describe. Per-call fields
-// (FilterRatio, Trace, CollectTrace) are the caller's to set.
-func memoryEngine(cfg *Config) (sram.ScheduleOptions, dram.Options, sram.Options) {
-	ifW, flW, ofW := cfg.SRAMWords()
-	return sram.ScheduleOptions{IfmapSRAMWords: ifW, FilterSRAMWords: flW, OfmapSRAMWords: ofW},
-		dram.Options{
-			Channels: cfg.Memory.Channels,
-			// One controller queue holds reads and writes: the tighter of
-			// the two configured depths bounds it.
-			QueueDepth: min(cfg.Memory.ReadQueueDepth, cfg.Memory.WriteQueueDepth),
-		},
-		sram.Options{
-			WordBytes:           cfg.WordBytes,
-			MaxRequestsPerCycle: max(1, cfg.BandwidthWords*cfg.WordBytes/64),
-			StreamWindowWords:   ifW / 2,
-		}
-}
-
 type memoryStage struct{}
 
 func (memoryStage) Name() string { return "memory" }
@@ -364,8 +346,21 @@ func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 		return err
 	}
 	g := systolic.Gemm{M: sc.M, N: sc.N, K: sc.K}
-	sopts, dopts, ropts := memoryEngine(cfg)
-	sopts.FilterRatio = sc.FilterRatio
+	ifW, flW, ofW := cfg.SRAMWords()
+	sopts := sram.ScheduleOptions{IfmapSRAMWords: ifW, FilterSRAMWords: flW, OfmapSRAMWords: ofW,
+		FilterRatio: sc.FilterRatio}
+	dopts := dram.Options{
+		Channels: cfg.Memory.Channels,
+		// One controller queue holds reads and writes: the tighter of the
+		// two configured depths bounds it.
+		QueueDepth: min(cfg.Memory.ReadQueueDepth, cfg.Memory.WriteQueueDepth),
+	}
+	ropts := sram.Options{
+		WordBytes:           cfg.WordBytes,
+		MaxRequestsPerCycle: max(1, cfg.BandwidthWords*cfg.WordBytes/64),
+		StreamWindowWords:   ifW / 2,
+		Sink:                sc.dramSink,
+	}
 	if sc.Fidelity == Analytical {
 		// Closed form: exact traffic, bounded stalls, no replay — the folds
 		// are walked and summed, no schedule is built. The

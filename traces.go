@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"scalesim/internal/dram"
-	"scalesim/internal/sram"
 	"scalesim/internal/systolic"
 	"scalesim/internal/trace"
 )
@@ -28,8 +27,10 @@ import (
 // layer's file name would be empty, "." or "..", or when two layers map to
 // the same file name.
 //
-// Traces can be large: a layer with C compute cycles produces O(C) rows.
-// WriteTraces always regenerates them and ignores any attached cache.
+// The DRAM rows stream from the memory stage's event-driven replay, at any
+// fidelity, so memory use does not grow with trace length. Files can be
+// large: a layer with C compute cycles produces O(C) rows. WriteTraces
+// always regenerates them and ignores any cache and WithStages.
 func (s *Simulator) WriteTraces(topo *Topology, dir string) error {
 	if err := s.cfg.Validate(); err != nil {
 		return err
@@ -77,10 +78,13 @@ func traceBases(topo *Topology) ([]string, error) {
 
 // writeLayerTraces traces the machine the reports describe: the compute
 // stage fixes the layer's effective dataflow (weight-stationary for sparse
-// layers) and the filter density the memory workflow streams.
-func (s *Simulator) writeLayerTraces(l *Layer, base string) error {
+// layers) and the filter density, and the memory stage's replay emits the
+// DRAM rows.
+func (s *Simulator) writeLayerTraces(l *Layer, base string) (err error) {
 	sc := newStageContext(&s.cfg, &s.opts, l)
-	if err := (computeStage{}).Apply(context.TODO(), sc, &LayerResult{Layer: *l}); err != nil {
+	sc.Fidelity = EventDriven // only the replay has transactions to trace
+	lr := &LayerResult{Layer: *l}
+	if err := (computeStage{}).Apply(context.TODO(), sc, lr); err != nil {
 		return err
 	}
 	if err := writeSRAMTraces(base, sc); err != nil {
@@ -89,24 +93,36 @@ func (s *Simulator) writeLayerTraces(l *Layer, base string) error {
 	if !s.cfg.Memory.Enabled {
 		return nil
 	}
-	return s.writeDRAMTrace(base, sc)
+	f, err := os.Create(base + "_dram_trace.csv")
+	if err != nil {
+		return err
+	}
+	defer closeFile(f, &err)
+	w := trace.NewDRAMWriter(f)
+	sc.dramSink = func(r dram.Request) {
+		w.Record(trace.DRAMRecord{Cycle: r.Arrive, Addr: r.Addr, Write: r.Write, Latency: max(r.Done-r.Arrive, 0)})
+	}
+	if err := (memoryStage{}).Apply(context.TODO(), sc, lr); err != nil {
+		return err
+	}
+	return w.Close()
 }
 
 var sramTraceSuffixes = [3]string{
 	"_sram_ifmap_read.csv", "_sram_filter_read.csv", "_sram_ofmap_write.csv",
 }
 
-func writeSRAMTraces(base string, sc *StageContext) error {
+func writeSRAMTraces(base string, sc *StageContext) (err error) {
 	var w [3]*trace.SRAMWriter
 	for i, suffix := range sramTraceSuffixes {
-		f, err := os.Create(base + suffix)
-		if err != nil {
-			return err
+		f, cerr := os.Create(base + suffix)
+		if cerr != nil {
+			return cerr
 		}
-		defer f.Close()
+		defer closeFile(f, &err)
 		w[i] = trace.NewSRAMWriter(f)
 	}
-	err := systolic.Stream(sc.Dataflow, sc.Rows, sc.Cols,
+	err = systolic.Stream(sc.Dataflow, sc.Rows, sc.Cols,
 		systolic.Gemm{M: sc.M, N: sc.N, K: sc.K}, func(d *systolic.Demand) bool {
 			w[0].Row(d.Cycle, d.IfmapReads)
 			w[1].Row(d.Cycle, d.FilterReads)
@@ -124,43 +140,13 @@ func writeSRAMTraces(base string, sc *StageContext) error {
 	return nil
 }
 
-// writeDRAMTrace runs the cycle-accurate memory workflow for the layer
-// shape and emits the timestamped transaction trace.
-func (s *Simulator) writeDRAMTrace(base string, sc *StageContext) error {
-	tech, err := dram.TechByName(s.cfg.Memory.Technology)
-	if err != nil {
-		return err
+// closeFile closes f and, on the success path, reports its error in *err:
+// a write error that surfaces only at close would otherwise leave a
+// truncated trace behind a nil return.
+func closeFile(f *os.File, err *error) {
+	if cerr := f.Close(); *err == nil {
+		*err = cerr
 	}
-	sopts, dopts, ropts := memoryEngine(&s.cfg)
-	sopts.FilterRatio = sc.FilterRatio
-	sys, err := dram.New(tech, dopts)
-	if err != nil {
-		return err
-	}
-	sched, err := sram.BuildSchedule(sc.Dataflow, sc.Rows, sc.Cols,
-		systolic.Gemm{M: sc.M, N: sc.N, K: sc.K}, sopts)
-	if err != nil {
-		return err
-	}
-	ropts.CollectTrace = true
-	res, err := sram.Simulate(sched, sys, ropts)
-	if err != nil {
-		return err
-	}
-	fD, err := os.Create(base + "_dram_trace.csv")
-	if err != nil {
-		return err
-	}
-	defer fD.Close()
-	wD := trace.NewDRAMWriter(fD)
-	for _, e := range res.Trace {
-		lat := e.Done - e.Arrive
-		if lat < 0 {
-			lat = 0
-		}
-		wD.Record(trace.DRAMRecord{Cycle: e.Arrive, Addr: e.Addr, Write: e.Write, Latency: lat})
-	}
-	return wD.Close()
 }
 
 // sanitize maps an arbitrary user string (layer, run or sweep-point name) to

@@ -143,21 +143,16 @@ func TestSanitize(t *testing.T) {
 }
 
 // TestDRAMTraceRowsMatchMemoryRequests: a layer's _dram_trace.csv has one
-// row per request the memory report counts, for dense and 2:4-sparse
-// layers under every dataflow. A sparse layer runs weight-stationary with
-// its filter traffic scaled by the pattern's density, whatever the
-// configured dataflow, and its trace must be of that machine too.
+// row per request the memory report counts; every read's data is back
+// (cycle + latency) and every write issued by the layer's total cycles. The
+// inputs are a dense and a 2:4-sparse GEMM under every dataflow — a sparse
+// layer runs weight-stationary with its filter traffic scaled by the
+// pattern's density, whatever the configured dataflow, and its trace must
+// be of that machine too — and the first layer shape of each built-in
+// model not already covered by an earlier one, on a 64x64
+// output-stationary array.
 func TestDRAMTraceRowsMatchMemoryRequests(t *testing.T) {
-	for _, df := range []Dataflow{OutputStationary, WeightStationary, InputStationary} {
-		cfg := DefaultConfig()
-		cfg.ArrayRows, cfg.ArrayCols = 16, 16
-		cfg.Dataflow = df
-		cfg.Memory.Enabled = true
-		cfg.Sparsity.Enabled = true
-		topo := &Topology{Name: "mix", Layers: []Layer{
-			{Name: "dense", Kind: GEMM, M: 96, N: 80, K: 200},
-			{Name: "sparse", Kind: GEMM, M: 96, N: 80, K: 200, Sparsity: Sparsity{N: 2, M: 4}},
-		}}
+	check := func(t *testing.T, cfg Config, topo *Topology) {
 		res, err := New(cfg).Run(context.Background(), topo)
 		if err != nil {
 			t.Fatal(err)
@@ -167,15 +162,75 @@ func TestDRAMTraceRowsMatchMemoryRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, lr := range res.Layers {
-			data, err := os.ReadFile(filepath.Join(dir, lr.Layer.Name+"_dram_trace.csv"))
+			data, err := os.ReadFile(filepath.Join(dir, sanitize(lr.Layer.Name)+"_dram_trace.csv"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows := int64(bytes.Count(data, []byte("\n"))) - 1 // header
+			_, data, _ = bytes.Cut(data, []byte("\n")) // header
+			var rows int64
+			for len(data) > 0 {
+				var row []byte
+				row, data, _ = bytes.Cut(data, []byte("\n"))
+				rows++
+				// "cycle, address, R|W, latency"
+				i, j := bytes.IndexByte(row, ','), bytes.LastIndexByte(row, ' ')
+				if i < 0 || j < 3 {
+					t.Fatalf("%s: malformed row %q", lr.Layer.Name, row)
+				}
+				cycle, err1 := strconv.ParseInt(string(row[:i]), 10, 64)
+				latency, err2 := strconv.ParseInt(string(row[j+1:]), 10, 64)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("%s: malformed row %q", lr.Layer.Name, row)
+				}
+				if row[j-2] == 'W' {
+					latency = 0 // the final writes drain past TotalCycles
+				}
+				if cycle+latency > lr.TotalCycles {
+					t.Fatalf("%v %s: row %q ends after the layer's %d total cycles",
+						cfg.Dataflow, lr.Layer.Name, row, lr.TotalCycles)
+				}
+			}
 			if rows != lr.Memory.Requests {
 				t.Errorf("%v %s: %d trace rows, memory report counts %d requests",
-					df, lr.Layer.Name, rows, lr.Memory.Requests)
+					cfg.Dataflow, lr.Layer.Name, rows, lr.Memory.Requests)
 			}
+		}
+	}
+	for _, df := range []Dataflow{OutputStationary, WeightStationary, InputStationary} {
+		cfg := DefaultConfig()
+		cfg.ArrayRows, cfg.ArrayCols = 16, 16
+		cfg.Dataflow = df
+		cfg.Memory.Enabled = true
+		cfg.Sparsity.Enabled = true
+		t.Run("gemm/"+df.String(), func(t *testing.T) {
+			check(t, cfg, &Topology{Name: "mix", Layers: []Layer{
+				{Name: "dense", Kind: GEMM, M: 96, N: 80, K: 200},
+				{Name: "sparse", Kind: GEMM, M: 96, N: 80, K: 200, Sparsity: Sparsity{N: 2, M: 4}},
+			}})
+		})
+	}
+
+	cfg := DefaultConfig()
+	cfg.ArrayRows, cfg.ArrayCols = 64, 64
+	cfg.Dataflow = OutputStationary
+	cfg.Memory.Enabled = true
+	seen := map[[3]int]bool{}
+	for _, name := range BuiltinTopologyNames() {
+		topo, err := BuiltinTopology(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range topo.Layers {
+			m, n, k := l.GEMMDims()
+			if seen[[3]int{m, n, k}] {
+				continue
+			}
+			seen[[3]int{m, n, k}] = true
+			t.Run("zoo/"+name, func(t *testing.T) {
+				t.Parallel()
+				check(t, cfg, &Topology{Name: name, Layers: []Layer{l}})
+			})
+			break
 		}
 	}
 }
