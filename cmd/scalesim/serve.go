@@ -43,8 +43,8 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("scalesim serve", flag.ExitOnError)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8080", "listen address; use port 0 for an ephemeral port")
-		shards       = fs.Int("shards", 0, "worker shards executing jobs concurrently (0 = GOMAXPROCS)")
-		queueDepth   = fs.Int("queue", 64, "queued jobs per shard before enqueues are rejected with 503")
+		shards       = fs.Int("shards", 0, "workers draining the one job queue; bounds concurrent jobs (0 = GOMAXPROCS)")
+		queueDepth   = fs.Int("queue", 64, "queued jobs per worker before enqueues are rejected with 503")
 		parallelism  = fs.Int("parallelism", 1, "default per-job worker-pool width (requests may override)")
 		cacheEntries = fs.Int("cache-entries", 0, "shared cache entry bound (0 = default 4096)")
 		cacheMB      = fs.Int("cache-mb", 0, "shared cache size bound in MiB (0 = default 256)")
@@ -170,10 +170,10 @@ func runServe(args []string) error {
 		fmt.Printf("scalesim serve: coordinating %d workers on http://%s (store=%q)\n",
 			len(coord.Workers()), bound, *storeDir)
 	case *storeDir != "":
-		fmt.Printf("scalesim serve: listening on http://%s (shards=%d queue=%d store=%q)\n",
+		fmt.Printf("scalesim serve: listening on http://%s (workers=%d queue=%d store=%q)\n",
 			bound, srv.Shards(), *queueDepth, *storeDir)
 	default:
-		fmt.Printf("scalesim serve: listening on http://%s (shards=%d queue=%d)\n",
+		fmt.Printf("scalesim serve: listening on http://%s (workers=%d queue=%d)\n",
 			bound, srv.Shards(), *queueDepth)
 	}
 

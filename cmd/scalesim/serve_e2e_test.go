@@ -52,7 +52,7 @@ func startServe(t *testing.T, bin, storeDir, portFile string) (*exec.Cmd, string
 }
 
 // slowRunBody builds a run with many distinct heavyweight GEMMs so the
-// single worker shard is still busy when the process is killed.
+// single worker is still busy when the process is killed.
 func slowRunBody(layers int) string {
 	var sb strings.Builder
 	sb.WriteString(`{"config": {"preset": "default"}, "topology": {"name": "slow", "layers": [`)
@@ -103,7 +103,7 @@ func TestServeSIGKILLResumesJournaledJobs(t *testing.T) {
 		portFile := filepath.Join(work, fmt.Sprintf("port%d", attempt))
 
 		cmd, base := startServe(t, bin, storeDir, portFile)
-		// Three slow runs on one shard: the first may start, the rest queue.
+		// Three slow runs on one worker: the first may start, the rest queue.
 		for i := 0; i < 3; i++ {
 			resp, err := http.Post(base+"/v1/runs", "application/json", strings.NewReader(body))
 			if err != nil {

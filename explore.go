@@ -188,8 +188,6 @@ type exploreOptions struct {
 	parallelism   int
 	cache         *Cache
 	progress      func(ExploreProgress)
-	traceOn       bool
-	traceDir      string
 	fidelity      Fidelity
 	promoteTopK   int
 	promoteMargin float64
@@ -300,18 +298,6 @@ func WithExploreCache(c *Cache) ExploreOption {
 // within a batch.
 func WithExploreProgress(fn func(ExploreProgress)) ExploreOption {
 	return func(o *exploreOptions) { o.progress = fn }
-}
-
-// WithExploreTrace enables span tracing for every candidate evaluation,
-// like WithTrace for Run: when dir is non-empty each candidate writes a
-// Chrome trace-event JSON file there, named after its "axis=value,..."
-// label. Big budgets produce one file per evaluated candidate — point the
-// directory somewhere disposable.
-func WithExploreTrace(dir string) ExploreOption {
-	return func(o *exploreOptions) {
-		o.traceOn = true
-		o.traceDir = dir
-	}
 }
 
 // FrontierPoint is one non-dominated design of a Frontier.
@@ -636,9 +622,6 @@ func (e *explorer) search(ctx context.Context, strat explore.Strategy, cache *Ca
 		}
 
 		sweepOpts := []Option{WithParallelism(o.parallelism), WithCache(cache), WithFidelity(fid)}
-		if o.traceOn {
-			sweepOpts = append(sweepOpts, WithTrace(o.traceDir))
-		}
 		if o.progress != nil {
 			evalBase, fn, g := batchBase+preFailed, o.progress, gen
 			sweepOpts = append(sweepOpts, WithSweepProgress(func(p SweepPointProgress) {
@@ -792,9 +775,6 @@ func (e *explorer) promote(ctx context.Context, cache *Cache, screened []evaluat
 		pts[pi] = SweepPoint{Name: sc.label, Config: e.config(sc.cand, sc.label), Topology: pt}
 	}
 	sweepOpts := []Option{WithParallelism(o.parallelism), WithCache(cache), WithFidelity(o.fidelity)}
-	if o.traceOn {
-		sweepOpts = append(sweepOpts, WithTrace(o.traceDir))
-	}
 	if o.progress != nil {
 		fn, g, total := o.progress, screenGens+1, len(pts)
 		sweepOpts = append(sweepOpts, WithSweepProgress(func(p SweepPointProgress) {

@@ -1,7 +1,7 @@
 // Package server implements the scalesim job server: an HTTP/JSON API over
-// the Run, Sweep and Explore facades backed by an async job queue and a
-// bounded, sharded worker pool. All jobs in a process share one layer-result
-// cache, so repeated shapes across clients hit warm entries.
+// the Run, Sweep and Explore facades backed by one async job queue and a
+// bounded worker pool that drains it. All jobs in a process share one
+// layer-result cache, so repeated shapes across clients hit warm entries.
 package server
 
 import (
@@ -328,7 +328,6 @@ type JobDTO struct {
 	ID         string        `json:"id"`
 	Kind       string        `json:"kind"`
 	State      string        `json:"state"`
-	Shard      int           `json:"shard"`
 	Created    string        `json:"created"`
 	Started    string        `json:"started,omitempty"`
 	Finished   string        `json:"finished,omitempty"`

@@ -29,21 +29,21 @@ func (s JobState) Terminal() bool {
 }
 
 // Job is one queued unit of simulation work: a run, sweep or exploration.
-// id, kind, shard, created and timeout are fixed before the job is handed
-// to a worker; run belongs to that worker; everything below mu is guarded
-// by it.
+// id, kind, created and timeout are fixed before the job is handed to a
+// worker; run belongs to that worker; everything below mu is guarded by
+// it.
 type Job struct {
 	id      string
 	kind    string
-	shard   int
 	created time.Time
 	// timeout is the job's execution deadline (0 = none), resolved at
 	// accept time from the request's timeout_s or the server default and
-	// enforced by the shard worker via context.
+	// enforced by its worker via context.
 	timeout time.Duration
 
-	// run executes the job; it is called exactly once, by the shard worker
-	// that owns the job. The returned payload is the rendered reports JSON.
+	// run executes the job; it is called exactly once, by the worker that
+	// takes the job off the queue. The returned payload is the rendered
+	// reports JSON.
 	run func(ctx context.Context, j *Job) (payload []byte, cache scalesim.RunCacheStats, err error)
 
 	mu         sync.Mutex
@@ -83,7 +83,6 @@ func (j *Job) acceptedDTO() JobDTO {
 		ID:      j.id,
 		Kind:    j.kind,
 		State:   string(JobQueued),
-		Shard:   j.shard,
 		Created: j.created.UTC().Format(time.RFC3339Nano),
 	}
 }

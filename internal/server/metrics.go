@@ -52,12 +52,8 @@ func (s *Server) initMetrics() {
 		}
 		return samples
 	})
-	reg.GaugeVecFunc("scalesim_shard_queue_length", "Queued jobs per shard.", []string{"shard"}, func() []telemetry.Sample {
-		samples := make([]telemetry.Sample, len(s.shards))
-		for i, sh := range s.shards {
-			samples[i] = telemetry.Sample{LabelValues: []string{strconv.Itoa(i)}, Value: float64(len(sh.queue))}
-		}
-		return samples
+	reg.GaugeFunc("scalesim_queue_length", "Jobs queued and not yet taken by a worker.", func() float64 {
+		return float64(len(s.queue))
 	})
 	reg.GaugeFunc("scalesim_draining", "Whether the server is draining (1) or accepting (0).", func() float64 {
 		s.mu.Lock()

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -18,7 +17,7 @@ import (
 var legacyMetricFamilies = []string{
 	"scalesim_jobs_accepted_total",
 	"scalesim_jobs",
-	"scalesim_shard_queue_length",
+	"scalesim_queue_length",
 	"scalesim_draining",
 	"scalesim_cache_hits_total",
 	"scalesim_cache_misses_total",
@@ -168,18 +167,19 @@ func TestServerSSEOrderingParallel(t *testing.T) {
 	}
 }
 
-// TestServerMetricsShardSeries checks the per-shard queue gauge emits one
-// series per configured shard, whatever their occupancy.
-func TestServerMetricsShardSeries(t *testing.T) {
-	s, ts := newTestServer(t, 3)
+// TestServerMetricsQueueLength checks the queue gauge counts jobs waiting
+// for a worker, not the one a worker holds.
+func TestServerMetricsQueueLength(t *testing.T) {
+	s, ts := newTestServer(t, 1)
+	a, release := blockingJob(t, s)
+	defer close(release)
+	waitState(t, a, JobRunning)
+	quickJob(t, s)
 	code, b := getJSON(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics = %d", code)
 	}
-	for i := 0; i < s.Shards(); i++ {
-		want := fmt.Sprintf(`scalesim_shard_queue_length{shard="%d"} 0`, i)
-		if !strings.Contains(string(b), want) {
-			t.Errorf("metrics missing %q", want)
-		}
+	if want := "\nscalesim_queue_length 1\n"; !strings.Contains(string(b), want) {
+		t.Errorf("metrics missing %q", want)
 	}
 }

@@ -21,11 +21,12 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Shards is the number of worker lanes; each shard owns one FIFO queue
-	// and one worker goroutine, so Shards bounds how many jobs simulate
-	// concurrently. Non-positive selects GOMAXPROCS.
+	// Shards is the number of workers draining the one FIFO job queue, so
+	// it bounds how many jobs simulate concurrently. Non-positive selects
+	// GOMAXPROCS.
 	Shards int
-	// QueueDepth bounds each shard's queue; an enqueue into a full shard is
+	// QueueDepth is the queue capacity per worker: the queue holds
+	// Shards x QueueDepth jobs, and an enqueue into a full queue is
 	// rejected with 503 rather than blocking the client. Non-positive
 	// selects 64.
 	QueueDepth int
@@ -34,7 +35,7 @@ type Options struct {
 	// scalesim.SharedCache.
 	Cache *scalesim.Cache
 	// Parallelism is the default per-job worker-pool width (layers of a
-	// run, points of a sweep). Non-positive selects 1 — the shards are the
+	// run, points of a sweep). Non-positive selects 1 — the workers are the
 	// intended source of cross-job concurrency; requests may override per
 	// job.
 	Parallelism int
@@ -51,18 +52,19 @@ type Options struct {
 	// report endpoints behave identically either way.
 	Executor Executor
 	// Logger receives the server's structured logs (job lifecycle at Info,
-	// per-request access logs at Debug). Every job line carries the job ID
-	// and the owning worker shard. Nil discards all logs.
+	// per-request access logs at Debug). Every job line carries the job ID;
+	// the started and finished lines also name the worker. Nil discards all
+	// logs.
 	Logger *slog.Logger
 	// JobTimeout is the default per-job execution deadline, enforced via
 	// context; a job exceeding it fails with a deadline error instead of
-	// wedging its shard. Requests may override per job with timeout_s.
+	// wedging its worker. Requests may override per job with timeout_s.
 	// Zero means no default deadline.
 	JobTimeout time.Duration
 	// MaxQueueWait bounds admission: when the estimated time a new job
-	// would spend queued (shard backlog x average job duration) exceeds it,
-	// the job is rejected with 503 + Retry-After instead of being accepted
-	// into a wait the client would have abandoned anyway. Zero disables
+	// would spend queued (backlog per worker x average job duration)
+	// exceeds it, the job is rejected with 503 + Retry-After instead of
+	// being accepted into a wait the client would have abandoned anyway. Zero disables
 	// the estimate (only full queues reject).
 	MaxQueueWait time.Duration
 	// Journal, when non-nil, write-ahead-logs every accepted job spec so a
@@ -72,9 +74,9 @@ type Options struct {
 	Journal        *diskstore.Journal
 	JournalRecords [][]byte
 	// JobHook, when non-nil, runs at the start of every job execution on
-	// the owning shard worker. internal/faultinject injects worker crashes
-	// here; a hook panic fails the job terminally, it never kills the
-	// shard.
+	// the worker that took the job. internal/faultinject injects worker
+	// crashes here; a hook panic fails the job terminally, it never kills
+	// the worker.
 	JobHook func(jobID string)
 	// FaultCounts, when non-nil, samples injected-fault totals by kind for
 	// the scalesim_faults_injected_total metric (faultinject.Plan.Counts).
@@ -90,7 +92,7 @@ type Executor interface {
 
 var (
 	errDraining  = errors.New("server is draining, not accepting jobs")
-	errQueueFull = errors.New("shard queue full, retry later")
+	errQueueFull = errors.New("job queue full, retry later")
 )
 
 // runFn executes a job; the returned payload is the rendered reports JSON.
@@ -110,12 +112,8 @@ func (e *admissionError) Unwrap() error { return e.err }
 // layers fits comfortably.
 const maxRequestBytes = 8 << 20
 
-type shard struct {
-	queue chan *Job
-}
-
-// Server is the scalesim job server: an async job queue over the Run,
-// Sweep and Explore facades, executed by a bounded sharded worker pool.
+// Server is the scalesim job server: one async FIFO job queue over the
+// Run, Sweep and Explore facades, drained by a bounded worker pool.
 type Server struct {
 	opts  Options
 	cache *scalesim.Cache
@@ -133,11 +131,13 @@ type Server struct {
 	resumed  int64 // jobs re-enqueued from the journal at startup
 	// jobDurEWMA is the exponentially weighted average job duration in
 	// seconds (0 until the first job finishes); admission control scales it
-	// by the shard backlog to estimate queue wait.
+	// by the backlog per worker to estimate queue wait.
 	jobDurEWMA float64
 
-	shards []*shard
-	wg     sync.WaitGroup
+	// queue is the one FIFO every worker drains; capacity Shards x
+	// QueueDepth.
+	queue chan *Job
+	wg    sync.WaitGroup
 
 	// Metric instruments; the remaining families are scrape-time
 	// collectors registered in initMetrics.
@@ -149,7 +149,7 @@ type Server struct {
 	exploreEvals  *telemetry.CounterVec
 }
 
-// New builds a Server and starts its shard workers. Call Drain to stop.
+// New builds a Server and starts its workers. Call Drain to stop.
 func New(opts Options) *Server {
 	if opts.Shards <= 0 {
 		opts.Shards = runtime.GOMAXPROCS(0)
@@ -179,36 +179,33 @@ func New(opts Options) *Server {
 		baseCtx:   ctx,
 		forceStop: cancel,
 		jobs:      make(map[string]*Job),
-	}
-	for i := 0; i < opts.Shards; i++ {
-		sh := &shard{queue: make(chan *Job, opts.QueueDepth)}
-		s.shards = append(s.shards, sh)
+		queue:     make(chan *Job, opts.Shards*opts.QueueDepth),
 	}
 	s.initMetrics()
-	// Resume journaled jobs before the workers start draining queues, so
-	// recovered work keeps its accept order ahead of new requests.
+	// Resume journaled jobs before the workers start draining the queue,
+	// so recovered work keeps its accept order ahead of new requests.
 	if opts.Journal != nil {
 		s.resumeJournal(opts.JournalRecords)
 	}
-	for i, sh := range s.shards {
+	for i := 0; i < opts.Shards; i++ {
 		s.wg.Add(1)
-		go s.worker(i, sh)
+		go s.worker(i)
 	}
 	return s
 }
 
-// Shards returns the resolved worker-shard count.
-func (s *Server) Shards() int { return len(s.shards) }
+// Shards returns the resolved worker count.
+func (s *Server) Shards() int { return s.opts.Shards }
 
-// worker drains one shard's queue. Jobs canceled while queued are skipped
-// by tryStart.
-func (s *Server) worker(id int, sh *shard) {
+// worker takes jobs off the shared queue until Drain closes it. Jobs
+// canceled while queued are skipped by tryStart.
+func (s *Server) worker(id int) {
 	defer s.wg.Done()
-	for j := range sh.queue {
+	for j := range s.queue {
 		ctx, cancel := context.WithCancel(s.baseCtx)
 		if j.timeout > 0 {
 			// The per-job deadline: however wedged the workload is, the
-			// context expires, the facade unwinds, and the shard moves on.
+			// context expires, the facade unwinds, and the worker moves on.
 			dctx, dcancel := context.WithTimeout(ctx, j.timeout)
 			ctx = dctx
 			prev := cancel
@@ -241,8 +238,8 @@ func (s *Server) worker(id int, sh *shard) {
 
 // runJob executes the job behind the fault hook and a panic barrier: a
 // panicking job — a workload bug or an injected worker crash — fails
-// terminally instead of taking down the shard worker, so the queue behind
-// it keeps draining.
+// terminally instead of taking down its worker, so the queue keeps
+// draining.
 func (s *Server) runJob(ctx context.Context, j *Job) (payload []byte, cache scalesim.RunCacheStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -279,9 +276,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		for _, sh := range s.shards {
-			close(sh.queue)
-		}
+		close(s.queue)
 	}
 	s.mu.Unlock()
 
@@ -300,12 +295,11 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// enqueue registers the job and hands it to a shard: round-robin from the
-// accept counter, probing forward past full shards so one saturated lane
-// cannot block admission while others have room. Admission is refused with
-// 503 + Retry-After when every shard is full, or when the estimated queue
-// wait exceeds the configured bound. Accepted jobs are journaled before
-// the 202 goes out, so an acknowledged job survives a crash.
+// enqueue registers the job and puts it on the queue, where the next free
+// worker takes it. Admission is refused with 503 + Retry-After when the
+// queue is full, or when the estimated queue wait exceeds the configured
+// bound. Accepted jobs are journaled before the 202 goes out, so an
+// acknowledged job survives a crash.
 func (s *Server) enqueue(kind string, body []byte, timeout time.Duration, run runFn) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -313,7 +307,7 @@ func (s *Server) enqueue(kind string, body []byte, timeout time.Duration, run ru
 		return nil, errDraining
 	}
 	if s.opts.MaxQueueWait > 0 {
-		if wait := s.queueWaitLocked(1); wait > s.opts.MaxQueueWait {
+		if wait := s.queueWaitLocked(); wait > s.opts.MaxQueueWait {
 			return nil, &admissionError{
 				err: fmt.Errorf("estimated queue wait %s exceeds the %s admission bound",
 					wait.Round(time.Millisecond), s.opts.MaxQueueWait),
@@ -326,58 +320,40 @@ func (s *Server) enqueue(kind string, body []byte, timeout time.Duration, run ru
 		return nil, err
 	}
 	s.journalAcceptedLocked(j, body)
-	s.log.Info("job accepted", "job_id", j.id, "kind", kind, "worker_id", j.shard)
+	s.log.Info("job accepted", "job_id", j.id, "kind", kind)
 	return j, nil
 }
 
-// placeLocked assigns the next job ID, probes for a shard with room and
-// registers the job. It does not journal; enqueue and resumeJournal layer
-// their own write-ahead records around it.
+// placeLocked assigns the next job ID, registers the job and queues it, or
+// refuses it when the queue is full. It does not journal; enqueue and
+// resumeJournal layer their own write-ahead records around it.
 //
 // Everything the 202 body reports (Job.acceptedDTO) is written before the
 // channel send hands the job to a worker. The send cannot block: s.mu is
 // held and this is the only sender, so a queue seen below capacity still
 // has room.
 func (s *Server) placeLocked(kind string, body []byte, timeout time.Duration, run runFn) (*Job, error) {
-	shardIdx := -1
-	for k := 0; k < len(s.shards); k++ {
-		i := (s.seq + k) % len(s.shards)
-		if q := s.shards[i].queue; len(q) < cap(q) {
-			shardIdx = i
-			break
-		}
-	}
-	if shardIdx < 0 {
+	if len(s.queue) == cap(s.queue) {
 		return nil, &admissionError{err: errQueueFull, retryAfter: s.retryAfterLocked()}
 	}
 	id := fmt.Sprintf("job-%06d", s.seq+1)
-	j := &Job{id: id, kind: kind, shard: shardIdx, created: time.Now(), state: JobQueued, timeout: timeout, run: run}
+	j := &Job{id: id, kind: kind, created: time.Now(), state: JobQueued, timeout: timeout, run: run}
 	s.seq++
 	s.accepted++
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.evictOldJobsLocked()
-	s.shards[shardIdx].queue <- j
+	s.queue <- j
 	return j, nil
 }
 
-// queueWaitLocked estimates how long the n-th job enqueued now would wait:
-// current backlog spread across the shards, scaled by the average job
+// queueWaitLocked estimates how long a job enqueued now would wait: the
+// current backlog spread across the workers, scaled by the average job
 // duration. Zero until the first job finishes — an idle server admits
 // everything.
-func (s *Server) queueWaitLocked(n int) time.Duration {
-	if s.jobDurEWMA == 0 {
-		return 0
-	}
-	queued := n - 1
-	for _, sh := range s.shards {
-		queued += len(sh.queue)
-	}
-	if queued <= 0 {
-		return 0
-	}
-	perShard := float64(queued) / float64(len(s.shards))
-	return time.Duration(perShard * s.jobDurEWMA * float64(time.Second))
+func (s *Server) queueWaitLocked() time.Duration {
+	perWorker := float64(len(s.queue)) / float64(s.opts.Shards)
+	return time.Duration(perWorker * s.jobDurEWMA * float64(time.Second))
 }
 
 // retryAfterLocked is the pace the server asks shed load to retry at: one
@@ -895,11 +871,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"status":   "ok",
 		"draining": draining,
 		"jobs":     jobs,
-		"shards":   len(s.shards),
+		"shards":   s.opts.Shards,
 	})
 }
 
-// handleMetrics renders the server's metric registry — job, shard, cache,
+// handleMetrics renders the server's metric registry — job, queue, cache,
 // store, HTTP and any executor-registered families — in the Prometheus text
 // format. Scrape-time collectors sample live state; see initMetrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -443,7 +442,7 @@ func waitState(t *testing.T, j *Job, want JobState) {
 }
 
 // blockingJob enqueues a job that parks until release is closed (or its
-// context is canceled), pinning its shard's worker deterministically.
+// context is canceled), pinning the worker that takes it deterministically.
 func blockingJob(t *testing.T, s *Server) (*Job, chan struct{}) {
 	t.Helper()
 	release := make(chan struct{})
@@ -462,7 +461,7 @@ func blockingJob(t *testing.T, s *Server) (*Job, chan struct{}) {
 }
 
 // TestServerCancelQueuedJob cancels a job while it waits behind another on
-// the only shard; the worker must skip it.
+// the only worker; the worker must skip it.
 func TestServerCancelQueuedJob(t *testing.T) {
 	s, ts := newTestServer(t, 1)
 	_, release := blockingJob(t, s)
@@ -577,7 +576,7 @@ func TestServerDrainTimeoutCancels(t *testing.T) {
 	}
 }
 
-// TestServerQueueFull proves a saturated shard rejects enqueues with 503.
+// TestServerQueueFull proves a saturated queue rejects enqueues with 503.
 func TestServerQueueFull(t *testing.T) {
 	s := New(Options{Shards: 1, QueueDepth: 1, Cache: scalesim.NewCache(0, 0)})
 	ts := httptest.NewServer(s.Handler())
@@ -808,48 +807,36 @@ func reportNames(files []ReportFileDTO) []string {
 	return out
 }
 
-// TestServerShardProbeSkipsFullShard proves one saturated shard does not
-// block admission while another shard has room: the round-robin probe
-// walks past the full lane.
-func TestServerShardProbeSkipsFullShard(t *testing.T) {
-	s := New(Options{Shards: 2, QueueDepth: 1, Cache: scalesim.NewCache(0, 0)})
+// quickJob enqueues a job that returns at once.
+func quickJob(t *testing.T, s *Server) *Job {
+	t.Helper()
+	j, err := s.enqueue("run", nil, 0, func(context.Context, *Job) ([]byte, scalesim.RunCacheStats, error) {
+		return []byte(`{}`), scalesim.RunCacheStats{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// TestServerIdleWorkerTakesNextJob proves no job waits behind a busy
+// worker while another worker is idle: with one worker pinned, every later
+// job runs on the other.
+func TestServerIdleWorkerTakesNextJob(t *testing.T) {
+	s := New(Options{Shards: 2, QueueDepth: 4, Cache: scalesim.NewCache(0, 0)})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		s.Drain(ctx) //nolint:errcheck
 	}()
 
-	a, relA := blockingJob(t, s) // shard 0
-	b, relB := blockingJob(t, s) // shard 1
-	// Wait until the workers have dequeued both jobs, so the next enqueues
-	// deterministically land in the now-empty queues.
+	a, relA := blockingJob(t, s)
+	defer close(relA)
 	waitState(t, a, JobRunning)
-	waitState(t, b, JobRunning)
-	_, relC := blockingJob(t, s) // shard 0's queue slot
-	d, relD := blockingJob(t, s) // shard 1's queue slot
-	defer func() {
-		for _, ch := range []chan struct{}{relA, relC, relD} {
-			close(ch)
-		}
-	}()
-
-	// Both queues full: admission must fail whatever the probe start.
-	if _, err := s.enqueue("run", nil, 0, func(context.Context, *Job) ([]byte, scalesim.RunCacheStats, error) {
-		return nil, scalesim.RunCacheStats{}, nil
-	}); !errors.Is(err, errQueueFull) {
-		t.Fatalf("enqueue with both shards full = %v, want errQueueFull", err)
-	}
-
-	// Free shard 1 (b finishes, its worker picks d) while shard 0 stays
-	// full. The next probe starts at shard 0 (seq is even) and must walk
-	// on to shard 1 instead of bouncing.
-	close(relB)
-	waitState(t, b, JobDone)
-	waitState(t, d, JobRunning)
-	e, relE := blockingJob(t, s)
-	defer close(relE)
-	if e.shard != 1 {
-		t.Errorf("job placed on shard %d, want probe to skip full shard 0 for shard 1", e.shard)
+	waitState(t, quickJob(t, s), JobDone)
+	waitState(t, quickJob(t, s), JobDone)
+	if st := a.State(); st != JobRunning {
+		t.Fatalf("pinned job %s is %s, want still running", a.ID(), st)
 	}
 }
 
@@ -908,18 +895,10 @@ func TestServerJobIDsAreSequential(t *testing.T) {
 		s.Drain(ctx) //nolint:errcheck
 	}()
 	for i := 0; i < 3; i++ {
-		j, err := s.enqueue("run", nil, 0, func(context.Context, *Job) ([]byte, scalesim.RunCacheStats, error) {
-			return []byte(`{}`), scalesim.RunCacheStats{}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		j := quickJob(t, s)
 		want := fmt.Sprintf("job-%06d", i+1)
 		if j.ID() != want {
 			t.Errorf("job %d ID = %s, want %s", i, j.ID(), want)
-		}
-		if j.shard != i%3 {
-			t.Errorf("job %d on shard %d, want round-robin %d", i, j.shard, i%3)
 		}
 	}
 }

@@ -87,7 +87,7 @@ func (s *Server) appendJournal(rec journalRecord) error {
 // resumeJournal replays recovered journal records, compacts the journal
 // down to the still-pending specs, and re-enqueues each pending job under
 // a fresh ID. A pending spec that no longer validates — or that cannot be
-// placed because every shard is already full — becomes a visible failed
+// placed because the queue is full — becomes a visible failed
 // job rather than silently vanishing: the invariant is that every
 // journaled job reaches a terminal state somebody can observe.
 func (s *Server) resumeJournal(records [][]byte) {

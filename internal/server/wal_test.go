@@ -156,7 +156,7 @@ func TestServerJobDeadline(t *testing.T) {
 		t.Errorf("deadline-failed job error %q does not mention the deadline", dto.Error)
 	}
 
-	// The shard survives: the next job on the same worker completes.
+	// The worker survives: the next job on it completes.
 	after, err := s.enqueue("run", nil, 0,
 		func(context.Context, *Job) ([]byte, scalesim.RunCacheStats, error) {
 			return []byte(`{}`), scalesim.RunCacheStats{}, nil

@@ -62,7 +62,10 @@ func (o *Options) defaults() {
 // system.
 type Result struct {
 	ComputeCycles int64 // stall-free cycle count
-	TotalCycles   int64 // with memory stalls
+	// TotalCycles is the layer's cycle count with memory stalls. Writes
+	// are posted: the layer ends the cycle its last write is enqueued, and
+	// the drain of its final writes overlaps whatever follows.
+	TotalCycles   int64
 	StallCycles   int64 // TotalCycles − ComputeCycles
 	ReadRequests  int64
 	WriteRequests int64
@@ -91,6 +94,11 @@ func (r *Result) StallFraction() float64 {
 // buffering (fold f+1 prefetches while fold f computes), a finite stream
 // staging window, finite DRAM request queues and real round-trip latencies.
 // The accelerator and memory controller are clocked 1:1.
+//
+// Writes are posted: the layer ends, and TotalCycles is taken, the cycle
+// its last write is enqueued. Simulate still runs the controller until its
+// queues drain, so DRAM stats and a Sink see every write complete, but the
+// drain overlaps whatever follows and is not counted in the layer.
 //
 // The replay is event-driven: whenever a cycle can make no progress —
 // waiting on stationary fills, stalled on stream data, counting down a
