@@ -74,6 +74,63 @@ func TestParallelMatchesSequentialWithMemory(t *testing.T) {
 	}
 }
 
+// opaqueStage hides the wrapped stage's CacheFingerprint: a pipeline of
+// them is not known to be pure, so Run simulates every layer on its own.
+type opaqueStage struct{ Stage }
+
+// TestRunGroupsRepeatedShapes is the differential test of in-run shape
+// grouping over the whole zoo: an uncached run that simulates each distinct
+// shape once and copies it to the repeats equals one that simulates every
+// layer, at one worker and at four, and still reports progress once per
+// layer.
+func TestRunGroupsRepeatedShapes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Memory.Enabled = true
+	cfg.Layout.Enabled = true
+	cfg.Energy.Enabled = true
+	var perLayer []Stage
+	for _, st := range DefaultStages() {
+		perLayer = append(perLayer, opaqueStage{st})
+	}
+	sim := New(cfg, WithFidelity(Analytical))
+	for _, name := range BuiltinTopologyNames() {
+		topo, err := BuiltinTopology(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 4} {
+			var mu sync.Mutex
+			calls := map[int]int{}
+			lastDone := 0
+			grouped, err := sim.Run(context.Background(), topo, WithParallelism(par),
+				WithProgress(func(p LayerProgress) {
+					mu.Lock()
+					defer mu.Unlock()
+					calls[p.Index]++
+					lastDone = p.Done
+				}))
+			if err != nil {
+				t.Fatalf("%s, parallelism %d: %v", name, par, err)
+			}
+			want, err := sim.Run(context.Background(), topo, WithParallelism(par), WithStages(perLayer...))
+			if err != nil {
+				t.Fatalf("%s, parallelism %d, per layer: %v", name, par, err)
+			}
+			if !reflect.DeepEqual(grouped, want) {
+				t.Errorf("%s, parallelism %d: grouped run differs from the per-layer run", name, par)
+			}
+			for i := range topo.Layers {
+				if calls[i] != 1 {
+					t.Errorf("%s, parallelism %d: layer %d reported %d times, want once", name, par, i, calls[i])
+				}
+			}
+			if lastDone != len(topo.Layers) {
+				t.Errorf("%s, parallelism %d: final Done %d, want %d", name, par, lastDone, len(topo.Layers))
+			}
+		}
+	}
+}
+
 func TestRunProgress(t *testing.T) {
 	cfg := DefaultConfig()
 	topo, err := BuiltinTopology("alexnet")

@@ -393,8 +393,9 @@ func BenchmarkSweepUncached(b *testing.B) {
 }
 
 // BenchmarkSweepCached runs the DRAM-channel sweep with a cold cache per
-// iteration, so the measured win is purely within-sweep reuse: each point
-// simulates the repeated conv shape once instead of six times.
+// iteration. Each point simulates its repeated conv shape once with or
+// without a cache, so the gap to BenchmarkSweepUncached is what a cold
+// cache costs or saves within one sweep.
 func BenchmarkSweepCached(b *testing.B) {
 	points := dramSweepPoints()
 	ctx := context.Background()
@@ -428,7 +429,8 @@ func BenchmarkSweepCachedWarm(b *testing.B) {
 }
 
 // BenchmarkRunRepeatedShapes measures Run itself on the repeated-shape
-// topology, cached vs not — the ResNet-block effect in isolation.
+// topology, with a cold cache and without one. Both simulate the repeated
+// conv shape once, so the gap is the cold cache's own cost.
 func BenchmarkRunRepeatedShapes(b *testing.B) {
 	topo := dramSweepPoints()[0].Topology
 	cfg := scalesim.DefaultConfig()
@@ -456,7 +458,7 @@ func BenchmarkRunRepeatedShapes(b *testing.B) {
 // the repeated-shape topology with the DRAM model enabled. Every
 // generation's Sweep batch shares one layer-result cache, so each
 // candidate simulates its distinct conv shape once (the five sibling
-// blocks are whole-layer hits) while the search walks DRAM knobs. The
+// blocks are copies, counted as hits) while the search walks DRAM knobs. The
 // benchmark fails outright if the cache stops serving hits across
 // generations — the explorer's core perf contract.
 func BenchmarkExploreCached(b *testing.B) {

@@ -1,7 +1,6 @@
 package scalesim
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -18,12 +17,12 @@ type CacheStats = simcache.Stats
 // results, shared across Run and Sweep calls.
 //
 // Every (configuration, stage pipeline, layer shape) triple is
-// fingerprinted; when two layers agree on all three — whether within one
-// topology (ResNet-style repeated blocks), across runs, or across sweep
-// points — the second simulation is skipped and a deep copy of the cached
-// LayerResult is returned. Layer names are deliberately excluded from the
-// fingerprint (they label reports, they do not change the simulation), so
-// repeated-shape topologies simulate each distinct shape once.
+// fingerprinted; when a run's layer agrees on all three with a result an
+// earlier run or sweep point stored, the simulation is skipped and a deep
+// copy of the cached LayerResult is returned. Layer names are deliberately
+// excluded from the fingerprint (they label reports, they do not change
+// the simulation). Repeated shapes within one topology need no cache: Run
+// groups them and looks up only the first layer of each shape.
 //
 // Beyond whole layers, the cache also memoizes the data-layout (bank
 // conflict) slowdown, whose inputs are only the layout section, the array
@@ -32,8 +31,9 @@ type CacheStats = simcache.Stats
 // the whole-layer fingerprints differ. WriteTraces does not use the cache.
 //
 // A Cache is safe for concurrent use: one cache may back many simultaneous
-// Run and Sweep calls. Cached values are deep-copied on insertion and on
-// every hit, so callers may freely mutate results.
+// Run and Sweep calls; two that miss on one key at once both simulate it.
+// Cached values are deep-copied on insertion and on every hit, so callers
+// may freely mutate results.
 type Cache struct {
 	c *simcache.Cache
 
@@ -55,6 +55,8 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 }
 
 // Stats snapshots the cache's cumulative counters and current occupancy.
+// Hits and Misses count lookups: one per distinct layer shape per run,
+// plus the layout memo's. Result.CacheStats counts per layer.
 func (c *Cache) Stats() CacheStats { return c.c.Stats() }
 
 // Purge empties the cache and resets its statistics.
@@ -73,11 +75,13 @@ func SharedCache() *Cache {
 	return sharedCache
 }
 
-// RunCacheStats reports the layer cache's effectiveness for one Run: how
-// many layers were served from the cache and how many were simulated.
-// Layout-memo hits are not counted here; they appear in Cache.Stats.
+// RunCacheStats reports the layer cache's effectiveness for one Run, per
+// layer: the first layer of each shape counts its lookup's outcome, and
+// each repeat counts as a hit. A run without whole-layer caching reports
+// zero. Layout-memo hits are not counted here; they appear in Cache.Stats.
 type RunCacheStats struct {
-	// Hits is the number of layers served from the cache.
+	// Hits is the number of layers not simulated: served from the cache
+	// or copied from an earlier layer of the same shape.
 	Hits int64
 	// Misses is the number of layers simulated (and then cached).
 	Misses int64
@@ -86,8 +90,6 @@ type RunCacheStats struct {
 // layerCache is the per-run caching handle: the shared cache plus the
 // fingerprint of everything that is constant across the run's layers
 // (configuration, energy table, stage pipeline) and per-run hit counters.
-// Single-flight coalescing lives in the shared cache itself, so identical
-// shapes are computed once even across concurrent runs and sweep points.
 type layerCache struct {
 	cache        *simcache.Cache
 	base         simcache.Key
@@ -100,11 +102,9 @@ type layerCache struct {
 var defaultERTEncoding = simcache.Encode(sharedDefaultERT)
 
 // newLayerCache builds the per-run handle, or returns nil when caching is
-// off or the stage pipeline contains a stage without a CacheFingerprint
-// (an unknown stage could depend on anything, so whole-layer reuse would
-// be unsound).
+// off or the stage pipeline is not pure (see pureStages).
 func newLayerCache(c *Cache, cfg *Config, o *options) *layerCache {
-	if c == nil {
+	if c == nil || !pureStages(o.stages) {
 		return nil
 	}
 	h := simcache.NewHasher()
@@ -120,13 +120,21 @@ func newLayerCache(c *Cache, cfg *Config, o *options) *layerCache {
 		h.Value(o.ert)
 	}
 	for _, st := range o.stages {
-		f, ok := st.(StageFingerprinter)
-		if !ok {
-			return nil
-		}
-		h.String(f.CacheFingerprint())
+		h.String(st.(StageFingerprinter).CacheFingerprint())
 	}
 	return &layerCache{cache: c.c, base: h.Sum()}
+}
+
+// pureStages reports whether every stage declares a CacheFingerprint, so
+// that a layer's result depends only on (Config, ERT, shape) and may be
+// reused for another layer of that shape, in a run or across runs.
+func pureStages(stages []Stage) bool {
+	for _, st := range stages {
+		if _, ok := st.(StageFingerprinter); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // fingerprintConfig returns the configuration as hashed into cache keys:
@@ -152,40 +160,24 @@ func (lc *layerCache) key(l *Layer) simcache.Key {
 	return h.Sum()
 }
 
-// lookup returns a hit (deep-copied, with l as its Layer), a context error
-// (the caller was cancelled while coalesced behind another computer), or
-// (nil, nil) after registering the caller as the key's single-flight
-// computer via Cache.Acquire. Concurrent same-shape layers — in this run
-// or any other run sharing the cache — coalesce: whoever registers first
-// simulates while the others block and then take the hit, so within a run
-// hit/miss counts are deterministic at any parallelism and a shape is
-// never simulated twice. A caller that receives (nil, nil) MUST call
-// done(key) when finished (whether or not it stored a result).
-func (lc *layerCache) lookup(ctx context.Context, key simcache.Key, l *Layer) (*LayerResult, error) {
-	v, ok, err := lc.cache.Acquire(ctx, key)
-	if err != nil {
-		return nil, err
-	}
+// lookup returns a deep copy of the result cached under key, relabelled
+// with l, or nil on a miss; either way it counts the outcome.
+func (lc *layerCache) lookup(key simcache.Key, l *Layer) *LayerResult {
+	v, ok := lc.cache.Get(key)
 	if !ok {
 		lc.misses.Add(1)
-		return nil, nil
+		return nil
 	}
 	lc.hits.Add(1)
 	lr := cloneLayerResult(v.(*LayerResult))
 	lr.Layer = *l
-	return lr, nil
+	return lr
 }
 
 // put stores a deep copy of lr so later caller mutations cannot corrupt
 // the cache.
 func (lc *layerCache) put(key simcache.Key, lr *LayerResult) {
 	lc.cache.Put(key, cloneLayerResult(lr), layerResultSize(lr))
-}
-
-// done releases the single-flight slot taken by a nil lookup, waking any
-// workers coalesced behind it.
-func (lc *layerCache) done(key simcache.Key) {
-	lc.cache.Release(key)
 }
 
 // stats returns this run's hit/miss counters.

@@ -202,9 +202,10 @@ func TestCacheHitsAreIsolatedCopies(t *testing.T) {
 	}
 }
 
-// TestCacheSingleFlightParallel: concurrent same-shape layers coalesce on
-// one simulation, so hit/miss counts are exact at any parallelism (and on
-// any core count) — not just when layers run sequentially.
+// TestCacheSingleFlightParallel: a run simulates each distinct shape once
+// and copies it to the repeats, so hit/miss counts are exact at any
+// parallelism (and on any core count) — not just when layers run
+// sequentially.
 func TestCacheSingleFlightParallel(t *testing.T) {
 	cfg := fullModelConfig()
 	topo := repeatedShapeTopology(7) // 7 identical blocks + 1 distinct tail
@@ -225,7 +226,7 @@ func TestCacheSingleFlightParallel(t *testing.T) {
 				par, res.CacheStats)
 		}
 		if !reflect.DeepEqual(plain.Layers, res.Layers) {
-			t.Errorf("parallelism %d: coalesced run differs from uncached", par)
+			t.Errorf("parallelism %d: cached run differs from uncached", par)
 		}
 	}
 }
@@ -386,7 +387,6 @@ func TestCacheEvictionUnderSmallLimit(t *testing.T) {
 // point must equal its uncached twin.
 func TestCacheConcurrentSweepSharedCache(t *testing.T) {
 	topo := repeatedShapeTopology(3)
-	cache := NewCache(0, 0)
 	ctx := context.Background()
 
 	var points []SweepPoint
@@ -400,11 +400,10 @@ func TestCacheConcurrentSweepSharedCache(t *testing.T) {
 			Name: fmt.Sprintf("p%d", i), Config: cfg, Topology: topo,
 		})
 	}
-	results, err := Sweep(ctx, points, WithCache(cache), WithParallelism(8))
+	results, err := Sweep(ctx, points, WithCache(NewCache(0, 0)), WithParallelism(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hits, misses int64
 	for i, sr := range results {
 		if sr.Err != nil {
 			t.Fatalf("point %d: %v", i, sr.Err)
@@ -416,15 +415,23 @@ func TestCacheConcurrentSweepSharedCache(t *testing.T) {
 		if !reflect.DeepEqual(solo.Layers, sr.Result.Layers) {
 			t.Errorf("point %d: concurrent shared-cache result differs from uncached", i)
 		}
+	}
+
+	// Run one point at a time, the 12 points cover 6 distinct configs × 2
+	// distinct shapes = 12 distinct keys, so exactly 12 of the 48 layers
+	// miss. Concurrent points do not coalesce on a key, so only this
+	// sequential sweep pins the count.
+	results, err = Sweep(ctx, points, WithCache(NewCache(0, 0)), WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits, misses int64
+	for _, sr := range results {
 		hits += sr.Result.CacheStats.Hits
 		misses += sr.Result.CacheStats.Misses
 	}
-	// Single-flight is cache-wide: the 12 points cover 6 distinct configs
-	// × 2 distinct shapes = 12 distinct keys, so even with every point in
-	// flight at once exactly 12 of the 48 layer lookups may miss.
 	if misses != 12 || hits != 36 {
-		t.Errorf("aggregate stats hits=%d misses=%d, want 36/12 (cross-point coalescing)",
-			hits, misses)
+		t.Errorf("aggregate stats hits=%d misses=%d, want 36/12", hits, misses)
 	}
 }
 

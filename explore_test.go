@@ -17,7 +17,7 @@ import (
 )
 
 // exploreTopology is a small mixed workload: two distinct GEMM shapes plus
-// a repeated one, so the layer cache has something to coalesce.
+// a repeated one, so a run has a shape to copy.
 func exploreTopology() *scalesim.Topology {
 	return &scalesim.Topology{Name: "explore_mlp", Layers: []scalesim.Layer{
 		{Name: "fc1", Kind: scalesim.GEMM, M: 64, N: 64, K: 128},
@@ -348,7 +348,7 @@ func TestExploreSharedCacheAcrossGenerations(t *testing.T) {
 	}
 	first := run()
 	if first.CacheStats.Hits == 0 {
-		t.Error("no cache hits during first exploration (repeated shapes should coalesce)")
+		t.Error("no cache hits during first exploration (repeated shapes count as hits)")
 	}
 	second := run()
 	if second.CacheStats.Misses != 0 {
@@ -484,4 +484,37 @@ func TestSummaryDerivedMetrics(t *testing.T) {
 	if s.AvgUtilization <= 0 || s.AvgUtilization > 1 {
 		t.Errorf("AvgUtilization = %v, want in (0, 1]", s.AvgUtilization)
 	}
+}
+
+// FuzzParseObjectives feeds arbitrary objective lists to ParseObjectives.
+// It must never panic, and a list it accepts must round-trip: the joined
+// objective names parse back to the same names and senses.
+func FuzzParseObjectives(f *testing.F) {
+	for _, seed := range []string{
+		"cycles,energy", "edp", "dram_bytes, util", "Cycles,ENERGY_MJ,utilization", "", ",,", "latency",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		objs, err := scalesim.ParseObjectives(s)
+		if err != nil {
+			return
+		}
+		names := make([]string, len(objs))
+		for i, o := range objs {
+			names[i] = o.Name
+		}
+		again, err := scalesim.ParseObjectives(strings.Join(names, ","))
+		if err != nil {
+			t.Fatalf("%q parsed, but its names %q do not: %v", s, names, err)
+		}
+		if len(again) != len(objs) {
+			t.Fatalf("%q: %d objectives, after a round trip %d", s, len(objs), len(again))
+		}
+		for i := range objs {
+			if again[i].Name != objs[i].Name || again[i].Maximize != objs[i].Maximize {
+				t.Fatalf("%q: objective %d is %+v, after a round trip %+v", s, i, objs[i], again[i])
+			}
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scalesim/internal/config"
@@ -519,4 +520,53 @@ func ExampleParseSpace() {
 	s, _ := ParseSpace("array=16..64:pow2;dataflow=os,ws")
 	fmt.Println(s.Size(), s.Label(Candidate{1, 0}))
 	// Output: 6 array=32,dataflow=os
+}
+
+// FuzzParseSpace feeds arbitrary specs to ParseSpace (and through it
+// ParseAxis). It must never panic, and a space it accepts must round-trip:
+// rendering every axis as an explicit value list parses back to the same
+// axes, values and Size.
+func FuzzParseSpace(f *testing.F) {
+	for _, seed := range []string{
+		"array=8..32:pow2; dataflow=os,ws; channels=1..4:step3",
+		"array_rows=4..103; array_cols=4..103; bandwidth=1..10",
+		"channels=1..4:pow2; dram_tech=DDR4,HBM2",
+		"bandwidth=10,20,40",
+		"array=16..64:pow2;dataflow=os,ws",
+		"dataflow=os,os",
+		"array=0..4",
+		"channels=1..4:step0",
+		"array_rows=9223372036854775806..9223372036854775807",
+		"=;;",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		space, err := ParseSpace(spec)
+		if err != nil {
+			return
+		}
+		parts := make([]string, len(space))
+		for i := range space {
+			vals := make([]string, space[i].Len())
+			for j := range vals {
+				vals[j] = space[i].Value(j).String()
+			}
+			parts[i] = space[i].Name() + "=" + strings.Join(vals, ",")
+		}
+		rendered := strings.Join(parts, ";")
+		again, err := ParseSpace(rendered)
+		if err != nil {
+			t.Fatalf("%q parsed, but its rendering %q does not: %v", spec, rendered, err)
+		}
+		if again.Size() != space.Size() {
+			t.Fatalf("%q: size %d, its rendering %q: %d", spec, space.Size(), rendered, again.Size())
+		}
+		for i := range space {
+			if again[i].Name() != space[i].Name() || !reflect.DeepEqual(again[i].values, space[i].values) {
+				t.Fatalf("%q: axis %d is %s=%v, after a round trip %s=%v",
+					spec, i, space[i].Name(), space[i].values, again[i].Name(), again[i].values)
+			}
+		}
+	})
 }

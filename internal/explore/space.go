@@ -78,12 +78,15 @@ func IntRange(name string, lo, hi, step int, apply func(*config.Config, int)) (A
 	if lo > hi {
 		return Axis{}, fmt.Errorf("explore: axis %s: empty range %d..%d", name, lo, hi)
 	}
-	if (hi-lo)/step+1 > maxAxisValues {
+	// Index the values: stepping a value past a hi near MaxInt would
+	// overflow and never end. hi-lo is exact as a uint64 for any lo ≤ hi.
+	n := uint64(hi-lo)/uint64(step) + 1
+	if n > maxAxisValues {
 		return Axis{}, fmt.Errorf("explore: axis %s: range %d..%d step %d has too many values", name, lo, hi, step)
 	}
-	var vals []Value
-	for v := lo; v <= hi; v += step {
-		vals = append(vals, IntValue(v))
+	vals := make([]Value, n)
+	for i := range vals {
+		vals[i] = IntValue(lo + i*step)
 	}
 	return newIntAxis(name, vals, apply), nil
 }

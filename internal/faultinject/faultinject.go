@@ -21,6 +21,7 @@ package faultinject
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"strconv"
@@ -114,9 +115,10 @@ func Parse(spec string) (*Plan, error) {
 			}
 			cfg.Seed = seed
 		case "net.latencyms":
+			// The negated range check rejects NaN too.
 			ms, err := strconv.ParseFloat(val, 64)
-			if err != nil || ms < 0 {
-				return nil, fmt.Errorf("faultinject: net.latencyms %q must be a non-negative number", val)
+			if err != nil || !(ms >= 0 && ms < math.MaxInt64/float64(time.Millisecond)) {
+				return nil, fmt.Errorf("faultinject: net.latencyms %q must be a non-negative number a time.Duration can hold", val)
 			}
 			cfg.NetLatencyBy = time.Duration(ms * float64(time.Millisecond))
 		default:
@@ -125,7 +127,7 @@ func Parse(spec string) (*Plan, error) {
 				return nil, fmt.Errorf("faultinject: unknown fault kind %q", key)
 			}
 			rate, err := strconv.ParseFloat(val, 64)
-			if err != nil || rate < 0 || rate > 1 {
+			if err != nil || !(rate >= 0 && rate <= 1) {
 				return nil, fmt.Errorf("faultinject: rate %s=%q must be in [0,1]", key, val)
 			}
 			set(&cfg, rate)

@@ -64,6 +64,10 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"disk.error=lots",  // not a number
 		"seed=abc",         // bad seed
 		"net.latencyms=-5", // negative latency
+		"disk.error=NaN",   // not a rate
+		"net.latencyms=NaN",
+		"net.latencyms=+Inf",
+		"net.latencyms=1e300", // overflows a Duration
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted a bad spec", spec)
@@ -132,4 +136,36 @@ func TestStringOmitsZeroRates(t *testing.T) {
 	if strings.Contains(s, "disk.") || strings.Contains(s, "job.") {
 		t.Fatalf("String = %q mentions zero-rate kinds", s)
 	}
+}
+
+// FuzzParsePlan feeds arbitrary -faults specs to Parse. It must never
+// panic, and a plan it accepts must round-trip: its String parses back to
+// a plan that renders the same.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		"seed=42,disk.error=0.05,disk.short=0.1,disk.bitflip=0.01,disk.rename=0.2",
+		"seed=7,net.reset=0.05,net.latencyms=30,net.truncate=0.5,net.5xx=0.6",
+		"seed=3,job.crash=0.3",
+		"net.latencyms=0.000001",
+		"disk.error=1.5",
+		"seed=-1",
+		"bogus",
+		" , ,",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		s := p.String()
+		q, err := Parse(s)
+		if err != nil {
+			t.Fatalf("%q parsed, but its rendering %q does not: %v", spec, s, err)
+		}
+		if q.String() != s {
+			t.Fatalf("%q renders %q, which renders %q", spec, s, q.String())
+		}
+	})
 }

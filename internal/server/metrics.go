@@ -94,9 +94,11 @@ func (s *Server) initMetrics() {
 	cacheStat := func(get func(scalesim.CacheStats) float64) func() float64 {
 		return func() float64 { return get(s.cache.Stats()) }
 	}
-	reg.CounterFunc("scalesim_cache_hits_total", "Shared layer-cache hits.",
+	reg.CounterFunc("scalesim_cache_hits_total",
+		"Shared layer-cache lookup hits: one lookup per distinct layer shape per run (a run copies its repeated shapes without one), plus the layout stage's memo lookups.",
 		cacheStat(func(cs scalesim.CacheStats) float64 { return float64(cs.Hits) }))
-	reg.CounterFunc("scalesim_cache_misses_total", "Shared layer-cache misses.",
+	reg.CounterFunc("scalesim_cache_misses_total",
+		"Shared layer-cache lookup misses, counted like scalesim_cache_hits_total.",
 		cacheStat(func(cs scalesim.CacheStats) float64 { return float64(cs.Misses) }))
 	reg.CounterFunc("scalesim_cache_evictions_total", "Shared layer-cache evictions.",
 		cacheStat(func(cs scalesim.CacheStats) float64 { return float64(cs.Evictions) }))

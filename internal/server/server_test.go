@@ -666,8 +666,10 @@ func TestServerHealthAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"scalesim_jobs_accepted_total 2",
 		`scalesim_jobs{state="done"} 2`,
+		// The shared cache counts one lookup per distinct layer shape
+		// per run: two shapes, a miss each, then a hit each.
 		"scalesim_cache_misses_total 2",
-		"scalesim_cache_hits_total 14",
+		"scalesim_cache_hits_total 2",
 		"scalesim_cache_store_hits_total 0",
 		"scalesim_cache_store_misses_total 0",
 		"scalesim_draining 0",

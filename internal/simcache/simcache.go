@@ -22,7 +22,6 @@ package simcache
 
 import (
 	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -347,13 +346,6 @@ type Cache struct {
 
 	// tier is the optional second storage layer with its codec (SetTier).
 	tier atomic.Pointer[tierCodec]
-
-	// flightMu guards the single-flight table used by Acquire/Release.
-	// Separate from mu: Release must never contend with Get/Put hot paths
-	// beyond the table itself. Lock order: flightMu before mu, never the
-	// reverse.
-	flightMu sync.Mutex
-	inflight map[Key]chan struct{}
 }
 
 type entry struct {
@@ -377,96 +369,6 @@ func New(maxEntries int, maxBytes int64) *Cache {
 		maxBytes:   maxBytes,
 		ll:         list.New(),
 		items:      make(map[Key]*list.Element),
-		inflight:   make(map[Key]chan struct{}),
-	}
-}
-
-// peek returns the value under k and bumps its recency without touching
-// the hit/miss counters — Acquire's building block, so a coalesced waiter
-// that loops does not inflate the statistics.
-func (c *Cache) peek(k Key) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
-}
-
-func (c *Cache) count(hit bool) {
-	c.mu.Lock()
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	c.mu.Unlock()
-}
-
-// Acquire is Get plus single-flight coalescing. On a hit it returns
-// (value, true, nil). On a miss it either registers the caller as the
-// key's sole computer and returns (nil, false, nil) — the caller MUST
-// call Release(k) when finished, after Put on success — or, when another
-// goroutine already holds the key, blocks until that computer releases
-// (or ctx is cancelled, returning ctx's error) and retries. Coalescing is
-// cache-wide: concurrent runs and sweep points sharing this cache never
-// compute the same key twice, and hit/miss statistics count each
-// successful Acquire's final outcome exactly once.
-func (c *Cache) Acquire(ctx context.Context, k Key) (any, bool, error) {
-	for {
-		if v, ok := c.peek(k); ok {
-			c.count(true)
-			return v, true, nil
-		}
-		c.flightMu.Lock()
-		ch, busy := c.inflight[k]
-		if !busy {
-			// The previous computer may have stored the value and
-			// released between our miss above and taking flightMu;
-			// without this re-check we would compute the key twice.
-			if v, ok := c.peek(k); ok {
-				c.flightMu.Unlock()
-				c.count(true)
-				return v, true, nil
-			}
-			ch = make(chan struct{})
-			c.inflight[k] = ch
-			c.flightMu.Unlock()
-			// Holding the single-flight slot, consult the second tier:
-			// exactly one goroutine pays the disk read + decode per key,
-			// coalesced waiters take the promoted in-memory entry.
-			if v, ok := c.tierLookup(k); ok {
-				c.Release(k)
-				c.count(true)
-				return v, true, nil
-			}
-			c.count(false)
-			return nil, false, nil
-		}
-		c.flightMu.Unlock()
-		// Wait for the computer, then retry: usually the next peek hits,
-		// but if the computer failed without a Put the loop registers us
-		// as the new computer.
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-}
-
-// Release frees the single-flight slot taken by a missed Acquire, waking
-// every goroutine coalesced behind it. Releasing a key that is not held
-// is a no-op.
-func (c *Cache) Release(k Key) {
-	c.flightMu.Lock()
-	ch, ok := c.inflight[k]
-	delete(c.inflight, k)
-	c.flightMu.Unlock()
-	if ok {
-		close(ch)
 	}
 }
 
@@ -484,12 +386,15 @@ func (c *Cache) Get(k Key) (any, bool) {
 		return v, true
 	}
 	c.mu.Unlock()
-	if v, ok := c.tierLookup(k); ok {
-		c.count(true)
-		return v, true
+	v, ok := c.tierLookup(k)
+	c.mu.Lock()
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
 	}
-	c.count(false)
-	return nil, false
+	c.mu.Unlock()
+	return v, ok
 }
 
 // tierLookup consults the second tier on a memory miss: a decodable

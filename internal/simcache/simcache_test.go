@@ -1,7 +1,6 @@
 package simcache
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -199,171 +198,6 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-func TestAcquireSingleFlight(t *testing.T) {
-	c := New(16, 1<<20)
-	k := keyOf("sf")
-	ctx := context.Background()
-	const workers = 8
-	var computed, hits int32
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, hit, err := c.Acquire(ctx, k)
-			if err != nil {
-				t.Errorf("Acquire: %v", err)
-				return
-			}
-			if !hit {
-				mu.Lock()
-				computed++
-				mu.Unlock()
-				c.Put(k, 42, 8)
-				c.Release(k)
-				return
-			}
-			mu.Lock()
-			hits++
-			mu.Unlock()
-			if v.(int) != 42 {
-				t.Errorf("hit returned %v, want 42", v)
-			}
-		}()
-	}
-	wg.Wait()
-	if computed != 1 {
-		t.Errorf("%d goroutines computed the key, want exactly 1", computed)
-	}
-	if hits != workers-1 {
-		t.Errorf("%d hits, want %d", hits, workers-1)
-	}
-	if st := c.Stats(); st.Misses != 1 || st.Hits != workers-1 {
-		t.Errorf("stats %+v, want 1 miss, %d hits", st, workers-1)
-	}
-}
-
-// TestAcquireNoDoubleComputeAfterRelease guards the lost-wakeup race: an
-// acquirer that misses, gets descheduled through a full Put+Release by
-// the computer, and only then reaches the flight table must rediscover
-// the value instead of registering as a second computer.
-func TestAcquireNoDoubleComputeAfterRelease(t *testing.T) {
-	// Capacity comfortably above the 50 distinct keys: any recomputation
-	// is a single-flight bug, not an eviction.
-	c := New(64, 1<<20)
-	ctx := context.Background()
-	// Serial schedule equivalent to the interleaving: compute, store,
-	// release, THEN a fresh Acquire. Exactly-once means the second
-	// Acquire must hit.
-	k := keyOf("seq")
-	if _, hit, _ := c.Acquire(ctx, k); hit {
-		t.Fatal("hit on empty cache")
-	}
-	c.Put(k, 1, 8)
-	c.Release(k)
-	if _, hit, _ := c.Acquire(ctx, k); !hit {
-		t.Fatal("re-acquire after Put+Release missed: key would be computed twice")
-	}
-	// Hammer the same pattern concurrently: total computations across
-	// all goroutines and keys must equal the number of distinct keys.
-	var computed int32
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				ki := keyOf(fmt.Sprint(i % 50))
-				v, hit, err := c.Acquire(ctx, ki)
-				if err != nil {
-					t.Errorf("Acquire: %v", err)
-					return
-				}
-				if !hit {
-					mu.Lock()
-					computed++
-					mu.Unlock()
-					c.Put(ki, i%50, 8)
-					c.Release(ki)
-				} else if v.(int) != i%50 {
-					t.Errorf("key %d holds %v", i%50, v)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if computed != 50 {
-		t.Errorf("%d computations for 50 distinct keys, want exactly 50", computed)
-	}
-}
-
-func TestAcquireComputerFailureHandsOff(t *testing.T) {
-	c := New(16, 1<<20)
-	k := keyOf("fail")
-	ctx := context.Background()
-	if _, hit, _ := c.Acquire(ctx, k); hit {
-		t.Fatal("hit on empty cache")
-	}
-	// A second acquirer blocks behind us.
-	got := make(chan bool, 1)
-	go func() {
-		_, hit, err := c.Acquire(ctx, k)
-		if err != nil {
-			t.Errorf("Acquire: %v", err)
-		}
-		got <- hit
-		if !hit {
-			// We inherited the slot after the first computer failed.
-			c.Put(k, "v", 8)
-			c.Release(k)
-		}
-	}()
-	// First computer fails: Release without Put. The waiter must take
-	// over (miss), not hang and not see a phantom hit.
-	c.Release(k)
-	if hit := <-got; hit {
-		t.Error("waiter saw a hit although the computer stored nothing")
-	}
-	if v, ok := c.Get(k); !ok || v.(string) != "v" {
-		t.Errorf("inherited computer's value missing: %v %v", v, ok)
-	}
-}
-
-// TestAcquireCancelledWaiter: a goroutine coalesced behind a slow
-// computer must honor context cancellation instead of blocking until the
-// computer finishes.
-func TestAcquireCancelledWaiter(t *testing.T) {
-	c := New(16, 1<<20)
-	k := keyOf("slow")
-	if _, hit, _ := c.Acquire(context.Background(), k); hit {
-		t.Fatal("hit on empty cache")
-	}
-	// We hold the slot and never release until the waiter has given up.
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := c.Acquire(ctx, k)
-		errc <- err
-	}()
-	cancel()
-	if err := <-errc; err != context.Canceled {
-		t.Errorf("cancelled waiter returned %v, want context.Canceled", err)
-	}
-	c.Release(k) // slot still works afterwards
-	if _, hit, _ := c.Acquire(context.Background(), k); hit {
-		t.Error("phantom hit after failed computer")
-	}
-	c.Release(k)
-}
-
-func TestReleaseUnheldKeyIsNoop(t *testing.T) {
-	c := New(16, 1<<20)
-	c.Release(keyOf("never-acquired")) // must not panic
-}
-
 func TestStatsHitRate(t *testing.T) {
 	if hr := (Stats{}).HitRate(); hr != 0 {
 		t.Errorf("empty hit rate %v, want 0", hr)
@@ -490,43 +324,6 @@ func TestTierMissCountsStoreMiss(t *testing.T) {
 	st := c.Stats()
 	if st.StoreMisses != 1 || st.Misses != 1 || st.StoreHits != 0 {
 		t.Errorf("stats after full miss: %+v, want 1 store miss + 1 miss", st)
-	}
-}
-
-func TestTierAcquireSingleDiskRead(t *testing.T) {
-	tier := newMemTier()
-	seed := New(16, 1<<20)
-	seed.SetTier(tier, stringCodec{})
-	k := keyOf("warm")
-	seed.Put(k, "v", 1)
-
-	c := New(16, 1<<20)
-	c.SetTier(tier, stringCodec{})
-	const workers = 8
-	var wg sync.WaitGroup
-	var hits int64
-	var mu sync.Mutex
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, ok, err := c.Acquire(context.Background(), k)
-			if err != nil || !ok || v.(string) != "v" {
-				t.Errorf("Acquire = %v, %v, %v", v, ok, err)
-				c.Release(k)
-				return
-			}
-			mu.Lock()
-			hits++
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if hits != workers {
-		t.Fatalf("%d/%d workers hit", hits, workers)
-	}
-	if tier.gets != 1 {
-		t.Errorf("tier reads = %d, want exactly 1 under single-flight", tier.gets)
 	}
 }
 

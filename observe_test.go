@@ -188,6 +188,50 @@ func TestObserveLayerCacheAttr(t *testing.T) {
 	}
 }
 
+// TestObserveRepeatedShapeSpans checks how a run that copies repeated
+// shapes shows in its trace: every layer keeps its span, a repeat's span
+// has no stage children and a "copy_of" attribute naming the index it
+// copies, and Profile marks exactly the repeats cached.
+func TestObserveRepeatedShapeSpans(t *testing.T) {
+	topo := repeatedShapeTopology(3) // block0..block2 share a shape, then a tail
+	res, err := New(DefaultConfig()).Run(context.Background(), topo, WithTrace(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := res.Spans()
+	children := map[int64]int{}
+	for _, s := range spans {
+		if s.Cat == "stage" {
+			children[s.Parent]++
+		}
+	}
+	copyOf := map[string]any{}
+	for _, s := range spans {
+		if s.Cat != "layer" {
+			continue
+		}
+		var src any
+		for _, a := range s.Attrs {
+			if a.Key == "copy_of" {
+				src = a.Value
+			}
+		}
+		copyOf[s.Name] = src
+		if repeat := src != nil; repeat != (children[s.ID] == 0) {
+			t.Errorf("layer %q: copy_of %v with %d stage spans", s.Name, src, children[s.ID])
+		}
+	}
+	want := map[string]any{"block0": nil, "block1": 0, "block2": 0, "tail": nil}
+	if !reflect.DeepEqual(copyOf, want) {
+		t.Errorf("copy_of by layer span = %v, want %v", copyOf, want)
+	}
+	for _, l := range res.Profile().Layers {
+		if l.Cached != (want[l.Name] != nil) {
+			t.Errorf("layer %q: Profile Cached = %v", l.Name, l.Cached)
+		}
+	}
+}
+
 // TestObserveAttachedMemoryReplayOverhead is the telemetry budget of the
 // stall-heavy memory replay, stated as counts instead of wall time: a span
 // attached to it (what WithTrace threads into the engines) must leave every

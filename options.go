@@ -94,8 +94,9 @@ func WithSweepProgress(fn func(SweepPointProgress)) Option {
 // for every layer and must be safe for concurrent use across layers.
 //
 // A pipeline that contains a stage without a CacheFingerprint (see
-// StageFingerprinter) disables whole-layer result caching for the run,
-// because the cache cannot know what such a stage depends on.
+// StageFingerprinter) disables whole-layer result caching and the copying
+// of repeated layer shapes for the run, because neither can know what such
+// a stage depends on.
 func WithStages(stages ...Stage) Option {
 	return func(o *options) {
 		if len(stages) > 0 {
@@ -105,14 +106,17 @@ func WithStages(stages ...Stage) Option {
 }
 
 // WithCache attaches a layer-result cache to a Simulator (when passed to
-// New), one run or a sweep. Layers whose (configuration, stage pipeline,
-// shape) fingerprint was simulated before — in this run, an earlier run,
-// or a sibling sweep point — are served as deep copies of the cached
-// result instead of being re-simulated. Cached and uncached runs produce
+// New), one run or a sweep. A run looks up each distinct layer shape once
+// (repeats within the run are copies either way, see Run); a shape whose
+// (configuration, stage pipeline, shape) fingerprint an earlier run or a
+// sibling sweep point stored is served as a deep copy of the cached result
+// instead of being re-simulated. Cached and uncached runs produce
 // byte-identical reports.
 //
-// The same cache may back any number of concurrent runs. Passing nil
-// disables caching (the default).
+// The same cache may back any number of concurrent runs. Concurrent runs
+// that miss on the same key at the same time each simulate it; the cache
+// does not make one wait for the other. Passing nil disables caching (the
+// default).
 func WithCache(c *Cache) Option {
 	return func(o *options) { o.cache = c }
 }

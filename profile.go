@@ -36,7 +36,10 @@ type LayerProfile struct {
 	Index int
 	// Total is the layer span's duration (cache lookup + all stages).
 	Total time.Duration
-	// Cached reports whether the layer was served from the layer cache.
+	// Cached reports whether the layer was not simulated: served from the
+	// layer cache, or a repeat copied from the earlier layer of its shape
+	// (its span carries no stage children and a "copy_of" attribute
+	// naming that layer's index).
 	Cached bool
 }
 
@@ -70,7 +73,7 @@ func (r *Result) Profile() *Profile {
 						lp.Index = v
 					}
 				}
-				if a.Key == "cache" && a.Value == "hit" {
+				if a.Key == "cache" && a.Value == "hit" || a.Key == "copy_of" {
 					lp.Cached = true
 				}
 			}

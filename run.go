@@ -22,11 +22,18 @@ import (
 // cancels the run between layers (and between stages of a layer); the
 // first layer error cancels the remaining work and is returned.
 //
-// With a cache attached (WithCache), layers whose fingerprint —
-// configuration, stage pipeline and layer shape, but not layer name —
-// matches an earlier simulation are served as deep copies of the cached
-// result; Result.CacheStats reports how many were. Cached and
-// uncached runs produce byte-identical reports.
+// A run simulates each distinct layer shape once, cache or no cache: a
+// layer whose Layer value differs from an earlier one's only in Name takes
+// a deep copy of its result. A pipeline with a stage that lacks a
+// CacheFingerprint simulates every layer, as such a stage could depend on
+// anything. WithProgress still reports every layer, and a repeat's trace
+// span has no stage children.
+//
+// With a cache attached (WithCache), the first layer of each shape is
+// looked up under its fingerprint — configuration, stage pipeline and
+// layer shape, but not layer name — and served as a deep copy when an
+// earlier run stored it; Result.CacheStats reports the outcome per layer.
+// Cached and uncached runs produce byte-identical reports.
 func (s *Simulator) Run(ctx context.Context, topo *Topology, opts ...Option) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -117,16 +124,19 @@ func isCtxSentinel(err error) bool {
 	return err == context.Canceled || err == context.DeadlineExceeded
 }
 
-// runLayers fills out[i] with the result of topo.Layers[i] using a pool of
-// workers. On error the pool drains; the lowest-index error among the
-// layers that actually ran is reported (layers past the first failure may
-// never start, so under parallelism the surfaced error can differ between
-// runs when several layers fail).
+// runLayers fills out[i] with the result of topo.Layers[i]. The first
+// layer of each shape (shapeGroups) runs on a pool of workers; then every
+// repeat takes a copy of its first layer's result.
+// On error the pool drains; the lowest-index error among the layers that
+// actually ran is reported (layers past the first failure may never start,
+// so under parallelism the surfaced error can differ between runs when
+// several layers fail).
 func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out []LayerResult, lc *layerCache, root *telemetry.Span) error {
 	n := len(topo.Layers)
 	if n == 0 {
 		return ctx.Err()
 	}
+	rep := shapeGroups(topo.Layers, pureStages(o.stages))
 	workers := o.parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -144,7 +154,7 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 		cause  error
 	)
 	forEachIndex(runCtx, n, workers, func(i int) {
-		if runCtx.Err() != nil {
+		if rep[i] != i || runCtx.Err() != nil {
 			return
 		}
 		lr, err := runLayer(runCtx, cfg, o, &topo.Layers[i], lc, layerSpan(root, topo, i))
@@ -170,7 +180,47 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 		return layerError(&topo.Layers[failed], cause)
 	}
 	// No layer failed outright; surface external cancellation, if any.
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for i, r := range rep {
+		if r == i {
+			continue
+		}
+		span := layerSpan(root, topo, i)
+		span.SetAttr("copy_of", r)
+		span.End()
+		out[i] = *cloneLayerResult(&out[r])
+		out[i].Layer = topo.Layers[i]
+		if lc != nil {
+			lc.hits.Add(1) // a repeat counts as a hit of its shape
+		}
+		done++
+		if o.progress != nil {
+			o.progress(LayerProgress{Index: i, Total: n, Layer: topo.Layers[i].Name, Done: done})
+		}
+	}
+	return nil
+}
+
+// shapeGroups maps each layer to the first layer of its shape: rep[i] is
+// the lowest index whose Layer value, Name aside, equals layers[i]'s. Names
+// label reports and trace files but never change a simulation. With dedupe
+// false every layer is its own group.
+func shapeGroups(layers []Layer, dedupe bool) []int {
+	rep := make([]int, len(layers))
+	for i := range layers {
+		rep[i] = i
+		l := layers[i]
+		for j := 0; dedupe && j < i; j++ {
+			l.Name = layers[j].Name
+			if rep[j] == j && l == layers[j] {
+				rep[i] = j
+				break
+			}
+		}
+	}
+	return rep
 }
 
 // forEachIndex runs fn(i) for every i in [0, n) on a pool of `workers`
@@ -250,21 +300,11 @@ func runLayer(ctx context.Context, cfg *Config, o *options, l *Layer, lc *layerC
 	var ckey simcache.Key
 	if lc != nil {
 		ckey = lc.key(l)
-		hit, err := lc.lookup(ctx, ckey, l)
-		if err != nil {
-			// Cancelled while coalesced behind another worker's
-			// simulation of this shape; the bare context error is the
-			// cancellation sentinel runLayers expects.
-			return nil, err
-		}
-		if hit != nil {
+		if hit := lc.lookup(ckey, l); hit != nil {
 			span.SetAttr("cache", "hit")
 			return hit, nil
 		}
 		span.SetAttr("cache", "miss")
-		// We hold the single-flight slot for this shape: simulate, then
-		// release it (after put on success, so coalesced workers hit).
-		defer lc.done(ckey)
 	}
 	sc := newStageContext(cfg, o, l)
 	lr := &LayerResult{Layer: *l, M: sc.M, N: sc.N, K: sc.K}

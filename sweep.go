@@ -35,11 +35,14 @@ type SweepResult struct {
 // its error lands in SweepResult.Err and the sweep continues. Sweep itself
 // returns an error only when ctx is cancelled.
 //
-// A cache attached with WithCache is shared by every
-// point: sweep points that agree on the simulation-relevant configuration
-// and a layer's shape simulate that layer once, and points that vary only
+// Within each point, Run simulates every distinct layer shape once. A
+// cache attached with WithCache is shared by every point: a point whose
+// simulation-relevant configuration and layer shape an earlier point
+// already simulated takes the cached result, and points that vary only
 // DRAM or energy knobs still share the layout analysis of unchanged
-// layers. Each point's Result.CacheStats reports its own hits and misses.
+// layers. Points that run at the same time and miss on the same key each
+// simulate it. Each point's Result.CacheStats reports its own hits and
+// misses.
 func Sweep(ctx context.Context, points []SweepPoint, opts ...Option) ([]SweepResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -3,6 +3,7 @@ package scalesim
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,7 +31,9 @@ import (
 // The DRAM rows stream from the memory stage's event-driven replay, at any
 // fidelity, so memory use does not grow with trace length. Files can be
 // large: a layer with C compute cycles produces O(C) rows. WriteTraces
-// always regenerates them and ignores any cache and WithStages.
+// ignores any cache and WithStages. No trace byte depends on the layer
+// name, so each distinct layer shape is simulated once and a repeated
+// shape's files are byte copies of its first layer's.
 func (s *Simulator) WriteTraces(topo *Topology, dir string) error {
 	if err := s.cfg.Validate(); err != nil {
 		return err
@@ -45,8 +48,15 @@ func (s *Simulator) WriteTraces(topo *Topology, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for i := range topo.Layers {
-		if err := s.writeLayerTraces(&topo.Layers[i], filepath.Join(dir, bases[i])); err != nil {
+	rep := shapeGroups(topo.Layers, true)
+	for i, r := range rep {
+		base := filepath.Join(dir, bases[i])
+		if r == i {
+			err = s.writeLayerTraces(&topo.Layers[i], base)
+		} else {
+			err = s.copyLayerTraces(filepath.Join(dir, bases[r]), base)
+		}
+		if err != nil {
 			return fmt.Errorf("scalesim: traces for layer %q: %w", topo.Layers[i].Name, err)
 		}
 	}
@@ -93,7 +103,7 @@ func (s *Simulator) writeLayerTraces(l *Layer, base string) (err error) {
 	if !s.cfg.Memory.Enabled {
 		return nil
 	}
-	f, err := os.Create(base + "_dram_trace.csv")
+	f, err := os.Create(base + traceSuffixes[3])
 	if err != nil {
 		return err
 	}
@@ -108,13 +118,39 @@ func (s *Simulator) writeLayerTraces(l *Layer, base string) (err error) {
 	return w.Close()
 }
 
-var sramTraceSuffixes = [3]string{
-	"_sram_ifmap_read.csv", "_sram_filter_read.csv", "_sram_ofmap_write.csv",
+// traceSuffixes names a layer's trace files: three SRAM traces, then the
+// DRAM trace, written only with the memory model on.
+var traceSuffixes = [4]string{
+	"_sram_ifmap_read.csv", "_sram_filter_read.csv", "_sram_ofmap_write.csv", "_dram_trace.csv",
+}
+
+// copyLayerTraces copies the trace files written under base from to base to.
+func (s *Simulator) copyLayerTraces(from, to string) error {
+	n := 3
+	if s.cfg.Memory.Enabled {
+		n = 4
+	}
+	for _, suffix := range traceSuffixes[:n] {
+		in, err := os.Open(from + suffix)
+		if err != nil {
+			return err
+		}
+		out, err := os.Create(to + suffix)
+		if err == nil {
+			_, err = io.Copy(out, in)
+			closeFile(out, &err)
+		}
+		in.Close()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func writeSRAMTraces(base string, sc *StageContext) (err error) {
 	var w [3]*trace.SRAMWriter
-	for i, suffix := range sramTraceSuffixes {
+	for i, suffix := range traceSuffixes[:3] {
 		f, cerr := os.Create(base + suffix)
 		if cerr != nil {
 			return cerr

@@ -237,13 +237,19 @@ func TestDRAMTraceRowsMatchMemoryRequests(t *testing.T) {
 
 // TestWriteTracesGolden pins every trace byte: the SHA-256 of each file
 // WriteTraces writes for TestDRAMTraceRowsMatchMemoryRequests' dense and
-// 2:4-sparse GEMM pair under every dataflow (16x16 array, memory on).
+// 2:4-sparse GEMM pair under every dataflow (16x16 array, memory on). A
+// third layer repeats dense's shape under another name: its files are
+// dense's, byte for byte.
 func TestWriteTracesGolden(t *testing.T) {
 	want := map[string]string{
 		"is/dense_dram_trace.csv":        "fd10a4307d3be39f765e1d00b1ad14612006aff5eca722ec5ef63a038ece34b4",
 		"is/dense_sram_filter_read.csv":  "18ad8cf6a56e6c9611fe373d6be5c1ce0c2fef131a423dd68897403026497626",
 		"is/dense_sram_ifmap_read.csv":   "819937cba65fb019e9f401d08a9c4f2b2ae7e9fdecfcab7882be6c274185576f",
 		"is/dense_sram_ofmap_write.csv":  "476cacb827a5fcb7b1d41e2b3adbbab15c2cc76f66f457c5adbd583a112fd1c4",
+		"is/repeat_dram_trace.csv":       "fd10a4307d3be39f765e1d00b1ad14612006aff5eca722ec5ef63a038ece34b4",
+		"is/repeat_sram_filter_read.csv": "18ad8cf6a56e6c9611fe373d6be5c1ce0c2fef131a423dd68897403026497626",
+		"is/repeat_sram_ifmap_read.csv":  "819937cba65fb019e9f401d08a9c4f2b2ae7e9fdecfcab7882be6c274185576f",
+		"is/repeat_sram_ofmap_write.csv": "476cacb827a5fcb7b1d41e2b3adbbab15c2cc76f66f457c5adbd583a112fd1c4",
 		"is/sparse_dram_trace.csv":       "845aeed79ad7f8c67466ba1ab6155713b9f21044d56e6a54b461c9d4f147bdf6",
 		"is/sparse_sram_filter_read.csv": "5d696288507483ab0a456f3a4c52ba3cedcbddc7b9820563c114d9a4de53862d",
 		"is/sparse_sram_ifmap_read.csv":  "4cac8248b791ac67664c886267a753e117e8e0834530c99395505e011801199b",
@@ -252,6 +258,10 @@ func TestWriteTracesGolden(t *testing.T) {
 		"os/dense_sram_filter_read.csv":  "49bdd24fad14d5277994ca8c626bc7b71b314edff266919fd58a2e792944fd08",
 		"os/dense_sram_ifmap_read.csv":   "dbfb2be55846f6076d1fc71c5b863b5685190523b67883623c6a60110a133335",
 		"os/dense_sram_ofmap_write.csv":  "68430ec6a73e0b012768ebd278634827c8bddacc67115c366dedbf76be51fef3",
+		"os/repeat_dram_trace.csv":       "0eb5b8a72dfd6d9e258a6eeb551c10b3f5dcacee81c8c5c0002db8166e0a0f5f",
+		"os/repeat_sram_filter_read.csv": "49bdd24fad14d5277994ca8c626bc7b71b314edff266919fd58a2e792944fd08",
+		"os/repeat_sram_ifmap_read.csv":  "dbfb2be55846f6076d1fc71c5b863b5685190523b67883623c6a60110a133335",
+		"os/repeat_sram_ofmap_write.csv": "68430ec6a73e0b012768ebd278634827c8bddacc67115c366dedbf76be51fef3",
 		"os/sparse_dram_trace.csv":       "845aeed79ad7f8c67466ba1ab6155713b9f21044d56e6a54b461c9d4f147bdf6",
 		"os/sparse_sram_filter_read.csv": "5d696288507483ab0a456f3a4c52ba3cedcbddc7b9820563c114d9a4de53862d",
 		"os/sparse_sram_ifmap_read.csv":  "4cac8248b791ac67664c886267a753e117e8e0834530c99395505e011801199b",
@@ -260,6 +270,10 @@ func TestWriteTracesGolden(t *testing.T) {
 		"ws/dense_sram_filter_read.csv":  "5d696288507483ab0a456f3a4c52ba3cedcbddc7b9820563c114d9a4de53862d",
 		"ws/dense_sram_ifmap_read.csv":   "4cac8248b791ac67664c886267a753e117e8e0834530c99395505e011801199b",
 		"ws/dense_sram_ofmap_write.csv":  "d3bd60b763260245c6c840c254bdb3c4ecb787899389f298e845e8ba4b4135d6",
+		"ws/repeat_dram_trace.csv":       "4233236cefb10b50f9f20a0e9da997583d7acbfdee293b40f61d0ee78a153234",
+		"ws/repeat_sram_filter_read.csv": "5d696288507483ab0a456f3a4c52ba3cedcbddc7b9820563c114d9a4de53862d",
+		"ws/repeat_sram_ifmap_read.csv":  "4cac8248b791ac67664c886267a753e117e8e0834530c99395505e011801199b",
+		"ws/repeat_sram_ofmap_write.csv": "d3bd60b763260245c6c840c254bdb3c4ecb787899389f298e845e8ba4b4135d6",
 		"ws/sparse_dram_trace.csv":       "845aeed79ad7f8c67466ba1ab6155713b9f21044d56e6a54b461c9d4f147bdf6",
 		"ws/sparse_sram_filter_read.csv": "5d696288507483ab0a456f3a4c52ba3cedcbddc7b9820563c114d9a4de53862d",
 		"ws/sparse_sram_ifmap_read.csv":  "4cac8248b791ac67664c886267a753e117e8e0834530c99395505e011801199b",
@@ -268,6 +282,7 @@ func TestWriteTracesGolden(t *testing.T) {
 	topo := &Topology{Name: "mix", Layers: []Layer{
 		{Name: "dense", Kind: GEMM, M: 96, N: 80, K: 200},
 		{Name: "sparse", Kind: GEMM, M: 96, N: 80, K: 200, Sparsity: Sparsity{N: 2, M: 4}},
+		{Name: "repeat", Kind: GEMM, M: 96, N: 80, K: 200},
 	}}
 	got := map[string]string{}
 	for _, df := range []Dataflow{OutputStationary, WeightStationary, InputStationary} {
