@@ -454,13 +454,14 @@ func BenchmarkRunRepeatedShapes(b *testing.B) {
 	})
 }
 
-// BenchmarkExploreCached runs a small evolutionary design-space search on
-// the repeated-shape topology with the DRAM model enabled. Every
-// generation's Sweep batch shares one layer-result cache, so each
-// candidate simulates its distinct conv shape once (the five sibling
-// blocks are copies, counted as hits) while the search walks DRAM knobs. The
-// benchmark fails outright if the cache stops serving hits across
-// generations — the explorer's core perf contract.
+// BenchmarkExploreCached repeats a small evolutionary design-space search
+// on the repeated-shape topology against one shared layer-result cache,
+// warmed by a first search before the timer starts. Each candidate looks
+// up its one distinct conv shape (the five sibling blocks are copies)
+// while the search walks DRAM knobs. The benchmark fails outright unless
+// every lookup is a hit on the shared cache — the reuse WithExploreCache
+// exists for. It counts the cache's own lookups: a search's RunCacheStats
+// also counts in-run repeats as hits.
 func BenchmarkExploreCached(b *testing.B) {
 	topo := dramSweepPoints()[0].Topology
 	space, err := scalesim.ParseSpace("channels=1..4:pow2; dram_tech=DDR4,HBM2")
@@ -469,8 +470,8 @@ func BenchmarkExploreCached(b *testing.B) {
 	}
 	cfg := scalesim.DefaultConfig()
 	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	cache := scalesim.NewCache(0, 0)
+	explore := func() *scalesim.Frontier {
 		f, err := scalesim.Explore(ctx, cfg, topo, space,
 			scalesim.WithExploreObjectives(scalesim.CyclesObjective(), scalesim.DRAMTrafficObjective()),
 			scalesim.WithExploreStrategy(scalesim.EvolutionSearch),
@@ -478,16 +479,29 @@ func BenchmarkExploreCached(b *testing.B) {
 			scalesim.WithExploreBatchSize(2), // 3 generations
 			scalesim.WithExploreSeed(1),
 			scalesim.WithExploreParallelism(1),
+			scalesim.WithExploreCache(cache),
 		)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if f.CacheStats.Hits == 0 {
-			b.Fatal("explore search produced no cache hits across generations")
-		}
-		b.ReportMetric(float64(f.CacheStats.Hits), "cache_hits")
-		b.ReportMetric(float64(f.CacheStats.Misses), "cache_misses")
+		return f
 	}
+	explore()
+	lookups := cache.Stats().Misses
+	if lookups == 0 {
+		b.Fatal("the warm-up search made no cache lookups")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		before := cache.Stats()
+		f := explore()
+		after := cache.Stats()
+		if hits := after.Hits - before.Hits; hits != lookups || after.Misses != before.Misses || f.CacheStats.Misses != 0 {
+			b.Fatalf("explore search served %d of %d lookups from the shared cache and simulated %d layers",
+				hits, lookups, f.CacheStats.Misses)
+		}
+	}
+	b.ReportMetric(float64(lookups), "cache_hits/op")
 }
 
 // BenchmarkExploreScreened cracks a 100 000-candidate space with the

@@ -28,7 +28,8 @@ type CacheStats = simcache.Stats
 // conflict) slowdown, whose inputs are only the layout section, the array
 // and the layer shape. A sweep that varies only DRAM or energy knobs
 // therefore still reuses that analysis for unchanged layers even though
-// the whole-layer fingerprints differ. WriteTraces does not use the cache.
+// the whole-layer fingerprints differ. WriteTraces runs without a cache,
+// whatever WithCache says: a cached layer skips the replay it traces.
 //
 // A Cache is safe for concurrent use: one cache may back many simultaneous
 // Run and Sweep calls; two that miss on one key at once both simulate it.

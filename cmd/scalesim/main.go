@@ -124,18 +124,18 @@ func run(args []string) error {
 	if *traceDir != "" {
 		runOpts = append(runOpts, scalesim.WithTrace(*traceDir))
 	}
-	res, err := sim.Run(ctx, topo, runOpts...)
+	var res *scalesim.Result
+	if *traces {
+		res, err = sim.WriteTraces(ctx, topo, filepath.Join(*outDir, "traces"), runOpts...)
+	} else {
+		res, err = sim.Run(ctx, topo, runOpts...)
+	}
 	if err != nil {
 		return err
 	}
 	if p := res.Profile(); p != nil {
 		fmt.Print(p)
 		fmt.Printf("trace written to %s\n", *traceDir)
-	}
-	if *traces {
-		if err := sim.WriteTraces(topo, filepath.Join(*outDir, "traces")); err != nil {
-			return err
-		}
 	}
 
 	if err := res.Reports().WriteAll(*outDir); err != nil {

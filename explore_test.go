@@ -329,10 +329,12 @@ func TestExploreInfeasibleCandidates(t *testing.T) {
 	}
 }
 
-// TestExploreSharedCacheAcrossGenerations checks the search reuses layer
-// simulations: the repeated-shape topology guarantees whole-layer hits
-// within each candidate, and a pre-warmed shared cache serves later
-// explorations entirely from cache.
+// TestExploreSharedCacheAcrossGenerations checks that explorations sharing
+// a cache reuse each other's layer simulations, counted by the cache
+// itself: RunCacheStats also counts in-run repeats of a shape as hits, so
+// a check on the frontier's stats alone would pass with no reuse at all.
+// Candidates never share a configuration, so the first exploration only
+// fills the cache; the second is served entirely from it.
 func TestExploreSharedCacheAcrossGenerations(t *testing.T) {
 	topo := exploreTopology()
 	cache := scalesim.NewCache(0, 0)
@@ -347,12 +349,17 @@ func TestExploreSharedCacheAcrossGenerations(t *testing.T) {
 		return f
 	}
 	first := run()
-	if first.CacheStats.Hits == 0 {
-		t.Error("no cache hits during first exploration (repeated shapes count as hits)")
+	filled := cache.Stats()
+	if filled.Hits != 0 || filled.Misses != first.CacheStats.Misses || filled.Misses == 0 {
+		t.Errorf("first exploration: cache stats %+v, want 0 hits and one miss per simulated layer (%d)",
+			filled, first.CacheStats.Misses)
 	}
 	second := run()
 	if second.CacheStats.Misses != 0 {
 		t.Errorf("second exploration simulated %d layers, want 0 (warm shared cache)", second.CacheStats.Misses)
+	}
+	if hits := cache.Stats().Hits; hits != filled.Misses {
+		t.Errorf("second exploration: %d cache hits, want %d (every lookup of the first)", hits, filled.Misses)
 	}
 	if !bytes.Equal(frontierBytes(t, first), frontierBytes(t, second)) {
 		t.Error("warm-cache frontier differs from cold-cache frontier")

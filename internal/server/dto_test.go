@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"scalesim"
 	"scalesim/internal/config"
@@ -291,6 +293,42 @@ func FuzzDecodeConfig(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, cfg) {
 			t.Fatalf("round trip changed the config:\n got %+v\nwant %+v", back, cfg)
+		}
+	})
+}
+
+// FuzzBuildRun feeds arbitrary bodies to every job kind's validator.
+// buildRun must never panic, and a body it accepts must yield a run
+// closure and a deadline that is not negative. Seeds put each committed
+// testdata config into a valid run, sweep and explore body.
+func FuzzBuildRun(f *testing.F) {
+	kinds := []string{"run", "sweep", "explore"}
+	seeds, err := filepath.Glob(filepath.Join("testdata", "config_*.json"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no seed configs: %v", err)
+	}
+	for _, path := range seeds {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cfg := string(raw)
+		f.Add(uint8(0), []byte(`{"config": `+cfg+`, "topology": {"builtin": "alexnet"}, "timeout_s": 2.5}`))
+		f.Add(uint8(1), []byte(`{"points": [{"name": "p", "config": `+cfg+`, "topology": {"builtin": "resnet18"}}], "parallelism": 2}`))
+		f.Add(uint8(2), []byte(`{"config": `+cfg+`, "topology": {"name": "t", "layers": [{"name": "g", "kind": "gemm", "m": 8, "n": 8, "k": 8}]}, `+
+			`"space": "array=8..16:pow2;dataflow=os,ws", "objectives": "cycles,energy", "strategy": "random", "fidelity": "analytical"}`))
+	}
+	f.Add(uint8(0), []byte(`{"topology": {"builtin": "alexnet", "sparsity": "2:4"}, "timeout_s": 9.3e9}`))
+	f.Add(uint8(2), []byte(`{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "promote_top_k": -1}`))
+	s := New(Options{Shards: 1, JobTimeout: time.Minute})
+	f.Cleanup(func() { s.Drain(context.Background()) }) //nolint:errcheck
+	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
+		run, timeout, err := s.buildRun(kinds[int(kind)%len(kinds)], body)
+		if err != nil {
+			return
+		}
+		if run == nil || timeout < 0 {
+			t.Fatalf("accepted body yields closure %v and timeout %v", run != nil, timeout)
 		}
 	})
 }

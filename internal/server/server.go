@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -524,11 +525,25 @@ func (s *Server) buildRun(kind string, body []byte) (runFn, time.Duration, error
 			return ex.Execute(ctx, kind, body)
 		}
 	}
-	timeout := s.opts.JobTimeout
-	if timeoutS > 0 {
-		timeout = time.Duration(timeoutS * float64(time.Second))
+	timeout, err := jobTimeout(timeoutS, s.opts.JobTimeout)
+	if err != nil {
+		return nil, 0, err
 	}
 	return run, timeout, nil
+}
+
+// jobTimeout converts timeout_s to the job's deadline: def for 0, at least
+// 1ns otherwise. A negative value, or one a time.Duration cannot hold,
+// would convert to a deadline of zero or less, which means none.
+func jobTimeout(seconds float64, def time.Duration) (time.Duration, error) {
+	switch d := seconds * float64(time.Second); {
+	case !(d >= 0 && d < math.MaxInt64):
+		return 0, fmt.Errorf("timeout_s: %v is not a non-negative number of seconds a time.Duration can hold", seconds)
+	case d == 0:
+		return def, nil
+	default:
+		return max(time.Duration(d), 1), nil
+	}
 }
 
 // resolveWorkload is the (config, topology) half every job kind shares:

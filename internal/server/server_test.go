@@ -321,6 +321,9 @@ func TestServerRequestErrors(t *testing.T) {
 		{"bad strategy", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "strategy": "gird"}`, `"gird"`},
 		{"strategy lists valid values", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "strategy": "nope"}`,
 			`unknown strategy "nope" (valid: grid, random, evolve, auto)`},
+		{"timeout_s overflows a Duration", "/v1/runs", `{"topology": {"builtin": "alexnet"}, "timeout_s": 1e10}`, "timeout_s"},
+		{"negative timeout_s", "/v1/sweeps", `{"points": [{"topology": {"builtin": "alexnet"}}], "timeout_s": -1}`, "timeout_s"},
+		{"explore timeout_s overflows", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "timeout_s": 9.3e9}`, "timeout_s"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

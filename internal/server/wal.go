@@ -153,8 +153,8 @@ func pendingJournalRecords(records [][]byte) []journalRecord {
 // crash between the two re-runs the job instead of losing it.
 func (s *Server) resumeOneLocked(rec journalRecord) {
 	run, timeout, err := s.buildRun(rec.Kind, rec.Body)
-	if rec.TimeoutS > 0 {
-		timeout = time.Duration(rec.TimeoutS * float64(time.Second))
+	if err == nil {
+		timeout, err = jobTimeout(rec.TimeoutS, timeout)
 	}
 	var j *Job
 	if err == nil {

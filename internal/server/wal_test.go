@@ -201,6 +201,43 @@ func TestServerTimeoutSOverridesDefault(t *testing.T) {
 	}
 }
 
+// TestServerTimeoutSBounds: timeout_s converts to a positive deadline or
+// is refused. A value a time.Duration cannot hold used to wrap negative
+// and a negative one was dropped, both leaving the job without the
+// server's -job-timeout; a positive value too small for a nanosecond used
+// to truncate to no deadline.
+func TestServerTimeoutSBounds(t *testing.T) {
+	s := New(Options{Shards: 1, Cache: scalesim.NewCache(0, 0), JobTimeout: time.Hour})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Drain(ctx) //nolint:errcheck
+	}()
+	var body map[string]any
+	if err := json.Unmarshal([]byte(smallRunBody), &body); err != nil {
+		t.Fatal(err)
+	}
+	build := func(seconds float64) (time.Duration, error) {
+		body["timeout_s"] = seconds
+		raw, _ := json.Marshal(body)
+		_, timeout, err := s.buildRun("run", raw)
+		return timeout, err
+	}
+	for _, bad := range []float64{-1, -1e-9, 9.3e9, 1e10, 1e300} {
+		if timeout, err := build(bad); err == nil || !strings.Contains(err.Error(), "timeout_s") {
+			t.Errorf("timeout_s %v: timeout %v, error %v; want an error naming timeout_s", bad, timeout, err)
+		}
+	}
+	for seconds, want := range map[float64]time.Duration{
+		1e-12: 1,
+		9e9:   time.Duration(9e9 * float64(time.Second)),
+	} {
+		if timeout, err := build(seconds); err != nil || timeout != want {
+			t.Errorf("timeout_s %v: timeout %v, error %v; want %v", seconds, timeout, err, want)
+		}
+	}
+}
+
 // TestServerAdmissionRetryAfter drives the queue-wait admission bound: with
 // a seeded average job duration and a pinned worker, a new enqueue whose
 // estimated wait exceeds MaxQueueWait is shed with 503 and a Retry-After

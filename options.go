@@ -14,6 +14,7 @@ type options struct {
 	traceEnabled  bool
 	traceDir      string
 	traceName     string
+	traceFiles    string // WriteTraces' output directory; "" for a plain run
 }
 
 // sharedDefaultERT is the table every Simulator without WithERT reads. It

@@ -1,6 +1,7 @@
 package scalesim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
@@ -75,7 +76,9 @@ func (s *Simulator) Run(ctx context.Context, topo *Topology, opts ...Option) (*R
 		res.wall = time.Since(start)
 		res.spans = tracer.Records()
 		if o.traceDir != "" {
-			if err := writeTraceFile(tracer, o.traceDir, traceBaseName(&o, &s.cfg)); err != nil {
+			// The file is named after the sweep point, else the run.
+			base := sanitize(cmp.Or(o.traceName, s.cfg.RunName, "run"))
+			if err := writeTraceFile(tracer, o.traceDir, base); err != nil {
 				return nil, err
 			}
 		}
@@ -83,21 +86,8 @@ func (s *Simulator) Run(ctx context.Context, topo *Topology, opts ...Option) (*R
 	return res, nil
 }
 
-// traceBaseName picks the trace file's base name: the sweep point name when
-// set, else the run name, else "run".
-func traceBaseName(o *options, cfg *Config) string {
-	name := o.traceName
-	if name == "" {
-		name = cfg.RunName
-	}
-	if name == "" {
-		name = "run"
-	}
-	return sanitize(name)
-}
-
 // writeTraceFile renders the tracer as Chrome trace-event JSON under dir.
-func writeTraceFile(tracer *telemetry.Tracer, dir, base string) error {
+func writeTraceFile(tracer *telemetry.Tracer, dir, base string) (err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("scalesim: trace dir: %w", err)
 	}
@@ -105,11 +95,8 @@ func writeTraceFile(tracer *telemetry.Tracer, dir, base string) error {
 	if err != nil {
 		return fmt.Errorf("scalesim: trace file: %w", err)
 	}
+	defer closeFile(f, &err)
 	if err := tracer.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("scalesim: write trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
 		return fmt.Errorf("scalesim: write trace: %w", err)
 	}
 	return nil
@@ -137,13 +124,6 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 		return ctx.Err()
 	}
 	rep := shapeGroups(topo.Layers, pureStages(o.stages))
-	workers := o.parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -153,7 +133,7 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 		failed = n // lowest index of a layer that failed on its own
 		cause  error
 	)
-	forEachIndex(runCtx, n, workers, func(i int) {
+	forEachIndex(runCtx, n, o.parallelism, func(i int) {
 		if rep[i] != i || runCtx.Err() != nil {
 			return
 		}
@@ -189,6 +169,12 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 		}
 		span := layerSpan(root, topo, i)
 		span.SetAttr("copy_of", r)
+		if o.traceFiles != "" {
+			if err := copyLayerTraces(ctx, cfg, o.traceFiles, &topo.Layers[r], &topo.Layers[i]); err != nil {
+				span.End()
+				return layerError(&topo.Layers[i], err)
+			}
+		}
 		span.End()
 		out[i] = *cloneLayerResult(&out[r])
 		out[i].Layer = topo.Layers[i]
@@ -223,12 +209,15 @@ func shapeGroups(layers []Layer, dedupe bool) []int {
 	return rep
 }
 
-// forEachIndex runs fn(i) for every i in [0, n) on a pool of `workers`
-// goroutines (the caller's own when workers <= 1) and blocks until all
-// dispatched calls return. Cancelling ctx stops dispatching new indices; fn
-// is never called for the rest.
+// forEachIndex runs fn(i) for every i in [0, n) on a pool of at most
+// `workers` goroutines (GOMAXPROCS when workers <= 0; the caller's own when
+// that is 1) and blocks until all dispatched calls return. Cancelling ctx
+// stops dispatching new indices; fn is never called for the rest.
 func forEachIndex(ctx context.Context, n, workers int, fn func(int)) {
-	if workers <= 1 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, n); workers <= 1 {
 		// One worker needs no pool: a channel hand-off per index costs a
 		// goroutine wake-up each, more than a closed-form point itself.
 		for i := 0; i < n && ctx.Err() == nil; i++ {
@@ -294,7 +283,7 @@ func newStageContext(cfg *Config, o *options, l *Layer) *StageContext {
 
 // runLayer pushes one layer through the stage pipeline, consulting the
 // layer cache (when enabled) before doing any work and populating it
-// after.
+// after. Under WriteTraces it also writes the layer's trace files.
 func runLayer(ctx context.Context, cfg *Config, o *options, l *Layer, lc *layerCache, span *telemetry.Span) (*LayerResult, error) {
 	defer span.End()
 	var ckey simcache.Key
@@ -314,19 +303,32 @@ func runLayer(ctx context.Context, cfg *Config, o *options, l *Layer, lc *layerC
 		// stages key their sub-results on exactly what they read.
 		sc.cache = o.cache.c
 	}
-	for _, st := range o.stages {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sc.Span = span.Child(st.Name(), "stage")
-		err := st.Apply(ctx, sc, lr)
-		sc.Span.End()
-		if err != nil {
-			return nil, fmt.Errorf("%s stage: %w", st.Name(), err)
-		}
+	run := runStages
+	if o.traceFiles != "" {
+		run = runTracedStages
+	}
+	if err := run(ctx, o, sc, lr, span); err != nil {
+		return nil, err
 	}
 	if lc != nil {
 		lc.put(ckey, lr)
 	}
 	return lr, nil
+}
+
+// runStages applies the pipeline to one layer in order, checking for
+// cancellation before each stage.
+func runStages(ctx context.Context, o *options, sc *StageContext, lr *LayerResult, span *telemetry.Span) error {
+	for _, st := range o.stages {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		sc.Span = span.Child(st.Name(), "stage")
+		err := st.Apply(ctx, sc, lr)
+		sc.Span.End()
+		if err != nil {
+			return fmt.Errorf("%s stage: %w", st.Name(), err)
+		}
+	}
+	return nil
 }

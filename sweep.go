@@ -2,7 +2,6 @@ package scalesim
 
 import (
 	"context"
-	"runtime"
 	"sync"
 )
 
@@ -56,19 +55,11 @@ func Sweep(ctx context.Context, points []SweepPoint, opts ...Option) ([]SweepRes
 	if n == 0 {
 		return out, ctx.Err()
 	}
-	workers := o.parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
 	var (
 		mu   sync.Mutex // serializes progress callbacks across points
 		done int
 	)
-	forEachIndex(ctx, n, workers, func(i int) {
+	forEachIndex(ctx, n, o.parallelism, func(i int) {
 		p := &points[i]
 		out[i].Point = *p
 		out[i].Result, out[i].Err = runSweepPoint(ctx, &o, &mu, p)

@@ -10,11 +10,12 @@ import (
 
 	"scalesim/internal/dram"
 	"scalesim/internal/systolic"
+	"scalesim/internal/telemetry"
 	"scalesim/internal/trace"
 )
 
-// WriteTraces emits SCALE-Sim's cycle-accurate trace files for every layer
-// of the topology into dir:
+// WriteTraces runs the topology like Run and also emits SCALE-Sim's
+// cycle-accurate trace files for every layer into dir:
 //
 //	<layer>_sram_ifmap_read.csv   per-cycle ifmap SRAM read addresses
 //	<layer>_sram_filter_read.csv  per-cycle filter SRAM read addresses
@@ -28,94 +29,81 @@ import (
 // layer's file name would be empty, "." or "..", or when two layers map to
 // the same file name.
 //
-// The DRAM rows stream from the memory stage's event-driven replay, at any
-// fidelity, so memory use does not grow with trace length. Files can be
-// large: a layer with C compute cycles produces O(C) rows. WriteTraces
-// ignores any cache and WithStages. No trace byte depends on the layer
-// name, so each distinct layer shape is simulated once and a repeated
-// shape's files are byte copies of its first layer's.
-func (s *Simulator) WriteTraces(topo *Topology, dir string) error {
-	if err := s.cfg.Validate(); err != nil {
-		return err
+// The returned Result equals an uncached Run's with the same options, and
+// the traces describe the machine it reports: the SRAM rows follow the
+// dataflow the compute stage fixed (weight-stationary for sparse layers),
+// and the DRAM rows stream from the memory stage's event-driven replay, so
+// memory use does not grow with trace length. With the memory model on,
+// the Analytical fidelity has no replay to trace and is an error. Files
+// can be large: a layer with C compute cycles produces O(C) rows.
+//
+// WriteTraces never uses a cache (a cached layer has no replay to trace).
+// It runs the run's stage pipeline (WithStages): the DRAM trace holds what
+// the memory stage replays, only its header in a pipeline without one.
+// Like Run it simulates each distinct layer shape once, on the worker
+// pool, and stops between layers when ctx is cancelled; no trace byte
+// depends on the layer name, so a repeated shape's files are byte copies
+// of its first layer's.
+func (s *Simulator) WriteTraces(ctx context.Context, topo *Topology, dir string, opts ...Option) (*Result, error) {
+	o := s.opts
+	for _, opt := range opts {
+		opt(&o)
 	}
-	if err := topo.Validate(); err != nil {
-		return err
+	if s.cfg.Memory.Enabled && o.fidelity == Analytical {
+		return nil, fmt.Errorf("scalesim: traces with the memory model on need the event-driven replay; fidelity %q has none", Analytical)
 	}
-	bases, err := traceBases(topo)
-	if err != nil {
-		return err
+	if err := checkTraceNames(topo); err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return nil, err
 	}
-	rep := shapeGroups(topo.Layers, true)
-	for i, r := range rep {
-		base := filepath.Join(dir, bases[i])
-		if r == i {
-			err = s.writeLayerTraces(&topo.Layers[i], base)
-		} else {
-			err = s.copyLayerTraces(filepath.Join(dir, bases[r]), base)
-		}
-		if err != nil {
-			return fmt.Errorf("scalesim: traces for layer %q: %w", topo.Layers[i].Name, err)
-		}
-	}
-	return nil
+	opts = append(opts[:len(opts):len(opts)], WithCache(nil), func(o *options) { o.traceFiles = dir })
+	return s.Run(ctx, topo, opts...)
 }
 
-// traceBases returns each layer's trace file base name. A base that is
-// empty, "." or ".." would put the files beside or above the output
-// directory, and two layers sharing a base would overwrite each other's
-// files, so either is an error.
-func traceBases(topo *Topology) ([]string, error) {
-	bases := make([]string, len(topo.Layers))
+// checkTraceNames refuses a topology whose layer names cannot name trace
+// files: a base name that is empty, "." or ".." would put the files beside
+// or above the output directory, and two layers sharing a base would
+// overwrite each other's files.
+func checkTraceNames(topo *Topology) error {
 	first := make(map[string]int, len(topo.Layers))
 	for i := range topo.Layers {
 		b := sanitize(topo.Layers[i].Name)
 		switch b {
 		case "", ".", "..":
-			return nil, fmt.Errorf("scalesim: layer %d name %q cannot name trace files", i, topo.Layers[i].Name)
+			return fmt.Errorf("scalesim: layer %d name %q cannot name trace files", i, topo.Layers[i].Name)
 		}
 		if j, dup := first[b]; dup {
-			return nil, fmt.Errorf("scalesim: layers %d (%q) and %d (%q) would both write traces as %q",
+			return fmt.Errorf("scalesim: layers %d (%q) and %d (%q) would both write traces as %q",
 				j, topo.Layers[j].Name, i, topo.Layers[i].Name, b)
 		}
 		first[b] = i
-		bases[i] = b
 	}
-	return bases, nil
+	return nil
 }
 
-// writeLayerTraces traces the machine the reports describe: the compute
-// stage fixes the layer's effective dataflow (weight-stationary for sparse
-// layers) and the filter density, and the memory stage's replay emits the
-// DRAM rows.
-func (s *Simulator) writeLayerTraces(l *Layer, base string) (err error) {
-	sc := newStageContext(&s.cfg, &s.opts, l)
-	sc.Fidelity = EventDriven // only the replay has transactions to trace
-	lr := &LayerResult{Layer: *l}
-	if err := (computeStage{}).Apply(context.TODO(), sc, lr); err != nil {
+// runTracedStages runs the layer's stages with its DRAM trace attached to
+// the memory stage's replay, then writes its SRAM traces from the dataflow
+// and filter density the compute stage fixed.
+func runTracedStages(ctx context.Context, o *options, sc *StageContext, lr *LayerResult, span *telemetry.Span) (err error) {
+	base := filepath.Join(o.traceFiles, sanitize(sc.Layer.Name))
+	if sc.Config.Memory.Enabled {
+		f, cerr := os.Create(base + traceSuffixes[3])
+		if cerr != nil {
+			return cerr
+		}
+		defer closeFile(f, &err)
+		w := trace.NewDRAMWriter(f)
+		defer closeFile(w, &err)
+		sc.dramSink = func(r dram.Request) {
+			w.Record(trace.DRAMRecord{Cycle: r.Arrive, Addr: r.Addr, Write: r.Write, Latency: max(r.Done-r.Arrive, 0)})
+		}
+	}
+	if err := runStages(ctx, o, sc, lr, span); err != nil {
 		return err
 	}
-	if err := writeSRAMTraces(base, sc); err != nil {
-		return err
-	}
-	if !s.cfg.Memory.Enabled {
-		return nil
-	}
-	f, err := os.Create(base + traceSuffixes[3])
-	if err != nil {
-		return err
-	}
-	defer closeFile(f, &err)
-	w := trace.NewDRAMWriter(f)
-	sc.dramSink = func(r dram.Request) {
-		w.Record(trace.DRAMRecord{Cycle: r.Arrive, Addr: r.Addr, Write: r.Write, Latency: max(r.Done-r.Arrive, 0)})
-	}
-	if err := (memoryStage{}).Apply(context.TODO(), sc, lr); err != nil {
-		return err
-	}
-	return w.Close()
+	return writeSRAMTraces(base, sc)
 }
 
 // traceSuffixes names a layer's trace files: three SRAM traces, then the
@@ -124,18 +112,22 @@ var traceSuffixes = [4]string{
 	"_sram_ifmap_read.csv", "_sram_filter_read.csv", "_sram_ofmap_write.csv", "_dram_trace.csv",
 }
 
-// copyLayerTraces copies the trace files written under base from to base to.
-func (s *Simulator) copyLayerTraces(from, to string) error {
+// copyLayerTraces copies layer from's trace files under dir to layer to's.
+func copyLayerTraces(ctx context.Context, cfg *Config, dir string, from, to *Layer) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	n := 3
-	if s.cfg.Memory.Enabled {
+	if cfg.Memory.Enabled {
 		n = 4
 	}
+	src, dst := filepath.Join(dir, sanitize(from.Name)), filepath.Join(dir, sanitize(to.Name))
 	for _, suffix := range traceSuffixes[:n] {
-		in, err := os.Open(from + suffix)
+		in, err := os.Open(src + suffix)
 		if err != nil {
 			return err
 		}
-		out, err := os.Create(to + suffix)
+		out, err := os.Create(dst + suffix)
 		if err == nil {
 			_, err = io.Copy(out, in)
 			closeFile(out, &err)
@@ -157,30 +149,23 @@ func writeSRAMTraces(base string, sc *StageContext) (err error) {
 		}
 		defer closeFile(f, &err)
 		w[i] = trace.NewSRAMWriter(f)
+		defer closeFile(w[i], &err)
 	}
-	err = systolic.Stream(sc.Dataflow, sc.Rows, sc.Cols,
+	return systolic.Stream(sc.Dataflow, sc.Rows, sc.Cols,
 		systolic.Gemm{M: sc.M, N: sc.N, K: sc.K}, func(d *systolic.Demand) bool {
 			w[0].Row(d.Cycle, d.IfmapReads)
 			w[1].Row(d.Cycle, d.FilterReads)
 			w[2].Row(d.Cycle, d.OfmapWrites)
 			return true
 		})
-	if err != nil {
-		return err
-	}
-	for _, wr := range w {
-		if err := wr.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// closeFile closes f and, on the success path, reports its error in *err:
-// a write error that surfaces only at close would otherwise leave a
-// truncated trace behind a nil return.
-func closeFile(f *os.File, err *error) {
-	if cerr := f.Close(); *err == nil {
+// closeFile closes c (a file, or a trace writer, which flushes) and, on
+// the success path, reports its error in *err: a write error that surfaces
+// only at close would otherwise leave a truncated trace behind a nil
+// return.
+func closeFile(c io.Closer, err *error) {
+	if cerr := c.Close(); *err == nil {
 		*err = cerr
 	}
 }

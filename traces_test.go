@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,7 +24,7 @@ func TestWriteTraces(t *testing.T) {
 	topo := &Topology{Name: "tiny", Layers: []Layer{
 		{Name: "G0", Kind: 1 /* GEMM */, M: 24, N: 16, K: 32},
 	}}
-	if err := New(cfg).WriteTraces(topo, dir); err != nil {
+	if _, err := New(cfg).WriteTraces(context.Background(), topo, dir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,7 +95,7 @@ func TestWriteTracesRejectsUnsafeNames(t *testing.T) {
 			topo.Layers = append(topo.Layers, Layer{Name: n, Kind: GEMM, M: 8, N: 8, K: 8})
 		}
 		root := t.TempDir()
-		err := New(cfg).WriteTraces(topo, filepath.Join(root, "x", "out"))
+		_, err := New(cfg).WriteTraces(context.Background(), topo, filepath.Join(root, "x", "out"))
 		if err == nil {
 			t.Errorf("names %q: WriteTraces succeeded", names)
 		}
@@ -118,7 +120,7 @@ func TestDRAMTraceQueueDepth(t *testing.T) {
 		cfg.Memory.Enabled = true
 		cfg.Memory.ReadQueueDepth, cfg.Memory.WriteQueueDepth = read, write
 		dir := t.TempDir()
-		if err := New(cfg).WriteTraces(topo, dir); err != nil {
+		if _, err := New(cfg).WriteTraces(context.Background(), topo, dir); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, "G0_dram_trace.csv"))
@@ -158,7 +160,7 @@ func TestDRAMTraceRowsMatchMemoryRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
-		if err := New(cfg).WriteTraces(topo, dir); err != nil {
+		if _, err := New(cfg).WriteTraces(context.Background(), topo, dir); err != nil {
 			t.Fatal(err)
 		}
 		for _, lr := range res.Layers {
@@ -292,7 +294,7 @@ func TestWriteTracesGolden(t *testing.T) {
 		cfg.Memory.Enabled = true
 		cfg.Sparsity.Enabled = true
 		dir := t.TempDir()
-		if err := New(cfg).WriteTraces(topo, dir); err != nil {
+		if _, err := New(cfg).WriteTraces(context.Background(), topo, dir); err != nil {
 			t.Fatal(err)
 		}
 		entries, err := os.ReadDir(dir)
@@ -316,5 +318,146 @@ func TestWriteTracesGolden(t *testing.T) {
 		if _, ok := got[name]; !ok {
 			t.Errorf("%s: not written", name)
 		}
+	}
+}
+
+// tracedTopology repeats two of its four distinct shapes, one of them a
+// 2:4-sparse layer, under other names.
+func tracedTopology() *Topology {
+	conv := Layer{Name: "conv", Kind: Conv, IfmapH: 14, IfmapW: 14, FilterH: 3, FilterW: 3, Channels: 16, NumFilters: 24, Stride: 1}
+	convAgain := conv
+	convAgain.Name = "conv_again"
+	return &Topology{Name: "traced", Layers: []Layer{
+		{Name: "dense", Kind: GEMM, M: 96, N: 80, K: 200},
+		conv,
+		{Name: "sparse", Kind: GEMM, M: 96, N: 80, K: 200, Sparsity: Sparsity{N: 2, M: 4}},
+		{Name: "dense_again", Kind: GEMM, M: 96, N: 80, K: 200},
+		convAgain,
+		{Name: "small", Kind: GEMM, M: 40, N: 24, K: 56},
+	}}
+}
+
+func tracedConfig() Config {
+	cfg := DefaultConfig()
+	cfg.ArrayRows, cfg.ArrayCols = 16, 16
+	cfg.Memory.Enabled = true
+	cfg.Layout.Enabled = true
+	cfg.Energy.Enabled = true
+	cfg.Sparsity.Enabled = true
+	return cfg
+}
+
+// TestWriteTracesMatchesRun: WriteTraces is a Run that also writes files,
+// so its Result equals an uncached event-driven Run's, at any parallelism,
+// and a repeated shape's files are its first layer's.
+func TestWriteTracesMatchesRun(t *testing.T) {
+	cfg, topo := tracedConfig(), tracedTopology()
+	for _, par := range []int{1, 4} {
+		want, err := New(cfg).Run(context.Background(), topo, WithParallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		got, err := New(cfg, WithCache(NewCache(0, 0))).WriteTraces(context.Background(), topo, dir, WithParallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d: WriteTraces' Result differs from Run's", par)
+		}
+		for _, pair := range [][2]string{{"dense", "dense_again"}, {"conv", "conv_again"}} {
+			for _, suffix := range traceSuffixes {
+				a, errA := os.ReadFile(filepath.Join(dir, pair[0]+suffix))
+				b, errB := os.ReadFile(filepath.Join(dir, pair[1]+suffix))
+				if errA != nil || errB != nil || !bytes.Equal(a, b) {
+					t.Errorf("parallelism %d: %s%s differs from %s's (%v, %v)", par, pair[1], suffix, pair[0], errA, errB)
+				}
+			}
+		}
+	}
+}
+
+// TestWriteTracesSimulatesEachShapeOnce counts the memory replay's spans:
+// one sram.Simulate (one "sram.stream" phase) and one memory stage per
+// distinct layer shape, none for a repeat.
+func TestWriteTracesSimulatesEachShapeOnce(t *testing.T) {
+	res, err := New(tracedConfig()).WriteTraces(context.Background(), tracedTopology(), t.TempDir(), WithTrace(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streams, memory int
+	for _, s := range res.Spans() {
+		switch {
+		case s.Cat == "phase" && s.Name == "sram.stream":
+			streams++
+		case s.Cat == "stage" && s.Name == "memory":
+			memory++
+		}
+	}
+	if streams != 4 || memory != 4 {
+		t.Errorf("%d sram.stream phases and %d memory stages, want 4 each (one per distinct shape)", streams, memory)
+	}
+}
+
+// TestWriteTracesStopsOnCancel: a context cancelled after the first layer
+// stops WriteTraces before the next one, which writes no file.
+func TestWriteTracesStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dir := t.TempDir()
+	_, err := New(tracedConfig()).WriteTraces(ctx, tracedTopology(), dir,
+		WithParallelism(1), WithProgress(func(LayerProgress) { cancel() }))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("WriteTraces after cancel: %v, want context.Canceled", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), "dense_") || strings.HasPrefix(e.Name(), "dense_again") {
+			t.Errorf("wrote %s after the run was cancelled", e.Name())
+		}
+	}
+	if len(entries) != 4 {
+		t.Errorf("wrote %d files, want the first layer's 4", len(entries))
+	}
+}
+
+// TestWriteTracesFidelity: with the memory model on, Analytical has no
+// replay to trace and is refused before anything is written; with it off
+// the tiers agree and both write the same SRAM traces.
+func TestWriteTracesFidelity(t *testing.T) {
+	topo := &Topology{Name: "tiny", Layers: []Layer{{Name: "G0", Kind: GEMM, M: 24, N: 16, K: 32}}}
+	cfg := DefaultConfig()
+	cfg.ArrayRows, cfg.ArrayCols = 8, 8
+	cfg.Memory.Enabled = true
+	dir := filepath.Join(t.TempDir(), "out")
+	_, err := New(cfg, WithFidelity(Analytical)).WriteTraces(context.Background(), topo, dir)
+	if err == nil || !strings.Contains(err.Error(), `fidelity "analytical"`) {
+		t.Errorf("memory on, Analytical: %v; want an error naming the fidelity", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("refused WriteTraces created its directory: %v", err)
+	}
+
+	cfg.Memory.Enabled = false
+	trees := map[Fidelity]map[string][]byte{}
+	for _, fid := range []Fidelity{EventDriven, Analytical} {
+		dir := t.TempDir()
+		if _, err := New(cfg).WriteTraces(context.Background(), topo, dir, WithFidelity(fid)); err != nil {
+			t.Fatalf("memory off, %v: %v", fid, err)
+		}
+		trees[fid] = map[string][]byte{}
+		for _, suffix := range traceSuffixes[:3] {
+			data, err := os.ReadFile(filepath.Join(dir, "G0"+suffix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			trees[fid][suffix] = data
+		}
+	}
+	if !reflect.DeepEqual(trees[EventDriven], trees[Analytical]) {
+		t.Error("memory off: Analytical and EventDriven traces differ")
 	}
 }
