@@ -218,28 +218,29 @@ func BenchmarkLayoutNaiveVsOptimized(b *testing.B) {
 }
 
 // BenchmarkDemandStream measures the production demand-summary path: the
-// closed-form fold schedule's ScheduleStats, which replaced per-cycle
-// enumeration for dense layers. The retained per-cycle generator is
-// BenchmarkDemandStreamOracle.
+// closed-form fold schedule's Stats, which replaced per-cycle enumeration
+// for dense layers. The per-cycle stream is BenchmarkDemandStreamOracle.
 func BenchmarkDemandStream(b *testing.B) {
 	g := systolic.Gemm{M: 512, N: 512, K: 512}
 	for _, df := range config.Dataflows() {
 		b.Run(df.String(), func(b *testing.B) {
 			var sink int64
 			for i := 0; i < b.N; i++ {
-				st, err := systolic.ScheduleStats(df, 32, 32, g)
+				fs, err := systolic.NewFoldSchedule(df, 32, 32, g)
 				if err != nil {
 					b.Fatal(err)
 				}
-				sink += st.IfmapReads
+				sink += fs.Stats().IfmapReads
 			}
 			_ = sink
 		})
 	}
 }
 
-// BenchmarkDemandStreamOracle measures the retained cycle-accurate demand
-// generator — the differential-test oracle behind the closed-form path.
+// BenchmarkDemandStreamOracle measures the production per-cycle demand
+// stream (systolic.Stream: the fold schedule's Materialize) that the SRAM
+// trace writer and Table IV's baseline drive. Its name is kept so
+// results/BENCH_* pairs taken across commits measure the same call.
 func BenchmarkDemandStreamOracle(b *testing.B) {
 	g := systolic.Gemm{M: 512, N: 512, K: 512}
 	for _, df := range config.Dataflows() {

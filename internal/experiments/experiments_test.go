@@ -348,3 +348,45 @@ func TestTable4OverheadsPositive(t *testing.T) {
 		}
 	}
 }
+
+// TestPaperScorecard scores every paper number the code cites: the
+// abstract's 32²→128² ViT-base pair (Table V's runs, memory on) and the
+// five Table VI ratios. It logs all seven and pins each relative error at
+// its measured size, so a model change that moves any of them fails here,
+// naming the number it moved. A change that improves one re-measures the
+// table; it never loosens the tolerance.
+func TestPaperScorecard(t *testing.T) {
+	p := QuickTable5()
+	p.WithMemory = true
+	rows, err := RunTable5(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	latency, energy := Table5Scaling(rows, "vit_base")
+	t6, err := RunTable6(QuickTable6())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tolerance = 0.01
+	for _, n := range []struct {
+		name, orientation, source string
+		paper, model              float64
+		relErr                    float64 // measured relative error
+	}{
+		{"abstract, latency 32²→128²", "cycles(32²) / cycles(128²)", "table5 -memory", 6.53, latency, 0.296},
+		{"abstract, energy 32²→128²", "energy(128²) / energy(32²)", "table5 -memory", 2.86, energy, 0.007},
+		{"Table VI single 128², latency", "cycles(WS) / cycles(IS)", "table6", 1.87, t6.SingleLatencyRatioWSIS, 0.062},
+		{"Table VI single 128², energy", "energy(IS) / energy(WS)", "table6", 0.71, t6.SingleEnergyRatioWSIS, 0.033},
+		{"Table VI 16×32², latency", "cycles(WS) / cycles(IS)", "table6", 1.14, t6.MultiLatencyRatioWSIS, 0.028},
+		{"Table VI 16×32², energy", "energy(IS) / energy(WS)", "table6", 0.70, t6.MultiEnergyRatioWSIS, 0.492},
+		{"Table VI 16×32², EdP", "EdP(WS) / EdP(IS)", "table6", 1.31, t6.MultiEdPRatioISWS, 0.190},
+	} {
+		relErr := math.Abs(n.model-n.paper) / n.paper
+		t.Logf("%-30s %-27s %-14s paper %.3f model %.3f rel err %.3f",
+			n.name, n.orientation, n.source, n.paper, n.model, relErr)
+		if math.Abs(relErr-n.relErr) > tolerance {
+			t.Errorf("%s: relative error %.3f moved from its measured %.3f (model %.3f, paper %.3f)",
+				n.name, relErr, n.relErr, n.model, n.paper)
+		}
+	}
+}

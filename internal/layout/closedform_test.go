@@ -46,7 +46,7 @@ func replayTriple(t testing.TB, c simtest.Case, lc layout.Config, natural bool) 
 		ifmapT, filterT, ofmapT = layout.NaturalTransforms(c.Dataflow, c.G.M, c.G.N, c.G.K)
 	}
 	var ifBuf, flBuf, ofBuf []int64
-	err := systolic.Stream(c.Dataflow, c.R, c.C, c.G, func(d *systolic.Demand) bool {
+	err := simtest.Stream(c.Dataflow, c.R, c.C, c.G, func(d *systolic.Demand) bool {
 		ifBuf = layout.ApplyTransform(ifBuf[:0], d.IfmapReads, systolic.IfmapBase, ifmapT)
 		flBuf = layout.ApplyTransform(flBuf[:0], d.FilterReads, systolic.FilterBase, filterT)
 		ofBuf = layout.ApplyTransform(ofBuf[:0], d.OfmapWrites, systolic.OfmapBase, ofmapT)

@@ -1,14 +1,17 @@
 // Package simtest is the shared differential-oracle test harness: a
 // deterministic dataflow × array-size × GEMM-shape case grid plus a seeded
-// randomized generator, and emission-capture helpers for comparing the
-// closed-form fold schedule against the retained per-cycle demand stream.
+// randomized generator, the per-cycle demand oracle (Stream, a hand-written
+// fold-by-fold generator independent of the closed form) and
+// emission-capture helpers for comparing the closed-form fold schedule
+// against it.
 //
-// The harness is consumed by the systolic, layout and sram test suites so
-// every analytical fast path in the repo is proven against the same oracle
-// inputs: systolic's FoldSchedule vs Stream, layout's closed-form
-// bank-conflict analysis vs the per-cycle replay, and sram's fold-level
-// schedule invariants. It deliberately imports only config and systolic —
-// packages under test import it from their test files without cycles.
+// The harness is consumed by the systolic, layout, sram and root-package
+// test suites, so every analytical fast path in the repo is proven
+// against the same oracle: systolic's FoldSchedule.Materialize and Stats vs
+// Stream, layout's closed-form bank-conflict analysis vs the per-cycle
+// replay of Stream, and sram's fold-level schedule invariants. It
+// deliberately imports only config and systolic — packages under test
+// import it from their test files without cycles.
 package simtest
 
 import (
@@ -90,6 +93,190 @@ func RandomCases(seed int64, n int) []Case {
 	return cases
 }
 
+// Stream is the per-cycle oracle of systolic.FoldSchedule.Materialize: a
+// hand-written generator of the cycle-accurate demand trace of the GEMM on
+// an R×C array under the dataflow, invoking fn once per cycle that has at
+// least one access. Cycles advance fold by fold; the stream's last cycle is
+// exactly systolic.Estimate(...).ComputeCycles − 1. The phases of a fold
+// are those Materialize documents.
+func Stream(df config.Dataflow, r, c int, g systolic.Gemm, fn systolic.DemandFunc) error {
+	if r <= 0 || c <= 0 {
+		return fmt.Errorf("systolic: non-positive array %dx%d", r, c)
+	}
+	if g.M <= 0 || g.N <= 0 || g.K <= 0 {
+		return fmt.Errorf("systolic: non-positive GEMM %+v", g)
+	}
+	mp := systolic.MappingFor(df, g.M, g.N, g.K)
+	fr := systolic.CeilDiv(mp.Sr, r)
+	fc := systolic.CeilDiv(mp.Sc, c)
+	perFold := systolic.FoldCycles(r, c, mp.T)
+
+	d := new(systolic.Demand)
+	base := int64(0)
+	for i := 0; i < fr; i++ {
+		tileR := min(r, mp.Sr-i*r)
+		for j := 0; j < fc; j++ {
+			tileC := min(c, mp.Sc-j*c)
+			if !streamFold(df, r, c, g, i, j, tileR, tileC, mp.T, base, perFold, d, fn) {
+				return nil
+			}
+			base += perFold
+		}
+	}
+	return nil
+}
+
+// streamFold emits one fold. Returns false if the consumer stopped.
+func streamFold(df config.Dataflow, r, c int, g systolic.Gemm, fr, fc, tileR, tileC, t int,
+	base, perFold int64, d *systolic.Demand, fn systolic.DemandFunc) bool {
+
+	rowOff := fr * r // offset along Sr
+	colOff := fc * c // offset along Sc
+
+	emit := func() bool {
+		if d.Total() == 0 {
+			return true
+		}
+		return fn(d)
+	}
+
+	// Phase 1: stationary fill, cycles base .. base+R-1 (row i fills at
+	// base+i). OS has no stationary operand to read.
+	if df != config.OutputStationary {
+		for i := 0; i < tileR; i++ {
+			reset(d, base+int64(i))
+			for j := 0; j < tileC; j++ {
+				switch df {
+				case config.WeightStationary:
+					// B[k=rowOff+i, n=colOff+j]
+					d.FilterReads = append(d.FilterReads,
+						systolic.FilterBase+int64(rowOff+i)*int64(g.N)+int64(colOff+j))
+				case config.InputStationary:
+					// A[m=colOff+j, k=rowOff+i]
+					d.IfmapReads = append(d.IfmapReads,
+						systolic.IfmapBase+int64(colOff+j)*int64(g.K)+int64(rowOff+i))
+				}
+			}
+			if !emit() {
+				return false
+			}
+		}
+	}
+
+	// Phase 2: streaming, cycles base+R .. base+R+T-1, plus output drain.
+	streamBase := base + int64(r)
+	// Outputs of WS/IS exit the column bottoms after the psums traverse
+	// the full array depth (unused rows still forward), skewed across the
+	// columns. We emit them drainLat cycles after their feeding stream
+	// cycle, clamped inside the fold; the final batch lands exactly on
+	// the fold's last cycle, matching the closed-form 2R+C+T−2.
+	drainLat := int64(r + c - 1)
+	for step := 0; step < t; step++ {
+		cycle := streamBase + int64(step)
+		reset(d, cycle)
+		switch df {
+		case config.OutputStationary:
+			// Row r streams A[m=rowOff+r, k=step]; col c streams
+			// B[k=step, n=colOff+c].
+			for i := 0; i < tileR; i++ {
+				d.IfmapReads = append(d.IfmapReads,
+					systolic.IfmapBase+int64(rowOff+i)*int64(g.K)+int64(step))
+			}
+			for j := 0; j < tileC; j++ {
+				d.FilterReads = append(d.FilterReads,
+					systolic.FilterBase+int64(step)*int64(g.N)+int64(colOff+j))
+			}
+		case config.WeightStationary:
+			// Row k streams A[m=step, k=rowOff+i].
+			for i := 0; i < tileR; i++ {
+				d.IfmapReads = append(d.IfmapReads,
+					systolic.IfmapBase+int64(step)*int64(g.K)+int64(rowOff+i))
+			}
+		case config.InputStationary:
+			// Row k streams B[k=rowOff+i, n=step].
+			for i := 0; i < tileR; i++ {
+				d.FilterReads = append(d.FilterReads,
+					systolic.FilterBase+int64(rowOff+i)*int64(g.N)+int64(step))
+			}
+		}
+		if !emit() {
+			return false
+		}
+
+		// Output emission for WS/IS: the results fed by stream step
+		// exit at step+drainLat; interleave here so cycles stay ordered
+		// when drainLat keeps them within the fold.
+		if df != config.OutputStationary {
+			outCycle := streamBase + int64(step) + drainLat
+			if outCycle > base+perFold-1 {
+				outCycle = base + perFold - 1
+			}
+			reset(d, outCycle)
+			for j := 0; j < tileC; j++ {
+				var addr int64
+				if df == config.WeightStationary {
+					// O[m=step, n=colOff+j]
+					addr = systolic.OfmapBase + int64(step)*int64(g.N) + int64(colOff+j)
+				} else {
+					// O[m=colOff+j, n=step]
+					addr = systolic.OfmapBase + int64(colOff+j)*int64(g.N) + int64(step)
+				}
+				d.OfmapWrites = append(d.OfmapWrites, addr)
+				if fr > 0 { // partial-sum read-back for non-first K folds
+					d.OfmapReads = append(d.OfmapReads, addr)
+				}
+			}
+			if !emit() {
+				return false
+			}
+		}
+	}
+
+	// Phase 3: OS drains the output tile during the last tileR cycles.
+	if df == config.OutputStationary {
+		drainStart := base + perFold - int64(tileR)
+		for i := 0; i < tileR; i++ {
+			reset(d, drainStart+int64(i))
+			for j := 0; j < tileC; j++ {
+				d.OfmapWrites = append(d.OfmapWrites,
+					systolic.OfmapBase+int64(rowOff+i)*int64(g.N)+int64(colOff+j))
+			}
+			if !emit() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func reset(d *systolic.Demand, cycle int64) {
+	d.Cycle = cycle
+	d.IfmapReads = d.IfmapReads[:0]
+	d.FilterReads = d.FilterReads[:0]
+	d.OfmapWrites = d.OfmapWrites[:0]
+	d.OfmapReads = d.OfmapReads[:0]
+}
+
+// CollectStats runs the oracle Stream and tallies the demand volume: the
+// per-cycle counterpart of systolic.FoldSchedule.Stats.
+func CollectStats(df config.Dataflow, r, c int, g systolic.Gemm) (systolic.StreamStats, error) {
+	var st systolic.StreamStats
+	err := Stream(df, r, c, g, func(d *systolic.Demand) bool {
+		if d.Cycle+1 > st.Cycles {
+			st.Cycles = d.Cycle + 1
+		}
+		st.IfmapReads += int64(len(d.IfmapReads))
+		st.FilterReads += int64(len(d.FilterReads))
+		st.OfmapWrites += int64(len(d.OfmapWrites))
+		st.OfmapReads += int64(len(d.OfmapReads))
+		if d.Total() > st.PeakPerCycle {
+			st.PeakPerCycle = d.Total()
+		}
+		return true
+	})
+	return st, err
+}
+
 // Emission is one captured demand callback: the cycle and a copy of every
 // channel's addresses in emission order.
 type Emission struct {
@@ -121,7 +308,7 @@ func capture(d *systolic.Demand) Emission {
 // StreamEmissions runs the per-cycle oracle and captures every emission.
 func StreamEmissions(c Case) ([]Emission, error) {
 	var out []Emission
-	err := systolic.Stream(c.Dataflow, c.R, c.C, c.G, func(d *systolic.Demand) bool {
+	err := Stream(c.Dataflow, c.R, c.C, c.G, func(d *systolic.Demand) bool {
 		out = append(out, capture(d))
 		return true
 	})

@@ -214,3 +214,25 @@ func TestEstimateBoundsSimulateRandomized(t *testing.T) {
 		})
 	}
 }
+
+// TestEstimateGemmAllocsIndependentOfFolds pins EstimateGemm, which the
+// Analytical memory stage runs per layer and Explore's screen per
+// candidate, to a constant two allocations (the result and the fold storage
+// the visitor sees): the fold walk keeps its fold schedule on the stack and
+// stores nothing per fold, at 1024 folds as at 16.
+func TestEstimateGemmAllocsIndependentOfFolds(t *testing.T) {
+	tech := dram.DDR4_2400()
+	g := systolic.Gemm{M: 128, N: 128, K: 256}
+	for _, df := range config.Dataflows() {
+		for _, arr := range []int{4, 32} {
+			n := testing.AllocsPerRun(20, func() {
+				if _, err := EstimateGemm(df, arr, arr, g, ScheduleOptions{FilterRatio: 0.5}, tech, 2, Options{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n != 2 {
+				t.Errorf("%v %dx%d: EstimateGemm allocates %v per call, want 2", df, arr, arr, n)
+			}
+		}
+	}
+}

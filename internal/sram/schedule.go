@@ -143,11 +143,12 @@ func BuildSchedule(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleO
 	return sched, nil
 }
 
-// walkFolds is the one place the fold geometry lives. It calls visit for
-// every fold of the GEMM in schedule order (row folds outer, column folds
-// inner), handing it the same Fold each time: the fold and its span slices
-// are overwritten by the next step, so a visitor that keeps anything must
-// copy it (BuildSchedule does; the Analytical estimate only accumulates).
+// walkFolds gives each fold of the GEMM's fold schedule its memory view. It
+// calls visit for every fold in schedule order (row folds outer, column
+// folds inner), handing it the same Fold each time: the fold and its span
+// slices are overwritten by the next step, so a visitor that keeps anything
+// must copy it (BuildSchedule does; the Analytical estimate only
+// accumulates).
 func walkFolds(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleOptions, visit func(*Fold)) error {
 	if r <= 0 || c <= 0 || g.M <= 0 || g.N <= 0 || g.K <= 0 {
 		return fmt.Errorf("sram: invalid schedule request r=%d c=%d g=%+v", r, c, g)
@@ -160,20 +161,14 @@ func walkFolds(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleOptio
 	if kEff < 1 {
 		kEff = 1
 	}
-	mp := systolic.MappingFor(df, g.M, g.N, g.K)
-	srEff := mp.Sr
-	// Sparsity compresses the contraction dimension, which maps onto the
-	// array rows for WS/IS and onto time for OS.
-	tEff := mp.T
-	switch df {
-	case config.WeightStationary, config.InputStationary:
-		srEff = kEff
-	case config.OutputStationary:
-		tEff = kEff
+	// The folds tile the compressed GEMM: sparsity shrinks the contraction
+	// dimension, which maps onto the array rows for WS/IS and onto time
+	// for OS.
+	fs, err := systolic.NewFoldSchedule(df, r, c, systolic.Gemm{M: g.M, N: g.N, K: kEff})
+	if err != nil {
+		return err
 	}
-	fr := systolic.CeilDiv(srEff, r)
-	fc := systolic.CeilDiv(mp.Sc, c)
-	perFold := systolic.FoldCycles(r, c, tEff)
+	fr := fs.FoldsR
 	M, N, K := int64(g.M), int64(g.N), int64(g.K)
 
 	// Reuse analysis: decide which operand slices stay resident across
@@ -208,14 +203,13 @@ func walkFolds(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleOptio
 		spans [4]Span
 	}
 	f := &st.fold
-	f.ComputeCycles = perFold
-	f.StreamCycles = int64(tEff)
+	f.ComputeCycles = fs.PerFold
+	f.StreamCycles = int64(fs.Map.T)
 
 	// When the filter is compressed, the folds tile the compressed
 	// contraction dimension, but the dense ifmap words backing each fold
 	// must still be fetched: denseK words of ifmap per compressed fold row.
 	for i := 0; i < fr; i++ {
-		tileR := int64(minInt(r, srEff-i*r))
 		rowOff := int64(i * r)
 		// Dense contraction slice backing this compressed fold.
 		denseLo := int64(i) * K / int64(fr)
@@ -224,8 +218,9 @@ func walkFolds(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleOptio
 		if denseTile < 1 {
 			denseTile = 1
 		}
-		for j := 0; j < fc; j++ {
-			tileC := int64(minInt(c, mp.Sc-j*c))
+		for j := 0; j < fs.FoldsC; j++ {
+			tR, tC := fs.Tile(i, j)
+			tileR, tileC := int64(tR), int64(tC)
 			colOff := int64(j * c)
 			f.Stationary = st.spans[0:0:1]
 			f.Stream = st.spans[1:1:3]
@@ -274,18 +269,11 @@ func walkFolds(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleOptio
 			}
 			// Pace consumption to the fetched volume over the
 			// streaming phase.
-			f.ConsumeRate = ceil64(f.StreamWords(), int64(tEff))
+			f.ConsumeRate = ceil64(f.StreamWords(), f.StreamCycles)
 			visit(f)
 		}
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func ceil64(a, b int64) int64 {

@@ -2,6 +2,7 @@ package systolic
 
 import (
 	"fmt"
+	"slices"
 
 	"scalesim/internal/config"
 )
@@ -122,23 +123,11 @@ func (p *Pattern) Volume() int64 {
 	return int64(p.Steps) * int64(p.Count)
 }
 
-// AddrRange returns the inclusive absolute address range the pattern
-// touches. The coordinate coefficients are non-negative, so the extremes are
-// the first element of the first step and the last element of the last step.
-func (p *Pattern) AddrRange(g Gemm) (lo, hi int64) {
-	if p.Steps == 0 || p.Count == 0 {
-		return 0, -1
-	}
-	return p.Addr(0, 0, g), p.Addr(p.Count-1, p.Steps-1, g)
-}
-
 // FoldInfo is the closed-form description of one fold: placement, tile
 // dims, cycle span and per-operand access patterns in emission order.
 type FoldInfo struct {
 	// Index is the fold's linear position (row-major over FoldsR×FoldsC).
 	Index int
-	// FoldR, FoldC are the fold's row/column indices.
-	FoldR, FoldC int
 	// TileR, TileC are the live tile dims on the array.
 	TileR, TileC int
 	// StartCycle is the fold's first cycle; the fold spans Cycles cycles.
@@ -150,8 +139,8 @@ type FoldInfo struct {
 	Patterns []Pattern
 }
 
-// Volumes tallies the fold's element demand per channel, matching the
-// per-cycle stream's CollectStats accounting.
+// Volumes tallies the fold's element demand per channel, counting a
+// read-back output group once as writes and once as reads.
 func (f *FoldInfo) Volumes() (ifmapReads, filterReads, ofmapWrites, ofmapReads int64) {
 	for i := range f.Patterns {
 		p := &f.Patterns[i]
@@ -171,10 +160,10 @@ func (f *FoldInfo) Volumes() (ifmapReads, filterReads, ofmapWrites, ofmapReads i
 }
 
 // FoldSchedule is the closed-form demand schedule of a GEMM on an R×C array:
-// the same folds, cycles and addresses Stream enumerates, derived
-// analytically in O(folds) instead of O(cycles × elements). Stream is
-// retained as the differential-test oracle; Materialize reproduces its
-// emission sequence exactly.
+// its folds, cycles and address patterns, derived in O(folds) instead of
+// O(cycles × elements). It is the one fold walk: Stats, the layout stage
+// and the memory schedule read it, and Materialize expands it into the
+// per-cycle demand behind the SRAM traces.
 type FoldSchedule struct {
 	Dataflow config.Dataflow
 	R, C     int
@@ -187,20 +176,31 @@ type FoldSchedule struct {
 }
 
 // NewFoldSchedule validates the request and computes the fold decomposition.
-func NewFoldSchedule(df config.Dataflow, r, c int, g Gemm) (*FoldSchedule, error) {
+// It stays small enough to inline, so a caller that does not keep the
+// schedule (the memory fold walk) holds it on its stack.
+func NewFoldSchedule(df config.Dataflow, r, c int, g Gemm) (s *FoldSchedule, err error) {
+	s = new(FoldSchedule)
+	if err = s.set(df, r, c, g); err != nil {
+		s = nil
+	}
+	return s, err
+}
+
+func (s *FoldSchedule) set(df config.Dataflow, r, c int, g Gemm) error {
 	if r <= 0 || c <= 0 {
-		return nil, fmt.Errorf("systolic: non-positive array %dx%d", r, c)
+		return fmt.Errorf("systolic: non-positive array %dx%d", r, c)
 	}
 	if g.M <= 0 || g.N <= 0 || g.K <= 0 {
-		return nil, fmt.Errorf("systolic: non-positive GEMM %+v", g)
+		return fmt.Errorf("systolic: non-positive GEMM %+v", g)
 	}
 	mp := MappingFor(df, g.M, g.N, g.K)
-	return &FoldSchedule{
+	*s = FoldSchedule{
 		Dataflow: df, R: r, C: c, G: g, Map: mp,
 		FoldsR:  CeilDiv(mp.Sr, r),
 		FoldsC:  CeilDiv(mp.Sc, c),
 		PerFold: FoldCycles(r, c, mp.T),
-	}, nil
+	}
+	return nil
 }
 
 // NumFolds is the fold count (FoldsR × FoldsC).
@@ -212,13 +212,18 @@ func (s *FoldSchedule) TotalCycles() int64 {
 	return s.PerFold * int64(s.NumFolds())
 }
 
+// Tile returns the live tile dims of fold (i, j): the array, clipped by the
+// mapping's extent on the last row and column folds.
+func (s *FoldSchedule) Tile(i, j int) (tileR, tileC int) {
+	return min(s.R, s.Map.Sr-i*s.R), min(s.C, s.Map.Sc-j*s.C)
+}
+
 // Fold fills f with fold idx's closed-form description, reusing
 // f.Patterns' backing array.
 func (s *FoldSchedule) Fold(idx int, f *FoldInfo) {
 	i := idx / s.FoldsC
 	j := idx % s.FoldsC
-	tileR := min(s.R, s.Map.Sr-i*s.R)
-	tileC := min(s.C, s.Map.Sc-j*s.C)
+	tileR, tileC := s.Tile(i, j)
 	base := int64(idx) * s.PerFold
 	rowOff := i * s.R
 	colOff := j * s.C
@@ -226,7 +231,6 @@ func (s *FoldSchedule) Fold(idx int, f *FoldInfo) {
 	foldEnd := base + s.PerFold - 1
 
 	f.Index = idx
-	f.FoldR, f.FoldC = i, j
 	f.TileR, f.TileC = tileR, tileC
 	f.StartCycle = base
 	f.Cycles = s.PerFold
@@ -302,9 +306,9 @@ func (s *FoldSchedule) ForEachFold(fn func(*FoldInfo) bool) {
 	}
 }
 
-// Stats tallies the schedule's demand closed-form. The result is identical
-// to CollectStats' per-cycle accounting — the differential tests hold the
-// two byte-equal across the dataflow × shape grid.
+// Stats tallies the schedule's demand closed-form. The differential tests
+// hold it equal to a tally of the per-cycle oracle's emissions
+// (simtest.CollectStats) across the dataflow × shape grid.
 func (s *FoldSchedule) Stats() StreamStats {
 	st := StreamStats{Cycles: s.TotalCycles()}
 	s.ForEachFold(func(f *FoldInfo) bool {
@@ -313,7 +317,7 @@ func (s *FoldSchedule) Stats() StreamStats {
 		st.FilterReads += fr
 		st.OfmapWrites += ow
 		st.OfmapReads += or
-		// Peak is per emission, matching CollectStats: fill and drain
+		// Peak is per emission, as Materialize emits: fill and drain
 		// emissions carry one pattern; stream emissions merge the fold's
 		// stream patterns; output emissions count the read-back too.
 		var stream int
@@ -341,98 +345,111 @@ func (s *FoldSchedule) Stats() StreamStats {
 	return st
 }
 
-// ScheduleStats is the closed-form CollectStats: the demand summary of the
-// GEMM without enumerating cycles.
-func ScheduleStats(df config.Dataflow, r, c int, g Gemm) (StreamStats, error) {
-	fs, err := NewFoldSchedule(df, r, c, g)
-	if err != nil {
-		return StreamStats{}, err
-	}
-	return fs.Stats(), nil
-}
-
-// Materialize expands the closed-form schedule back into the per-cycle
-// demand sequence, invoking fn exactly as Stream would — same emissions,
-// same order, same slice contents. It exists for the differential harness
-// and as a drop-in for consumers that still need per-cycle granularity.
+// Materialize expands the schedule into its per-cycle demand, invoking fn
+// once per cycle that has at least one access, in cycle order; returning
+// false stops it. The last demanded cycle is TotalCycles() − 1. Within each
+// fold of length 2R+C+T−2:
+//
+//	cycles [0, R):          stationary-operand fill, one tile row per cycle
+//	cycles [R, R+T):        streaming reads (skewless edge feed)
+//	cycles [R+T, fold end): pipeline drain; outputs of OS folds emit here
+//
+// For WS/IS, outputs stream out one tile-column batch per cycle during the
+// streaming phase, offset by the array traversal latency and clamped to the
+// fold's last cycle; each batch is emitted right after the stream cycle that
+// fed it.
 func (s *FoldSchedule) Materialize(fn DemandFunc) {
 	d := demandPool.Get().(*Demand)
 	defer demandPool.Put(d)
-	s.ForEachFold(func(f *FoldInfo) bool {
-		// Split the fold's patterns by phase; each phase emits in the
-		// order streamFold does.
-		var fill, output, drain *Pattern
-		var stream []*Pattern
-		for i := range f.Patterns {
-			p := &f.Patterns[i]
-			switch p.Phase {
-			case PhaseFill:
-				fill = p
-			case PhaseStream:
-				stream = append(stream, p)
-			case PhaseOutput:
-				output = p
-			case PhaseDrain:
-				drain = p
-			}
-		}
-		emitSteps := func(p *Pattern) bool {
-			for step := 0; step < p.Steps; step++ {
-				d.reset(p.Cycle(step))
-				appendPattern(d, p, step, s.G)
-				if d.Total() > 0 && !fn(d) {
-					return false
-				}
-			}
-			return true
-		}
-		if fill != nil && !emitSteps(fill) {
-			return false
-		}
-		steps := 0
-		for _, p := range stream {
-			if p.Steps > steps {
-				steps = p.Steps
-			}
-		}
-		for step := 0; step < steps; step++ {
-			d.reset(stream[0].Cycle(step))
-			for _, p := range stream {
-				appendPattern(d, p, step, s.G)
-			}
-			if d.Total() > 0 && !fn(d) {
-				return false
-			}
-			if output != nil {
-				d.reset(output.Cycle(step))
-				appendPattern(d, output, step, s.G)
-				if d.Total() > 0 && !fn(d) {
-					return false
-				}
-			}
-		}
-		if drain != nil && !emitSteps(drain) {
-			return false
-		}
-		return true
-	})
+	s.ForEachFold(func(f *FoldInfo) bool { return materializeFold(f, s.G, d, fn) })
 }
 
-// appendPattern appends step s of the pattern to the demand's channel
-// slices in element order.
-func appendPattern(d *Demand, p *Pattern, s int, g Gemm) {
-	for e := 0; e < p.Count; e++ {
-		addr := p.Addr(e, s, g)
-		switch p.Operand {
-		case OperandIfmap:
-			d.IfmapReads = append(d.IfmapReads, addr)
-		case OperandFilter:
-			d.FilterReads = append(d.FilterReads, addr)
-		case OperandOfmap:
-			d.OfmapWrites = append(d.OfmapWrites, addr)
-			if p.ReadBack {
-				d.OfmapReads = append(d.OfmapReads, addr)
+// materializeFold emits one fold. Returns false if the consumer stopped.
+// Every pattern demands at least one element per step (tiles and T are
+// positive), so every emission is non-empty.
+func materializeFold(f *FoldInfo, g Gemm, d *Demand, fn DemandFunc) bool {
+	var fill, output, drain cursor
+	var stream [2]cursor
+	ns := 0
+	for i := range f.Patterns {
+		p := &f.Patterns[i]
+		switch p.Phase {
+		case PhaseFill:
+			fill = p.cursor(g)
+		case PhaseStream:
+			stream[ns] = p.cursor(g)
+			ns++
+		case PhaseOutput:
+			output = p.cursor(g)
+		case PhaseDrain:
+			drain = p.cursor(g)
+		}
+	}
+	steps := func(c *cursor) bool {
+		for step := 0; c.p != nil && step < c.p.Steps; step++ {
+			d.reset(c.p.Cycle(step))
+			c.appendStep(d, step)
+			if !fn(d) {
+				return false
 			}
 		}
+		return true
+	}
+	if !steps(&fill) {
+		return false
+	}
+	for step := 0; step < stream[0].p.Steps; step++ {
+		d.reset(stream[0].p.Cycle(step))
+		for i := range ns {
+			stream[i].appendStep(d, step)
+		}
+		if !fn(d) {
+			return false
+		}
+		if output.p != nil {
+			d.reset(output.p.Cycle(step))
+			output.appendStep(d, step)
+			if !fn(d) {
+				return false
+			}
+		}
+	}
+	return steps(&drain)
+}
+
+// cursor walks a pattern's addresses incrementally: element e of step s
+// sits at first + s·step + e·elem.
+type cursor struct {
+	p                 *Pattern
+	first, step, elem int64
+}
+
+func (p *Pattern) cursor(g Gemm) cursor {
+	_, cols := OperandDims(p.Operand, g)
+	return cursor{p: p, first: p.Addr(0, 0, g),
+		step: int64(p.RowPerStep)*int64(cols) + int64(p.ColPerStep),
+		elem: int64(p.RowPerElem)*int64(cols) + int64(p.ColPerElem)}
+}
+
+// appendStep appends step s of the pattern to its operand's channel in
+// element order; a read-back output group repeats its writes as reads.
+func (c *cursor) appendStep(d *Demand, s int) {
+	dst := &d.OfmapWrites
+	switch c.p.Operand {
+	case OperandIfmap:
+		dst = &d.IfmapReads
+	case OperandFilter:
+		dst = &d.FilterReads
+	}
+	n := len(*dst)
+	buf := slices.Grow(*dst, c.p.Count)[:n+c.p.Count]
+	addr := c.first + int64(s)*c.step
+	for e := n; e < len(buf); e++ {
+		buf[e] = addr
+		addr += c.elem
+	}
+	*dst = buf
+	if c.p.ReadBack {
+		d.OfmapReads = append(d.OfmapReads, buf[n:]...)
 	}
 }

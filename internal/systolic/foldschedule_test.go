@@ -1,7 +1,7 @@
 package systolic_test
 
 // Differential tests proving the closed-form FoldSchedule identical to the
-// retained per-cycle Stream oracle, over the shared simtest harness grid
+// per-cycle oracle simtest.Stream, over the shared simtest harness grid
 // plus a seeded randomized sweep. These run in CI's -race subset.
 
 import (
@@ -27,17 +27,22 @@ func assertCaseMatches(t *testing.T, c simtest.Case) {
 	if err := simtest.DiffEmissions(want, got); err != nil {
 		t.Fatalf("materialized schedule diverges from stream oracle: %v", err)
 	}
-	oracle, err := systolic.CollectStats(c.Dataflow, c.R, c.C, c.G)
+	oracle, err := simtest.CollectStats(c.Dataflow, c.R, c.C, c.G)
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed, err := systolic.ScheduleStats(c.Dataflow, c.R, c.C, c.G)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if closed != oracle {
+	if closed := scheduleStats(t, c.Dataflow, c.R, c.C, c.G); closed != oracle {
 		t.Fatalf("closed-form stats %+v != oracle %+v", closed, oracle)
 	}
+}
+
+func scheduleStats(t *testing.T, df config.Dataflow, r, c int, g systolic.Gemm) systolic.StreamStats {
+	t.Helper()
+	fs, err := systolic.NewFoldSchedule(df, r, c, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs.Stats()
 }
 
 func TestDifferentialFoldScheduleGrid(t *testing.T) {
@@ -108,7 +113,8 @@ func TestFoldScheduleVolumesMatchAccess(t *testing.T) {
 func TestFoldSchedulePatternInvariants(t *testing.T) {
 	// Address ranges stay inside the operand regions, cycles stay inside
 	// the fold, and every materialized address falls within its pattern's
-	// claimed range.
+	// range: the coordinate coefficients are non-negative, so the extremes
+	// are the first element of the first step and the last of the last.
 	for _, c := range simtest.Cases() {
 		fs, err := systolic.NewFoldSchedule(c.Dataflow, c.R, c.C, c.G)
 		if err != nil {
@@ -118,7 +124,7 @@ func TestFoldSchedulePatternInvariants(t *testing.T) {
 			end := f.StartCycle + f.Cycles - 1
 			for i := range f.Patterns {
 				p := &f.Patterns[i]
-				lo, hi := p.AddrRange(fs.G)
+				lo, hi := p.Addr(0, 0, fs.G), p.Addr(p.Count-1, p.Steps-1, fs.G)
 				rows, cols := systolic.OperandDims(p.Operand, fs.G)
 				base := p.Operand.AddressBase()
 				if lo < base || hi >= base+int64(rows)*int64(cols) {
@@ -188,7 +194,7 @@ func TestFoldScheduleRejectsBadInput(t *testing.T) {
 		systolic.Gemm{M: 1, N: 0, K: 1}); err == nil {
 		t.Error("zero N accepted")
 	}
-	if _, err := systolic.ScheduleStats(config.InputStationary, 8, -1,
+	if _, err := systolic.NewFoldSchedule(config.InputStationary, 8, -1,
 		systolic.Gemm{M: 1, N: 1, K: 1}); err == nil {
 		t.Error("negative cols accepted")
 	}
@@ -225,10 +231,7 @@ func FuzzFoldScheduleMatchesStream(f *testing.F) {
 func TestScheduleStatsHandComputed(t *testing.T) {
 	// OS on a 2×2 array, M=3 N=3 K=2: folds (2,2),(2,1),(1,2),(1,1),
 	// per-fold 2·2+2+2−2 = 6 cycles.
-	st, err := systolic.ScheduleStats(config.OutputStationary, 2, 2, systolic.Gemm{M: 3, N: 3, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := scheduleStats(t, config.OutputStationary, 2, 2, systolic.Gemm{M: 3, N: 3, K: 2})
 	want := systolic.StreamStats{
 		Cycles:       24, // 4 folds × 6
 		IfmapReads:   12, // Σ T·tileR = 2·(2+2+1+1)
@@ -243,10 +246,7 @@ func TestScheduleStatsHandComputed(t *testing.T) {
 
 	// WS on a 2×2 array, M=2 N=2 K=3: Sr=K=3 folds the contraction,
 	// second fold reads partial sums back.
-	st, err = systolic.ScheduleStats(config.WeightStationary, 2, 2, systolic.Gemm{M: 2, N: 2, K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st = scheduleStats(t, config.WeightStationary, 2, 2, systolic.Gemm{M: 2, N: 2, K: 3})
 	want = systolic.StreamStats{
 		Cycles:       12, // 2 folds × (2·2+2+2−2)
 		IfmapReads:   6,  // Σ T·tileR = 2·2 + 2·1 = M·K
@@ -266,18 +266,38 @@ func TestScheduleStatsDegenerateArrays(t *testing.T) {
 	for _, arr := range [][2]int{{1, 9}, {9, 1}, {1, 1}} {
 		for _, df := range config.Dataflows() {
 			g := systolic.Gemm{M: 5, N: 4, K: 3}
-			oracle, err := systolic.CollectStats(df, arr[0], arr[1], g)
+			oracle, err := simtest.CollectStats(df, arr[0], arr[1], g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			closed, err := systolic.ScheduleStats(df, arr[0], arr[1], g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if closed != oracle {
+			if closed := scheduleStats(t, df, arr[0], arr[1], g); closed != oracle {
 				t.Errorf("%v %dx%d: closed-form %+v != oracle %+v",
 					df, arr[0], arr[1], closed, oracle)
 			}
+		}
+	}
+}
+
+// TestMaterializeAllocsIndependentOfFolds pins Materialize as allocation-free
+// per fold: building and expanding a 9-fold and a 64-fold schedule allocate
+// the same small constant under every dataflow.
+func TestMaterializeAllocsIndependentOfFolds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	for _, df := range config.Dataflows() {
+		allocs := func(n int) float64 {
+			g := systolic.Gemm{M: n, N: n, K: n}
+			return testing.AllocsPerRun(20, func() {
+				fs, err := systolic.NewFoldSchedule(df, 8, 8, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs.Materialize(func(*systolic.Demand) bool { return true })
+			})
+		}
+		if few, many := allocs(24), allocs(64); few != many {
+			t.Errorf("%v: Materialize allocates %v at 9 folds, %v at 64 folds; want the same constant", df, few, many)
 		}
 	}
 }

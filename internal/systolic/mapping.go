@@ -1,7 +1,8 @@
 // Package systolic implements the SCALE-Sim v2 core: mapping GEMMs onto an
-// R×C systolic array under the three classic dataflows, fold decomposition,
-// closed-form compute-cycle accounting, per-operand SRAM access counting and
-// cycle-accurate demand-stream generation.
+// R×C systolic array under the three classic dataflows, closed-form
+// compute-cycle accounting, per-operand SRAM access counting and the fold
+// schedule (FoldSchedule) — the one walk of a GEMM's folds, which
+// Materialize expands into the cycle-accurate demand stream.
 //
 // A layer lowered to the GEMM O(M×N) = A(M×K) · B(K×N) maps onto the array
 // with two spatial dimensions (Sr on rows, Sc on columns) and one temporal

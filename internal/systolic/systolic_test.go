@@ -172,10 +172,11 @@ func TestStreamMatchesEstimateCycles(t *testing.T) {
 	}
 	for _, g := range cases {
 		for _, df := range config.Dataflows() {
-			st, err := CollectStats(df, 8, 8, g)
+			fs, err := NewFoldSchedule(df, 8, 8, g)
 			if err != nil {
 				t.Fatal(err)
 			}
+			st := fs.Stats()
 			est := Estimate(df, 8, 8, g.M, g.N, g.K)
 			if st.Cycles != est.ComputeCycles {
 				t.Errorf("%v %+v: stream cycles %d != estimate %d",
@@ -190,10 +191,11 @@ func TestStreamVolumesMatchAccess(t *testing.T) {
 	// access counts exactly.
 	g := Gemm{M: 25, N: 30, K: 40}
 	for _, df := range config.Dataflows() {
-		st, err := CollectStats(df, 8, 8, g)
+		fs, err := NewFoldSchedule(df, 8, 8, g)
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := fs.Stats()
 		acc := Access(df, 8, 8, g.M, g.N, g.K)
 		if st.IfmapReads != acc.Ifmap.Reads {
 			t.Errorf("%v: stream ifmap %d != access %d", df, st.IfmapReads, acc.Ifmap.Reads)

@@ -171,7 +171,7 @@ func TestRunLayout(t *testing.T) {
 func layoutReplay(df config.Dataflow, r, c int, g systolic.Gemm, ifa, fla, ofa *layout.Analyzer) error {
 	ifmapT, filterT, ofmapT := layout.NaturalTransforms(df, g.M, g.N, g.K)
 	var ifBuf, flBuf, ofBuf []int64
-	return systolic.Stream(df, r, c, g, func(d *systolic.Demand) bool {
+	return simtest.Stream(df, r, c, g, func(d *systolic.Demand) bool {
 		ifBuf = layout.ApplyTransform(ifBuf[:0], d.IfmapReads, systolic.IfmapBase, ifmapT)
 		flBuf = layout.ApplyTransform(flBuf[:0], d.FilterReads, systolic.FilterBase, filterT)
 		ofBuf = layout.ApplyTransform(ofBuf[:0], d.OfmapWrites, systolic.OfmapBase, ofmapT)
