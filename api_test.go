@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -328,51 +329,181 @@ func TestWithStagesCustomPipeline(t *testing.T) {
 	}
 }
 
+// TestSweep checks that Sweep forwards its options to every point: each
+// point must equal a standalone New(cfg).Run given the same settings —
+// layers, cache statistics, trace span names and progress callbacks — and
+// each case's option must visibly change the run, so a dropped option
+// fails rather than matching a default run.
 func TestSweep(t *testing.T) {
 	topo, err := BuiltinTopology("alexnet")
 	if err != nil {
 		t.Fatal(err)
 	}
 	topo = topo.Sub(0, 4)
-	arrays := []int{16, 32, 64}
-	var points []SweepPoint
-	for _, arr := range arrays {
-		cfg := DefaultConfig()
-		cfg.ArrayRows, cfg.ArrayCols = arr, arr
-		points = append(points, SweepPoint{
-			Name:     fmt.Sprintf("%dx%d", arr, arr),
-			Config:   cfg,
-			Topology: topo,
+	customERT := DefaultERT()
+	customERT.Set(energy.CompMAC, energy.ActMACRandom, 9.5)
+	// recorder collects one side's WithProgress callbacks in arrival order.
+	type recorder struct{ events []LayerProgress }
+	cases := []struct {
+		name string
+		cfg  func(*Config)                 // per-point tweak on top of DefaultConfig
+		opts func(*recorder) []Option      // fresh for the sweep and for the solo runs
+		bad  int                           // index of a point with an invalid Config, or -1
+		took func(solo, base *Result) bool // the option changed the run
+	}{
+		{name: "default", bad: -1},
+		{
+			name: "ert", bad: -1,
+			cfg:  func(c *Config) { c.Energy.Enabled = true },
+			opts: func(*recorder) []Option { return []Option{WithERT(customERT)} },
+			took: func(solo, base *Result) bool {
+				return solo.Layers[0].Energy.TotalPJ != base.Layers[0].Energy.TotalPJ
+			},
+		},
+		{
+			name: "stages", bad: -1,
+			cfg:  func(c *Config) { c.Energy.Enabled = true },
+			opts: func(*recorder) []Option { return []Option{WithStages(ComputeStage())} },
+			took: func(solo, base *Result) bool {
+				return solo.Layers[0].Energy == nil && base.Layers[0].Energy != nil
+			},
+		},
+		{
+			name: "cache", bad: -1,
+			opts: func(*recorder) []Option { return []Option{WithCache(NewCache(0, 0))} },
+			took: func(solo, _ *Result) bool { return solo.CacheStats.Misses > 0 },
+		},
+		{
+			name: "fidelity", bad: -1,
+			cfg:  func(c *Config) { c.Memory.Enabled = true },
+			opts: func(*recorder) []Option { return []Option{WithFidelity(Analytical)} },
+			took: func(solo, base *Result) bool { return !reflect.DeepEqual(solo.Layers, base.Layers) },
+		},
+		{
+			name: "trace", bad: -1,
+			opts: func(*recorder) []Option { return []Option{WithTrace("")} },
+			took: func(solo, _ *Result) bool { return solo.Profile() != nil },
+		},
+		{
+			name: "progress", bad: -1,
+			opts: func(r *recorder) []Option {
+				return []Option{WithProgress(func(lp LayerProgress) { r.events = append(r.events, lp) })}
+			},
+		},
+		{
+			name: "invalid config", bad: 1,
+			opts: func(*recorder) []Option { return []Option{WithCache(NewCache(0, 0))} },
+		},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var points []SweepPoint
+			for i, arr := range []int{16, 32, 64} {
+				cfg := DefaultConfig()
+				cfg.ArrayRows, cfg.ArrayCols = arr, arr
+				if tc.cfg != nil {
+					tc.cfg(&cfg)
+				}
+				if i == tc.bad {
+					cfg.ArrayRows = -1 // fails validation
+				}
+				points = append(points, SweepPoint{Name: fmt.Sprintf("%dx%d", arr, arr), Config: cfg, Topology: topo})
+			}
+			opts := func(r *recorder) []Option {
+				if tc.opts == nil {
+					return nil
+				}
+				return tc.opts(r)
+			}
+			var swept, solos recorder
+			results, err := Sweep(ctx, points, opts(&swept)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != len(points) {
+				t.Fatalf("got %d results, want %d", len(results), len(points))
+			}
+			// One cache and one recorder for every solo run; a point runs
+			// its layers one at a time, so the solo runs do too.
+			soloOpts := append(opts(&solos), WithParallelism(1))
+			for i, sr := range results {
+				p := points[i]
+				if sr.Point.Name != p.Name {
+					t.Errorf("result %d out of order: %s", i, sr.Point.Name)
+				}
+				from := len(solos.events)
+				solo, soloErr := New(p.Config).Run(ctx, topo, soloOpts...)
+				if soloErr != nil {
+					if i != tc.bad {
+						t.Fatalf("point %s: %v", p.Name, soloErr)
+					}
+					if sr.Result != nil || sr.Err == nil || sr.Err.Error() != soloErr.Error() {
+						t.Errorf("point %s: sweep gave (%v, %v), standalone run the error %v", p.Name, sr.Result != nil, sr.Err, soloErr)
+					}
+					continue
+				}
+				if sr.Err != nil {
+					t.Fatalf("point %s: %v", p.Name, sr.Err)
+				}
+				got := sr.Result
+				if !reflect.DeepEqual(got.Config, solo.Config) || !reflect.DeepEqual(got.Layers, solo.Layers) {
+					t.Errorf("point %s: sweep result differs from standalone run", p.Name)
+				}
+				if got.CacheStats != solo.CacheStats {
+					t.Errorf("point %s: cache stats %+v, standalone %+v", p.Name, got.CacheStats, solo.CacheStats)
+				}
+				if g, w := profileNames(got.Profile()), profileNames(solo.Profile()); !reflect.DeepEqual(g, w) {
+					t.Errorf("point %s: profile spans %v, standalone %v", p.Name, g, w)
+				}
+				var pointEvents []LayerProgress
+				for _, lp := range swept.events {
+					if lp.Point == p.Name {
+						lp.Point = ""
+						pointEvents = append(pointEvents, lp)
+					}
+				}
+				if want := solos.events[from:]; !reflect.DeepEqual(pointEvents, want) && (len(pointEvents) > 0 || len(want) > 0) {
+					t.Errorf("point %s: progress %+v, standalone %+v", p.Name, pointEvents, want)
+				}
+				if tc.took != nil && i == len(points)-1 {
+					base, err := New(p.Config).Run(ctx, topo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !tc.took(solo, base) {
+						t.Errorf("point %s: the option did not change the run", p.Name)
+					}
+				}
+			}
+			if tc.name == "progress" && len(swept.events) != len(points)*len(topo.Layers) {
+				t.Errorf("%d progress callbacks, want one per layer per point (%d)", len(swept.events), len(points)*len(topo.Layers))
+			}
+			if tc.bad < 0 && !(results[2].Result.TotalCycles() < results[0].Result.TotalCycles()) {
+				// Bigger arrays finish sooner on these conv layers.
+				t.Errorf("64x64 cycles %d not below 16x16 cycles %d",
+					results[2].Result.TotalCycles(), results[0].Result.TotalCycles())
+			}
 		})
 	}
-	results, err := Sweep(context.Background(), points)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// profileNames lists a profile's stage names, sorted (Stages is ordered by
+// time), and its layer names, the parts of a trace that do not depend on
+// timing; nil without a trace.
+func profileNames(p *Profile) []string {
+	if p == nil {
+		return nil
 	}
-	if len(results) != len(points) {
-		t.Fatalf("got %d results, want %d", len(results), len(points))
+	var names []string
+	for _, s := range p.Stages {
+		names = append(names, "stage:"+s.Name)
 	}
-	for i, sr := range results {
-		if sr.Err != nil {
-			t.Fatalf("point %d: %v", i, sr.Err)
-		}
-		if sr.Point.Name != points[i].Name {
-			t.Errorf("result %d out of order: %s", i, sr.Point.Name)
-		}
-		// Each point must match a standalone run of the same config.
-		solo, err := New(points[i].Config).Run(context.Background(), topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(solo.Layers, sr.Result.Layers) {
-			t.Errorf("point %s: sweep result differs from standalone run", sr.Point.Name)
-		}
+	slices.Sort(names)
+	for _, l := range p.Layers {
+		names = append(names, "layer:"+l.Name)
 	}
-	// Bigger arrays finish sooner on these conv layers.
-	if !(results[2].Result.TotalCycles() < results[0].Result.TotalCycles()) {
-		t.Errorf("64x64 cycles %d not below 16x16 cycles %d",
-			results[2].Result.TotalCycles(), results[0].Result.TotalCycles())
-	}
+	return names
 }
 
 func TestSweepPointErrorDoesNotCancelSiblings(t *testing.T) {

@@ -161,24 +161,26 @@ func (lc *layerCache) key(l *Layer) simcache.Key {
 	return h.Sum()
 }
 
-// lookup returns a deep copy of the result cached under key, relabelled
-// with l, or nil on a miss; either way it counts the outcome.
-func (lc *layerCache) lookup(key simcache.Key, l *Layer) *LayerResult {
+// lookup sets dst to a deep copy of the result cached under key, relabelled
+// with l, and reports whether there was one; either way it counts the
+// outcome. A miss leaves dst alone.
+func (lc *layerCache) lookup(key simcache.Key, l *Layer, dst *LayerResult) bool {
 	v, ok := lc.cache.Get(key)
 	if !ok {
 		lc.misses.Add(1)
-		return nil
+		return false
 	}
 	lc.hits.Add(1)
-	lr := cloneLayerResult(v.(*LayerResult))
-	lr.Layer = *l
-	return lr
+	*dst = cloneLayerResult(v.(*LayerResult))
+	dst.Layer = *l
+	return true
 }
 
 // put stores a deep copy of lr so later caller mutations cannot corrupt
 // the cache.
 func (lc *layerCache) put(key simcache.Key, lr *LayerResult) {
-	lc.cache.Put(key, cloneLayerResult(lr), layerResultSize(lr))
+	c := cloneLayerResult(lr)
+	lc.cache.Put(key, &c, layerResultSize(lr))
 }
 
 // stats returns this run's hit/miss counters.
@@ -188,7 +190,7 @@ func (lc *layerCache) stats() RunCacheStats {
 
 // cloneLayerResult deep-copies a layer result, including the pointered
 // sparse row, energy report (with its component map) and partition.
-func cloneLayerResult(lr *LayerResult) *LayerResult {
+func cloneLayerResult(lr *LayerResult) LayerResult {
 	out := *lr
 	if lr.Sparse != nil {
 		s := *lr.Sparse
@@ -208,7 +210,7 @@ func cloneLayerResult(lr *LayerResult) *LayerResult {
 		}
 		out.Energy = &e
 	}
-	return &out
+	return out
 }
 
 // layerResultSize estimates the retained bytes of a cached result for the

@@ -573,6 +573,9 @@ func Explore(ctx context.Context, base Config, topo *Topology, space Space, opts
 	return f, err
 }
 
+// maxPreallocEvals bounds the evaluation list search allocates up front.
+const maxPreallocEvals = 1 << 16
+
 // search runs the strategy ask/tell loop, evaluating batches at fidelity
 // fid via Sweep, until budget evaluations are spent or the space is
 // exhausted. Cache may be nil (uncached). Cache statistics accumulate into
@@ -582,7 +585,10 @@ func Explore(ctx context.Context, base Config, topo *Topology, space Space, opts
 // scores (all a screen needs, at a fraction of the memory).
 func (e *explorer) search(ctx context.Context, strat explore.Strategy, cache *Cache, fid Fidelity, budget int, keepResults bool) (searchOutcome, error) {
 	o, f := e.o, e.f
-	var out searchOutcome
+	// Size the evaluation list once: at most one entry per candidate, and
+	// the budget may exceed the space. A budget far beyond any run's reach
+	// grows the list by append past maxPreallocEvals.
+	out := searchOutcome{evals: make([]evaluation, 0, min(int64(budget), e.space.Size(), maxPreallocEvals))}
 	for gen := 1; out.evaluated < budget; gen++ {
 		if err := ctx.Err(); err != nil {
 			return out, err

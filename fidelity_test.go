@@ -360,3 +360,28 @@ func TestAnalyticalMemoryStageAllocsIndependentOfFolds(t *testing.T) {
 		t.Errorf("Analytical memory stage allocates %v per layer at 4x4 (1024 folds), %v at 32x32 (32 folds); want the same small constant", small, large)
 	}
 }
+
+// TestAnalyticalSweepPointAllocs pins what one screened candidate costs:
+// a 1-point, 2-layer Analytical Sweep with memory and energy on runs on
+// the sweep's resolved options (no Simulator or option closures per point)
+// and counts its energy in a fixed table, so it allocates little more than
+// the Result it returns.
+func TestAnalyticalSweepPointAllocs(t *testing.T) {
+	cfg := scalesim.DefaultConfig()
+	cfg.Memory.Enabled, cfg.Energy.Enabled = true, true
+	topo := &scalesim.Topology{Name: "two", Layers: []scalesim.Layer{
+		{Name: "fc1", Kind: scalesim.GEMM, M: 128, N: 128, K: 256},
+		{Name: "fc2", Kind: scalesim.GEMM, M: 128, N: 256, K: 128},
+	}}
+	points := []scalesim.SweepPoint{{Name: "p", Config: cfg, Topology: topo}}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(50, func() {
+		res, err := scalesim.Sweep(ctx, points, scalesim.WithParallelism(1), scalesim.WithFidelity(scalesim.Analytical))
+		if err != nil || res[0].Err != nil {
+			t.Fatal(err, res[0].Err)
+		}
+	})
+	if allocs > 41 {
+		t.Errorf("1-point, 2-layer Analytical Sweep: %v allocations, want at most 41", allocs)
+	}
+}

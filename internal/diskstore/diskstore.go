@@ -336,15 +336,6 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	return payload, true
 }
 
-// Has reports whether k is stored, without reading its payload or touching
-// the hit/miss counters.
-func (s *Store) Has(k Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[k]
-	return ok
-}
-
 // Put appends payload under k. Re-putting an existing key is a no-op
 // (content-addressing guarantees equal payloads for equal keys). Exceeding
 // the capacity bound triggers compaction; crossing the snapshot interval

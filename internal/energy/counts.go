@@ -72,8 +72,8 @@ func streamCounts(df config.Dataflow, r, c int) (ifmap, filter, ofmap int) {
 //
 // SRAM accesses split into random and repeated according to the row-size /
 // bank-size repeated-access lookup.
-func CountActions(p *RunProfile, ecfg *config.EnergyConfig) *Counts {
-	ct := NewCounts()
+func CountActions(p *RunProfile, ecfg *config.EnergyConfig) Counts {
+	var ct Counts
 	pes := int64(p.R) * int64(p.C)
 	active := int64(float64(pes*p.Cycles)*p.Utilization + 0.5)
 	idle := pes*p.Cycles - active

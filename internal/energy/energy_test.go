@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -40,16 +41,14 @@ func TestERTRepeatCheaperThanRandom(t *testing.T) {
 	}
 }
 
-func TestCountsAddMerge(t *testing.T) {
-	a := NewCounts()
+func TestCountsAdd(t *testing.T) {
+	var a Counts
 	a.Add(CompMAC, ActMACRandom, 10)
 	a.Add(CompMAC, ActMACRandom, 5)
-	b := NewCounts()
-	b.Add(CompMAC, ActMACRandom, 7)
-	b.Add(CompDRAM, ActRead, 3)
-	a.Merge(b)
+	a.Add(CompMAC, ActMACRandom, 7)
+	a.Add(CompDRAM, ActRead, 3)
 	if a.Get(CompMAC, ActMACRandom) != 22 {
-		t.Errorf("merged count %d", a.Get(CompMAC, ActMACRandom))
+		t.Errorf("summed count %d", a.Get(CompMAC, ActMACRandom))
 	}
 	if a.Get(CompDRAM, ActRead) != 3 {
 		t.Errorf("dram count %d", a.Get(CompDRAM, ActRead))
@@ -58,8 +57,8 @@ func TestCountsAddMerge(t *testing.T) {
 
 // TestCountsAgainstMapOracle drives Counts with random (component, action)
 // pairs — built-in names, user-defined ones, zero and negative increments,
-// more pairs than NewCounts reserves — in random insertion order: Get and
-// Merge must agree with a plain map, and Each must visit exactly the
+// every distinct pair the table holds — in random insertion order: Get
+// must agree with a plain map, and the table must list exactly the
 // non-zero entries in (component, action) order whatever the order they
 // were added in, because the float sums downstream depend on it.
 func TestCountsAgainstMapOracle(t *testing.T) {
@@ -71,19 +70,19 @@ func TestCountsAgainstMapOracle(t *testing.T) {
 	acts := []Action{ActRead, ActWrite, ActReadRandom, ActMACGated, ActHop, "fused_mac", "a"}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
-		ct, other := NewCounts(), NewCounts()
+		// A random maxCounts of the 56 pairs, so the table can fill up.
+		var pairs []key
+		for _, i := range rng.Perm(len(comps) * len(acts))[:maxCounts] {
+			pairs = append(pairs, key{comps[i/len(acts)], acts[i%len(acts)]})
+		}
+		var ct Counts
 		oracle := make(map[key]int64)
 		for i, n := 0, rng.Intn(80); i < n; i++ {
-			k := key{comps[rng.Intn(len(comps))], acts[rng.Intn(len(acts))]}
+			k := pairs[rng.Intn(len(pairs))]
 			delta := int64(rng.Intn(7) - 2) // includes 0 and negatives
-			if rng.Intn(3) == 0 {
-				other.Add(k.c, k.a, delta)
-			} else {
-				ct.Add(k.c, k.a, delta)
-			}
+			ct.Add(k.c, k.a, delta)
 			oracle[k] += delta
 		}
-		ct.Merge(other)
 		for _, c := range comps {
 			for _, a := range acts {
 				if got, want := ct.Get(c, a), oracle[key{c, a}]; got != want {
@@ -92,16 +91,18 @@ func TestCountsAgainstMapOracle(t *testing.T) {
 			}
 		}
 		var visited []key
-		ct.Each(func(c Component, a Action, n int64) {
-			if n == 0 || n != oracle[key{c, a}] {
-				t.Fatalf("trial %d: Each(%q, %q) = %d, oracle %d", trial, c, a, n, oracle[key{c, a}])
+		for _, e := range ct.entries[:ct.n] {
+			if e.n != oracle[key{e.c, e.a}] {
+				t.Fatalf("trial %d: entry (%q, %q) = %d, oracle %d", trial, e.c, e.a, e.n, oracle[key{e.c, e.a}])
 			}
-			visited = append(visited, key{c, a})
-		})
+			if e.n != 0 {
+				visited = append(visited, key{e.c, e.a})
+			}
+		}
 		for i := 1; i < len(visited); i++ {
 			prev, cur := visited[i-1], visited[i]
 			if !(prev.c < cur.c || (prev.c == cur.c && prev.a < cur.a)) {
-				t.Fatalf("trial %d: Each order %v is not strictly ascending by (component, action)", trial, visited)
+				t.Fatalf("trial %d: entry order %v is not strictly ascending by (component, action)", trial, visited)
 			}
 		}
 		nonZero := 0
@@ -111,7 +112,45 @@ func TestCountsAgainstMapOracle(t *testing.T) {
 			}
 		}
 		if len(visited) != nonZero {
-			t.Fatalf("trial %d: Each visited %d entries, oracle has %d non-zero", trial, len(visited), nonZero)
+			t.Fatalf("trial %d: table holds %d non-zero entries, oracle has %d", trial, len(visited), nonZero)
+		}
+	}
+}
+
+// TestCountsFullTablePanics: the table has no growth path, so a distinct
+// pair past maxCounts is a programming error, not a silent drop.
+func TestCountsFullTablePanics(t *testing.T) {
+	var ct Counts
+	for i := range maxCounts {
+		ct.Add(Component(fmt.Sprintf("c%02d", i)), ActRead, 1)
+	}
+	ct.Add("c00", ActRead, 1) // an existing pair still counts
+	if ct.Get("c00", ActRead) != 2 {
+		t.Fatalf("existing pair count %d, want 2", ct.Get("c00", ActRead))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a distinct pair past maxCounts did not panic")
+		}
+	}()
+	ct.Add("overflow", ActRead, 1)
+}
+
+// TestCountActionsFillsTable: CountActions can emit maxCounts distinct
+// pairs, so the table's capacity is exactly what a layer needs.
+func TestCountActionsFillsTable(t *testing.T) {
+	prof := &RunProfile{
+		Dataflow: config.OutputStationary, R: 8, C: 8, M: 16, N: 16, K: 16,
+		Cycles: 1000, Utilization: 0.25,
+		DRAMReads: 1000, DRAMWrites: 500, NoPHopWords: 7,
+	}
+	// Every SRAM reads and writes, so each splits into repeat and random.
+	rw := systolic.AccessCounts{Reads: 1000, Writes: 1000}
+	prof.Access = systolic.LayerAccess{Ifmap: rw, Filter: rw, Ofmap: rw}
+	for _, gating := range []bool{false, true} {
+		ct := CountActions(prof, &config.EnergyConfig{ClockGating: gating, IncludeDRAM: true, RowSize: 16, BankSize: 4})
+		if ct.n != maxCounts {
+			t.Errorf("clock gating %v: %d distinct counts, want %d", gating, ct.n, maxCounts)
 		}
 	}
 }
@@ -184,7 +223,7 @@ func TestCountActionsDRAMGate(t *testing.T) {
 
 func TestEstimatorReport(t *testing.T) {
 	ert := Default65nm()
-	ct := NewCounts()
+	var ct Counts
 	ct.Add(CompMAC, ActMACRandom, 1000)
 	ct.Add(CompIfmapSRAM, ActReadRandom, 100)
 	est := Estimator{ERT: ert, PEs: 64, SRAMKB: 512, FrequencyMHz: 1000}
@@ -202,16 +241,21 @@ func TestEstimatorReport(t *testing.T) {
 	if rep.AvgPowerMW() <= 0 || rep.EdP() <= 0 || rep.Seconds() <= 0 {
 		t.Error("derived metrics not positive")
 	}
-	if len(rep.Breakdown()) != 2 {
-		t.Errorf("breakdown size %d", len(rep.Breakdown()))
+	if len(rep.PerComponent) != 2 {
+		t.Errorf("per-component size %d", len(rep.PerComponent))
 	}
-	if rep.Breakdown()[0].PJ < rep.Breakdown()[1].PJ {
-		t.Error("breakdown not sorted descending")
+	mac, sram := rep.PerComponent[CompMAC], rep.PerComponent[CompIfmapSRAM]
+	if mac != 2.2*1000 || sram != 12.0*100 {
+		t.Errorf("per-component mac %f, ifmap sram %f", mac, sram)
+	}
+	// The total adds the components largest first, then leakage.
+	if want := mac + sram + rep.LeakagePJ; rep.TotalPJ != want {
+		t.Errorf("total %f, want %f", rep.TotalPJ, want)
 	}
 }
 
 func TestEstimatorUnknownEntryFails(t *testing.T) {
-	ct := NewCounts()
+	var ct Counts
 	ct.Add("mystery", ActRead, 1)
 	est := Estimator{ERT: Default65nm()}
 	if _, err := est.Estimate(ct, 10); err == nil {
@@ -258,18 +302,41 @@ func TestEnergyAdditivity(t *testing.T) {
 	// Estimating merged counts equals the sum of separate estimates
 	// (for the dynamic part; leakage follows cycles).
 	ert := Default65nm()
-	a := NewCounts()
+	var a, b, merged Counts
 	a.Add(CompMAC, ActMACRandom, 100)
-	b := NewCounts()
 	b.Add(CompMAC, ActMACRandom, 250)
-	merged := NewCounts()
-	merged.Merge(a)
-	merged.Merge(b)
+	merged.Add(CompMAC, ActMACRandom, 100)
+	merged.Add(CompMAC, ActMACRandom, 250)
 	est := Estimator{ERT: ert, PEs: 0, SRAMKB: 0, FrequencyMHz: 1000}
 	ra, _ := est.Estimate(a, 0)
 	rb, _ := est.Estimate(b, 0)
 	rm, _ := est.Estimate(merged, 0)
 	if math.Abs(rm.TotalPJ-(ra.TotalPJ+rb.TotalPJ)) > 1e-9 {
 		t.Errorf("additivity violated: %f vs %f", rm.TotalPJ, ra.TotalPJ+rb.TotalPJ)
+	}
+}
+
+// TestCountActionsEstimateAllocs pins the energy model's per-layer
+// allocations: the counts live in one value on the stack and Estimate sums
+// in a fixed local table, so counting and estimating a layer allocate only
+// the Report and its PerComponent map.
+func TestCountActionsEstimateAllocs(t *testing.T) {
+	ecfg := config.Default().Energy
+	ecfg.IncludeDRAM = true
+	est := systolic.Estimate(config.OutputStationary, 32, 32, 197, 768, 768)
+	prof := ProfileFromEstimate(config.OutputStationary, est, 197, 768, 768)
+	e := Estimator{ERT: Default65nm(), PEs: 32 * 32, SRAMKB: 1280, FrequencyMHz: ecfg.FrequencyMHz}
+	var rep *Report
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if rep, err = e.Estimate(CountActions(prof, &ecfg), est.ComputeCycles); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(rep.PerComponent) == 0 {
+		t.Fatal("empty report")
+	}
+	if allocs > 3 {
+		t.Errorf("CountActions + Estimate: %v allocations per layer, want at most 3 (the Report and its map)", allocs)
 	}
 }

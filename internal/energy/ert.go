@@ -152,11 +152,18 @@ func (e *ERT) Set(c Component, a Action, pj float64) {
 	e.Entries[c][a] = pj
 }
 
-// Counts holds simulated action counts per (component, action): a short
-// list (a layer produces about twenty entries) kept sorted by component,
-// then action, so Each needs no sorting.
+// maxCounts is the number of (component, action) pairs CountActions can
+// emit: two MAC states, six scratchpad accesses, four per SRAM, two DRAM
+// directions and the NoC hop.
+const maxCounts = 23
+
+// Counts holds simulated action counts per (component, action): a fixed
+// table of at most maxCounts entries kept sorted by component, then
+// action, so a layer's counts live in one value and Each needs no sorting.
+// The zero value is an empty table.
 type Counts struct {
-	entries []actionCount
+	entries [maxCounts]actionCount
+	n       int
 }
 
 type actionCount struct {
@@ -165,26 +172,21 @@ type actionCount struct {
 	n int64
 }
 
-// NewCounts returns an empty action-count table.
-func NewCounts() *Counts {
-	// Room for every (component, action) CountActions can emit.
-	return &Counts{entries: make([]actionCount, 0, 24)}
-}
-
 // find returns the position of (c, a) in the sorted entries, or the
 // position it would be inserted at.
 func (ct *Counts) find(c Component, a Action) (int, bool) {
-	for i := range ct.entries {
+	for i := range ct.n {
 		e := &ct.entries[i]
 		if e.c < c || (e.c == c && e.a < a) {
 			continue
 		}
 		return i, e.c == c && e.a == a
 	}
-	return len(ct.entries), false
+	return ct.n, false
 }
 
-// Add increments (c, a) by n.
+// Add increments (c, a) by n. It panics when (c, a) would be a distinct
+// pair beyond the table's maxCounts.
 func (ct *Counts) Add(c Component, a Action, n int64) {
 	if n == 0 {
 		return
@@ -194,9 +196,12 @@ func (ct *Counts) Add(c Component, a Action, n int64) {
 		ct.entries[i].n += n
 		return
 	}
-	ct.entries = append(ct.entries, actionCount{})
-	copy(ct.entries[i+1:], ct.entries[i:])
+	if ct.n == maxCounts {
+		panic(fmt.Sprintf("energy: more than %d distinct (component, action) counts", maxCounts))
+	}
+	copy(ct.entries[i+1:ct.n+1], ct.entries[i:ct.n])
 	ct.entries[i] = actionCount{c, a, n}
+	ct.n++
 }
 
 // Get returns the count for (c, a).
@@ -205,21 +210,4 @@ func (ct *Counts) Get(c Component, a Action) int64 {
 		return ct.entries[i].n
 	}
 	return 0
-}
-
-// Merge adds all of other's counts into ct.
-func (ct *Counts) Merge(other *Counts) {
-	for _, e := range other.entries {
-		ct.Add(e.c, e.a, e.n)
-	}
-}
-
-// Each visits every non-zero (component, action, count) in sorted order,
-// so float aggregation over the counts is deterministic run to run.
-func (ct *Counts) Each(fn func(Component, Action, int64)) {
-	for _, e := range ct.entries {
-		if e.n != 0 {
-			fn(e.c, e.a, e.n)
-		}
-	}
 }

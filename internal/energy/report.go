@@ -1,9 +1,6 @@
 package energy
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Report is the combined energy/power output for one run.
 type Report struct {
@@ -49,30 +46,6 @@ func (r *Report) String() string {
 		r.TotalMJ(), r.Cycles, r.AvgPowerMW(), r.EdP())
 }
 
-// Breakdown returns component names and energies sorted descending.
-func (r *Report) Breakdown() []struct {
-	Component Component
-	PJ        float64
-} {
-	out := make([]struct {
-		Component Component
-		PJ        float64
-	}, 0, len(r.PerComponent))
-	for c, pj := range r.PerComponent {
-		out = append(out, struct {
-			Component Component
-			PJ        float64
-		}{c, pj})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].PJ != out[j].PJ {
-			return out[i].PJ > out[j].PJ
-		}
-		return out[i].Component < out[j].Component
-	})
-	return out
-}
-
 // Estimator applies an ERT to action counts.
 type Estimator struct {
 	ERT *ERT
@@ -85,32 +58,51 @@ type Estimator struct {
 }
 
 // Estimate produces the report for the given action counts over `cycles`.
-func (e *Estimator) Estimate(ct *Counts, cycles int64) (*Report, error) {
+//
+// Each component's dynamic energy sums its non-zero counts in (component,
+// action) order, and the total adds the components in descending energy
+// (then name) order, so the float sums never depend on map iteration and
+// are identical run to run. Only the Report and its map are allocated.
+func (e *Estimator) Estimate(ct Counts, cycles int64) (*Report, error) {
+	// ct's entries are sorted by component, so each component's counts are
+	// one run and sums[:k] lists the components in name order.
+	var sums [maxCounts]struct {
+		c  Component
+		pj float64
+	}
+	k := 0
+	for _, ac := range ct.entries[:ct.n] {
+		if ac.n == 0 {
+			continue
+		}
+		unit, err := e.ERT.Energy(ac.c, ac.a)
+		if err != nil {
+			return nil, err
+		}
+		if k == 0 || sums[k-1].c != ac.c {
+			sums[k].c, sums[k].pj = ac.c, 0
+			k++
+		}
+		sums[k-1].pj += unit * float64(ac.n)
+	}
+	// Insertion sort into descending energy, ties by name: at most one
+	// entry per component, so a handful of moves.
+	for i := 1; i < k; i++ {
+		for j := i; j > 0 && (sums[j].pj > sums[j-1].pj ||
+			sums[j].pj == sums[j-1].pj && sums[j].c < sums[j-1].c); j-- {
+			sums[j], sums[j-1] = sums[j-1], sums[j]
+		}
+	}
 	rep := &Report{
-		PerComponent: make(map[Component]float64),
+		PerComponent: make(map[Component]float64, k),
+		LeakagePJ: e.ERT.PELeakagePJPerCycle*float64(e.PEs)*float64(cycles) +
+			e.ERT.SRAMLeakagePJPerKBCycle*float64(e.SRAMKB)*float64(cycles),
 		Cycles:       cycles,
 		FrequencyMHz: e.FrequencyMHz,
 	}
-	var firstErr error
-	ct.Each(func(c Component, a Action, n int64) {
-		unit, err := e.ERT.Energy(c, a)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		rep.PerComponent[c] += unit * float64(n)
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	rep.LeakagePJ = e.ERT.PELeakagePJPerCycle*float64(e.PEs)*float64(cycles) +
-		e.ERT.SRAMLeakagePJPerKBCycle*float64(e.SRAMKB)*float64(cycles)
-	// Sum in sorted component order: map iteration order would make the
-	// float total wobble in the last ulp between identical runs.
-	for _, b := range rep.Breakdown() {
-		rep.TotalPJ += b.PJ
+	for _, s := range sums[:k] {
+		rep.TotalPJ += s.pj
+		rep.PerComponent[s.c] = s.pj
 	}
 	rep.TotalPJ += rep.LeakagePJ
 	return rep, nil

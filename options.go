@@ -138,9 +138,3 @@ func WithTrace(dir string) Option {
 		o.traceDir = dir
 	}
 }
-
-// withTraceName overrides the trace file's base name (sweeps label each
-// point's trace with the point name).
-func withTraceName(name string) Option {
-	return func(o *options) { o.traceName = name }
-}

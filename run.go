@@ -36,21 +36,32 @@ import (
 // earlier run stored it; Result.CacheStats reports the outcome per layer.
 // Cached and uncached runs produce byte-identical reports.
 func (s *Simulator) Run(ctx context.Context, topo *Topology, opts ...Option) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := s.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := topo.Validate(); err != nil {
+	if err := validateRun(&s.cfg, topo); err != nil {
 		return nil, err
 	}
 	o := s.opts
 	for _, opt := range opts {
 		opt(&o)
 	}
-	lc := newLayerCache(o.cache, &s.cfg, &o)
-	res := &Result{Config: s.cfg, Layers: make([]LayerResult, len(topo.Layers))}
+	return run(ctx, &s.cfg, &o, topo)
+}
+
+// validateRun is Run's check of its inputs, ahead of any option.
+func validateRun(cfg *Config, topo *Topology) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return topo.Validate()
+}
+
+// run simulates topo under cfg with resolved options; cfg and topo are
+// valid. The Result keeps its own copy of cfg.
+func run(ctx context.Context, cfg *Config, o *options, topo *Topology) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	lc := newLayerCache(o.cache, cfg, o)
+	res := &Result{Config: *cfg, Layers: make([]LayerResult, len(topo.Layers))}
 
 	// A nil tracer is the zero-overhead default: every span below no-ops.
 	var tracer *telemetry.Tracer
@@ -59,12 +70,12 @@ func (s *Simulator) Run(ctx context.Context, topo *Topology, opts ...Option) (*R
 	}
 	start := time.Now()
 	root := tracer.Start("run", "run")
-	root.SetAttr("run", s.cfg.RunName)
-	root.SetAttr("dataflow", s.cfg.Dataflow.String())
-	root.SetAttr("array", fmt.Sprintf("%dx%d", s.cfg.ArrayRows, s.cfg.ArrayCols))
+	root.SetAttr("run", cfg.RunName)
+	root.SetAttr("dataflow", cfg.Dataflow.String())
+	root.SetAttr("array", fmt.Sprintf("%dx%d", cfg.ArrayRows, cfg.ArrayCols))
 	root.SetAttr("layers", len(topo.Layers))
 
-	err := runLayers(ctx, &s.cfg, &o, topo, res.Layers, lc, root)
+	err := runLayers(ctx, cfg, o, topo, res.Layers, lc, root)
 	root.End()
 	if err != nil {
 		return nil, err
@@ -77,7 +88,7 @@ func (s *Simulator) Run(ctx context.Context, topo *Topology, opts ...Option) (*R
 		res.spans = tracer.Records()
 		if o.traceDir != "" {
 			// The file is named after the sweep point, else the run.
-			base := sanitize(cmp.Or(o.traceName, s.cfg.RunName, "run"))
+			base := sanitize(cmp.Or(o.traceName, cfg.RunName, "run"))
 			if err := writeTraceFile(tracer, o.traceDir, base); err != nil {
 				return nil, err
 			}
@@ -137,7 +148,7 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 		if rep[i] != i || runCtx.Err() != nil {
 			return
 		}
-		lr, err := runLayer(runCtx, cfg, o, &topo.Layers[i], lc, layerSpan(root, topo, i))
+		err := runLayer(runCtx, cfg, o, &topo.Layers[i], lc, layerSpan(root, topo, i), &out[i])
 		mu.Lock()
 		if err != nil {
 			cancel() // first error aborts the remaining layers
@@ -145,8 +156,6 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 			if !isCtxSentinel(err) && i < failed {
 				failed, cause = i, err
 			}
-		} else {
-			out[i] = *lr
 		}
 		done++
 		if o.progress != nil {
@@ -176,7 +185,7 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 			}
 		}
 		span.End()
-		out[i] = *cloneLayerResult(&out[r])
+		out[i] = cloneLayerResult(&out[r])
 		out[i].Layer = topo.Layers[i]
 		if lc != nil {
 			lc.hits.Add(1) // a repeat counts as a hit of its shape
@@ -281,39 +290,40 @@ func newStageContext(cfg *Config, o *options, l *Layer) *StageContext {
 	}
 }
 
-// runLayer pushes one layer through the stage pipeline, consulting the
-// layer cache (when enabled) before doing any work and populating it
-// after. Under WriteTraces it also writes the layer's trace files.
-func runLayer(ctx context.Context, cfg *Config, o *options, l *Layer, lc *layerCache, span *telemetry.Span) (*LayerResult, error) {
+// runLayer pushes one layer through the stage pipeline into lr, consulting
+// the layer cache (when enabled) before doing any work and populating it
+// after. Under WriteTraces it also writes the layer's trace files. On error
+// lr holds a partial result the caller discards.
+func runLayer(ctx context.Context, cfg *Config, o *options, l *Layer, lc *layerCache, span *telemetry.Span, lr *LayerResult) error {
 	defer span.End()
 	var ckey simcache.Key
 	if lc != nil {
 		ckey = lc.key(l)
-		if hit := lc.lookup(ckey, l); hit != nil {
+		if lc.lookup(ckey, l, lr) {
 			span.SetAttr("cache", "hit")
-			return hit, nil
+			return nil
 		}
 		span.SetAttr("cache", "miss")
 	}
 	sc := newStageContext(cfg, o, l)
-	lr := &LayerResult{Layer: *l, M: sc.M, N: sc.N, K: sc.K}
+	*lr = LayerResult{Layer: *l, M: sc.M, N: sc.N, K: sc.K}
 	if o.cache != nil {
 		// Sub-result memoization (layout analysis) stays valid even when
 		// whole-layer caching is off because of a custom stage: the built-in
 		// stages key their sub-results on exactly what they read.
 		sc.cache = o.cache.c
 	}
-	run := runStages
+	apply := runStages
 	if o.traceFiles != "" {
-		run = runTracedStages
+		apply = runTracedStages
 	}
-	if err := run(ctx, o, sc, lr, span); err != nil {
-		return nil, err
+	if err := apply(ctx, o, sc, lr, span); err != nil {
+		return err
 	}
 	if lc != nil {
 		lc.put(ckey, lr)
 	}
-	return lr, nil
+	return nil
 }
 
 // runStages applies the pipeline to one layer in order, checking for

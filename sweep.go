@@ -87,22 +87,26 @@ func Sweep(ctx context.Context, points []SweepPoint, opts ...Option) ([]SweepRes
 }
 
 // runSweepPoint runs one point sequentially, forwarding progress callbacks
-// tagged with the point name.
+// tagged with the point name. It returns exactly what
+// New(p.Config).Run(ctx, p.Topology, ...) with the sweep's options returns,
+// without building a Simulator or option closures per point.
 func runSweepPoint(ctx context.Context, o *options, mu *sync.Mutex, p *SweepPoint) (*Result, error) {
-	runOpts := []Option{WithParallelism(1), WithERT(o.ert), WithStages(o.stages...),
-		WithCache(o.cache), WithFidelity(o.fidelity)}
+	if err := validateRun(&p.Config, p.Topology); err != nil {
+		return nil, err
+	}
+	po := options{ert: o.ert, fidelity: o.fidelity, parallelism: 1, stages: o.stages, cache: o.cache}
 	if o.traceEnabled {
 		// Each point collects its own trace, filed under the point name.
-		runOpts = append(runOpts, WithTrace(o.traceDir), withTraceName(p.Name))
+		po.traceEnabled, po.traceDir, po.traceName = true, o.traceDir, p.Name
 	}
 	if o.progress != nil {
 		name, fn := p.Name, o.progress
-		runOpts = append(runOpts, WithProgress(func(lp LayerProgress) {
+		po.progress = func(lp LayerProgress) {
 			lp.Point = name
 			mu.Lock()
 			fn(lp)
 			mu.Unlock()
-		}))
+		}
 	}
-	return New(p.Config).Run(ctx, p.Topology, runOpts...)
+	return run(ctx, &p.Config, &po, p.Topology)
 }

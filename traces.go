@@ -58,8 +58,11 @@ func (s *Simulator) WriteTraces(ctx context.Context, topo *Topology, dir string,
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	opts = append(opts[:len(opts):len(opts)], WithCache(nil), func(o *options) { o.traceFiles = dir })
-	return s.Run(ctx, topo, opts...)
+	if err := validateRun(&s.cfg, topo); err != nil {
+		return nil, err
+	}
+	o.cache, o.traceFiles = nil, dir
+	return run(ctx, &s.cfg, &o, topo)
 }
 
 // checkTraceNames refuses a topology whose layer names cannot name trace
