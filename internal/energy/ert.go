@@ -158,9 +158,9 @@ func (e *ERT) Set(c Component, a Action, pj float64) {
 const maxCounts = 23
 
 // Counts holds simulated action counts per (component, action): a fixed
-// table of at most maxCounts entries kept sorted by component, then
-// action, so a layer's counts live in one value and Each needs no sorting.
-// The zero value is an empty table.
+// table of at most maxCounts entries, so a layer's counts live in one
+// value, kept sorted by component, then action, so Estimate sums them in
+// a fixed order without sorting. The zero value is an empty table.
 type Counts struct {
 	entries [maxCounts]actionCount
 	n       int
