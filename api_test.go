@@ -345,15 +345,17 @@ func TestSweep(t *testing.T) {
 	// recorder collects one side's WithProgress callbacks in arrival order.
 	type recorder struct{ events []LayerProgress }
 	cases := []struct {
-		name string
-		cfg  func(*Config)                 // per-point tweak on top of DefaultConfig
-		opts func(*recorder) []Option      // fresh for the sweep and for the solo runs
-		bad  int                           // index of a point with an invalid Config, or -1
-		took func(solo, base *Result) bool // the option changed the run
+		name    string
+		cfg     func(*Config)            // per-point tweak on top of DefaultConfig
+		opts    func(*recorder) []Option // fresh for the sweep and for the solo runs
+		invalid bool                     // the middle point's Config fails validation
+		// took reports whether the option changed the last point's run
+		// against a run of its Config with no options.
+		took func(solo, base *Result) bool
 	}{
-		{name: "default", bad: -1},
+		{name: "default"},
 		{
-			name: "ert", bad: -1,
+			name: "ert",
 			cfg:  func(c *Config) { c.Energy.Enabled = true },
 			opts: func(*recorder) []Option { return []Option{WithERT(customERT)} },
 			took: func(solo, base *Result) bool {
@@ -361,7 +363,7 @@ func TestSweep(t *testing.T) {
 			},
 		},
 		{
-			name: "stages", bad: -1,
+			name: "stages",
 			cfg:  func(c *Config) { c.Energy.Enabled = true },
 			opts: func(*recorder) []Option { return []Option{WithStages(ComputeStage())} },
 			took: func(solo, base *Result) bool {
@@ -369,29 +371,29 @@ func TestSweep(t *testing.T) {
 			},
 		},
 		{
-			name: "cache", bad: -1,
+			name: "cache",
 			opts: func(*recorder) []Option { return []Option{WithCache(NewCache(0, 0))} },
 			took: func(solo, _ *Result) bool { return solo.CacheStats.Misses > 0 },
 		},
 		{
-			name: "fidelity", bad: -1,
+			name: "fidelity",
 			cfg:  func(c *Config) { c.Memory.Enabled = true },
 			opts: func(*recorder) []Option { return []Option{WithFidelity(Analytical)} },
 			took: func(solo, base *Result) bool { return !reflect.DeepEqual(solo.Layers, base.Layers) },
 		},
 		{
-			name: "trace", bad: -1,
+			name: "trace",
 			opts: func(*recorder) []Option { return []Option{WithTrace("")} },
 			took: func(solo, _ *Result) bool { return solo.Profile() != nil },
 		},
 		{
-			name: "progress", bad: -1,
+			name: "progress",
 			opts: func(r *recorder) []Option {
 				return []Option{WithProgress(func(lp LayerProgress) { r.events = append(r.events, lp) })}
 			},
 		},
 		{
-			name: "invalid config", bad: 1,
+			name: "invalid config", invalid: true,
 			opts: func(*recorder) []Option { return []Option{WithCache(NewCache(0, 0))} },
 		},
 	}
@@ -405,7 +407,7 @@ func TestSweep(t *testing.T) {
 				if tc.cfg != nil {
 					tc.cfg(&cfg)
 				}
-				if i == tc.bad {
+				if tc.invalid && i == 1 {
 					cfg.ArrayRows = -1 // fails validation
 				}
 				points = append(points, SweepPoint{Name: fmt.Sprintf("%dx%d", arr, arr), Config: cfg, Topology: topo})
@@ -435,7 +437,7 @@ func TestSweep(t *testing.T) {
 				from := len(solos.events)
 				solo, soloErr := New(p.Config).Run(ctx, topo, soloOpts...)
 				if soloErr != nil {
-					if i != tc.bad {
+					if !tc.invalid || i != 1 {
 						t.Fatalf("point %s: %v", p.Name, soloErr)
 					}
 					if sr.Result != nil || sr.Err == nil || sr.Err.Error() != soloErr.Error() {
@@ -479,7 +481,7 @@ func TestSweep(t *testing.T) {
 			if tc.name == "progress" && len(swept.events) != len(points)*len(topo.Layers) {
 				t.Errorf("%d progress callbacks, want one per layer per point (%d)", len(swept.events), len(points)*len(topo.Layers))
 			}
-			if tc.bad < 0 && !(results[2].Result.TotalCycles() < results[0].Result.TotalCycles()) {
+			if !tc.invalid && !(results[2].Result.TotalCycles() < results[0].Result.TotalCycles()) {
 				// Bigger arrays finish sooner on these conv layers.
 				t.Errorf("64x64 cycles %d not below 16x16 cycles %d",
 					results[2].Result.TotalCycles(), results[0].Result.TotalCycles())
