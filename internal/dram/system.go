@@ -38,7 +38,8 @@ type Options struct {
 	// advance the clock one Tick per cycle instead of jumping between
 	// events. The two modes are cycle-for-cycle identical; the reference
 	// loop is retained as the oracle for the event engine's differential
-	// tests — only tests (and sram's ReferenceTickLoop) set it.
+	// tests, and drives the SRAM replay's per-cycle oracle — only tests
+	// set it.
 	ReferenceTicks bool
 }
 

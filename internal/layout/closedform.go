@@ -12,7 +12,10 @@ package layout
 // distinct group evaluations, memoized per (stride, count). The per-cycle
 // replay is retained as the differential-test oracle.
 
-import "scalesim/internal/systolic"
+import (
+	"scalesim/internal/config"
+	"scalesim/internal/systolic"
+)
 
 // AccessRun is a closed-form run of parallel access groups: Steps groups,
 // each demanding the Count operand-local storage addresses
@@ -144,6 +147,21 @@ func PatternRun(p *systolic.Pattern, g systolic.Gemm, transposed bool) AccessRun
 		Delta:  int64(p.RowPerStep)*int64(cols) + int64(p.ColPerStep),
 		Count:  p.Count,
 		Steps:  p.Steps,
+	}
+}
+
+// NaturalTransposed reports, per operand, whether the dataflow's natural
+// storage order is the transpose of row-major: a layout-aware mapper stores
+// each operand the dataflow walks column-wise transposed, so its per-cycle
+// access groups are contiguous (OS: the ifmap; WS: none; IS: all three).
+func NaturalTransposed(df config.Dataflow) (ifmap, filter, ofmap bool) {
+	switch df {
+	case config.OutputStationary:
+		return true, false, false
+	case config.InputStationary:
+		return true, true, true
+	default:
+		return false, false, false
 	}
 }
 

@@ -1,7 +1,7 @@
 package layout_test
 
 // Differential tests proving the closed-form bank-conflict analysis
-// byte-identical to the retained per-cycle replay (Stream + ApplyTransform +
+// byte-identical to the per-cycle replay (simtest.LayoutReplay into
 // Observe), over the shared simtest harness grid, a seeded randomized sweep
 // and a fuzz target. These run in CI's -race subset.
 
@@ -36,24 +36,15 @@ func newTriple(t testing.TB, lc layout.Config) (ifa, fla, ofa *layout.Analyzer) 
 	return mk(), mk(), mk()
 }
 
-// replayTriple is the retained oracle: the per-cycle stream fed through the
-// transforms and Observe, exactly as stage.go's fallback path does.
+// replayTriple replays the per-cycle stream through three analyzers with
+// the shared oracle simtest.LayoutReplay.
 func replayTriple(t testing.TB, c simtest.Case, lc layout.Config, natural bool) (ifa, fla, ofa *layout.Analyzer) {
 	t.Helper()
 	ifa, fla, ofa = newTriple(t, lc)
-	var ifmapT, filterT, ofmapT layout.Transform
-	if natural {
-		ifmapT, filterT, ofmapT = layout.NaturalTransforms(c.Dataflow, c.G.M, c.G.N, c.G.K)
-	}
-	var ifBuf, flBuf, ofBuf []int64
-	err := simtest.Stream(c.Dataflow, c.R, c.C, c.G, func(d *systolic.Demand) bool {
-		ifBuf = layout.ApplyTransform(ifBuf[:0], d.IfmapReads, systolic.IfmapBase, ifmapT)
-		flBuf = layout.ApplyTransform(flBuf[:0], d.FilterReads, systolic.FilterBase, filterT)
-		ofBuf = layout.ApplyTransform(ofBuf[:0], d.OfmapWrites, systolic.OfmapBase, ofmapT)
-		ifa.Observe(ifBuf)
-		fla.Observe(flBuf)
-		ofa.Observe(ofBuf)
-		return true
+	err := simtest.LayoutReplay(c.Dataflow, c.R, c.C, c.G, natural, func(i, f, o []int64) {
+		ifa.Observe(i)
+		fla.Observe(f)
+		ofa.Observe(o)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,13 +166,14 @@ func TestObserveRunIgnoresEmptyRuns(t *testing.T) {
 	}
 }
 
-// TestNaturalTransposedMatchesTransforms pins the refactor: the boolean view
-// and the Transform view must agree for every dataflow.
+// TestNaturalTransposedMatchesTransforms checks the storage orders the
+// closed form uses (NaturalTransposed) against the oracle's transforms, for
+// every dataflow.
 func TestNaturalTransposedMatchesTransforms(t *testing.T) {
-	m, n, k := 5, 7, 3
+	g := systolic.Gemm{M: 5, N: 7, K: 3}
 	for _, df := range config.Dataflows() {
 		ti, tf, to := layout.NaturalTransposed(df)
-		i, f, o := layout.NaturalTransforms(df, m, n, k)
+		i, f, o := simtest.NaturalTransforms(df, g)
 		if (i != nil) != ti || (f != nil) != tf || (o != nil) != to {
 			t.Errorf("%v: transposed (%v,%v,%v) disagrees with transforms (%v,%v,%v)",
 				df, ti, tf, to, i != nil, f != nil, o != nil)

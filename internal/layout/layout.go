@@ -11,8 +11,7 @@
 //
 // An Analyzer accumulates both costs over the access groups of a fold
 // schedule, in closed form (AnalyzeSchedule, ObserveRun) or one group at a
-// time (Observe). Where each operand word sits is a storage Transform of
-// its row-major address: row-major itself, or the natural transforms a
-// layout-aware mapper picks per dataflow (NaturalTransforms), which store
-// column-walked operands transposed.
+// time (Observe). Each operand is stored row-major, or in the natural order
+// a layout-aware mapper picks per dataflow (NaturalTransposed), which
+// stores column-walked operands transposed.
 package layout

@@ -8,10 +8,10 @@
 // The harness is consumed by the systolic, layout, sram and root-package
 // test suites, so every analytical fast path in the repo is proven
 // against the same oracle: systolic's FoldSchedule.Materialize and Stats vs
-// Stream, layout's closed-form bank-conflict analysis vs the per-cycle
-// replay of Stream, and sram's fold-level schedule invariants. It
-// deliberately imports only config and systolic — packages under test
-// import it from their test files without cycles.
+// Stream, layout's closed-form bank-conflict analysis vs LayoutReplay (the
+// per-cycle replay of Stream in storage order), and sram's fold-level
+// schedule invariants. It deliberately imports only config and systolic —
+// packages under test import it from their test files without cycles.
 package simtest
 
 import (

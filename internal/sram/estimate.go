@@ -81,7 +81,7 @@ func gcd(a, b int64) int64 {
 // result is made of. Estimate feeds it a built Schedule's folds,
 // EstimateGemm the fold walk directly.
 type traffic struct {
-	wordBytes, lineBytes  int64
+	wordBytes             int64
 	computeCycles         int64
 	readWords, writeWords int64
 	readLines, writeLines int64
@@ -89,7 +89,7 @@ type traffic struct {
 
 func newTraffic(opts Options) traffic {
 	opts.defaults()
-	return traffic{wordBytes: int64(opts.WordBytes), lineBytes: int64(opts.LineBytes)}
+	return traffic{wordBytes: int64(opts.WordBytes)}
 }
 
 func (t *traffic) add(f *Fold) {
@@ -97,13 +97,13 @@ func (t *traffic) add(f *Fold) {
 	t.readWords += f.StationaryWords() + f.StreamWords()
 	t.writeWords += f.WriteWords()
 	for _, sp := range f.Stationary {
-		t.readLines += sp.LineCount(t.wordBytes, t.lineBytes)
+		t.readLines += sp.LineCount(t.wordBytes, lineBytes)
 	}
 	for _, sp := range f.Stream {
-		t.readLines += sp.LineCount(t.wordBytes, t.lineBytes)
+		t.readLines += sp.LineCount(t.wordBytes, lineBytes)
 	}
 	for _, sp := range f.Writes {
-		t.writeLines += sp.LineCount(t.wordBytes, t.lineBytes)
+		t.writeLines += sp.LineCount(t.wordBytes, lineBytes)
 	}
 }
 
@@ -140,8 +140,8 @@ func (t *traffic) result(tech dram.Tech, channels int) *Result {
 // event-driven engine's for the same schedule — Analytical screens
 // optimistically, it never overstates a design.
 //
-// Only Options.WordBytes and Options.LineBytes are consulted; the replay
-// tunables (queues, windows, tick mode) have no closed-form meaning.
+// Only Options.WordBytes is consulted; the replay tunables (request rate,
+// staging window, sink) have no closed-form meaning.
 func Estimate(sched *Schedule, tech dram.Tech, channels int, opts Options) *Result {
 	t := newTraffic(opts)
 	for i := range sched.Folds {

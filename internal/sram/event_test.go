@@ -18,39 +18,47 @@ type replayed struct {
 	trace []dram.Request
 }
 
-// runBoth replays one schedule through the event engine and the retained
-// per-cycle reference loop and returns both runs; traced attaches a sink to
-// each. Fresh systems and schedules per run: Simulate mutates neither, but
-// the DRAM system is stateful.
+// runBoth replays one schedule through the event engine and through the
+// per-cycle oracle referenceReplay, and returns both runs; traced attaches
+// a sink to the engine (the oracle always returns its trace). Fresh systems
+// and schedules per run: Simulate mutates neither, but the DRAM system is
+// stateful.
 func runBoth(t testing.TB, df config.Dataflow, r, c int, g systolic.Gemm,
 	dopts dram.Options, tech dram.Tech, opts Options, traced bool) (replayed, replayed) {
 	t.Helper()
-	run := func(reference bool) replayed {
+	setup := func(reference bool) (*Schedule, *dram.System) {
 		sched, err := BuildSchedule(df, r, c, g, ScheduleOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := dram.New(tech, dopts)
+		o := dopts
+		o.ReferenceTicks = reference
+		sys, err := dram.New(tech, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rp replayed
-		o := opts
-		o.ReferenceTickLoop = reference
-		if traced {
-			o.Sink = func(r dram.Request) { rp.trace = append(rp.trace, r) }
-		}
-		if rp.Result, err = Simulate(sched, sys, o); err != nil {
-			t.Fatal(err)
-		}
-		return rp
+		return sched, sys
 	}
-	return run(false), run(true)
+	var ev, ref replayed
+	sched, sys := setup(false)
+	o := opts
+	if traced {
+		o.Sink = func(r dram.Request) { ev.trace = append(ev.trace, r) }
+	}
+	var err error
+	if ev.Result, err = Simulate(sched, sys, o); err != nil {
+		t.Fatal(err)
+	}
+	sched, sys = setup(true)
+	if ref.Result, ref.trace, err = referenceReplay(sched, sys, opts); err != nil {
+		t.Fatal(err)
+	}
+	return ev, ref
 }
 
 // assertIdentical compares two replay results field for field. Only
-// SkippedCycles — the event engine's diagnostic, definitionally zero under
-// the reference loop — is exempt.
+// SkippedCycles — the event engine's diagnostic, zero for the oracle, whose
+// DRAM system ticks every cycle — is exempt.
 func assertIdentical(t testing.TB, ev, ref *Result) {
 	t.Helper()
 	evCmp, refCmp := *ev, *ref
@@ -59,13 +67,13 @@ func assertIdentical(t testing.TB, ev, ref *Result) {
 		t.Errorf("results diverge:\nevent: %+v\nref:   %+v", evCmp, refCmp)
 	}
 	if ref.SkippedCycles != 0 {
-		t.Errorf("reference loop reported %d skipped cycles", ref.SkippedCycles)
+		t.Errorf("oracle reported %d skipped cycles", ref.SkippedCycles)
 	}
 }
 
 // TestEventEngineMatchesReferenceGrid is the differential cycle-exactness
 // test: the event-driven replay must be byte-identical to the per-cycle
-// reference across dataflows × channel counts × DRAM technologies, refresh
+// oracle across dataflows × channel counts × DRAM technologies, refresh
 // on.
 func TestEventEngineMatchesReferenceGrid(t *testing.T) {
 	g := systolic.Gemm{M: 96, N: 48, K: 64}
@@ -105,7 +113,7 @@ func TestEventEngineMatchesReferenceTrace(t *testing.T) {
 				t.Fatal("empty trace")
 			}
 			if !reflect.DeepEqual(ev.trace, ref.trace) {
-				t.Error("event and reference sinks received different transactions")
+				t.Error("the event engine's sink and the oracle's trace differ")
 			}
 		})
 	}
@@ -147,10 +155,10 @@ func randomizedCases() []replayCase {
 	return cases
 }
 
-// checkReplay replays c through both engines with a sink attached. The
-// Results and the sink streams must be identical, and the stream must list
-// exactly the requests the replay issued, in trace order — so no stream
-// line is ever skipped.
+// checkReplay replays c through the engine, with a sink attached, and the
+// oracle. The Results and the transaction streams must be identical, and
+// the stream must list exactly the requests the replay issued, in trace
+// order — so no stream line is ever skipped.
 func checkReplay(t *testing.T, c replayCase) {
 	dopts := dram.Options{
 		Channels:       1 + int(c.channels)%4,
@@ -164,7 +172,7 @@ func checkReplay(t *testing.T, c replayCase) {
 	ev, ref := runBoth(t, c.dataflow(), c.size(), c.size(), c.gemm(), dopts, dram.DDR4_2400(), opts, true)
 	assertIdentical(t, ev.Result, ref.Result)
 	if !reflect.DeepEqual(ev.trace, ref.trace) {
-		t.Fatal("event and reference sinks received different transactions")
+		t.Fatal("the event engine's sink and the oracle's trace differ")
 	}
 	if n := int64(len(ev.trace)); n != ev.ReadRequests+ev.WriteRequests {
 		t.Fatalf("sink received %d transactions, replay issued %d", n, ev.ReadRequests+ev.WriteRequests)

@@ -12,8 +12,6 @@ import (
 type Options struct {
 	// WordBytes is the operand word size (default 4).
 	WordBytes int
-	// LineBytes is the DRAM request granularity (default 64).
-	LineBytes int
 	// MaxRequestsPerCycle bounds how many line requests the interface
 	// can issue per cycle (derived from interface bandwidth).
 	MaxRequestsPerCycle int
@@ -21,40 +19,34 @@ type Options struct {
 	// the producer may run at most this many unconsumed words ahead of
 	// the consumer (typically half the ifmap SRAM).
 	StreamWindowWords int64
-	// MaxCycles aborts runaway simulations (default 2^40).
-	MaxCycles int64
 	// Sink, when set, receives every DRAM transaction with its final
 	// Arrive and Done in trace order: fold by fold, each fold's
 	// stationary, stream, then write lines in span order, not issue order
 	// (fold f+1's reads are prefetched before fold f's writes drain). A
 	// stream line the fold finished without issuing has zero Arrive/Done.
 	Sink func(dram.Request)
-	// ReferenceTickLoop advances the replay — and the attached DRAM
-	// system — one cycle per iteration instead of jumping between
-	// events. Slow; retained as the oracle the event engine's
-	// differential tests compare against — only tests set it.
-	ReferenceTickLoop bool
 	// Trace is the parent telemetry span (typically the memory stage's);
 	// the replay opens "sram.stream" and "sram.drain" phase spans under
 	// it. Nil — the default — records nothing at zero cost.
 	Trace *telemetry.Span
 }
 
+// lineBytes is the DRAM request granularity; maxCycles aborts a runaway
+// replay.
+const (
+	lineBytes       = 64
+	maxCycles int64 = 1 << 40
+)
+
 func (o *Options) defaults() {
 	if o.WordBytes <= 0 {
 		o.WordBytes = 4
-	}
-	if o.LineBytes <= 0 {
-		o.LineBytes = 64
 	}
 	if o.MaxRequestsPerCycle <= 0 {
 		o.MaxRequestsPerCycle = 1
 	}
 	if o.StreamWindowWords <= 0 {
 		o.StreamWindowWords = 1 << 20
-	}
-	if o.MaxCycles <= 0 {
-		o.MaxCycles = 1 << 40
 	}
 }
 
@@ -76,9 +68,9 @@ type Result struct {
 	// ThroughputMBps is DRAM traffic divided by the run's wall time at
 	// the memory clock.
 	ThroughputMBps float64
-	// SkippedCycles counts the dead cycles the event engine jumped over
-	// instead of ticking one by one (zero under ReferenceTickLoop).
-	// Purely diagnostic: it does not affect any simulated statistic.
+	// SkippedCycles counts the dead cycles the replay jumped over instead
+	// of ticking one by one. Purely diagnostic: it does not affect any
+	// simulated statistic.
 	SkippedCycles int64
 }
 
@@ -105,8 +97,8 @@ func (r *Result) StallFraction() float64 {
 // drain phase, or blocked on a full request queue — the clock runs to the
 // next cycle anything can change (the first request to leave a DRAM queue,
 // the next known data-return time, or the end of the drain) instead of
-// ticking through the dead cycles. Options.ReferenceTickLoop restores the
-// per-cycle loop; both modes produce identical Results.
+// ticking through the dead cycles. The tests check every Result and
+// transaction against a per-cycle oracle that shares no code with Simulate.
 //
 // Requests stream: each is built from a cursor over its fold's spans when
 // it issues, in a slot recycled once the consumer has passed it (reads) or
@@ -114,13 +106,6 @@ func (r *Result) StallFraction() float64 {
 // flight, not the schedule's line count.
 func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) {
 	opts.defaults()
-	if opts.ReferenceTickLoop {
-		// The oracle must be fully per-cycle: the DRAM system ticks cycle
-		// by cycle too, exactly the pre-event-engine simulator. Restore
-		// the caller's mode on return — the System outlives this call.
-		defer func(prev bool) { sys.Opts.ReferenceTicks = prev }(sys.Opts.ReferenceTicks)
-		sys.Opts.ReferenceTicks = true
-	}
 	skippedBase := sys.SkippedCycles()
 	// The staging window must cover at least one consume batch plus one
 	// in-flight line, or the producer/consumer pair livelocks.
@@ -130,7 +115,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 			maxRate = sched.Folds[i].ConsumeRate
 		}
 	}
-	lineWordsMin := int64(opts.LineBytes / opts.WordBytes)
+	lineWordsMin := int64(lineBytes / opts.WordBytes)
 	if lineWordsMin < 1 {
 		lineWordsMin = 1
 	}
@@ -142,7 +127,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	// Each fold's line count per request group, and its first index in
 	// trace order, which lists folds in order: stationary, stream, then
 	// writes.
-	wordBytes, lineBytes := int64(opts.WordBytes), int64(opts.LineBytes)
+	wordBytes := int64(opts.WordBytes)
 	nf := len(sched.Folds)
 	lines := make([]foldLines, nf)
 	var traceLen int64
@@ -206,12 +191,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	// drain once at the end of the fold.
 	pacedWrites := sched.Dataflow != config.OutputStationary
 
-	engine := "event"
-	if opts.ReferenceTickLoop {
-		engine = "reference"
-	}
 	stream := opts.Trace.Child("sram.stream", "phase")
-	stream.SetAttr("engine", engine)
 	stream.SetAttr("folds", nf)
 
 	now := int64(0)
@@ -245,17 +225,16 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		return true
 	}
 	// sleep advances time across a no-progress stretch. If the producer
-	// issued this cycle, or the consumer opened a fold (resetting the
-	// consumed words the staging window counts), the producer may act
-	// differently next cycle, so one cycle passes (always, under the
-	// reference loop). Otherwise nothing the producer or the consumer
+	// issued this cycle, or the consumer opened a fold (which admits the
+	// fold's paced writes), the producer may act differently next cycle,
+	// so one cycle passes. Otherwise nothing the producer or the consumer
 	// waits on changes before a request leaves a queue, so the clock runs
 	// event by event to the first dequeue, or to limit. A producer parked
 	// on a full queue would have retried (and failed) on every skipped
-	// cycle, so QueueFullCyc counts them as the reference loop does.
+	// cycle, so QueueFullCyc counts each of them.
 	sleep := func(limit int64) {
 		from := now
-		if retry || opts.ReferenceTickLoop {
+		if retry {
 			advanceTo(now + 1)
 		} else {
 			now = sys.AdvanceUntilDequeue(max(limit, now+1))
@@ -266,7 +245,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	}
 	// stall sleeps until the awaited data returns (waitDone, when known).
 	stall := func(waitDone int64) {
-		limit := opts.MaxCycles + 1
+		limit := maxCycles + 1
 		if waitDone > now && waitDone < limit {
 			limit = waitDone
 		}
@@ -276,8 +255,8 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	passed := func(s *slot) bool { return s != nil && s.Done > 0 && s.Done <= now }
 
 	for cf < nf {
-		if now > opts.MaxCycles {
-			return nil, fmt.Errorf("sram: simulation exceeded %d cycles", opts.MaxCycles)
+		if now > maxCycles {
+			return nil, fmt.Errorf("sram: simulation exceeded %d cycles", maxCycles)
 		}
 		fl, f := &lines[cf], &sched.Folds[cf]
 
@@ -365,8 +344,6 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 			streamPhaseLeft = f.StreamCycles
 			// Non-stream portion of the pipeline (fill + drain).
 			drainLeft = max(f.ComputeCycles-f.StreamCycles, 0)
-			consumedWords = 0
-			streamAvail, availWords = 0, 0
 		}
 		// Stream phase: consume ConsumeRate words/cycle if the data is
 		// here and the write path keeps up; otherwise stall until it is.
@@ -400,7 +377,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		}
 		if drainLeft > 0 {
 			from := now
-			sleep(min(now+drainLeft, opts.MaxCycles+1))
+			sleep(min(now+drainLeft, maxCycles+1))
 			drainLeft -= now - from
 			continue
 		}
@@ -436,16 +413,17 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		if issuedStreamWords < 0 {
 			issuedStreamWords = 0
 		}
+		// The next fold has passed and consumed nothing: none of this
+		// fold's consumed words may credit the window.
 		cf++
 		started = false
-		statDone = 0
+		statDone, streamAvail, availWords, consumedWords = 0, 0, 0, 0
 	}
 	stream.SetAttr("queue_full_cycles", res.QueueFullCyc)
 	stream.End()
 
 	// Flush remaining writes; a full queue parks the producer until a
-	// request leaves it (the reference loop retries every cycle; neither
-	// counts these toward QueueFullCyc).
+	// request leaves it, and these waits do not count toward QueueFullCyc.
 	drain := opts.Trace.Child("sram.drain", "phase")
 	for writeFold < nf {
 		switch {
@@ -453,13 +431,11 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 			writeFold++
 			openWrites(writeFold)
 		case issue(&wr, true):
-		case opts.ReferenceTickLoop:
-			advanceTo(now + 1)
 		default:
-			now = sys.AdvanceUntilDequeue(max(opts.MaxCycles+1, now+1))
+			now = sys.AdvanceUntilDequeue(max(maxCycles+1, now+1))
 		}
 	}
-	if _, err := sys.RunUntilDrained(opts.MaxCycles); err != nil {
+	if _, err := sys.RunUntilDrained(maxCycles); err != nil {
 		drain.End()
 		return nil, err
 	}

@@ -14,7 +14,6 @@ import (
 	"scalesim/internal/report"
 	"scalesim/internal/simtest"
 	"scalesim/internal/sparse"
-	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
 )
 
@@ -165,23 +164,6 @@ func TestRunLayout(t *testing.T) {
 	}
 }
 
-// layoutReplay is the per-cycle oracle of the layout stage: it streams the
-// layer's dense demand through the analyzers cycle by cycle, exactly as
-// layoutSlowdown's closed form summarizes it.
-func layoutReplay(df config.Dataflow, r, c int, g systolic.Gemm, ifa, fla, ofa *layout.Analyzer) error {
-	ifmapT, filterT, ofmapT := layout.NaturalTransforms(df, g.M, g.N, g.K)
-	var ifBuf, flBuf, ofBuf []int64
-	return simtest.Stream(df, r, c, g, func(d *systolic.Demand) bool {
-		ifBuf = layout.ApplyTransform(ifBuf[:0], d.IfmapReads, systolic.IfmapBase, ifmapT)
-		flBuf = layout.ApplyTransform(flBuf[:0], d.FilterReads, systolic.FilterBase, filterT)
-		ofBuf = layout.ApplyTransform(ofBuf[:0], d.OfmapWrites, systolic.OfmapBase, ofmapT)
-		ifa.Observe(ifBuf)
-		fla.Observe(flBuf)
-		ofa.Observe(ofBuf)
-		return true
-	})
-}
-
 // TestDifferentialLayoutStage pins the layout stage's production path
 // (layoutSlowdown: fold schedule → AnalyzeSchedule) to the per-cycle replay
 // it replaced, over the shared differential grid — for dense layers under
@@ -208,7 +190,12 @@ func TestDifferentialLayoutStage(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := layoutReplay(c.Dataflow, c.R, c.C, c.G, an[0], an[1], an[2]); err != nil {
+			err := simtest.LayoutReplay(c.Dataflow, c.R, c.C, c.G, true, func(i, f, o []int64) {
+				an[0].Observe(i)
+				an[1].Observe(f)
+				an[2].Observe(o)
+			})
+			if err != nil {
 				t.Fatalf("%+v %s: replay: %v", lc, c.Name, err)
 			}
 			return layout.CombinedSlowdown(an[0], an[1], an[2])
