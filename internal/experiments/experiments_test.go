@@ -260,6 +260,34 @@ func TestTable5Shapes(t *testing.T) {
 	}
 }
 
+// TestAbstractViTBaseScaling scores the paper's abstract: from a 32² to a
+// 128² array, ViT-base latency falls 6.53× and energy rises 2.86×. Energy
+// lands within 1 %. Latency falls only ≈4.6×: compute alone scales ≈10.4×,
+// but memory stalls are ≈97 % of the cycles at 32² and ≈99 % at 128², so
+// the error is DRAM saturation on the single DDR4 channel of the default
+// machine. The bound pins that term at its present size.
+func TestAbstractViTBaseScaling(t *testing.T) {
+	p := QuickTable5()
+	p.WithMemory = true
+	rows, err := RunTable5(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	latency, energy := Table5Scaling(rows, "vit_base")
+	latErr, energyErr := math.Abs(latency-6.53)/6.53, math.Abs(energy-2.86)/2.86
+	t.Logf("32²→128²: latency ÷%.3f (paper 6.53, rel err %.3f), energy ×%.3f (paper 2.86, rel err %.3f)",
+		latency, latErr, energy, energyErr)
+	if latency <= 1 || energy <= 1 {
+		t.Fatalf("latency ratio %.3f and energy ratio %.3f must both exceed 1", latency, energy)
+	}
+	if energyErr > 0.02 {
+		t.Errorf("energy ratio %.3f is more than 2%% off the paper's 2.86", energy)
+	}
+	if latErr > 0.30 {
+		t.Errorf("latency ratio %.3f has relative error %.3f against the paper's 6.53, above 0.30", latency, latErr)
+	}
+}
+
 // TestExperimentsDoNotWireMemory keeps the experiments on the facade: the
 // memory machine is built from a Config by the simulator's memory stage,
 // never by hand from the SRAM and DRAM engines.
@@ -327,13 +355,6 @@ func TestTable4OverheadsPositive(t *testing.T) {
 // its measured size, so a model change that moves any of them fails here,
 // naming the number it moved. A change that improves one re-measures the
 // table; it never loosens the tolerance.
-//
-// The abstract says that from a 32² to a 128² array, ViT-base latency
-// falls 6.53× and energy rises 2.86×. Both ratios must exceed 1, energy
-// must land within 2 % and latency within 30 %. Latency falls only ≈4.6×:
-// compute alone scales ≈10.4×, but memory stalls are ≈97 % of the cycles
-// at 32² and ≈99 % at 128², so the error is DRAM saturation on the single
-// DDR4 channel of the default machine.
 func TestPaperScorecard(t *testing.T) {
 	p := QuickTable5()
 	p.WithMemory = true
@@ -342,15 +363,6 @@ func TestPaperScorecard(t *testing.T) {
 		t.Fatal(err)
 	}
 	latency, energy := Table5Scaling(rows, "vit_base")
-	if latency <= 1 || energy <= 1 {
-		t.Fatalf("latency ratio %.3f and energy ratio %.3f must both exceed 1", latency, energy)
-	}
-	if energyErr := math.Abs(energy-2.86) / 2.86; energyErr > 0.02 {
-		t.Errorf("energy ratio %.3f is more than 2%% off the paper's 2.86", energy)
-	}
-	if latErr := math.Abs(latency-6.53) / 6.53; latErr > 0.30 {
-		t.Errorf("latency ratio %.3f has relative error %.3f against the paper's 6.53, above 0.30", latency, latErr)
-	}
 	t6, err := RunTable6(QuickTable6())
 	if err != nil {
 		t.Fatal(err)
