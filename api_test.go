@@ -75,24 +75,28 @@ func TestParallelMatchesSequentialWithMemory(t *testing.T) {
 	}
 }
 
-// opaqueStage hides the wrapped stage's CacheFingerprint: a pipeline of
-// them is not known to be pure, so Run simulates every layer on its own.
-type opaqueStage struct{ Stage }
+// defaultStage returns the built-in stage called name.
+func defaultStage(t testing.TB, name string) Stage {
+	t.Helper()
+	for _, st := range DefaultStages() {
+		if st.Name() == name {
+			return st
+		}
+	}
+	t.Fatalf("DefaultStages has no %q stage", name)
+	return nil
+}
 
 // TestRunGroupsRepeatedShapes is the differential test of in-run shape
 // grouping over the whole zoo: an uncached run that simulates each distinct
-// shape once and copies it to the repeats equals one that simulates every
-// layer, at one worker and at four, and still reports progress once per
+// shape once and copies it to the repeats equals running every layer on its
+// own, at one worker and at four, and still reports progress once per
 // layer.
 func TestRunGroupsRepeatedShapes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Memory.Enabled = true
 	cfg.Layout.Enabled = true
 	cfg.Energy.Enabled = true
-	var perLayer []Stage
-	for _, st := range DefaultStages() {
-		perLayer = append(perLayer, opaqueStage{st})
-	}
 	sim := New(cfg, WithFidelity(Analytical))
 	for _, name := range BuiltinTopologyNames() {
 		topo, err := BuiltinTopology(name)
@@ -113,12 +117,14 @@ func TestRunGroupsRepeatedShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, parallelism %d: %v", name, par, err)
 			}
-			want, err := sim.Run(context.Background(), topo, WithParallelism(par), WithStages(perLayer...))
-			if err != nil {
-				t.Fatalf("%s, parallelism %d, per layer: %v", name, par, err)
-			}
-			if !reflect.DeepEqual(grouped, want) {
-				t.Errorf("%s, parallelism %d: grouped run differs from the per-layer run", name, par)
+			for i := range topo.Layers {
+				alone, err := sim.Run(context.Background(), topo.Sub(i, i+1), WithParallelism(par))
+				if err != nil {
+					t.Fatalf("%s, parallelism %d, layer %d alone: %v", name, par, i, err)
+				}
+				if !reflect.DeepEqual(grouped.Layers[i], alone.Layers[0]) {
+					t.Errorf("%s, parallelism %d: layer %d differs from running it alone", name, par, i)
+				}
 			}
 			for i := range topo.Layers {
 				if calls[i] != 1 {
@@ -204,10 +210,13 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// failStage fails on a specific layer name.
+// failStage fails on a specific layer name. Reading the name breaks the
+// Stage contract, so it is used only on topologies whose layer shapes are
+// all distinct, where the name picks one shape.
 type failStage struct{ layer string }
 
-func (f failStage) Name() string { return "fail" }
+func (f failStage) Name() string             { return "fail" }
+func (f failStage) CacheFingerprint() string { return "test/fail/" + f.layer }
 func (f failStage) Apply(_ context.Context, sc *StageContext, _ *LayerResult) error {
 	if sc.Layer.Name == f.layer {
 		return fmt.Errorf("injected failure")
@@ -217,7 +226,7 @@ func (f failStage) Apply(_ context.Context, sc *StageContext, _ *LayerResult) er
 
 func TestRunFirstErrorCancels(t *testing.T) {
 	cfg := DefaultConfig()
-	topo, err := BuiltinTopology("resnet18")
+	topo, err := BuiltinTopology("alexnet") // eight distinct shapes
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,10 +260,12 @@ func TestRunFirstErrorCancels(t *testing.T) {
 }
 
 // wrapStage fails on one layer with an error wrapping a context sentinel,
-// mimicking a custom backend whose own timeout fired.
+// mimicking a custom backend whose own timeout fired. Like failStage it
+// reads the layer name, so it needs a topology of distinct shapes.
 type wrapStage struct{ layer string }
 
-func (w wrapStage) Name() string { return "wrap" }
+func (w wrapStage) Name() string             { return "wrap" }
+func (w wrapStage) CacheFingerprint() string { return "test/wrap/" + w.layer }
 func (w wrapStage) Apply(_ context.Context, sc *StageContext, _ *LayerResult) error {
 	if sc.Layer.Name == w.layer {
 		return fmt.Errorf("backend timeout: %w", context.DeadlineExceeded)
@@ -267,7 +278,7 @@ func (w wrapStage) Apply(_ context.Context, sc *StageContext, _ *LayerResult) er
 // and returning a nil error with zero-valued layers.
 func TestRunStageTimeoutErrorNotSwallowed(t *testing.T) {
 	cfg := DefaultConfig()
-	topo, err := BuiltinTopology("resnet18")
+	topo, err := BuiltinTopology("alexnet") // eight distinct shapes
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +300,8 @@ type countStage struct {
 	n  int
 }
 
-func (c *countStage) Name() string { return "count" }
+func (c *countStage) Name() string             { return "count" }
+func (c *countStage) CacheFingerprint() string { return "test/count/v1" }
 func (c *countStage) Apply(_ context.Context, _ *StageContext, _ *LayerResult) error {
 	c.mu.Lock()
 	c.n++
@@ -314,7 +326,7 @@ func TestWithStagesCustomPipeline(t *testing.T) {
 	}
 	// Compute-only pipeline: layers still get cycles, but no DRAM words
 	// (the memory stage records minimum traffic).
-	res2, err := New(cfg, WithStages(ComputeStage())).Run(context.Background(), topo)
+	res2, err := New(cfg, WithStages(defaultStage(t, "compute"))).Run(context.Background(), topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,6 +354,7 @@ func TestSweep(t *testing.T) {
 	topo = topo.Sub(0, 4)
 	customERT := DefaultERT()
 	customERT.Set(energy.CompMAC, energy.ActMACRandom, 9.5)
+	compute := defaultStage(t, "compute")
 	// recorder collects one side's WithProgress callbacks in arrival order.
 	type recorder struct{ events []LayerProgress }
 	cases := []struct {
@@ -365,7 +378,7 @@ func TestSweep(t *testing.T) {
 		{
 			name: "stages",
 			cfg:  func(c *Config) { c.Energy.Enabled = true },
-			opts: func(*recorder) []Option { return []Option{WithStages(ComputeStage())} },
+			opts: func(*recorder) []Option { return []Option{WithStages(compute)} },
 			took: func(solo, base *Result) bool {
 				return solo.Layers[0].Energy == nil && base.Layers[0].Energy != nil
 			},

@@ -78,8 +78,8 @@ func SharedCache() *Cache {
 
 // RunCacheStats reports the layer cache's effectiveness for one Run, per
 // layer: the first layer of each shape counts its lookup's outcome, and
-// each repeat counts as a hit. A run without whole-layer caching reports
-// zero. Layout-memo hits are not counted here; they appear in Cache.Stats.
+// each repeat counts as a hit. A run without a cache reports zero.
+// Layout-memo hits are not counted here; they appear in Cache.Stats.
 type RunCacheStats struct {
 	// Hits is the number of layers not simulated: served from the cache
 	// or copied from an earlier layer of the same shape.
@@ -103,9 +103,9 @@ type layerCache struct {
 var defaultERTEncoding = simcache.Encode(sharedDefaultERT)
 
 // newLayerCache builds the per-run handle, or returns nil when caching is
-// off or the stage pipeline is not pure (see pureStages).
+// off.
 func newLayerCache(c *Cache, cfg *Config, o *options) *layerCache {
-	if c == nil || !pureStages(o.stages) {
+	if c == nil {
 		return nil
 	}
 	h := simcache.NewHasher()
@@ -121,21 +121,9 @@ func newLayerCache(c *Cache, cfg *Config, o *options) *layerCache {
 		h.Value(o.ert)
 	}
 	for _, st := range o.stages {
-		h.String(st.(StageFingerprinter).CacheFingerprint())
+		h.String(st.CacheFingerprint())
 	}
 	return &layerCache{cache: c.c, base: h.Sum()}
-}
-
-// pureStages reports whether every stage declares a CacheFingerprint, so
-// that a layer's result depends only on (Config, ERT, shape) and may be
-// reused for another layer of that shape, in a run or across runs.
-func pureStages(stages []Stage) bool {
-	for _, st := range stages {
-		if _, ok := st.(StageFingerprinter); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // fingerprintConfig returns the configuration as hashed into cache keys:

@@ -474,36 +474,8 @@ func TestCacheAnonymousLayerMemoryRow(t *testing.T) {
 	}
 }
 
-// uncacheableStage is deterministic but declares no fingerprint, so
-// whole-layer caching must be bypassed when it is in the pipeline.
-type uncacheableStage struct{}
-
-func (uncacheableStage) Name() string { return "opaque" }
-func (uncacheableStage) Apply(_ context.Context, _ *StageContext, _ *LayerResult) error {
-	return nil
-}
-
-func TestCacheBypassedForUnfingerprintedStage(t *testing.T) {
-	cfg := DefaultConfig()
-	topo := repeatedShapeTopology(2)
-	cache := NewCache(0, 0)
-	ctx := context.Background()
-
-	stages := append(DefaultStages(), uncacheableStage{})
-	res, err := New(cfg).Run(ctx, topo, WithCache(cache), WithStages(stages...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheStats != (RunCacheStats{}) {
-		t.Errorf("unfingerprintable pipeline recorded stats %+v", res.CacheStats)
-	}
-	if st := cache.Stats(); st.Entries != 0 {
-		t.Errorf("unfingerprintable pipeline cached %d entries", st.Entries)
-	}
-}
-
-// fingerprintedStage opts into caching via CacheFingerprint; its parameter
-// is encoded in the fingerprint, so changing it must change the key.
+// fingerprintedStage encodes its parameter in its CacheFingerprint, so
+// changing it must change the key.
 type fingerprintedStage struct{ scale int64 }
 
 func (f fingerprintedStage) Name() string { return "scaled" }

@@ -67,19 +67,37 @@ func ExampleSweep() {
 	// 32x32: 1204 cycles
 }
 
-// ExampleWithStages trims the pipeline to the compute pass alone — the
-// fastest way to scan cycle counts when memory, layout and energy numbers
-// are not needed.
+// launchStage charges a fixed launch overhead to every layer. Its
+// fingerprint names the overhead, so runs with different overheads never
+// share a cache entry.
+type launchStage struct{ cycles int64 }
+
+func (launchStage) Name() string { return "launch" }
+
+func (s launchStage) CacheFingerprint() string { return fmt.Sprintf("launch/v1/%d", s.cycles) }
+
+func (s launchStage) Apply(_ context.Context, _ *scalesim.StageContext, lr *scalesim.LayerResult) error {
+	lr.StallCycles += s.cycles
+	lr.TotalCycles += s.cycles
+	return nil
+}
+
+// ExampleWithStages appends a custom pass to the default pipeline: every
+// layer pays a 100-cycle launch overhead on top of the modelled cycles.
 func ExampleWithStages() {
 	cfg := scalesim.DefaultConfig()
-	sim := scalesim.New(cfg, scalesim.WithStages(scalesim.ComputeStage()))
+	stages := append(scalesim.DefaultStages(), launchStage{cycles: 100})
+	sim := scalesim.New(cfg, scalesim.WithStages(stages...))
 	res, err := sim.Run(context.Background(), exampleTopology())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("compute-only total: %d cycles\n", res.TotalCycles())
+	for _, lr := range res.Layers {
+		fmt.Printf("%s: %d cycles (%d stall)\n", lr.Layer.Name, lr.TotalCycles, lr.StallCycles)
+	}
 	// Output:
-	// compute-only total: 1204 cycles
+	// fc1: 988 cycles (100 stall)
+	// fc2: 416 cycles (100 stall)
 }
 
 // ExampleExplore searches a small design space for Pareto-optimal

@@ -64,13 +64,12 @@ func ParseFidelity(s string) (Fidelity, error) {
 }
 
 // StageFidelity is the optional interface a Stage implements to declare
-// its fidelity ladder, mirroring the StageFingerprinter pattern: the
-// returned tiers are the ones the stage distinguishes — for any Fidelity
-// requested by WithFidelity the stage behaves as the nearest declared tier
-// (the built-in memory stage declares both). A stage that does not
-// implement it is assumed fidelity-blind: it produces the same result at
-// every tier, which is sound because fidelity is part of the cache
-// fingerprint either way.
+// its fidelity ladder: the returned tiers are the ones the stage
+// distinguishes — for any Fidelity requested by WithFidelity the stage
+// behaves as the nearest declared tier (the built-in memory stage
+// declares both). A stage that does not implement it is assumed
+// fidelity-blind: it produces the same result at every tier, which is
+// sound because fidelity is part of the cache fingerprint either way.
 type StageFidelity interface {
 	FidelityLadder() []Fidelity
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,13 +93,16 @@ func TestStageFidelityLadders(t *testing.T) {
 		"memory":  {scalesim.Analytical, scalesim.EventDriven},
 		"energy":  {scalesim.Analytical},
 	}
-	stages := map[string]scalesim.Stage{
-		"compute": scalesim.ComputeStage(),
-		"layout":  scalesim.LayoutStage(),
-		"memory":  scalesim.MemoryStage(),
-		"energy":  scalesim.EnergyStage(),
+	stages := scalesim.DefaultStages()
+	if len(stages) != len(want) {
+		t.Errorf("DefaultStages has %d stages, want %d", len(stages), len(want))
 	}
-	for name, st := range stages {
+	for _, st := range stages {
+		name := st.Name()
+		if _, ok := want[name]; !ok {
+			t.Errorf("unexpected built-in stage %q", name)
+			continue
+		}
 		sf, ok := st.(scalesim.StageFidelity)
 		if !ok {
 			t.Errorf("%s stage does not implement StageFidelity", name)
@@ -331,6 +335,12 @@ func TestExploreScreeningPrunes(t *testing.T) {
 // what a 32×32 array (32 folds) does — a small constant.
 func TestAnalyticalMemoryStageAllocsIndependentOfFolds(t *testing.T) {
 	layer := scalesim.Layer{Name: "fc1", Kind: scalesim.GEMM, M: 128, N: 128, K: 256}
+	stages := scalesim.DefaultStages()
+	i := slices.IndexFunc(stages, func(st scalesim.Stage) bool { return st.Name() == "memory" })
+	if i < 0 {
+		t.Fatal("DefaultStages has no memory stage")
+	}
+	stage := stages[i]
 	allocs := func(arr int) float64 {
 		cfg := memoryConfig()
 		cfg.ArrayRows, cfg.ArrayCols = arr, arr
@@ -343,7 +353,6 @@ func TestAnalyticalMemoryStageAllocsIndependentOfFolds(t *testing.T) {
 			Rows: arr, Cols: arr, M: layer.M, N: layer.N, K: layer.K, FilterRatio: 1,
 		}
 		lr := &scalesim.LayerResult{Layer: layer, M: layer.M, N: layer.N, K: layer.K}
-		stage := scalesim.MemoryStage()
 		return testing.AllocsPerRun(50, func() {
 			*lr = scalesim.LayerResult{Layer: layer, M: layer.M, N: layer.N, K: layer.K, ComputeCycles: 1}
 			if err := stage.Apply(context.Background(), sc, lr); err != nil {

@@ -522,20 +522,17 @@ func (c *Config) NumCores() int {
 	return pr * pc
 }
 
-// CoreSpecs returns the per-core descriptions, synthesizing a homogeneous
-// list from the top-level array shape when none are listed.
-func (c *Config) CoreSpecs() []CoreSpec {
+// PEs returns the total processing-element count: the listed cores'
+// Rows×Cols summed, else NumCores copies of the top-level array.
+func (c *Config) PEs() int64 {
 	if len(c.MultiCore.Cores) > 0 {
-		out := make([]CoreSpec, len(c.MultiCore.Cores))
-		copy(out, c.MultiCore.Cores)
-		return out
+		var n int64
+		for _, cs := range c.MultiCore.Cores {
+			n += int64(cs.Rows) * int64(cs.Cols)
+		}
+		return n
 	}
-	n := c.NumCores()
-	out := make([]CoreSpec, n)
-	for i := range out {
-		out[i] = CoreSpec{Rows: c.ArrayRows, Cols: c.ArrayCols}
-	}
-	return out
+	return int64(c.NumCores()) * int64(c.ArrayRows) * int64(c.ArrayCols)
 }
 
 // SRAMWords returns the capacity in words of the three L1 SRAMs.

@@ -161,7 +161,7 @@ cores = 32x32, 16x16/hops=2, 64x64
 	if err != nil {
 		t.Fatal(err)
 	}
-	cores := cfg.CoreSpecs()
+	cores := cfg.MultiCore.Cores
 	if len(cores) != 3 {
 		t.Fatalf("got %d cores", len(cores))
 	}
@@ -173,6 +173,9 @@ cores = 32x32, 16x16/hops=2, 64x64
 	}
 	if cfg.NumCores() != 3 {
 		t.Errorf("NumCores %d", cfg.NumCores())
+	}
+	if got, want := cfg.PEs(), int64(32*32+16*16+64*64); got != want {
+		t.Errorf("PEs %d, want %d", got, want)
 	}
 }
 
@@ -396,19 +399,18 @@ func TestSRAMWords(t *testing.T) {
 	}
 }
 
-func TestCoreSpecsHomogeneousSynthesis(t *testing.T) {
+func TestPEsHomogeneousSynthesis(t *testing.T) {
 	cfg := Default()
 	cfg.MultiCore.Enabled = true
 	cfg.MultiCore.PartitionRows = 2
 	cfg.MultiCore.PartitionCols = 3
-	specs := cfg.CoreSpecs()
-	if len(specs) != 6 {
-		t.Fatalf("got %d specs", len(specs))
+	// Six cores, each inheriting the top-level array shape.
+	if got, want := cfg.PEs(), int64(6*cfg.ArrayRows*cfg.ArrayCols); got != want {
+		t.Errorf("PEs %d, want %d", got, want)
 	}
-	for _, s := range specs {
-		if s.Rows != cfg.ArrayRows || s.Cols != cfg.ArrayCols {
-			t.Errorf("spec %+v does not inherit array shape", s)
-		}
+	cfg.MultiCore.Enabled = false
+	if got, want := cfg.PEs(), int64(cfg.ArrayRows*cfg.ArrayCols); got != want {
+		t.Errorf("single core: PEs %d, want %d", got, want)
 	}
 }
 

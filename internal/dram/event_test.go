@@ -1,10 +1,55 @@
 package dram
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 )
+
+// The reference engine is Tick in a loop: refAdvanceTo, refRunUntilDrained
+// and refSimulateTrace restate AdvanceTo, RunUntilDrained and SimulateTrace
+// one cycle at a time, the oracle the event engine's jumps are checked
+// against.
+
+// refAdvanceTo ticks s until its clock reaches target.
+func refAdvanceTo(s *System, target int64) {
+	for s.Now() < target {
+		s.Tick()
+	}
+}
+
+// refRunUntilDrained ticks s until no request is pending, or fails once
+// maxCycles (when non-negative) have elapsed with requests still queued.
+func refRunUntilDrained(s *System, maxCycles int64) (int64, error) {
+	start := s.Now()
+	for s.Pending() > 0 {
+		if maxCycles >= 0 && s.Now()-start >= maxCycles {
+			return s.Now() - start, fmt.Errorf("dram: not drained after %d cycles (%d pending)",
+				maxCycles, s.Pending())
+		}
+		s.Tick()
+	}
+	return s.Now() - start, nil
+}
+
+// refSimulateTrace feeds reqs (sorted by Arrive) through s: a request that
+// finds its queue full retries the next cycle, and each retried cycle
+// counts one stall. Then it drains s.
+func refSimulateTrace(s *System, reqs []*Request) (Stats, int64, error) {
+	var stalls int64
+	for i := 0; i < len(reqs); {
+		refAdvanceTo(s, reqs[i].Arrive)
+		if s.Enqueue(reqs[i]) {
+			i++
+			continue
+		}
+		stalls++
+		s.Tick()
+	}
+	_, err := refRunUntilDrained(s, -1)
+	return s.Stats(), stalls, err
+}
 
 // randomTrace builds a reproducible request mix: bursty arrivals, a few hot
 // rows (hits), scattered cold rows (misses/conflicts) and interleaved
@@ -31,7 +76,7 @@ func randomTrace(rng *rand.Rand, n int, tech *Tech, channels int) []*Request {
 }
 
 // TestEventEngineSimulateTraceMatchesReference pins the event-driven
-// SimulateTrace against the retained per-cycle reference loop: identical
+// SimulateTrace against the per-cycle refSimulateTrace: identical
 // stats, stall counts and per-request completion times across technologies,
 // channel counts and refresh settings.
 func TestEventEngineSimulateTraceMatchesReference(t *testing.T) {
@@ -56,17 +101,14 @@ func TestEventEngineSimulateTraceMatchesReference(t *testing.T) {
 						reqs2[i] = &cp
 					}
 
-					evOpts := opts
-					ev := mustNew(t, tech, evOpts)
-					refOpts := opts
-					refOpts.ReferenceTicks = true
-					ref := mustNew(t, tech, refOpts)
+					ev := mustNew(t, tech, opts)
+					ref := mustNew(t, tech, opts)
 
 					evStats, evStalls, err := ev.SimulateTrace(reqs1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					refStats, refStalls, err := ref.SimulateTrace(reqs2)
+					refStats, refStalls, err := refSimulateTrace(ref, reqs2)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -98,9 +140,7 @@ func TestEventEngineSimulateTraceMatchesReference(t *testing.T) {
 func TestEventEngineRunUntilDrainedMatchesReference(t *testing.T) {
 	tech := DDR4_2400()
 	build := func(opts Options) (*System, *System) {
-		ref := opts
-		ref.ReferenceTicks = true
-		return mustNew(t, tech, opts), mustNew(t, tech, ref)
+		return mustNew(t, tech, opts), mustNew(t, tech, opts)
 	}
 	fill := func(s *System, n int) {
 		for i := 0; i < n; i++ {
@@ -112,7 +152,7 @@ func TestEventEngineRunUntilDrainedMatchesReference(t *testing.T) {
 	fill(ev, 48)
 	fill(ref, 48)
 	evCyc, err1 := ev.RunUntilDrained(-1)
-	refCyc, err2 := ref.RunUntilDrained(-1)
+	refCyc, err2 := refRunUntilDrained(ref, -1)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -127,7 +167,7 @@ func TestEventEngineRunUntilDrainedMatchesReference(t *testing.T) {
 	fill(ev2, 48)
 	fill(ref2, 48)
 	evCyc2, evErr := ev2.RunUntilDrained(100)
-	refCyc2, refErr := ref2.RunUntilDrained(100)
+	refCyc2, refErr := refRunUntilDrained(ref2, 100)
 	if (evErr == nil) != (refErr == nil) {
 		t.Fatalf("abort mismatch: event err %v, ref err %v", evErr, refErr)
 	}
@@ -143,10 +183,10 @@ func TestEventEngineRunUntilDrainedMatchesReference(t *testing.T) {
 func TestAdvanceToIdleRefresh(t *testing.T) {
 	tech := DDR4_2400()
 	ev := mustNew(t, tech, Options{})
-	ref := mustNew(t, tech, Options{ReferenceTicks: true})
+	ref := mustNew(t, tech, Options{})
 	target := int64(tech.TREFI)*5 + 17
 	ev.AdvanceTo(target)
-	ref.AdvanceTo(target)
+	refAdvanceTo(ref, target)
 	if ev.Now() != ref.Now() {
 		t.Fatalf("clock: %d vs %d", ev.Now(), ref.Now())
 	}

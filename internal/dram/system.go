@@ -34,13 +34,6 @@ type Options struct {
 	// final drain as a "dram.drain" phase under it. Nil — the default —
 	// records nothing at zero cost.
 	Trace *telemetry.Span
-	// ReferenceTicks makes AdvanceTo, RunUntilDrained and SimulateTrace
-	// advance the clock one Tick per cycle instead of jumping between
-	// events. The two modes are cycle-for-cycle identical; the reference
-	// loop is retained as the oracle for the event engine's differential
-	// tests, and drives the SRAM replay's per-cycle oracle — only tests
-	// set it.
-	ReferenceTicks bool
 }
 
 // Stats aggregates the observable behaviour of the memory system.
@@ -395,15 +388,8 @@ func (s *System) stepTo(next int64) {
 
 // AdvanceTo advances simulation time to the target cycle, processing every
 // intervening event exactly as the equivalent run of per-cycle Ticks
-// would, but jumping over the dead cycles in between. Under
-// Opts.ReferenceTicks it degenerates to the per-cycle loop.
+// would, but jumping over the dead cycles in between.
 func (s *System) AdvanceTo(target int64) {
-	if s.Opts.ReferenceTicks {
-		for s.now < target {
-			s.Tick()
-		}
-		return
-	}
 	for s.now < target {
 		// Single-cycle advances (the replay's live cycles) need no
 		// horizon computation — they are exactly one Tick.
@@ -450,12 +436,8 @@ func (s *System) RunUntilDrained(maxCycles int64) (int64, error) {
 			return s.now - start, fmt.Errorf("dram: not drained after %d cycles (%d pending)",
 				maxCycles, s.Pending())
 		}
-		if s.Opts.ReferenceTicks {
-			s.Tick()
-			continue
-		}
 		next := s.NextEventCycle()
-		// Never advance beyond the budget boundary: the reference loop
+		// Never advance beyond the budget boundary: a per-cycle loop
 		// stops (and fires any refreshes) there too.
 		if maxCycles >= 0 && next > start+maxCycles {
 			next = start + maxCycles
@@ -852,9 +834,8 @@ func (ch *channel) issueColumn(now int64, p *pending, bk *bank) bool {
 // system and drains it, returning the final stats. Requests that find the
 // queue full are retried every cycle, modeling back-pressure on the
 // producer; the returned stall count is the total cycles requests spent
-// blocked at the queue head. It runs on the event engine (one retry per
-// controller event instead of per cycle) unless Opts.ReferenceTicks asks
-// for the per-cycle reference loop; both produce identical stats.
+// blocked at the queue head. It runs on the event engine: one retry per
+// controller event instead of per cycle, with identical stats.
 func (s *System) SimulateTrace(reqs []*Request) (Stats, int64, error) {
 	var stalls int64
 	i := 0
@@ -866,11 +847,6 @@ func (s *System) SimulateTrace(reqs []*Request) (Stats, int64, error) {
 		}
 		if s.Enqueue(r) {
 			i++
-			continue
-		}
-		if s.Opts.ReferenceTicks {
-			stalls++
-			s.Tick()
 			continue
 		}
 		// Queue full: the head request retries (and fails) every cycle

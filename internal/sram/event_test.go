@@ -26,21 +26,19 @@ type replayed struct {
 func runBoth(t testing.TB, df config.Dataflow, r, c int, g systolic.Gemm,
 	dopts dram.Options, tech dram.Tech, opts Options, traced bool) (replayed, replayed) {
 	t.Helper()
-	setup := func(reference bool) (*Schedule, *dram.System) {
+	setup := func() (*Schedule, *dram.System) {
 		sched, err := BuildSchedule(df, r, c, g, ScheduleOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := dopts
-		o.ReferenceTicks = reference
-		sys, err := dram.New(tech, o)
+		sys, err := dram.New(tech, dopts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sched, sys
 	}
 	var ev, ref replayed
-	sched, sys := setup(false)
+	sched, sys := setup()
 	o := opts
 	if traced {
 		o.Sink = func(r dram.Request) { ev.trace = append(ev.trace, r) }
@@ -49,7 +47,7 @@ func runBoth(t testing.TB, df config.Dataflow, r, c int, g systolic.Gemm,
 	if ev.Result, err = Simulate(sched, sys, o); err != nil {
 		t.Fatal(err)
 	}
-	sched, sys = setup(true)
+	sched, sys = setup()
 	if ref.Result, ref.trace, err = referenceReplay(sched, sys, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 // referenceReplay is the per-cycle oracle the event engine (Simulate) is
 // checked against, written from the replay's rules, not from its code. It
 // lists every line of the layer up front with Span.Lines, indexes them in
-// trace order and ticks sys, which must be fresh and built with
-// ReferenceTicks, one cycle at a time. It returns the Result and every
+// trace order and ticks sys, which must be fresh, one cycle at a time,
+// through the replay and the final drain. It returns the Result and every
 // request in trace order, as a Sink receives them. Each pass of the loop
 // is one producer step, then one consumer step:
 //
@@ -237,8 +237,8 @@ func referenceReplay(sched *Schedule, sys *dram.System, opts Options) (*Result, 
 		}
 	}
 	res.TotalCycles = now
-	if _, err := sys.RunUntilDrained(-1); err != nil {
-		return nil, nil, err
+	for sys.Pending() > 0 {
+		sys.Tick()
 	}
 	res.StallCycles = max(res.TotalCycles-res.ComputeCycles, 0)
 	res.DRAM = sys.Stats()

@@ -92,12 +92,8 @@ func WithSweepProgress(fn func(SweepPointProgress)) Option {
 // WithStages replaces the per-layer model pipeline. The default is
 // DefaultStages (compute, layout, memory, energy); custom stages can be
 // appended to it or substituted for a built-in pass. Stages run in order
-// for every layer and must be safe for concurrent use across layers.
-//
-// A pipeline that contains a stage without a CacheFingerprint (see
-// StageFingerprinter) disables whole-layer result caching and the copying
-// of repeated layer shapes for the run, because neither can know what such
-// a stage depends on.
+// for every layer and must be safe for concurrent use across layers. Their
+// CacheFingerprints join the cache key (see StageFingerprinter).
 func WithStages(stages ...Stage) Option {
 	return func(o *options) {
 		if len(stages) > 0 {

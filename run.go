@@ -25,10 +25,8 @@ import (
 //
 // A run simulates each distinct layer shape once, cache or no cache: a
 // layer whose Layer value differs from an earlier one's only in Name takes
-// a deep copy of its result. A pipeline with a stage that lacks a
-// CacheFingerprint simulates every layer, as such a stage could depend on
-// anything. WithProgress still reports every layer, and a repeat's trace
-// span has no stage children.
+// a deep copy of its result (see StageFingerprinter). WithProgress still
+// reports every layer, and a repeat's trace span has no stage children.
 //
 // With a cache attached (WithCache), the first layer of each shape is
 // looked up under its fingerprint — configuration, stage pipeline and
@@ -134,7 +132,7 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 	if n == 0 {
 		return ctx.Err()
 	}
-	rep := shapeGroups(topo.Layers, pureStages(o.stages))
+	rep := shapeGroups(topo.Layers)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -200,14 +198,13 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 
 // shapeGroups maps each layer to the first layer of its shape: rep[i] is
 // the lowest index whose Layer value, Name aside, equals layers[i]'s. Names
-// label reports and trace files but never change a simulation. With dedupe
-// false every layer is its own group.
-func shapeGroups(layers []Layer, dedupe bool) []int {
+// label reports and trace files but never change a simulation.
+func shapeGroups(layers []Layer) []int {
 	rep := make([]int, len(layers))
 	for i := range layers {
 		rep[i] = i
 		l := layers[i]
-		for j := 0; dedupe && j < i; j++ {
+		for j := 0; j < i; j++ {
 			l.Name = layers[j].Name
 			if rep[j] == j && l == layers[j] {
 				rep[i] = j
@@ -307,11 +304,8 @@ func runLayer(ctx context.Context, cfg *Config, o *options, l *Layer, lc *layerC
 	}
 	sc := newStageContext(cfg, o, l)
 	*lr = LayerResult{Layer: *l, M: sc.M, N: sc.N, K: sc.K}
-	if o.cache != nil {
-		// Sub-result memoization (layout analysis) stays valid even when
-		// whole-layer caching is off because of a custom stage: the built-in
-		// stages key their sub-results on exactly what they read.
-		sc.cache = o.cache.c
+	if lc != nil {
+		sc.cache = lc.cache
 	}
 	apply := runStages
 	if o.traceFiles != "" {

@@ -34,8 +34,10 @@
 //	results, err := scalesim.Sweep(ctx, pts)
 //
 // The per-layer model passes (compute, layout, memory, energy) are
-// pluggable stages; WithStages replaces the pipeline, e.g. to insert a
-// custom DRAM backend or drop passes a caller does not need.
+// pluggable stages; WithStages replaces the pipeline, e.g. to append a
+// custom pass to DefaultStages or substitute one for a built-in pass.
+// Every stage names its behaviour with a CacheFingerprint, so a run
+// simulates each distinct layer shape once, cache or no cache.
 //
 // Runs and sweeps can share a content-addressed layer-result cache:
 //
@@ -188,8 +190,7 @@ type Result struct {
 	// Layers holds one result per topology layer, in topology order.
 	Layers []LayerResult
 	// CacheStats reports layer-cache effectiveness for this run. It is
-	// zero unless a cache was attached (WithCache) and
-	// the stage pipeline was fingerprintable (see StageFingerprinter).
+	// zero unless a cache was attached (WithCache).
 	CacheStats RunCacheStats
 
 	// spans and wall hold the telemetry captured when the run traced

@@ -69,20 +69,21 @@ type Stage interface {
 	// Apply runs the pass for one layer, mutating lr (and, for
 	// cross-stage state, sc).
 	Apply(ctx context.Context, sc *StageContext, lr *LayerResult) error
+	StageFingerprinter
 }
 
-// StageFingerprinter is the optional interface a Stage implements to make
-// its layers cacheable (see WithCache). CacheFingerprint must return a
-// string that changes whenever the stage's behavior changes: two pipelines
-// whose stages return equal fingerprints must produce identical
-// LayerResults for identical (Config, ERT, Layer) inputs.
-//
-// The built-in stages are pure functions of those inputs, so their
-// fingerprints are version-tagged constants. A custom stage that is
-// likewise deterministic can implement this interface to opt into caching;
-// encode any behavior-affecting stage parameters into the returned string.
-// Pipelines containing a stage that does not implement it run with
-// whole-layer caching disabled.
+// StageFingerprinter is the part of the Stage contract that names a
+// stage's behaviour for grouping and caching; Stage embeds it, and it
+// keeps its own name for callers that assert to it. Apply must be a
+// deterministic function of the Config, the ERT, the Fidelity, the layer's
+// shape (not its Name) and the state earlier stages left in the
+// StageContext and LayerResult: Run simulates each distinct shape once
+// and copies the result to the repeats, and WithCache serves a shape from
+// an earlier run. CacheFingerprint must change whenever that function
+// does: two pipelines whose stages return equal fingerprints must produce
+// identical LayerResults for identical inputs. Encode any
+// behaviour-affecting stage parameters into the returned string. The
+// built-in stages return version-tagged constants.
 type StageFingerprinter interface {
 	CacheFingerprint() string
 }
@@ -91,34 +92,17 @@ type StageFingerprinter interface {
 // main memory, energy — each a no-op unless enabled in the configuration
 // (compute always runs).
 func DefaultStages() []Stage {
-	return []Stage{ComputeStage(), LayoutStage(), MemoryStage(), EnergyStage()}
+	return []Stage{computeStage{}, layoutStage{}, memoryStage{}, energyStage{}}
 }
 
-// ComputeStage returns the systolic compute pass: dense, sparse or
-// multi-core cycle estimation. It always runs and must come first — it
-// seeds ComputeCycles, Utilization and the effective dataflow.
-func ComputeStage() Stage { return computeStage{} }
-
-// LayoutStage returns the on-chip data-layout (bank conflict) pass. No-op
-// unless Config.Layout.Enabled.
-func LayoutStage() Stage { return layoutStage{} }
-
-// MemoryStage returns the main-memory pass. It records the layer's minimum
-// DRAM traffic and, when Config.Memory.Enabled, turns it into stall cycles
-// at the fidelity selected by WithFidelity: closed-form bounds, the
-// event-driven Ramulator-style replay (default), or the per-cycle
-// reference loops.
-func MemoryStage() Stage { return memoryStage{} }
-
-// EnergyStage returns the Accelergy-style energy/power pass. No-op unless
-// Config.Energy.Enabled.
-func EnergyStage() Stage { return energyStage{} }
-
+// computeStage is the systolic compute pass: dense, sparse or multi-core
+// cycle estimation. It always runs and must come first — it seeds
+// ComputeCycles, Utilization and the effective dataflow.
 type computeStage struct{}
 
 func (computeStage) Name() string { return "compute" }
 
-// CacheFingerprint marks the stage cacheable: its output is a pure
+// CacheFingerprint names the pass: its output is a pure
 // function of (Config, Layer).
 func (computeStage) CacheFingerprint() string { return "compute/v1" }
 
@@ -169,11 +153,7 @@ func (computeStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) 
 		lr.ComputeCycles = cycles
 		lr.Partition = part
 		macs := int64(m) * int64(n) * int64(k)
-		pes := int64(0)
-		for _, cs := range cfg.CoreSpecs() {
-			pes += int64(cs.Rows) * int64(cs.Cols)
-		}
-		if cycles > 0 && pes > 0 {
+		if pes := cfg.PEs(); cycles > 0 && pes > 0 {
 			lr.Utilization = float64(macs) / (float64(pes) * float64(cycles))
 		}
 		lr.MappingEff = lr.Utilization
@@ -216,11 +196,13 @@ func multiCoreCycles(cfg *Config, mp systolic.Mapping) (*multicore.Partition, in
 	return &ch.Partition, ch.Cycles, nil
 }
 
+// layoutStage is the on-chip data-layout (bank conflict) pass. No-op
+// unless Config.Layout.Enabled.
 type layoutStage struct{}
 
 func (layoutStage) Name() string { return "layout" }
 
-// CacheFingerprint marks the stage cacheable: its output is a pure
+// CacheFingerprint names the pass: its output is a pure
 // function of (Config.Layout, dataflow, array shape, GEMM dims).
 func (layoutStage) CacheFingerprint() string { return "layout/v1" }
 
@@ -318,11 +300,14 @@ func layoutSlowdown(sc *StageContext) (float64, error) {
 	return layout.CombinedSlowdown(ifa, fla, ofa), nil
 }
 
+// memoryStage is the main-memory pass. It records the layer's minimum
+// DRAM traffic and, when Config.Memory.Enabled, turns it into stall cycles
+// at the fidelity selected by WithFidelity.
 type memoryStage struct{}
 
 func (memoryStage) Name() string { return "memory" }
 
-// CacheFingerprint marks the stage cacheable: its output is a pure
+// CacheFingerprint names the pass: its output is a pure
 // function of (Config, Layer) and the state left by the compute stage.
 func (memoryStage) CacheFingerprint() string { return "memory/v1" }
 
@@ -420,11 +405,13 @@ func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 	return nil
 }
 
+// energyStage is the Accelergy-style energy/power pass. No-op unless
+// Config.Energy.Enabled.
 type energyStage struct{}
 
 func (energyStage) Name() string { return "energy" }
 
-// CacheFingerprint marks the stage cacheable: its output is a pure
+// CacheFingerprint names the pass: its output is a pure
 // function of (Config, ERT, Layer) and the state left by earlier stages.
 func (energyStage) CacheFingerprint() string { return "energy/v1" }
 
@@ -460,10 +447,7 @@ func (energyStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 	counts := energy.CountActions(prof, &cfg.Energy)
 	pes := int64(r) * int64(c)
 	if cfg.MultiCore.Enabled {
-		pes = 0
-		for _, cs := range cfg.CoreSpecs() {
-			pes += int64(cs.Rows) * int64(cs.Cols)
-		}
+		pes = cfg.PEs()
 	}
 	est := energy.Estimator{
 		ERT:          sc.ERT,
