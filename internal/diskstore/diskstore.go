@@ -246,7 +246,8 @@ func (s *Store) loadSnapshot(logSize int64) int64 {
 		return 0
 	}
 	ents := b[len(snapMagic)+16 : len(b)-4]
-	if int64(len(ents)) != count*snapEntSize {
+	// Divide rather than multiply: count*snapEntSize wraps for a huge count.
+	if len(ents)%snapEntSize != 0 || count != int64(len(ents)/snapEntSize) {
 		return 0
 	}
 	type ordered struct {

@@ -2,7 +2,9 @@ package diskstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -262,6 +264,33 @@ func TestCorruptSnapshotFallsBackToFullReplay(t *testing.T) {
 	}
 	raw[len(raw)/2] ^= 0x01
 	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
+		t.Fatalf("write snapshot: %v", err)
+	}
+
+	s2 := mustOpen(t, dir, Options{})
+	st := s2.Stats()
+	if st.Entries != 2 || st.Recovered != 2 || st.SnapshotUpTo != 0 {
+		t.Fatalf("stats = %+v, want full replay with snapshot ignored", st)
+	}
+}
+
+// TestHugeSnapshotCountFallsBackToFullReplay opens a store whose snapshot
+// is 28 well-formed bytes: the magic, upTo 0, an entry count of 2^62 and a
+// valid CRC-32C, with no entries. 44 · 2^62 wraps to 0 in int64, so a
+// length check by multiplication accepted it, and sizing the index by the
+// count then panicked. The snapshot must be ignored like any bad one.
+func TestHugeSnapshotCountFallsBackToFullReplay(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	mustPut(t, s, testKey("a"), []byte("aa"))
+	mustPut(t, s, testKey("b"), []byte("bb"))
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	snap := binary.LittleEndian.AppendUint64([]byte(snapMagic), 0)
+	snap = binary.LittleEndian.AppendUint64(snap, 1<<62)
+	snap = binary.LittleEndian.AppendUint32(snap, crc32.Checksum(snap, crcTable))
+	if err := os.WriteFile(filepath.Join(dir, snapName), snap, 0o644); err != nil {
 		t.Fatalf("write snapshot: %v", err)
 	}
 
