@@ -482,30 +482,13 @@ func (s *System) BandwidthBytesPerSec() float64 {
 	return bytes / seconds
 }
 
-// tick advances one channel by one cycle.
+// tick advances one channel by one cycle: a refresh if one is due, else
+// the picked request's next command if it is legal now.
 func (ch *channel) tick(now int64) {
-	t := ch.tech
-	// Refresh: periodic, all banks; block the channel for tRFC.
-	if !ch.opts.DisableRefresh && now >= ch.refreshAt {
-		ch.refreshAt += int64(t.TREFI)
-		ch.refreshBusyUntil = now + int64(t.TRFC)
-		ch.stats.Refreshes++
-		ch.quietValid = false
-		ch.hits = 0
-		for r := range ch.banks {
-			for b := range ch.banks[r] {
-				bk := &ch.banks[r][b]
-				bk.openRow, bk.hits = -1, 0
-				if bk.nextACT < ch.refreshBusyUntil {
-					bk.nextACT = ch.refreshBusyUntil
-				}
-			}
-		}
+	if ch.nextRefresh(now) == now {
+		ch.refresh(now)
 	}
-	if now < ch.refreshBusyUntil {
-		return
-	}
-	if ch.queue.n == 0 {
+	if now < ch.refreshBusyUntil || ch.queue.n == 0 {
 		return
 	}
 	// Quiet horizon: the last scan proved nothing can happen before
@@ -513,56 +496,90 @@ func (ch *channel) tick(now int64) {
 	if ch.quietValid && now < ch.quiet {
 		return
 	}
-	ch.quietValid = false
-
-	idx, futureArrive := ch.pickAt(now)
-	if idx < 0 {
-		// Nothing schedulable until a queued request arrives.
-		ch.quiet, ch.quietValid = futureArrive, true
+	// Requests yet to arrive arrive after now, so now < wake exactly when
+	// now < readyCycle(pick).
+	idx, wake := ch.schedule(now, true)
+	if idx < 0 || now < wake {
 		return
 	}
+	ch.quietValid = false // issuing changes state
 	p := ch.queue.at(idx)
-	bk := p.bk
+	switch bk := p.bk; {
+	case bk.openRow == p.row:
+		ch.issueColumn(now, p)
+		ch.remove(idx)
+	case bk.openRow < 0:
+		ch.issueACT(now, p)
+	default:
+		ch.issuePRE(now, bk)
+	}
+}
 
-	// Classify the request on its first service attempt only.
+// nextRefresh returns the first cycle at or after from at which a refresh
+// fires: refreshAt, from itself when one is overdue, or farFuture with
+// refresh off. It is the one refresh rule tick and nextEvent read.
+func (ch *channel) nextRefresh(from int64) int64 {
+	if ch.opts.DisableRefresh {
+		return farFuture
+	}
+	return max(ch.refreshAt, from)
+}
+
+// refresh fires a periodic all-bank refresh at now: every open row closes
+// and the channel is blocked for tRFC.
+func (ch *channel) refresh(now int64) {
+	ch.refreshAt += int64(ch.tech.TREFI)
+	ch.refreshBusyUntil = now + int64(ch.tech.TRFC)
+	ch.stats.Refreshes++
+	ch.quietValid = false
+	ch.hits = 0
+	for r := range ch.banks {
+		for b := range ch.banks[r] {
+			bk := &ch.banks[r][b]
+			bk.openRow, bk.hits = -1, 0
+			bk.nextACT = max(bk.nextACT, ch.refreshBusyUntil)
+		}
+	}
+}
+
+// schedule is the step tick and nextEvent share. It picks the request the
+// channel serves at cycle t and returns its queue index (-1 when no request
+// has arrived) and the channel's wake cycle: the earliest cycle ≥ t at
+// which the pick's next command is legal (readyCycle) or a queued request
+// arrives and may change the pick. It memoizes the wake cycle in quiet.
+//
+// A request is classified as a row hit, miss or conflict the first time a
+// tick picks it. With classify false (a horizon query) an unclassified
+// pick wakes the channel at t with no memo: that first pick is an event of
+// its own, since a refresh may close the row before the command is legal.
+func (ch *channel) schedule(t int64, classify bool) (int, int64) {
+	idx, futureArrive := ch.pickAt(t)
+	if idx < 0 {
+		ch.quiet, ch.quietValid = futureArrive, true
+		return -1, futureArrive
+	}
+	p := ch.queue.at(idx)
 	if !p.classified {
+		if !classify {
+			return idx, t
+		}
 		p.classified = true
 		switch {
-		case bk.openRow == p.row:
+		case p.bk.openRow == p.row:
 			ch.stats.RowHits++
-		case bk.openRow < 0:
+		case p.bk.openRow < 0:
 			ch.stats.RowMisses++
 		default:
 			ch.stats.RowConflicts++
 		}
 	}
-
-	switch {
-	case bk.openRow == p.row:
-		// Row open: issue the column command if legal.
-		if ch.issueColumn(now, p, bk) {
-			ch.remove(idx)
-			return
-		}
-	case bk.openRow < 0:
-		// Activate the row.
-		if ch.issueACT(now, p, bk) {
-			return
-		}
-	default:
-		// Wrong row open: precharge first.
-		if ch.issuePRE(now, bk) {
-			return
-		}
-	}
-	// The picked command could not issue: the channel is quiet until its
-	// earliest legal cycle, unless a later-arriving request changes the
-	// pick first.
-	ch.quiet, ch.quietValid = min(ch.readyCycle(p), futureArrive), true
+	ch.quiet, ch.quietValid = min(max(ch.readyCycle(p), t), futureArrive), true
+	return idx, ch.quiet
 }
 
 // readyCycle returns the earliest cycle the picked request's next command
-// (column, ACT or PRE, depending on the bank's row state) becomes legal.
+// (column, ACT or PRE, depending on the bank's row state) is legal. It is
+// the one legality rule for column and PRE commands; ACT's is actReady.
 func (ch *channel) readyCycle(p *pending) int64 {
 	bk := p.bk
 	switch {
@@ -580,8 +597,7 @@ func (ch *channel) readyCycle(p *pending) int64 {
 
 // actReady returns the earliest cycle an ACT may issue in bank bk: the
 // bank's own horizon plus the rank-level tRRD (ACT-to-ACT) and tFAW (at
-// most 4 ACTs per rolling window) constraints from the ACT history. It is
-// the single legality rule shared by issueACT and the event horizon.
+// most 4 ACTs per rolling window) constraints from the ACT history.
 func (ch *channel) actReady(rank int, bk *bank) int64 {
 	t := ch.tech
 	hist := &ch.actHist[rank]
@@ -604,65 +620,18 @@ func (ch *channel) actReady(rank int, bk *bank) int64 {
 // scheduler's pick is stable and the earliest legal issue cycle of the
 // picked request can be read straight off the bank/bus horizons.
 func (ch *channel) nextEvent(now int64) int64 {
-	next := farFuture
-	if !ch.opts.DisableRefresh {
-		next = ch.refreshAt
-		if next <= now {
-			// Overdue refresh (clock was moved externally): fires on the
-			// very next tick.
-			return now + 1
-		}
-	}
+	next := ch.nextRefresh(now + 1)
 	if ch.queue.n == 0 {
 		return next
 	}
 	// Commands resume once the refresh block clears.
-	t := now + 1
-	if t < ch.refreshBusyUntil {
-		t = ch.refreshBusyUntil
-	}
+	t := max(now+1, ch.refreshBusyUntil)
 	// A previous scan may already have proven the channel quiet.
 	if ch.quietValid {
-		q := ch.quiet
-		if q < t {
-			q = t
-		}
-		if q < next {
-			next = q
-		}
-		return next
+		return min(next, max(ch.quiet, t))
 	}
-	idx, futureArrive := ch.pickAt(t)
-	// A request arriving inside the horizon can change the pick (or become
-	// the pick), so arrivals bound the jump too.
-	if futureArrive < next {
-		next = futureArrive
-	}
-	if idx < 0 {
-		return next
-	}
-	p := ch.queue.at(idx)
-	if !p.classified {
-		// The first service attempt classifies the request as a row
-		// hit/miss/conflict even when no command can issue yet, and a
-		// refresh may close the row before the command becomes legal —
-		// so the first pick cycle is a stats event in its own right.
-		if t < next {
-			next = t
-		}
-		return next
-	}
-	ready := ch.readyCycle(p)
-	if ready < t {
-		ready = t
-	}
-	// Memoize the horizon (refresh excluded: tick checks it first) so
-	// repeated horizon queries and intervening ticks are O(1).
-	ch.quiet, ch.quietValid = min(ready, futureArrive), true
-	if ready < next {
-		next = ready
-	}
-	return next
+	_, wake := ch.schedule(t, false)
+	return min(next, wake)
 }
 
 // pickAt chooses the queue index the FR-FCFS scheduler services at cycle
@@ -740,13 +709,9 @@ func (ch *channel) closeRow(bk *bank) {
 	bk.hits = 0
 }
 
-// issueACT activates p.row in bank bk if all constraints allow.
-func (ch *channel) issueACT(now int64, p *pending, bk *bank) bool {
-	t := ch.tech
-	if now < ch.actReady(p.rank, bk) {
-		return false
-	}
-	hist := &ch.actHist[p.rank]
+// issueACT activates p.row in p's bank.
+func (ch *channel) issueACT(now int64, p *pending) {
+	t, bk := ch.tech, p.bk
 	bk.openRow = p.row
 	for i := range min(ch.queue.n, reorderWindow) {
 		if q := ch.queue.at(i); q.bk == bk {
@@ -758,7 +723,8 @@ func (ch *channel) issueACT(now int64, p *pending, bk *bank) bool {
 	bk.nextWR = now + int64(t.TRCD)
 	bk.nextPRE = now + int64(t.TRAS)
 	bk.nextACT = now + int64(t.TRC)
-	// Shift ACT history.
+	// The new ACT replaces the oldest in the rank's history.
+	hist := &ch.actHist[p.rank]
 	minIdx := 0
 	for k := 1; k < 4; k++ {
 		if hist[k] < hist[minIdx] {
@@ -766,68 +732,40 @@ func (ch *channel) issueACT(now int64, p *pending, bk *bank) bool {
 		}
 	}
 	hist[minIdx] = now
-	return true
 }
 
-// issuePRE precharges the bank if allowed.
-func (ch *channel) issuePRE(now int64, bk *bank) bool {
-	if now < bk.nextPRE {
-		return false
-	}
+// issuePRE precharges bank bk.
+func (ch *channel) issuePRE(now int64, bk *bank) {
 	ch.closeRow(bk)
-	if next := now + int64(ch.tech.TRP); next > bk.nextACT {
-		bk.nextACT = next
-	}
-	return true
+	bk.nextACT = max(bk.nextACT, now+int64(ch.tech.TRP))
 }
 
-// issueColumn issues the RD or WR command for p if the bank, bus and
-// turnaround constraints allow. On success the request is completed.
-func (ch *channel) issueColumn(now int64, p *pending, bk *bank) bool {
-	t := ch.tech
+// issueColumn issues p's RD or WR and completes the request.
+func (ch *channel) issueColumn(now int64, p *pending) {
+	t, bk := ch.tech, p.bk
 	burst := int64(t.BurstCycles())
-	if now < ch.busFree {
-		return false
-	}
+	// Read data lands at now+CL and write data at now+CWL (gapReadWriteBurst).
+	ch.busFree = now + burst
+	ch.stats.DataBusCycles += burst
 	if p.req.Write {
-		if now < bk.nextWR {
-			return false
-		}
 		dataEnd := now + int64(t.CWL) + burst
 		bk.nextWR = now + int64(t.TCCD)
 		bk.nextRD = dataEnd + int64(t.TWTR)
-		if pre := dataEnd + int64(t.TWR); pre > bk.nextPRE {
-			bk.nextPRE = pre
-		}
-		if ra := dataEnd + int64(t.TWTR); ra > ch.nextReadAfterWrite[p.rank] {
-			ch.nextReadAfterWrite[p.rank] = ra
-		}
-		ch.busFree = now + burst // simplified: bus reserved at command time
-		ch.stats.DataBusCycles += burst
+		bk.nextPRE = max(bk.nextPRE, dataEnd+int64(t.TWR))
+		ch.nextReadAfterWrite[p.rank] = max(ch.nextReadAfterWrite[p.rank], dataEnd+int64(t.TWTR))
 		ch.stats.Writes++
 		// Writes complete when accepted by the bank (posted writes).
 		p.req.Done = now
-	} else {
-		if now < bk.nextRD || now < ch.nextReadAfterWrite[p.rank] {
-			return false
-		}
-		done := now + int64(t.CL) + burst
-		bk.nextRD = now + int64(t.TCCD)
-		bk.nextWR = now + int64(t.TCCD)
-		if pre := now + int64(t.TRTP); pre > bk.nextPRE {
-			bk.nextPRE = pre
-		}
-		ch.busFree = now + burst
-		ch.stats.DataBusCycles += burst
-		ch.stats.Reads++
-		p.req.Done = done
-		lat := p.req.Latency()
-		ch.stats.SumReadLat += lat
-		if lat > ch.stats.MaxReadLat {
-			ch.stats.MaxReadLat = lat
-		}
+		return
 	}
-	return true
+	bk.nextRD = now + int64(t.TCCD)
+	bk.nextWR = now + int64(t.TCCD)
+	bk.nextPRE = max(bk.nextPRE, now+int64(t.TRTP))
+	ch.stats.Reads++
+	p.req.Done = now + int64(t.CL) + burst
+	lat := p.req.Latency()
+	ch.stats.SumReadLat += lat
+	ch.stats.MaxReadLat = max(ch.stats.MaxReadLat, lat)
 }
 
 // SimulateTrace feeds a slice of requests (sorted by Arrive) through the

@@ -6,6 +6,9 @@
 //
 // Time advances event by event (System.AdvanceTo, System.AdvanceUntilDequeue)
 // or, for the reference oracle, one Tick per cycle; both are cycle-exact.
+// Both read one legality rule per command, so the tests also check the
+// issued commands against the DDR timing rules with a protocol checker
+// that shares no code with the controller.
 // The FR-FCFS pick is O(1) when its reorder window holds no row hit: each
 // channel counts the window entries whose row is open in their bank.
 package dram
@@ -35,7 +38,7 @@ type Tech struct {
 	TRP   int // PRE → ACT
 	TRAS  int // ACT → PRE
 	TRC   int // ACT → ACT, same bank
-	TCCD  int // column command → column command, same bank group
+	TCCD  int // column command → column command, same bank
 	TRRD  int // ACT → ACT, different banks
 	TFAW  int // rolling window for 4 ACTs per rank
 	TWR   int // end of write burst → PRE
