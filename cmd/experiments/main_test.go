@@ -10,20 +10,20 @@ import (
 	"testing"
 )
 
-// TestQuickGoldens pins every experiment's -quick output: each runner's CSV
-// must match testdata/quick/<name>.csv byte for byte, so any change to the
-// model or to an experiment's wiring shows up as a reviewed golden diff.
-// table4 reports wall-clock time, so only its header and workload column
-// are compared.
-func TestQuickGoldens(t *testing.T) {
+// TestPaperGoldens pins every experiment's output on the paper's default
+// grid: each runner's CSV must match testdata/paper/<name>.csv byte for byte,
+// so any change to the model or to an experiment's wiring shows up as a
+// reviewed golden diff. table4 reports wall-clock time, so only its header
+// and workload column are compared.
+func TestPaperGoldens(t *testing.T) {
 	for _, r := range allRunners() {
 		t.Run(r.name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", "quick", r.name+".csv"))
+			want, err := os.ReadFile(filepath.Join("testdata", "paper", r.name+".csv"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got bytes.Buffer
-			if err := r.run(&got, true); err != nil {
+			if err := r.run(&got, false); err != nil {
 				t.Fatal(err)
 			}
 			if r.name == "table4" {
@@ -103,7 +103,7 @@ func TestCLIRejectsBadArguments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(filepath.Join("testdata", "quick", "fig7.csv"))
+		want, err := os.ReadFile(filepath.Join("testdata", "paper", "fig7.csv"))
 		if err != nil {
 			t.Fatal(err)
 		}
