@@ -1,13 +1,15 @@
 package scalesim_test
 
-// One benchmark per paper table and figure (quick parameter grids), plus
-// ablation benches for the design choices docs/ARCHITECTURE.md calls out.
-// They are a micro-profiling tool with no baseline file and no gate of their
-// own; end-to-end performance is judged by bash benchmarks/run.sh. Run with
+// Benchmarks for the cheap paper experiments (Figs. 7 and 8, Table III),
+// plus ablation benches for the design choices docs/ARCHITECTURE.md calls
+// out. They are a micro-profiling tool with no baseline file and no gate of
+// their own; end-to-end performance is judged by bash benchmarks/run.sh. Run
+// with
 //
 //	go test -bench=. -benchmem
 //
-// Full-scale regeneration lives in cmd/experiments.
+// Every experiment's paper grid runs in cmd/experiments, whose
+// TestPaperGoldens pins its output.
 
 import (
 	"context"
@@ -22,26 +24,6 @@ import (
 	"scalesim/internal/sram"
 	"scalesim/internal/systolic"
 )
-
-func BenchmarkFig3PartitionTradeoff(b *testing.B) {
-	p := experiments.QuickFig3()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig3(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5SparsityMemory(b *testing.B) {
-	p := experiments.QuickFig5()
-	p.Layers = 2
-	p.SRAMSizesKB = []int{96}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig5(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkFig7SparseStorage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -60,95 +42,9 @@ func BenchmarkFig8BlockSize(b *testing.B) {
 	}
 }
 
-func BenchmarkFig9DRAMChannels(b *testing.B) {
-	p := experiments.QuickFig9()
-	p.Layers = 1
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig9(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10RequestQueues(b *testing.B) {
-	p := experiments.QuickFig10()
-	p.Layers = 1
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig10(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig12LayoutResNet(b *testing.B) {
-	p := experiments.QuickLayout()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunLayout(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig13LayoutViT(b *testing.B) {
-	p := experiments.QuickLayout()
-	p.Workload = "vit_small"
-	p.Layers = 1
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunLayout(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig15EnergyDataflow(b *testing.B) {
-	p := experiments.QuickFig15()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig15(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTable3SystemStates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiments.RunTable3(8, 8)
-	}
-}
-
-func BenchmarkTable4Overhead(b *testing.B) {
-	p := experiments.QuickTable4()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable4(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable5LatencyEnergyEdP(b *testing.B) {
-	p := experiments.QuickTable5()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable5(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable6MultiCore(b *testing.B) {
-	p := experiments.QuickTable6()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable6(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDataflowDRAMStalls(b *testing.B) {
-	p := experiments.QuickDataflowDRAM()
-	p.Layers = 1
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunDataflowDRAM(p); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -198,7 +94,7 @@ func BenchmarkLayoutNaiveVsOptimized(b *testing.B) {
 			name = "naive"
 		}
 		b.Run(name, func(b *testing.B) {
-			p := experiments.QuickLayout()
+			p := experiments.DefaultFig12()
 			p.NaiveLayout = naive
 			for i := 0; i < b.N; i++ {
 				pts, err := experiments.RunLayout(p)

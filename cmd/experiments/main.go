@@ -3,8 +3,8 @@
 // Usage:
 //
 //	experiments -exp fig3 -outdir results/
-//	experiments -exp fig9,fig10 -quick
-//	experiments -exp all -quick
+//	experiments -exp fig9,fig10
+//	experiments -exp all
 //	experiments -list
 //
 // Each experiment writes <exp>.csv with the rows/series the paper plots.
@@ -27,17 +27,13 @@ import (
 type runner struct {
 	name string
 	desc string
-	run  func(w io.Writer, quick bool) error
+	run  func(w io.Writer) error
 }
 
 func allRunners() []runner {
 	return []runner{
-		{"fig3", "partitioning trade-off: cycles vs memory footprint", func(w io.Writer, quick bool) error {
-			p := experiments.DefaultFig3()
-			if quick {
-				p = experiments.QuickFig3()
-			}
-			res, err := experiments.RunFig3(p)
+		{"fig3", "partitioning trade-off: cycles vs memory footprint", func(w io.Writer) error {
+			res, err := experiments.RunFig3(experiments.DefaultFig3())
 			if err != nil {
 				return err
 			}
@@ -45,80 +41,57 @@ func allRunners() []runner {
 			fmt.Printf("fig3: spatio-temporal beats spatial in %d/%d cycle-optimized groups\n", wins, groups)
 			return res.WriteCSV(w)
 		}},
-		{"fig5", "ResNet-18 total cycles vs on-chip memory at 1:4/2:4/4:4", func(w io.Writer, quick bool) error {
-			p := experiments.DefaultFig5()
-			if quick {
-				p = experiments.QuickFig5()
-			}
-			pts, err := experiments.RunFig5(p)
+		{"fig5", "ResNet-18 total cycles vs on-chip memory at 1:4/2:4/4:4", func(w io.Writer) error {
+			pts, err := experiments.RunFig5(experiments.DefaultFig5())
 			if err != nil {
 				return err
 			}
 			return experiments.WriteFig5CSV(w, pts)
 		}},
-		{"fig7", "ResNet-18 filter storage: dense vs 1:4/2:4/3:4", func(w io.Writer, _ bool) error {
+		{"fig7", "ResNet-18 filter storage: dense vs 1:4/2:4/3:4", func(w io.Writer) error {
 			pts, err := experiments.RunFig7()
 			if err != nil {
 				return err
 			}
 			return experiments.WriteFig7CSV(w, pts)
 		}},
-		{"fig8", "ViT FF compute cycles across array and block sizes", func(w io.Writer, _ bool) error {
+		{"fig8", "ViT FF compute cycles across array and block sizes", func(w io.Writer) error {
 			pts, err := experiments.RunFig8(experiments.DefaultFig8())
 			if err != nil {
 				return err
 			}
 			return experiments.WriteFig8CSV(w, pts)
 		}},
-		{"fig9", "ResNet-18 memory throughput vs DRAM channels", func(w io.Writer, quick bool) error {
-			p := experiments.DefaultFig9()
-			if quick {
-				p = experiments.QuickFig9()
-			}
-			pts, err := experiments.RunFig9(p)
+		{"fig9", "ResNet-18 memory throughput vs DRAM channels", func(w io.Writer) error {
+			pts, err := experiments.RunFig9(experiments.DefaultFig9())
 			if err != nil {
 				return err
 			}
 			return experiments.WriteFig9CSV(w, pts)
 		}},
-		{"fig10", "memory stalls vs request queue size (32/128/512)", func(w io.Writer, quick bool) error {
-			p := experiments.DefaultFig10()
-			if quick {
-				p = experiments.QuickFig10()
-			}
-			pts, err := experiments.RunFig10(p)
+		{"fig10", "memory stalls vs request queue size (32/128/512)", func(w io.Writer) error {
+			pts, err := experiments.RunFig10(experiments.DefaultFig10())
 			if err != nil {
 				return err
 			}
 			return experiments.WriteFig10CSV(w, pts)
 		}},
-		{"fig12", "layout slowdown vs bandwidth/banks, ResNet-18", func(w io.Writer, quick bool) error {
-			p := experiments.DefaultFig12()
-			if quick {
-				p = experiments.QuickLayout()
-			}
-			pts, err := experiments.RunLayout(p)
+		{"fig12", "layout slowdown vs bandwidth/banks, ResNet-18", func(w io.Writer) error {
+			pts, err := experiments.RunLayout(experiments.DefaultFig12())
 			if err != nil {
 				return err
 			}
 			return experiments.WriteLayoutCSV(w, pts)
 		}},
-		{"fig13", "layout slowdown vs bandwidth/banks, ViT", func(w io.Writer, quick bool) error {
-			p := experiments.DefaultFig13()
-			if quick {
-				p = experiments.QuickLayout()
-			}
-			pts, err := experiments.RunLayout(p)
+		{"fig13", "layout slowdown vs bandwidth/banks, ViT", func(w io.Writer) error {
+			pts, err := experiments.RunLayout(experiments.DefaultFig13())
 			if err != nil {
 				return err
 			}
 			return experiments.WriteLayoutCSV(w, pts)
 		}},
-		{"layout-ablation", "naive vs stream-natural layouts (the paper's motivation)", func(w io.Writer, quick bool) error {
+		{"layout-ablation", "naive vs stream-natural layouts (the paper's motivation)", func(w io.Writer) error {
 			p := experiments.DefaultFig12()
-			if quick {
-				p = experiments.QuickLayout()
-			}
 			p.NaiveLayout = true
 			pts, err := experiments.RunLayout(p)
 			if err != nil {
@@ -126,36 +99,25 @@ func allRunners() []runner {
 			}
 			return experiments.WriteLayoutCSV(w, pts)
 		}},
-		{"fig15", "energy across dataflows and array sizes", func(w io.Writer, quick bool) error {
-			p := experiments.DefaultFig15()
-			if quick {
-				p = experiments.QuickFig15()
-			}
-			pts, err := experiments.RunFig15(p)
+		{"fig15", "energy across dataflows and array sizes", func(w io.Writer) error {
+			pts, err := experiments.RunFig15(experiments.DefaultFig15())
 			if err != nil {
 				return err
 			}
 			return experiments.WriteFig15CSV(w, pts)
 		}},
-		{"table3", "system-state energies (idle/active/power-gated)", func(w io.Writer, _ bool) error {
+		{"table3", "system-state energies (idle/active/power-gated)", func(w io.Writer) error {
 			return experiments.WriteTable3CSV(w, experiments.RunTable3(8, 8))
 		}},
-		{"table4", "simulation-time overhead of each v3 feature", func(w io.Writer, quick bool) error {
-			p := experiments.DefaultTable4()
-			if quick {
-				p = experiments.QuickTable4()
-			}
-			rows, err := experiments.RunTable4(p)
+		{"table4", "simulation-time overhead of each v3 feature", func(w io.Writer) error {
+			rows, err := experiments.RunTable4(experiments.DefaultTable4())
 			if err != nil {
 				return err
 			}
 			return experiments.WriteTable4CSV(w, rows)
 		}},
-		{"table5", "latency/energy/EdP for 32², 64², 128² arrays", func(w io.Writer, quick bool) error {
+		{"table5", "latency/energy/EdP for 32², 64², 128² arrays", func(w io.Writer) error {
 			p := experiments.DefaultTable5()
-			if quick {
-				p = experiments.QuickTable5()
-			}
 			rows, err := experiments.RunTable5(p)
 			if err != nil {
 				return err
@@ -167,23 +129,15 @@ func allRunners() []runner {
 			}
 			return experiments.WriteTable5CSV(w, rows)
 		}},
-		{"table6", "single 128² vs 16×32² cores, ws/is ratios", func(w io.Writer, quick bool) error {
-			p := experiments.DefaultTable6()
-			if quick {
-				p = experiments.QuickTable6()
-			}
-			res, err := experiments.RunTable6(p)
+		{"table6", "single 128² vs 16×32² cores, ws/is ratios", func(w io.Writer) error {
+			res, err := experiments.RunTable6(experiments.DefaultTable6())
 			if err != nil {
 				return err
 			}
 			return experiments.WriteTable6CSV(w, res)
 		}},
-		{"dram-dataflow", "WS vs OS with and without DRAM stalls (§IX-B)", func(w io.Writer, quick bool) error {
-			p := experiments.DefaultDataflowDRAM()
-			if quick {
-				p = experiments.QuickDataflowDRAM()
-			}
-			res, err := experiments.RunDataflowDRAM(p)
+		{"dram-dataflow", "WS vs OS with and without DRAM stalls (§IX-B)", func(w io.Writer) error {
+			res, err := experiments.RunDataflowDRAM(experiments.DefaultDataflowDRAM())
 			if err != nil {
 				return err
 			}
@@ -205,7 +159,6 @@ func run() error {
 	var (
 		exp    = flag.String("exp", "", "comma-separated experiments to run (or 'all')")
 		outDir = flag.String("outdir", "results", "output directory")
-		quick  = flag.Bool("quick", false, "run reduced parameter grids")
 		list   = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
@@ -244,7 +197,7 @@ func run() error {
 		}
 		path := filepath.Join(*outDir, r.name+".csv")
 		fmt.Printf("running %s ...\n", r.name)
-		if err := writeExperiment(path, r, *quick); err != nil {
+		if err := writeExperiment(path, r); err != nil {
 			return fmt.Errorf("%s: %w", r.name, err)
 		}
 		fmt.Printf("wrote %s\n", path)
@@ -253,12 +206,12 @@ func run() error {
 }
 
 // writeExperiment runs r into the CSV file at path.
-func writeExperiment(path string, r runner, quick bool) error {
+func writeExperiment(path string, r runner) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := r.run(f, quick); err != nil {
+	if err := r.run(f); err != nil {
 		f.Close()
 		return err
 	}

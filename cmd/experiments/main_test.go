@@ -23,7 +23,7 @@ func TestPaperGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got bytes.Buffer
-			if err := r.run(&got, false); err != nil {
+			if err := r.run(&got); err != nil {
 				t.Fatal(err)
 			}
 			if r.name == "table4" {
@@ -57,8 +57,9 @@ func timingFreeColumns(t *testing.T, data []byte) string {
 }
 
 // TestCLIRejectsBadArguments drives the built binary: an unknown experiment
-// name or a leftover positional argument must exit non-zero before any
-// output directory is created, while a valid selection writes its CSV.
+// name, a leftover positional argument or an unknown flag must exit non-zero
+// before any output directory is created, while a valid selection writes its
+// CSV.
 func TestCLIRejectsBadArguments(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "experiments")
@@ -73,7 +74,9 @@ func TestCLIRejectsBadArguments(t *testing.T) {
 		{"unknown experiment", []string{"-exp", "fig7,bogus", "-outdir", "out"}, `unknown experiment "bogus"`},
 		// flag stops at the first non-flag word: the flags after it must
 		// not be dropped silently.
-		{"stray argument", []string{"-exp", "fig7", "-quick", "extra", "-outdir", "out"}, `unexpected argument "extra"`},
+		{"stray argument", []string{"-exp", "fig7", "extra", "-outdir", "out"}, `unexpected argument "extra"`},
+		// Every experiment runs its paper grid; there is no reduced one.
+		{"no quick grid", []string{"-exp", "fig7", "-quick", "-outdir", "out"}, "flag provided but not defined: -quick"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"scalesim/internal/energy"
 	"scalesim/internal/multicore"
 	"scalesim/internal/systolic"
+	"scalesim/internal/topology"
 )
 
 // energyConfig is the default machine on an arr×arr array under df with the
@@ -26,7 +27,6 @@ func energyConfig(df config.Dataflow, arr int) scalesim.Config {
 type Fig15Params struct {
 	Workloads []string
 	Arrays    []int
-	Layers    int // per-workload cap (0 = all)
 }
 
 // DefaultFig15 matches the paper.
@@ -34,15 +34,6 @@ func DefaultFig15() Fig15Params {
 	return Fig15Params{
 		Workloads: []string{"rcnn", "resnet50", "vit_base"},
 		Arrays:    []int{128, 64, 32, 16, 8},
-	}
-}
-
-// QuickFig15 trims for benchmarking.
-func QuickFig15() Fig15Params {
-	return Fig15Params{
-		Workloads: []string{"resnet50"},
-		Arrays:    []int{32, 8},
-		Layers:    4,
 	}
 }
 
@@ -55,12 +46,13 @@ type Fig15Point struct {
 	Cycles   int64
 }
 
-// RunFig15 executes the sweep: one point per workload × dataflow × array.
+// RunFig15 executes the sweep over each whole workload: one point per
+// workload × dataflow × array.
 func RunFig15(p Fig15Params) ([]Fig15Point, error) {
 	var points []scalesim.SweepPoint
 	var keys []Fig15Point
 	for _, name := range p.Workloads {
-		topo, err := workload(name, p.Layers)
+		topo, err := topology.Builtin(name)
 		if err != nil {
 			return nil, err
 		}
@@ -134,34 +126,22 @@ func WriteTable3CSV(w io.Writer, rows []Table3Row) error {
 
 // Table5Params configures the latency/energy/EdP comparison (paper
 // Table V): ResNet-50, RCNN and ViT-base on 32², 64² and 128² arrays.
+// Every run has the cycle-accurate DRAM model on, so latency is end-to-end
+// (the paper's Table V includes memory effects; without them large arrays
+// look too good and the EdP crossover vanishes).
 type Table5Params struct {
 	Workloads []string
 	Arrays    []int
 	Dataflow  config.Dataflow
-	Layers    int
-	// WithMemory runs the cycle-accurate DRAM model so latency is
-	// end-to-end (the paper's Table V includes memory effects; without
-	// them large arrays look too good and the EdP crossover vanishes).
-	WithMemory bool
 }
 
 // DefaultTable5 matches the paper.
 func DefaultTable5() Table5Params {
 	return Table5Params{
-		Workloads:  []string{"resnet50", "rcnn", "vit_base"},
-		Arrays:     []int{32, 64, 128},
-		Dataflow:   config.OutputStationary,
-		WithMemory: true,
+		Workloads: []string{"resnet50", "rcnn", "vit_base"},
+		Arrays:    []int{32, 64, 128},
+		Dataflow:  config.OutputStationary,
 	}
-}
-
-// QuickTable5 trims for benchmarking (compute-only for speed).
-func QuickTable5() Table5Params {
-	p := DefaultTable5()
-	p.Workloads = []string{"vit_base"}
-	p.Layers = 6
-	p.WithMemory = false
-	return p
 }
 
 // Table5Row is one workload × array measurement.
@@ -173,19 +153,19 @@ type Table5Row struct {
 	EdP            float64 // cycles × mJ per layer
 }
 
-// RunTable5 executes the comparison: one sweep point per workload × array
-// size.
+// RunTable5 executes the comparison over each whole workload: one sweep
+// point per workload × array size.
 func RunTable5(p Table5Params) ([]Table5Row, error) {
 	var points []scalesim.SweepPoint
 	var keys []Table5Row
 	for _, name := range p.Workloads {
-		topo, err := workload(name, p.Layers)
+		topo, err := topology.Builtin(name)
 		if err != nil {
 			return nil, err
 		}
 		for _, arr := range p.Arrays {
 			cfg := energyConfig(p.Dataflow, arr)
-			cfg.Memory.Enabled = p.WithMemory
+			cfg.Memory.Enabled = true
 			points = append(points, scalesim.SweepPoint{Name: fmt.Sprintf("table5/%s/%d", name, arr),
 				Config: cfg, Topology: topo})
 			keys = append(keys, Table5Row{Workload: name, Array: arr})
@@ -240,17 +220,11 @@ func WriteTable5CSV(w io.Writer, rows []Table5Row) error {
 // ViT-base, comparing WS against IS in latency and energy.
 type Table6Params struct {
 	Workload string
-	Layers   int
 }
 
 // DefaultTable6 matches the paper.
 func DefaultTable6() Table6Params {
 	return Table6Params{Workload: "vit_base"}
-}
-
-// QuickTable6 trims for benchmarking.
-func QuickTable6() Table6Params {
-	return Table6Params{Workload: "vit_base", Layers: 6}
 }
 
 // Table6Result holds the four ws/is ratios in the paper's orientation.
@@ -271,9 +245,9 @@ type Table6Result struct {
 	MultiEdPRatioISWS float64
 }
 
-// RunTable6 executes the study.
+// RunTable6 executes the study over the whole workload.
 func RunTable6(p Table6Params) (*Table6Result, error) {
-	topo, err := workload(p.Workload, p.Layers)
+	topo, err := topology.Builtin(p.Workload)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each experiment has a parameter struct with Default() and
-// Quick() variants (Quick scales workloads down for benchmarks), returns
-// typed rows, and can render itself as CSV for plotting.
+// evaluation. Each experiment has a parameter struct whose Default()
+// constructor is the paper's grid, returns typed rows, and can render itself
+// as CSV for plotting.
 //
 // An experiment that needs the memory or energy model describes its machine
 // as a scalesim.Config and runs on scalesim.Sweep: the DRAM studies (Figs. 9

@@ -30,15 +30,6 @@ func DefaultFig3() Fig3Params {
 	}
 }
 
-// QuickFig3 is a reduced grid for benchmarking.
-func QuickFig3() Fig3Params {
-	return Fig3Params{
-		MNK:    []int{1000, 5000},
-		Arrays: []int{16},
-		Cores:  []int{16},
-	}
-}
-
 // Fig3Point is one (workload, array, cores, strategy) evaluation.
 type Fig3Point struct {
 	M, N, K   int

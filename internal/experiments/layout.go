@@ -48,17 +48,6 @@ func DefaultFig13() LayoutParams {
 	return p
 }
 
-// QuickLayout trims for benchmarking.
-func QuickLayout() LayoutParams {
-	return LayoutParams{
-		Workload: "alexnet", Layers: 1,
-		ArrayRows: 32, ArrayCols: 32,
-		Bandwidths: []int{64, 256},
-		Banks:      []int{1, 8},
-		Ports:      2,
-	}
-}
-
 // LayoutPoint is one (dataflow, bandwidth, banks) slowdown.
 type LayoutPoint struct {
 	Dataflow  config.Dataflow

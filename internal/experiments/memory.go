@@ -31,7 +31,6 @@ func memoryConfig(df config.Dataflow, r, c, channels, queue, maxReq int, windowW
 // count sweeps 1–8.
 type Fig9Params struct {
 	Channels  []int
-	Layers    int // 0 = all ResNet-18 layers
 	ArrayRows int
 	ArrayCols int
 	Queue     int
@@ -41,19 +40,9 @@ type Fig9Params struct {
 func DefaultFig9() Fig9Params {
 	return Fig9Params{
 		Channels:  []int{1, 2, 4, 8},
-		Layers:    0,
 		ArrayRows: 128, ArrayCols: 128,
 		Queue: 128,
 	}
-}
-
-// QuickFig9 trims layers and channels for benchmarking.
-func QuickFig9() Fig9Params {
-	p := DefaultFig9()
-	p.Channels = []int{1, 4}
-	p.Layers = 3
-	p.ArrayRows, p.ArrayCols = 32, 32
-	return p
 }
 
 // Fig9Point is one layer × channel-count measurement.
@@ -64,13 +53,11 @@ type Fig9Point struct {
 	TotalCycles    int64
 }
 
-// RunFig9 executes the sweep (weight-stationary, the TPU dataflow): one
-// point per channel count, each layer replayed against a fresh DRAM system.
+// RunFig9 executes the sweep over all ResNet-18 layers (weight-stationary,
+// the TPU dataflow): one point per channel count, each layer replayed
+// against a fresh DRAM system.
 func RunFig9(p Fig9Params) ([]Fig9Point, error) {
 	topo := topology.ResNet18()
-	if p.Layers > 0 {
-		topo = topo.Sub(0, p.Layers)
-	}
 	var points []scalesim.SweepPoint
 	for _, ch := range p.Channels {
 		points = append(points, scalesim.SweepPoint{Name: fmt.Sprintf("fig9/%dch", ch),
@@ -131,16 +118,6 @@ func DefaultFig10() Fig10Params {
 		Channels: 8,
 		MaxReq:   8,
 	}
-}
-
-// QuickFig10 trims for benchmarking.
-func QuickFig10() Fig10Params {
-	p := DefaultFig10()
-	p.Queues = []int{32, 512}
-	p.Workloads = []string{"alexnet"}
-	p.Layers = 2
-	p.ArrayRows, p.ArrayCols = 32, 32
-	return p
 }
 
 // Fig10Point is one workload × queue-depth measurement.
@@ -211,11 +188,6 @@ type DataflowDRAMParams struct {
 // DefaultDataflowDRAM matches the paper: six ResNet-18 layers.
 func DefaultDataflowDRAM() DataflowDRAMParams {
 	return DataflowDRAMParams{Layers: 6, ArrayRows: 32, ArrayCols: 32, Queue: 32, Channels: 1}
-}
-
-// QuickDataflowDRAM trims for benchmarking.
-func QuickDataflowDRAM() DataflowDRAMParams {
-	return DataflowDRAMParams{Layers: 2, ArrayRows: 32, ArrayCols: 32, Queue: 32, Channels: 1}
 }
 
 // DataflowDRAMResult compares WS and OS with and without memory stalls.

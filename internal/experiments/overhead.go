@@ -26,11 +26,6 @@ func DefaultTable4() Table4Params {
 	}
 }
 
-// QuickTable4 trims for benchmarking.
-func QuickTable4() Table4Params {
-	return Table4Params{Workloads: []string{"alexnet"}, Layers: 2}
-}
-
 // Table4Row is one workload's feature-overhead ratios (feature runtime /
 // baseline runtime).
 type Table4Row struct {

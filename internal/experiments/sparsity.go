@@ -14,7 +14,6 @@ import (
 // total cycles including memory stalls versus SRAM size for ResNet-18 at
 // 1:4, 2:4 and 4:4 (dense) sparsity under weight-stationary dataflow.
 type Fig5Params struct {
-	Layers      int   // how many ResNet-18 layers to simulate (0 = all)
 	SRAMSizesKB []int // total SRAM sweep points, split 2:1:1 across ifmap, filter and ofmap
 	Ratios      []topology.Sparsity
 	ArrayRows   int
@@ -26,7 +25,6 @@ type Fig5Params struct {
 // DefaultFig5 sweeps 96 kB – 3 MB over the whole network.
 func DefaultFig5() Fig5Params {
 	return Fig5Params{
-		Layers:      0,
 		SRAMSizesKB: []int{96, 192, 384, 768, 1536, 3072},
 		Ratios: []topology.Sparsity{
 			{N: 1, M: 4}, {N: 2, M: 4}, {N: 4, M: 4},
@@ -34,14 +32,6 @@ func DefaultFig5() Fig5Params {
 		ArrayRows: 32, ArrayCols: 32,
 		Channels: 1, QueueDepth: 128,
 	}
-}
-
-// QuickFig5 trims the sweep for benchmarks.
-func QuickFig5() Fig5Params {
-	p := DefaultFig5()
-	p.Layers = 4
-	p.SRAMSizesKB = []int{96, 768}
-	return p
 }
 
 // Fig5Point is one (ratio, SRAM size) measurement.
@@ -52,12 +42,10 @@ type Fig5Point struct {
 	StallCycles int64
 }
 
-// RunFig5 executes the sweep: one point per ratio × SRAM size.
+// RunFig5 executes the sweep over all ResNet-18 layers: one point per
+// ratio × SRAM size.
 func RunFig5(p Fig5Params) ([]Fig5Point, error) {
 	topo := topology.ResNet18()
-	if p.Layers > 0 {
-		topo = topo.Sub(0, p.Layers)
-	}
 	var points []scalesim.SweepPoint
 	var keys []Fig5Point
 	for _, ratio := range p.Ratios {
