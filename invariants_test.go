@@ -18,7 +18,10 @@ import (
 //   - DRAM reads and writes are at least the layer's minimum traffic
 //     (systolic.MinDRAMTraffic, with an N:M filter's reads scaled by N/M);
 //   - total cycles are compute plus stall cycles;
-//   - total energy is at least the leakage, which is positive.
+//   - total energy is at least the leakage, which is positive;
+//   - at WS, no 2:4 layer of the sparse variant takes more compute cycles,
+//     total cycles or DRAM read words than the same layer of the dense 32²
+//     run.
 func TestModelInvariants(t *testing.T) {
 	type variant struct {
 		name string
@@ -38,6 +41,7 @@ func TestModelInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, df := range []Dataflow{OutputStationary, WeightStationary, InputStationary} {
+			var dense, sparse *Result
 			for _, v := range variants {
 				cfg := DefaultConfig()
 				cfg.ArrayRows, cfg.ArrayCols = v.size, v.size
@@ -59,6 +63,19 @@ func TestModelInvariants(t *testing.T) {
 					for i := range res.Layers {
 						checkLayerInvariants(t, &res.Layers[i], pes)
 					}
+					switch v.name {
+					case "32":
+						dense = res
+					case "32/sparse2:4":
+						sparse = res
+					}
+				})
+			}
+			// The compute stage runs every sparse layer at WS whatever the
+			// configured dataflow, so only at WS do the two runs share one.
+			if df == WeightStationary && dense != nil && sparse != nil {
+				t.Run(fmt.Sprintf("%s/%v/sparse2:4-vs-dense", model, df), func(t *testing.T) {
+					checkSparseNotWorse(t, dense, sparse)
 				})
 			}
 		}
@@ -93,5 +110,38 @@ func checkLayerInvariants(t *testing.T, lr *LayerResult, pes int64) {
 	}
 	if e := lr.Energy; e == nil || !(e.TotalPJ >= e.LeakagePJ && e.LeakagePJ > 0) {
 		t.Errorf("%s: energy %+v, want TotalPJ ≥ LeakagePJ > 0", l.Name, e)
+	}
+}
+
+// checkSparseNotWorse checks that pruning a layer to 2:4 never costs cycles
+// or DRAM reads: sparse and dense are the same topology on the same machine,
+// run without and with 2:4 sparsity.
+func checkSparseNotWorse(t *testing.T, dense, sparse *Result) {
+	t.Helper()
+	if len(dense.Layers) != len(sparse.Layers) {
+		t.Fatalf("%d dense layers, %d sparse", len(dense.Layers), len(sparse.Layers))
+	}
+	checked := 0
+	for i := range sparse.Layers {
+		s, d := &sparse.Layers[i], &dense.Layers[i]
+		if s.Layer.Sparsity != (Sparsity{N: 2, M: 4}) {
+			continue
+		}
+		checked++
+		for _, c := range []struct {
+			what   string
+			sp, dn int64
+		}{
+			{"compute cycles", s.ComputeCycles, d.ComputeCycles},
+			{"total cycles", s.TotalCycles, d.TotalCycles},
+			{"DRAM read words", s.DRAMReadWords, d.DRAMReadWords},
+		} {
+			if c.sp > c.dn {
+				t.Errorf("%s: 2:4 %s %d above dense %d", s.Layer.Name, c.what, c.sp, c.dn)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("no 2:4 layer to compare")
 	}
 }
