@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"scalesim/internal/diskstore"
+	"scalesim/internal/energy"
 	"scalesim/internal/simcache"
 )
 
@@ -222,9 +223,23 @@ func (storeCodec) Decode(payload []byte) (any, int64, bool) {
 	body := payload[1:]
 	switch payload[0] {
 	case codecLayerResult:
-		var lr LayerResult
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&lr); err != nil {
+		// gob makes a new map at the size its count on the wire claims
+		// before it reads one entry, so a damaged count can ask for
+		// terabytes and abort the process. Into an existing map it inserts
+		// entry by entry, each read from the payload, so the first decode
+		// goes into a preset energy map.
+		lr := LayerResult{Energy: &energy.Report{PerComponent: map[energy.Component]float64{}}}
+		if gob.NewDecoder(bytes.NewReader(body)).Decode(&lr) != nil {
 			return nil, 0, false
+		}
+		if len(lr.Energy.PerComponent) == 0 {
+			// No energy report, or one with a nil or an empty map: only a
+			// fresh decode tells them apart, and the first one has bounded
+			// every count.
+			lr = LayerResult{}
+			if gob.NewDecoder(bytes.NewReader(body)).Decode(&lr) != nil {
+				return nil, 0, false
+			}
 		}
 		return &lr, layerResultSize(&lr), true
 	case codecFloat64:

@@ -177,3 +177,36 @@ func TestStoreDecodesPriorLayerResult(t *testing.T) {
 		t.Error("today's encoding of the same result differs from the stored payload")
 	}
 }
+
+// FuzzStoreCodecDecode feeds arbitrary payloads to the disk store's codec,
+// as a damaged or foreign store file would. Decode must never panic, and a
+// layer result it accepts must survive the cache's size estimate and deep
+// copy.
+func FuzzStoreCodecDecode(f *testing.F) {
+	cfg := fullModelConfig()
+	topo := &Topology{Name: "fz", Layers: []Layer{{Name: "fc", Kind: GEMM, M: 64, N: 48, K: 96}}}
+	res, err := New(cfg).Run(context.Background(), topo)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var codec storeCodec
+	for _, v := range []any{&res.Layers[0], 1.5} {
+		p, ok := codec.Encode(v)
+		if !ok {
+			f.Fatalf("Encode(%T) refused", v)
+		}
+		f.Add(p)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		v, _, ok := codec.Decode(payload)
+		if !ok {
+			return
+		}
+		if lr, isLR := v.(*LayerResult); isLR {
+			layerResultSize(lr)
+			cloneLayerResult(lr)
+		}
+	})
+}
