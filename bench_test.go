@@ -14,6 +14,8 @@ package scalesim_test
 import (
 	"context"
 	"fmt"
+	"io"
+	"slices"
 	"testing"
 
 	"scalesim"
@@ -25,28 +27,26 @@ import (
 	"scalesim/internal/systolic"
 )
 
-func BenchmarkFig7SparseStorage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig7(); err != nil {
+// benchExperiment runs the named paper experiment, CSV and note into
+// io.Discard.
+func benchExperiment(b *testing.B, name string) {
+	all := experiments.All()
+	i := slices.IndexFunc(all, func(e experiments.Experiment) bool { return e.Name == name })
+	if i < 0 {
+		b.Fatalf("no experiment %q", name)
+	}
+	for b.Loop() {
+		if err := all[i].Run(io.Discard, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFig8BlockSize(b *testing.B) {
-	p := experiments.DefaultFig8()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig8(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig7SparseStorage(b *testing.B) { benchExperiment(b, "fig7") }
 
-func BenchmarkTable3SystemStates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.RunTable3(8, 8)
-	}
-}
+func BenchmarkFig8BlockSize(b *testing.B) { benchExperiment(b, "fig8") }
+
+func BenchmarkTable3SystemStates(b *testing.B) { benchExperiment(b, "table3") }
 
 // --- Ablations ---
 
@@ -84,33 +84,13 @@ func benchMemoryRun(b *testing.B) {
 
 func BenchmarkDRAMReplay(b *testing.B) { benchMemoryRun(b) }
 
-// BenchmarkLayoutNaiveVsOptimized is the layout-choice ablation: the same
-// demand stream analyzed under a naive row-major layout and under the
-// stream-natural layout the simulator picks by default.
+// BenchmarkLayoutNaiveVsOptimized is the layout-choice ablation: Fig. 12's
+// grid analyzed under the stream-natural layout the simulator picks by
+// default and under a naive row-major layout (the layout-ablation
+// experiment).
 func BenchmarkLayoutNaiveVsOptimized(b *testing.B) {
-	for _, naive := range []bool{false, true} {
-		name := "optimized"
-		if naive {
-			name = "naive"
-		}
-		b.Run(name, func(b *testing.B) {
-			p := experiments.DefaultFig12()
-			p.NaiveLayout = naive
-			for i := 0; i < b.N; i++ {
-				pts, err := experiments.RunLayout(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var worst float64
-				for _, q := range pts {
-					if q.Slowdown > worst {
-						worst = q.Slowdown
-					}
-				}
-				b.ReportMetric(worst, "worst_slowdown")
-			}
-		})
-	}
+	b.Run("optimized", func(b *testing.B) { benchExperiment(b, "fig12") })
+	b.Run("naive", func(b *testing.B) { benchExperiment(b, "layout-ablation") })
 }
 
 // BenchmarkDemandStream measures the production demand-summary path: the

@@ -3,39 +3,87 @@ package main
 import (
 	"bytes"
 	"encoding/csv"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"scalesim/internal/experiments"
 )
 
-// TestPaperGoldens pins every experiment's output on the paper's default
-// grid: each runner's CSV must match testdata/paper/<name>.csv byte for byte,
-// so any change to the model or to an experiment's wiring shows up as a
-// reviewed golden diff. table4 reports wall-clock time, so only its header
-// and workload column are compared.
+// TestPaperGoldens pins every experiment's output on the paper's grid: each
+// experiment's CSV must match testdata/paper/<name>.csv byte for byte, so any
+// change to the model or to an experiment's wiring shows up as a reviewed
+// golden diff. table4 reports wall-clock time, so only its header and
+// workload column are compared, and each of its overhead ratios must be
+// positive.
 func TestPaperGoldens(t *testing.T) {
-	for _, r := range allRunners() {
-		t.Run(r.name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", "paper", r.name+".csv"))
+	for _, e := range experiments.All() {
+		t.Run(e.Name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "paper", e.Name+".csv"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got bytes.Buffer
-			if err := r.run(&got); err != nil {
+			if err := e.Run(&got, io.Discard); err != nil {
 				t.Fatal(err)
 			}
-			if r.name == "table4" {
+			if e.Name == "table4" {
 				if g, w := timingFreeColumns(t, got.Bytes()), timingFreeColumns(t, want); g != w {
 					t.Errorf("header and workload column:\ngot  %q\nwant %q", g, w)
 				}
+				checkOverheadsPositive(t, got.Bytes())
 				return
 			}
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Errorf("output differs from the golden\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
 			}
 		})
+	}
+}
+
+// TestGoldensMatchExperiments fails when testdata/paper holds a file that no
+// experiment writes, so a stale golden cannot linger, or when an experiment
+// has no golden.
+func TestGoldensMatchExperiments(t *testing.T) {
+	goldens, err := filepath.Glob(filepath.Join("testdata", "paper", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range experiments.All() {
+		names = append(names, filepath.Join("testdata", "paper", e.Name+".csv"))
+	}
+	for _, g := range goldens {
+		if !slices.Contains(names, g) {
+			t.Errorf("%s belongs to no experiment", g)
+		}
+	}
+	for _, n := range names {
+		if !slices.Contains(goldens, n) {
+			t.Errorf("no golden %s", n)
+		}
+	}
+}
+
+// checkOverheadsPositive fails on a table4 CSV whose feature overhead ratios
+// (the columns after workload and baseline_s) are not all positive.
+func checkOverheadsPositive(t *testing.T, data []byte) {
+	t.Helper()
+	recs, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs[1:] {
+		for j := 2; j < len(rec); j++ {
+			if v, err := strconv.ParseFloat(rec[j], 64); err != nil || v <= 0 {
+				t.Errorf("%s: %s = %q, want a positive ratio", rec[0], recs[0][j], rec[j])
+			}
+		}
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 //
 // stats and verify open the store read-only (shared lock), so they can run
 // next to a live read-only inspection but not while a server holds the
-// write lock. verify exits non-zero when any entry fails its checksum, the
-// log has an unparseable tail, or an indexed key has no valid entry.
+// write lock. Both fail on a path that holds no store. verify exits
+// non-zero when any entry fails its checksum, the log has an unparseable
+// tail, or an indexed key has no valid entry.
 func runCache(args []string) error {
 	fs := flag.NewFlagSet("scalesim cache", flag.ExitOnError)
 	var (

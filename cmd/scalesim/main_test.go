@@ -57,6 +57,30 @@ func TestCLIRejectsUnknownValues(t *testing.T) {
 	}
 }
 
+// TestCLICacheRejectsMissingStore drives the built binary: `cache verify`
+// and `cache stats` on a path that holds no store must exit non-zero naming
+// the path, and create nothing there, so a mistyped -store never verifies
+// clean.
+func TestCLICacheRejectsMissingStore(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildServeBinary(t, dir)
+	store := filepath.Join(dir, "no", "such", "store")
+	for _, action := range []string{"verify", "stats"} {
+		t.Run(action, func(t *testing.T) {
+			out, err := exec.Command(bin, "cache", action, "-store", store).CombinedOutput()
+			if _, ok := err.(*exec.ExitError); !ok {
+				t.Fatalf("cache %s: err = %v, want a non-zero exit; output: %s", action, err, out)
+			}
+			if !strings.Contains(string(out), store) {
+				t.Errorf("cache %s output %q does not name %s", action, out, store)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "no")); !os.IsNotExist(err) {
+				t.Errorf("cache %s created %s (stat err %v)", action, filepath.Join(dir, "no"), err)
+			}
+		})
+	}
+}
+
 // TestCLIRunTracesEndToEnd drives the built binary on a three-layer
 // topology whose last layer repeats the first's shape: `run -memory
 // -traces` writes the reports `run -memory` writes, byte for byte, plus a

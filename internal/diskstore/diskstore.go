@@ -82,8 +82,8 @@ type Options struct {
 	// keeps the newest entries within 3/4 of the budget. Non-positive
 	// selects DefaultMaxBytes.
 	MaxBytes int64
-	// ReadOnly opens the store for inspection (stats, verify): no lock
-	// upgrade, no tail truncation, and Put/GC/SaveSnapshot fail.
+	// ReadOnly opens an existing store for inspection (stats, verify): no
+	// lock upgrade, no tail truncation, and Put/GC/SaveSnapshot fail.
 	ReadOnly bool
 	// FS is the filesystem the store operates through. Nil selects OSFS;
 	// tests and the fault-injection harness substitute their own.
@@ -158,10 +158,12 @@ type Store struct {
 	ioErrors           int64 // internal read/write failures since Open
 }
 
-// Open opens (creating if needed) the store rooted at dir, recovering the
-// index from the snapshot plus a replay of the uncovered log tail. Damaged
-// entries are dropped, a torn tail is truncated (unless ReadOnly), and the
-// counts are reported in Stats.
+// Open opens the store rooted at dir, recovering the index from the
+// snapshot plus a replay of the uncovered log tail. Damaged entries are
+// dropped, a torn tail is truncated (unless ReadOnly), and the counts are
+// reported in Stats. A writable open creates the store if needed; a
+// ReadOnly open of a directory without a store log fails and creates
+// nothing.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultMaxBytes
@@ -170,18 +172,25 @@ func Open(dir string, opts Options) (*Store, error) {
 	if fs == nil {
 		fs = OSFS
 	}
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
+	logPath := filepath.Join(dir, logName)
+	if opts.ReadOnly {
+		// Inspection never creates a store, so a mistyped path fails here
+		// instead of verifying an empty store clean.
+		if _, err := fs.Stat(logPath); err != nil {
+			return nil, fmt.Errorf("diskstore: no store at %s: %w", dir, err)
+		}
+	} else if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
 	lock, err := acquireLock(filepath.Join(dir, lockName), opts.ReadOnly)
 	if err != nil {
 		return nil, err
 	}
-	flags, perm := os.O_RDWR|os.O_CREATE, os.FileMode(0o644)
+	flags := os.O_RDWR | os.O_CREATE
 	if opts.ReadOnly {
-		flags = os.O_RDONLY | os.O_CREATE
+		flags = os.O_RDONLY
 	}
-	logf, err := fs.OpenFile(filepath.Join(dir, logName), flags, perm)
+	logf, err := fs.OpenFile(logPath, flags, 0o644)
 	if err != nil {
 		releaseLock(lock)
 		return nil, fmt.Errorf("diskstore: %w", err)

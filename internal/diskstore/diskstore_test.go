@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -417,6 +418,26 @@ func TestReadOnlyOpen(t *testing.T) {
 	}
 	if err := ro.Close(); err != nil {
 		t.Fatalf("Close read-only: %v", err)
+	}
+
+	// Inspection never creates a store: a missing directory, or a
+	// directory without a store log, fails naming the path and stays as
+	// it was.
+	missing := filepath.Join(t.TempDir(), "no", "such", "store")
+	empty := t.TempDir()
+	for _, path := range []string{missing, empty} {
+		if s, err := Open(path, Options{ReadOnly: true}); err == nil {
+			s.Close()
+			t.Errorf("read-only Open(%s) succeeded", path)
+		} else if !strings.Contains(err.Error(), path) {
+			t.Errorf("read-only Open(%s) error %q does not name the path", path, err)
+		}
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("read-only Open created %s (stat err %v)", missing, err)
+	}
+	if entries, _ := os.ReadDir(empty); len(entries) > 0 {
+		t.Errorf("read-only Open created %s in an empty directory", entries[0].Name())
 	}
 }
 

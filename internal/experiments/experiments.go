@@ -1,7 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each experiment has a parameter struct whose Default()
-// constructor is the paper's grid, returns typed rows, and can render itself
-// as CSV for plotting.
+// evaluation. Each experiment is one function that holds the paper's grid
+// and writes the CSV rows the paper plots; All lists them.
 //
 // An experiment that needs the memory or energy model describes its machine
 // as a scalesim.Config and runs on scalesim.Sweep: the DRAM studies (Figs. 9
@@ -13,7 +12,7 @@
 //   - Figs. 12 and 13 aggregate layout analyzers across layers and ablate
 //     the naive layout;
 //   - Fig. 7 counts 16-bit storage rows for dense 4:4;
-//   - Fig. 8 seeds each layer's row-wise pattern with Seed+layer;
+//   - Fig. 8 seeds each layer's row-wise pattern with its seed + layer;
 //   - Table VI's multi-core design searches 16-core partitions under a
 //     128² MAC budget;
 //   - Table III computes state energies.
@@ -31,6 +30,40 @@ import (
 	"scalesim"
 	"scalesim/internal/topology"
 )
+
+// Experiment is one table or figure of the paper. Run writes its CSV to w
+// and any summary line to note.
+type Experiment struct {
+	Name, Desc string
+	Run        func(w, note io.Writer) error
+}
+
+// All lists the experiments in the order they run.
+func All() []Experiment {
+	return []Experiment{
+		{"fig3", "partitioning trade-off: cycles vs memory footprint", fig3},
+		{"fig5", "ResNet-18 total cycles vs on-chip memory at 1:4/2:4/4:4", fig5},
+		{"fig7", "ResNet-18 filter storage: dense vs 1:4/2:4/3:4", fig7},
+		{"fig8", "ViT FF compute cycles across array and block sizes", fig8},
+		{"fig9", "ResNet-18 memory throughput vs DRAM channels", fig9},
+		{"fig10", "memory stalls vs request queue size (32/128/512)", fig10},
+		{"fig12", "layout slowdown vs bandwidth/banks, ResNet-18", func(w, _ io.Writer) error {
+			return layoutSlowdowns(w, "resnet18", 4, false)
+		}},
+		{"fig13", "layout slowdown vs bandwidth/banks, ViT", func(w, _ io.Writer) error {
+			return layoutSlowdowns(w, "vit_base_ff", 0, false)
+		}},
+		{"layout-ablation", "naive vs stream-natural layouts (the paper's motivation)", func(w, _ io.Writer) error {
+			return layoutSlowdowns(w, "resnet18", 4, true)
+		}},
+		{"fig15", "energy across dataflows and array sizes", fig15},
+		{"table3", "system-state energies (idle/active/power-gated)", table3},
+		{"table4", "simulation-time overhead of each v3 feature", table4},
+		{"table5", "latency/energy/EdP for 32², 64², 128² arrays", table5},
+		{"table6", "single 128² vs 16×32² cores, ws/is ratios", table6},
+		{"dram-dataflow", "WS vs OS with and without DRAM stalls (§IX-B)", dramDataflow},
+	}
+}
 
 // workload loads a builtin topology, capped at its first layers layers when
 // layers > 0.
@@ -59,7 +92,7 @@ func sweep(points []scalesim.SweepPoint) ([]*scalesim.Result, error) {
 	return out, nil
 }
 
-// writeCSV is a small helper for the experiment writers.
+// writeCSV writes the header and rows to w.
 func writeCSV(w io.Writer, header []string, rows [][]string) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(header); err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"go/parser"
 	"go/token"
 	"path/filepath"
@@ -9,47 +8,38 @@ import (
 	"strings"
 	"testing"
 
+	"scalesim/internal/config"
 	"scalesim/internal/energy"
 )
 
-func TestFig3QuickRuns(t *testing.T) {
-	res, err := RunFig3(DefaultFig3())
-	if err != nil {
-		t.Fatal(err)
+// TestFig3OneBestMarkerPerGroup checks that each panel marks exactly one of
+// the three strategies of every configuration group as its best partition.
+func TestFig3OneBestMarkerPerGroup(t *testing.T) {
+	rows := readGolden(t, "fig3")
+	if len(rows)%3 != 0 {
+		t.Fatalf("%d rows, not a multiple of 3 strategies", len(rows))
 	}
-	if len(res.CyclesOptimized) == 0 || len(res.FootprintOptimized) == 0 {
-		t.Fatal("empty Fig3 panels")
-	}
-	if len(res.CyclesOptimized)%3 != 0 {
-		t.Fatalf("panel size %d not a multiple of 3 strategies", len(res.CyclesOptimized))
-	}
-	// Exactly one best marker per 3-point group.
-	for i := 0; i+2 < len(res.CyclesOptimized); i += 3 {
+	for i := 0; i < len(rows); i += 3 {
 		n := 0
-		for j := i; j < i+3; j++ {
-			if res.CyclesOptimized[j].Best {
-				n++
-			}
+		for _, r := range rows[i : i+3] {
+			n += int(num(t, r["best"]))
 		}
 		if n != 1 {
-			t.Errorf("group %d has %d best markers", i/3, n)
+			t.Errorf("%s group %d has %d best markers", rows[i]["panel"], i/3, n)
 		}
-	}
-	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("empty CSV")
 	}
 }
 
 func TestFig3SpatioTemporalSometimesWins(t *testing.T) {
-	res, err := RunFig3(DefaultFig3())
-	if err != nil {
-		t.Fatal(err)
+	wins, groups := 0, 0
+	for _, g := range fig3Groups(t, "a_cycles_optimized") {
+		groups++
+		spatial := num(t, g[config.SpatialPartition.String()]["cycles"])
+		if num(t, g[config.SpatioTemporal1.String()]["cycles"]) < spatial ||
+			num(t, g[config.SpatioTemporal2.String()]["cycles"]) < spatial {
+			wins++
+		}
 	}
-	wins, groups := res.SpatioTemporalWins()
 	if groups == 0 {
 		t.Fatal("no groups")
 	}
@@ -59,72 +49,75 @@ func TestFig3SpatioTemporalSometimesWins(t *testing.T) {
 	t.Logf("spatio-temporal wins in %d/%d groups", wins, groups)
 }
 
-func TestFig7StorageShrinksWithSparsity(t *testing.T) {
-	pts, err := RunFig7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byLayer := map[string]map[string]int64{}
-	for _, p := range pts {
-		if byLayer[p.LayerName] == nil {
-			byLayer[p.LayerName] = map[string]int64{}
+// fig3Groups returns a fig3 panel's configuration groups, each keyed by
+// strategy.
+func fig3Groups(t *testing.T, panel string) map[string]map[string]map[string]string {
+	t.Helper()
+	groups := map[string]map[string]map[string]string{}
+	for _, r := range readGolden(t, "fig3") {
+		if r["panel"] != panel {
+			continue
 		}
-		byLayer[p.LayerName][p.Ratio.String()] = p.ValueWords + p.MetadataWords
+		key := strings.Join([]string{r["M"], r["N"], r["K"], r["array"], r["cores"]}, "/")
+		if groups[key] == nil {
+			groups[key] = map[string]map[string]string{}
+		}
+		groups[key][r["strategy"]] = r
+	}
+	return groups
+}
+
+func TestFig7StorageShrinksWithSparsity(t *testing.T) {
+	byLayer := map[string]map[string]float64{}
+	for _, r := range readGolden(t, "fig7") {
+		if byLayer[r["layer"]] == nil {
+			byLayer[r["layer"]] = map[string]float64{}
+		}
+		byLayer[r["layer"]][r["ratio"]] = num(t, r["value_words"]) + num(t, r["metadata_words"])
 	}
 	for layer, m := range byLayer {
 		if !(m["1:4"] < m["2:4"] && m["2:4"] < m["3:4"]) {
-			t.Errorf("%s: storage not monotone in density: 1:4=%d 2:4=%d 3:4=%d",
+			t.Errorf("%s: storage not monotone in density: 1:4=%.0f 2:4=%.0f 3:4=%.0f",
 				layer, m["1:4"], m["2:4"], m["3:4"])
 		}
 	}
 }
 
 func TestFig8BlockSizeStudy(t *testing.T) {
-	pts, err := RunFig8(DefaultFig8())
-	if err != nil {
-		t.Fatal(err)
+	rows := readGolden(t, "fig8")
+	if len(rows) != 8 {
+		t.Fatalf("got %d points, want 8", len(rows))
 	}
-	if len(pts) != 8 {
-		t.Fatalf("got %d points, want 8", len(pts))
-	}
-	for _, p := range pts {
-		if p.Cycles <= 0 {
-			t.Errorf("set %d array %d block %d: non-positive cycles", p.Set, p.Array, p.BlockSize)
+	for _, r := range rows {
+		if num(t, r["cycles"]) <= 0 {
+			t.Errorf("set %s array %s block %s: non-positive cycles", r["set"], r["array"], r["block_size"])
 		}
-		if p.MeanRatio <= 0 || p.MeanRatio > 0.5+1e-9 {
-			t.Errorf("set %d block %d: mean density %f outside (0, 0.5]", p.Set, p.BlockSize, p.MeanRatio)
+		if d := num(t, r["mean_density"]); d <= 0 || d > 0.5+1e-9 {
+			t.Errorf("set %s block %s: mean density %f outside (0, 0.5]", r["set"], r["block_size"], d)
 		}
 	}
 }
 
 func TestDataflowDRAMDirections(t *testing.T) {
-	res, err := RunDataflowDRAM(DefaultDataflowDRAM())
-	if err != nil {
-		t.Fatal(err)
+	by := map[string]map[string]string{}
+	for _, r := range readGolden(t, "dram-dataflow") {
+		by[r["dataflow"]] = r
 	}
-	t.Logf("compute ws=%d os=%d total ws=%d os=%d; wsAdv=%.3f osAdv=%.3f",
-		res.WSCompute, res.OSCompute, res.WSTotal, res.OSTotal,
-		res.ComputeAdvantageWS(), res.TotalAdvantageOS())
-	if res.WSCompute >= res.OSCompute {
-		t.Errorf("WS compute %d not below OS compute %d (paper: WS wins compute-only)",
-			res.WSCompute, res.OSCompute)
+	ws, os := num(t, by["ws"]["compute_cycles"]), num(t, by["os"]["compute_cycles"])
+	t.Logf("compute ws=%.0f os=%.0f total ws=%s os=%s", ws, os, by["ws"]["total_cycles"], by["os"]["total_cycles"])
+	if ws >= os {
+		t.Errorf("WS compute %.0f not below OS compute %.0f (paper: WS wins compute-only)", ws, os)
 	}
 }
 
 func TestTable3StateOrdering(t *testing.T) {
-	rows := RunTable3(8, 8)
-	var idle, active, gated float64
-	for _, r := range rows {
-		switch r.State {
-		case energy.StateIdleClockGated:
-			idle = r.EnergyPJ
-		case energy.StateActive:
-			active = r.EnergyPJ
-		case energy.StatePowerGated:
-			gated = r.EnergyPJ
-		}
+	pj := map[string]float64{}
+	for _, r := range readGolden(t, "table3") {
+		pj[r["state"]] = num(t, r["energy_pJ_per_cycle"])
 	}
-	if !(gated < idle && idle < active) {
+	idle, active, gated := pj[energy.StateIdleClockGated.String()], pj[energy.StateActive.String()],
+		pj[energy.StatePowerGated.String()]
+	if !(0 < gated && gated < idle && idle < active) {
 		t.Errorf("state energies not ordered: gated=%.2f idle=%.2f active=%.2f", gated, idle, active)
 	}
 }
@@ -152,23 +145,6 @@ func TestExperimentsDoNotWireMemory(t *testing.T) {
 			}
 			if path == "scalesim/internal/sram" || path == "scalesim/internal/dram" {
 				t.Errorf("%s imports %s; express the machine as a scalesim.Config instead", name, path)
-			}
-		}
-	}
-}
-
-func TestTable4OverheadsPositive(t *testing.T) {
-	rows, err := RunTable4(DefaultTable4())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		for name, v := range map[string]float64{
-			"multicore": r.MultiCore, "s24": r.Sparse24, "s14": r.Sparse14,
-			"energy": r.Energy, "memory": r.Memory, "layout": r.Layout,
-		} {
-			if v <= 0 {
-				t.Errorf("%s: non-positive overhead for %s", r.Workload, name)
 			}
 		}
 	}

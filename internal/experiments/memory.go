@@ -26,219 +26,90 @@ func memoryConfig(df config.Dataflow, r, c, channels, queue, maxReq int, windowW
 	return cfg
 }
 
-// Fig9Params configures the DRAM-channel study (paper Fig. 9): per-layer
-// memory throughput of ResNet-18 on a TPU-like core as the DDR4 channel
-// count sweeps 1–8.
-type Fig9Params struct {
-	Channels  []int
-	ArrayRows int
-	ArrayCols int
-	Queue     int
-}
-
-// DefaultFig9 matches the paper's setup.
-func DefaultFig9() Fig9Params {
-	return Fig9Params{
-		Channels:  []int{1, 2, 4, 8},
-		ArrayRows: 128, ArrayCols: 128,
-		Queue: 128,
-	}
-}
-
-// Fig9Point is one layer × channel-count measurement.
-type Fig9Point struct {
-	LayerName      string
-	Channels       int
-	ThroughputMBps float64
-	TotalCycles    int64
-}
-
-// RunFig9 executes the sweep over all ResNet-18 layers (weight-stationary,
-// the TPU dataflow): one point per channel count, each layer replayed
-// against a fresh DRAM system.
-func RunFig9(p Fig9Params) ([]Fig9Point, error) {
-	topo := topology.ResNet18()
+// fig9 is the DRAM-channel study (paper Fig. 9): per-layer memory
+// throughput of every ResNet-18 layer on a TPU-like 128×128
+// weight-stationary core as the DDR4 channel count sweeps 1–8, one sweep
+// point per channel count, each layer replayed against a fresh DRAM system.
+func fig9(w, _ io.Writer) error {
+	topo, channels := topology.ResNet18(), []int{1, 2, 4, 8}
 	var points []scalesim.SweepPoint
-	for _, ch := range p.Channels {
+	for _, ch := range channels {
 		points = append(points, scalesim.SweepPoint{Name: fmt.Sprintf("fig9/%dch", ch),
-			Config:   memoryConfig(config.WeightStationary, p.ArrayRows, p.ArrayCols, ch, p.Queue, ch, 1<<18),
+			Config:   memoryConfig(config.WeightStationary, 128, 128, ch, 128, ch, 1<<18),
 			Topology: topo})
 	}
 	results, err := sweep(points)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var out []Fig9Point
+	var rows [][]string
 	for i, res := range results {
 		for _, l := range res.Layers {
-			out = append(out, Fig9Point{
-				LayerName:      l.Layer.Name,
-				Channels:       p.Channels[i],
-				ThroughputMBps: l.ThroughputMBps,
-				TotalCycles:    l.TotalCycles,
-			})
+			rows = append(rows, []string{l.Layer.Name, itoa(channels[i]),
+				f64(l.ThroughputMBps), i64(l.TotalCycles)})
 		}
-	}
-	return out, nil
-}
-
-// WriteFig9CSV renders the per-layer throughput series.
-func WriteFig9CSV(w io.Writer, pts []Fig9Point) error {
-	var rows [][]string
-	for _, p := range pts {
-		rows = append(rows, []string{p.LayerName, itoa(p.Channels),
-			f64(p.ThroughputMBps), i64(p.TotalCycles)})
 	}
 	return writeCSV(w, []string{"layer", "channels", "throughput_MBps", "total_cycles"}, rows)
 }
 
-// Fig10Params configures the request-queue study (paper Fig. 10): stall
-// fraction and total cycles for several workloads at total request-queue
-// capacities of 32, 128 and 512 entries shared across the DRAM channels
-// (small per-channel queues throttle both the outstanding requests and the
-// controller's row-hit reordering).
-type Fig10Params struct {
-	Queues    []int
-	Workloads []string // builtin topology names
-	Layers    int      // per-workload layer cap (0 = all)
-	ArrayRows int
-	ArrayCols int
-	Channels  int
-	MaxReq    int // interface line requests per cycle
-}
-
-// DefaultFig10 matches the paper's three queue depths across several
-// models on a multi-channel TPU-like memory system.
-func DefaultFig10() Fig10Params {
-	return Fig10Params{
-		Queues:    []int{32, 128, 512},
-		Workloads: []string{"alexnet", "resnet18", "vit_small"},
-		Layers:    6,
-		ArrayRows: 64, ArrayCols: 64,
-		Channels: 8,
-		MaxReq:   8,
-	}
-}
-
-// Fig10Point is one workload × queue-depth measurement.
-type Fig10Point struct {
-	Workload      string
-	Queue         int
-	ComputeCycles int64
-	StallCycles   int64
-	TotalCycles   int64
-	StallFraction float64
-}
-
-// RunFig10 executes the sweep: one point per workload × queue depth.
-func RunFig10(p Fig10Params) ([]Fig10Point, error) {
-	channels, maxReq := max(1, p.Channels), max(1, p.MaxReq)
+// fig10 is the request-queue study (paper Fig. 10): stall fraction and
+// total cycles for the first six layers of several workloads on a 64×64
+// core with eight DDR4 channels and eight line requests per cycle, at total
+// request-queue capacities of 32, 128 and 512 entries shared across the
+// channels (small per-channel queues throttle both the outstanding requests
+// and the controller's row-hit reordering).
+func fig10(w, _ io.Writer) error {
+	const channels = 8
+	queues := []int{32, 128, 512}
 	var points []scalesim.SweepPoint
-	var keys []Fig10Point
-	for _, name := range p.Workloads {
-		topo, err := workload(name, p.Layers)
+	var keys [][]string
+	for _, name := range []string{"alexnet", "resnet18", "vit_small"} {
+		topo, err := workload(name, 6)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for _, q := range p.Queues {
+		for _, q := range queues {
 			points = append(points, scalesim.SweepPoint{Name: fmt.Sprintf("fig10/%s/q%d", name, q),
-				Config: memoryConfig(config.WeightStationary, p.ArrayRows, p.ArrayCols,
-					channels, max(1, q/channels), maxReq, 1<<16),
+				Config:   memoryConfig(config.WeightStationary, 64, 64, channels, q/channels, 8, 1<<16),
 				Topology: topo})
-			keys = append(keys, Fig10Point{Workload: name, Queue: q})
+			keys = append(keys, []string{name, itoa(q)})
 		}
 	}
 	results, err := sweep(points)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i, res := range results {
 		s := res.Summary()
-		pt := &keys[i]
-		pt.ComputeCycles, pt.StallCycles, pt.TotalCycles = s.TotalComputeCycles, s.TotalStallCycles, s.TotalCycles
-		if pt.TotalCycles > 0 {
-			pt.StallFraction = float64(pt.StallCycles) / float64(pt.TotalCycles)
-		}
-	}
-	return keys, nil
-}
-
-// WriteFig10CSV renders the stall study.
-func WriteFig10CSV(w io.Writer, pts []Fig10Point) error {
-	var rows [][]string
-	for _, p := range pts {
-		rows = append(rows, []string{p.Workload, itoa(p.Queue),
-			i64(p.ComputeCycles), i64(p.StallCycles), i64(p.TotalCycles),
-			f64(p.StallFraction)})
+		keys[i] = append(keys[i], i64(s.TotalComputeCycles), i64(s.TotalStallCycles), i64(s.TotalCycles),
+			f64(float64(s.TotalStallCycles)/float64(s.TotalCycles)))
 	}
 	return writeCSV(w, []string{"workload", "queue", "compute_cycles",
-		"stall_cycles", "total_cycles", "stall_fraction"}, rows)
+		"stall_cycles", "total_cycles", "stall_fraction"}, keys)
 }
 
-// DataflowDRAMParams configures the §IX-B case study: WS vs OS on six
-// ResNet-18 layers, with and without DRAM stalls.
-type DataflowDRAMParams struct {
-	Layers    int
-	ArrayRows int
-	ArrayCols int
-	Queue     int
-	Channels  int
-}
-
-// DefaultDataflowDRAM matches the paper: six ResNet-18 layers.
-func DefaultDataflowDRAM() DataflowDRAMParams {
-	return DataflowDRAMParams{Layers: 6, ArrayRows: 32, ArrayCols: 32, Queue: 32, Channels: 1}
-}
-
-// DataflowDRAMResult compares WS and OS with and without memory stalls.
-type DataflowDRAMResult struct {
-	WSCompute, OSCompute int64
-	WSTotal, OSTotal     int64
-}
-
-// ComputeAdvantageWS is (OS − WS)/OS on compute-only cycles (positive when
-// WS wins, the v2 view).
-func (r *DataflowDRAMResult) ComputeAdvantageWS() float64 {
-	if r.OSCompute == 0 {
-		return 0
-	}
-	return float64(r.OSCompute-r.WSCompute) / float64(r.OSCompute)
-}
-
-// TotalAdvantageOS is (WS − OS)/WS on stall-inclusive cycles (positive when
-// OS wins, the v3 view).
-func (r *DataflowDRAMResult) TotalAdvantageOS() float64 {
-	if r.WSTotal == 0 {
-		return 0
-	}
-	return float64(r.WSTotal-r.OSTotal) / float64(r.WSTotal)
-}
-
-// RunDataflowDRAM executes the case study.
-func RunDataflowDRAM(p DataflowDRAMParams) (*DataflowDRAMResult, error) {
-	topo := topology.ResNet18().Sub(1, 1+p.Layers) // the residual 3×3 stack
+// dramDataflow is the §IX-B case study: WS vs OS on the six residual 3×3
+// ResNet-18 layers on a 32×32 array in front of one DDR4 channel, with and
+// without DRAM stalls. The note gives WS's advantage on compute-only cycles
+// (the v2 view) and OS's on stall-inclusive cycles (the v3 view).
+func dramDataflow(w, note io.Writer) error {
+	topo := topology.ResNet18().Sub(1, 7)
 	var points []scalesim.SweepPoint
 	for _, df := range []config.Dataflow{config.WeightStationary, config.OutputStationary} {
 		points = append(points, scalesim.SweepPoint{Name: "dram-dataflow/" + df.String(),
-			Config:   memoryConfig(df, p.ArrayRows, p.ArrayCols, p.Channels, p.Queue, 1, 1<<14),
+			Config:   memoryConfig(df, 32, 32, 1, 32, 1, 1<<14),
 			Topology: topo})
 	}
 	results, err := sweep(points)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ws, os := results[0].Summary(), results[1].Summary()
-	return &DataflowDRAMResult{
-		WSCompute: ws.TotalComputeCycles, OSCompute: os.TotalComputeCycles,
-		WSTotal: ws.TotalCycles, OSTotal: os.TotalCycles,
-	}, nil
-}
-
-// WriteDataflowDRAMCSV renders the comparison.
-func WriteDataflowDRAMCSV(w io.Writer, r *DataflowDRAMResult) error {
-	rows := [][]string{
-		{"ws", i64(r.WSCompute), i64(r.WSTotal)},
-		{"os", i64(r.OSCompute), i64(r.OSTotal)},
-	}
-	return writeCSV(w, []string{"dataflow", "compute_cycles", "total_cycles"}, rows)
+	fmt.Fprintf(note, "dram-dataflow: WS compute advantage %.1f%%, OS total advantage %.1f%%\n",
+		100*(float64(os.TotalComputeCycles-ws.TotalComputeCycles)/float64(os.TotalComputeCycles)),
+		100*(float64(ws.TotalCycles-os.TotalCycles)/float64(ws.TotalCycles)))
+	return writeCSV(w, []string{"dataflow", "compute_cycles", "total_cycles"}, [][]string{
+		{"ws", i64(ws.TotalComputeCycles), i64(ws.TotalCycles)},
+		{"os", i64(os.TotalComputeCycles), i64(os.TotalCycles)},
+	})
 }

@@ -10,42 +10,16 @@ import (
 	"scalesim/internal/topology"
 )
 
-// Table4Params configures the simulation-time overhead study (paper
-// Table IV): wall-clock cost of each v3 feature relative to the v2-style
-// baseline run on a TPU-like configuration.
-type Table4Params struct {
-	Workloads []string
-	Layers    int // per-workload cap (0 = all)
-}
-
-// DefaultTable4 matches the paper's workloads.
-func DefaultTable4() Table4Params {
-	return Table4Params{
-		Workloads: []string{"alexnet", "resnet18", "vit_large", "vit_small"},
-		Layers:    4,
-	}
-}
-
-// Table4Row is one workload's feature-overhead ratios (feature runtime /
-// baseline runtime).
-type Table4Row struct {
-	Workload  string
-	Baseline  time.Duration
-	MultiCore float64
-	Sparse24  float64
-	Sparse14  float64
-	Energy    float64
-	Memory    float64
-	Layout    float64
-}
-
-// RunTable4 measures each feature's wall time against the v2-style run.
-func RunTable4(p Table4Params) ([]Table4Row, error) {
-	var out []Table4Row
-	for _, name := range p.Workloads {
-		topo, err := workload(name, p.Layers)
+// table4 is the simulation-time overhead study (paper Table IV): for the
+// first four layers of each workload, the wall-clock cost of each v3
+// feature relative to the v2-style baseline run on a TPU-like
+// configuration (feature runtime / baseline runtime).
+func table4(w, _ io.Writer) error {
+	var rows [][]string
+	for _, name := range []string{"alexnet", "resnet18", "vit_large", "vit_small"} {
+		topo, err := workload(name, 4)
 		if err != nil {
-			return nil, err
+			return err
 		}
 
 		base := scalesim.DefaultConfig()
@@ -78,12 +52,12 @@ func RunTable4(p Table4Params) ([]Table4Row, error) {
 
 		baseT, err := timeRun(base, topo)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if baseT <= 0 {
 			baseT = time.Microsecond
 		}
-		row := Table4Row{Workload: name, Baseline: baseT}
+		row := []string{name, f64(baseT.Seconds())}
 
 		mc, sp, en, mem, lay := base, base, base, base, base
 		mc.MultiCore.Enabled = true
@@ -93,38 +67,24 @@ func RunTable4(p Table4Params) ([]Table4Row, error) {
 		mem.Memory.Enabled = true
 		lay.Layout.Enabled = true
 		for _, f := range []struct {
-			ratio *float64
-			cfg   scalesim.Config
-			topo  *topology.Topology
+			cfg  scalesim.Config
+			topo *topology.Topology
 		}{
-			{&row.MultiCore, mc, topo},
-			{&row.Sparse24, sp, topo.WithSparsity(topology.Sparsity{N: 2, M: 4})},
-			{&row.Sparse14, sp, topo.WithSparsity(topology.Sparsity{N: 1, M: 4})},
-			{&row.Energy, en, topo},
-			{&row.Memory, mem, topo},
-			{&row.Layout, lay, topo},
+			{mc, topo},
+			{sp, topo.WithSparsity(topology.Sparsity{N: 2, M: 4})},
+			{sp, topo.WithSparsity(topology.Sparsity{N: 1, M: 4})},
+			{en, topo},
+			{mem, topo},
+			{lay, topo},
 		} {
 			d, err := timeRun(f.cfg, f.topo)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			*f.ratio = float64(d) / float64(baseT)
+			row = append(row, f64(float64(d)/float64(baseT)))
 		}
-
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// WriteTable4CSV renders the overhead ratios.
-func WriteTable4CSV(w io.Writer, rows []Table4Row) error {
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{r.Workload,
-			f64(r.Baseline.Seconds()),
-			f64(r.MultiCore), f64(r.Sparse24), f64(r.Sparse14),
-			f64(r.Energy), f64(r.Memory), f64(r.Layout)})
+		rows = append(rows, row)
 	}
 	return writeCSV(w, []string{"workload", "baseline_s", "multicore_x",
-		"sparsity24_x", "sparsity14_x", "accelergy_x", "ramulator_x", "layout_x"}, out)
+		"sparsity24_x", "sparsity14_x", "accelergy_x", "ramulator_x", "layout_x"}, rows)
 }

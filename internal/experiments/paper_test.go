@@ -52,32 +52,39 @@ func num(t *testing.T, s string) float64 {
 	return v
 }
 
-// goldenTable5 returns table5.csv as the rows RunTable5 returned.
-func goldenTable5(t *testing.T) []Table5Row {
+// table5Scaling returns a table5.csv workload's scaling from its first to
+// its last array size in the orientation of the paper's abstract: latency
+// falls by the factor cycles(first)/cycles(last) and energy rises by the
+// factor energy(last)/energy(first).
+func table5Scaling(t *testing.T, workload string) (latency, energy float64) {
 	t.Helper()
-	var out []Table5Row
+	var first, last map[string]string
 	for _, r := range readGolden(t, "table5") {
-		out = append(out, Table5Row{Workload: r["workload"], Array: int(num(t, r["array"])),
-			CyclesPerLayer: int64(num(t, r["cycles_per_layer"])),
-			EnergyMJ:       num(t, r["energy_mJ"]), EdP: num(t, r["EdP"])})
+		if r["workload"] != workload {
+			continue
+		}
+		if first == nil {
+			first = r
+		}
+		last = r
 	}
-	return out
+	if first == nil {
+		t.Fatalf("table5.csv has no %s rows", workload)
+	}
+	return num(t, first["cycles_per_layer"]) / num(t, last["cycles_per_layer"]),
+		num(t, last["energy_mJ"]) / num(t, first["energy_mJ"])
 }
 
-// goldenTable6 returns table6.csv as the result RunTable6 returned.
-func goldenTable6(t *testing.T) Table6Result {
+// table6Ratio returns the table6.csv cell of configuration cfg in column col.
+func table6Ratio(t *testing.T, cfg, col string) float64 {
 	t.Helper()
-	by := map[string]map[string]string{}
 	for _, r := range readGolden(t, "table6") {
-		by[r["configuration"]] = r
+		if r["configuration"] == cfg {
+			return num(t, r[col])
+		}
 	}
-	return Table6Result{
-		SingleLatencyRatioWSIS: num(t, by["single_128x128"]["latency_ratio_ws_is"]),
-		SingleEnergyRatioWSIS:  num(t, by["single_128x128"]["energy_ratio_ws_is"]),
-		MultiLatencyRatioWSIS:  num(t, by["multi_16x32x32"]["latency_ratio_ws_is"]),
-		MultiEnergyRatioWSIS:   num(t, by["multi_16x32x32"]["energy_ratio_ws_is"]),
-		MultiEdPRatioISWS:      num(t, by["multi_EdP_ws_over_is"]["latency_ratio_ws_is"]),
-	}
+	t.Fatalf("table6.csv has no %s row", cfg)
+	return 0
 }
 
 func TestFig5SparsityReducesCycles(t *testing.T) {
@@ -134,7 +141,7 @@ func TestFig10BiggerQueueFewerStalls(t *testing.T) {
 // ablation: on every grid, 8 banks at a fixed bandwidth never slow a
 // dataflow down more than 1 bank does.
 func TestLayoutMoreBanksNeverWorse(t *testing.T) {
-	bandwidths := DefaultFig12().Bandwidths
+	bandwidths := []int{64, 128, 256, 512, 1024}
 	for _, name := range []string{"fig12", "fig13", "layout-ablation"} {
 		slowdown := map[string]float64{}
 		rows := readGolden(t, name)
@@ -172,23 +179,22 @@ func TestFig15EnergyShapes(t *testing.T) {
 }
 
 func TestTable5Shapes(t *testing.T) {
-	byArray := map[string]map[int]Table5Row{}
-	for _, r := range goldenTable5(t) {
-		if byArray[r.Workload] == nil {
-			byArray[r.Workload] = map[int]Table5Row{}
+	byArray := map[string]map[string]map[string]string{}
+	for _, r := range readGolden(t, "table5") {
+		if byArray[r["workload"]] == nil {
+			byArray[r["workload"]] = map[string]map[string]string{}
 		}
-		byArray[r.Workload][r.Array] = r
+		byArray[r["workload"]][r["array"]] = r
 	}
 	// Larger arrays are faster per layer but cost more energy (the
 	// paper's headline trade-off).
 	for name, m := range byArray {
-		if m[128].CyclesPerLayer >= m[32].CyclesPerLayer {
-			t.Errorf("%s: 128² cycles/layer %d not below 32² %d",
-				name, m[128].CyclesPerLayer, m[32].CyclesPerLayer)
+		if c128, c32 := num(t, m["128"]["cycles_per_layer"]), num(t, m["32"]["cycles_per_layer"]); c128 >= c32 {
+			t.Errorf("%s: 128² cycles/layer %.0f not below 32² %.0f", name, c128, c32)
 		}
-		if m[128].EnergyMJ <= m[32].EnergyMJ {
+		if e128, e32 := num(t, m["128"]["energy_mJ"]), num(t, m["32"]["energy_mJ"]); e128 <= e32 {
 			t.Errorf("%s: 128² energy %.4f not above 32² %.4f (paper: small array more efficient)",
-				name, m[128].EnergyMJ, m[32].EnergyMJ)
+				name, e128, e32)
 		}
 	}
 }
@@ -200,7 +206,7 @@ func TestTable5Shapes(t *testing.T) {
 // the error is DRAM saturation on the single DDR4 channel of the default
 // machine. The bound pins that term at its present size.
 func TestAbstractViTBaseScaling(t *testing.T) {
-	latency, energy := Table5Scaling(goldenTable5(t), "vit_base")
+	latency, energy := table5Scaling(t, "vit_base")
 	latErr, energyErr := math.Abs(latency-6.53)/6.53, math.Abs(energy-2.86)/2.86
 	t.Logf("32²→128²: latency ÷%.3f (paper 6.53, rel err %.3f), energy ×%.3f (paper 2.86, rel err %.3f)",
 		latency, latErr, energy, energyErr)
@@ -216,15 +222,15 @@ func TestAbstractViTBaseScaling(t *testing.T) {
 }
 
 func TestTable6Ratios(t *testing.T) {
-	res := goldenTable6(t)
-	t.Logf("table6: %+v", res)
-	if res.SingleLatencyRatioWSIS <= 0 || res.MultiLatencyRatioWSIS <= 0 {
+	single := table6Ratio(t, "single_128x128", "latency_ratio_ws_is")
+	multi := table6Ratio(t, "multi_16x32x32", "latency_ratio_ws_is")
+	t.Logf("table6: ws/is latency single %.3f, multi %.3f", single, multi)
+	if single <= 0 || multi <= 0 {
 		t.Fatal("non-positive latency ratios")
 	}
 	// Paper: multi-core brings the ws/is latency gap down (1.87 → 1.14).
-	if res.MultiLatencyRatioWSIS >= res.SingleLatencyRatioWSIS {
-		t.Errorf("multi-core ws/is ratio %.3f not below single-core %.3f",
-			res.MultiLatencyRatioWSIS, res.SingleLatencyRatioWSIS)
+	if multi >= single {
+		t.Errorf("multi-core ws/is ratio %.3f not below single-core %.3f", multi, single)
 	}
 }
 
@@ -235,8 +241,8 @@ func TestTable6Ratios(t *testing.T) {
 // naming the number it moved. A change that improves one re-measures the
 // table; it never loosens the tolerance.
 func TestPaperScorecard(t *testing.T) {
-	latency, energy := Table5Scaling(goldenTable5(t), "vit_base")
-	t6 := goldenTable6(t)
+	latency, energy := table5Scaling(t, "vit_base")
+	const lat, en = "latency_ratio_ws_is", "energy_ratio_ws_is"
 	const tolerance = 0.01
 	for _, n := range []struct {
 		name, orientation, source string
@@ -245,11 +251,11 @@ func TestPaperScorecard(t *testing.T) {
 	}{
 		{"abstract, latency 32²→128²", "cycles(32²) / cycles(128²)", "table5", 6.53, latency, 0.296},
 		{"abstract, energy 32²→128²", "energy(128²) / energy(32²)", "table5", 2.86, energy, 0.007},
-		{"Table VI single 128², latency", "cycles(WS) / cycles(IS)", "table6", 1.87, t6.SingleLatencyRatioWSIS, 0.062},
-		{"Table VI single 128², energy", "energy(IS) / energy(WS)", "table6", 0.71, t6.SingleEnergyRatioWSIS, 0.033},
-		{"Table VI 16×32², latency", "cycles(WS) / cycles(IS)", "table6", 1.14, t6.MultiLatencyRatioWSIS, 0.028},
-		{"Table VI 16×32², energy", "energy(IS) / energy(WS)", "table6", 0.70, t6.MultiEnergyRatioWSIS, 0.492},
-		{"Table VI 16×32², EdP", "EdP(WS) / EdP(IS)", "table6", 1.31, t6.MultiEdPRatioISWS, 0.190},
+		{"Table VI single 128², latency", "cycles(WS) / cycles(IS)", "table6", 1.87, table6Ratio(t, "single_128x128", lat), 0.062},
+		{"Table VI single 128², energy", "energy(IS) / energy(WS)", "table6", 0.71, table6Ratio(t, "single_128x128", en), 0.033},
+		{"Table VI 16×32², latency", "cycles(WS) / cycles(IS)", "table6", 1.14, table6Ratio(t, "multi_16x32x32", lat), 0.028},
+		{"Table VI 16×32², energy", "energy(IS) / energy(WS)", "table6", 0.70, table6Ratio(t, "multi_16x32x32", en), 0.492},
+		{"Table VI 16×32², EdP", "EdP(WS) / EdP(IS)", "table6", 1.31, table6Ratio(t, "multi_EdP_ws_over_is", lat), 0.190},
 	} {
 		relErr := math.Abs(n.model-n.paper) / n.paper
 		t.Logf("%-30s %-27s %-14s paper %.3f model %.3f rel err %.3f",
