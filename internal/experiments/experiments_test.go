@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/csv"
 	"go/parser"
 	"go/token"
+	"io"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -119,6 +122,34 @@ func TestTable3StateOrdering(t *testing.T) {
 		pj[energy.StatePowerGated.String()]
 	if !(0 < gated && gated < idle && idle < active) {
 		t.Errorf("state energies not ordered: gated=%.2f idle=%.2f active=%.2f", gated, idle, active)
+	}
+}
+
+// TestTable4OverheadsPositive runs table4, which reports wall-clock ratios
+// and so has no golden to read, and checks that every workload's feature
+// overhead ratios (the columns after workload and baseline_s) are positive.
+func TestTable4OverheadsPositive(t *testing.T) {
+	var got bytes.Buffer
+	for _, e := range All() {
+		if e.Name == "table4" {
+			if err := e.Run(&got, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	recs, err := csv.NewReader(&got).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 2 {
+		t.Fatalf("table4 wrote %d records, want a header and rows", len(recs))
+	}
+	for _, rec := range recs[1:] {
+		for j := 2; j < len(rec); j++ {
+			if v, err := strconv.ParseFloat(rec[j], 64); err != nil || v <= 0 {
+				t.Errorf("%s: %s = %q, want a positive ratio", rec[0], recs[0][j], rec[j])
+			}
+		}
 	}
 }
 
